@@ -1,6 +1,6 @@
 """Utility-driven algorithm configuration on simulated capped runs."""
 
-from .baselines import HalvingResult, NaiveResult, UpRun, naive_run, successive_halving
+from .baselines import UpRun, naive_run, successive_halving
 from .bounds import (
     BoundContext,
     BoundSnapshot,
@@ -12,7 +12,6 @@ from .bounds import (
     make_snapshot,
 )
 from .coup import (
-    CoupResult,
     CoupRun,
     FinitePoolSampler,
     ParametricSampler,

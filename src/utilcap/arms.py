@@ -19,11 +19,10 @@ simply fires again on the next selection of the same arm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import BoundContext, BoundSnapshot, alpha, make_snapshot
 from .oracles import CappedObservation, RuntimeOracle
-from .records import CostLedger
+from .records import CostLedger, StepReport
 from .utility import UtilityFunction
 
 
@@ -113,13 +112,6 @@ class ArmState:
                 )
 
 
-@dataclass(frozen=True)
-class PullOutcome:
-    doubled: bool
-    runs_executed: int
-    time_spent: float
-
-
 def pull_arm(
     arm: ArmState,
     ctx: BoundContext,
@@ -127,10 +119,14 @@ def pull_arm(
     oracle: RuntimeOracle,
     doubling_rule,
     ledger: CostLedger,
-    ledger_key: int,
+    index: int,
     debug_check: bool = False,
-) -> PullOutcome:
-    """Advance one arm by one observation, doubling its captime if warranted."""
+) -> StepReport:
+    """Advance one arm by one observation, doubling its captime if warranted.
+
+    ``index`` is the arm's position in its pool: it keys the ledger and is
+    reported as the selected arm.
+    """
     arm.m += 1
     a = alpha(ctx, arm.m, arm.kappa)
     # the condition sees the incremented m but the completion fraction of the
@@ -145,27 +141,34 @@ def pull_arm(
                 continue  # completed runs are reused, never rerun
             obs = oracle.run(arm.config, j, arm.kappa)
             arm._replace(j, obs, u)
-            ledger.charge(ledger_key, obs.duration)
+            ledger.charge(index, obs.duration)
             runs += 1
             spent += obs.duration
     obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
     arm._append(obs, u)
-    ledger.charge(ledger_key, obs.duration)
+    ledger.charge(index, obs.duration)
     runs += 1
     spent += obs.duration
     arm.recompute_snapshot(ctx, u, debug_check=debug_check)
-    return PullOutcome(doubled=doubled, runs_executed=runs, time_spent=spent)
+    return StepReport(selected=index, doubled=doubled, runs_executed=runs, time_spent=spent)
 
 
-def best_by(arms: list[ArmState], indices, key) -> int:
-    """Index with the maximal key; ties break toward the lowest index."""
-    best = None
-    best_value = -math.inf
+def scan(arms: list[ArmState], indices) -> tuple[int, int, float]:
+    """One pass over the given arms: (argmax UCB, argmax LCB, max UCB - max LCB).
+
+    Ties break toward the lowest index, so ``indices`` must be increasing.
+    The last value is the anytime guarantee over the scanned arms.
+    """
+    top_ucb = top_lcb = -math.inf
+    best_ucb = best_lcb = None
     for i in indices:
-        value = key(arms[i].snapshot)
-        if value > best_value:
-            best = i
-            best_value = value
-    if best is None:
-        raise ValueError("no arms to select from")
-    return best
+        snapshot = arms[i].snapshot
+        if snapshot.ucb > top_ucb:
+            top_ucb = snapshot.ucb
+            best_ucb = i
+        if snapshot.lcb > top_lcb:
+            top_lcb = snapshot.lcb
+            best_lcb = i
+    if best_ucb is None or best_lcb is None:
+        raise ValueError("no arms to scan")
+    return best_ucb, best_lcb, top_ucb - top_lcb

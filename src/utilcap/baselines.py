@@ -22,26 +22,14 @@ budget B is consumed exactly when it divides the round structure evenly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .arms import ArmState, best_by, pull_arm
-from .bounds import DOUBLING_RULES, BoundContext
-from .oracles import InstanceExhaustedError, RuntimeOracle
-from .records import (
-    BudgetSeconds,
-    CostLedger,
-    MaxRounds,
-    RunResult,
-    SingleSurvivor,
-    StepReport,
-    StopRule,
-    TargetEpsilon,
-    TraceRow,
-)
+from .oracles import RuntimeOracle
+from .oup import OupRun
+from .records import CostLedger, RunResult, TraceRow
 from .utility import UtilityFunction
 
 
-class UpRun:
+class UpRun(OupRun):
     """Round-robin sweeps with sweep-boundary elimination."""
 
     procedure = "up"
@@ -56,148 +44,29 @@ class UpRun:
         pool: list[int] | None = None,
         debug_check_bounds: bool = False,
     ):
-        if pool is None:
-            pool = list(range(oracle.n_configs))
-        if not pool:
-            raise ValueError("configuration pool must not be empty")
-        self.oracle = oracle
-        self.utility = utility
-        self.ctx = BoundContext(n=len(pool), delta=delta)
-        self.doubling_rule = DOUBLING_RULES[doubling]
-        self.doubling = doubling
-        self.debug_check_bounds = debug_check_bounds
-        self.arms = [ArmState(config) for config in pool]
-        self.survivors = list(range(len(self.arms)))
+        super().__init__(
+            oracle,
+            utility,
+            delta,
+            doubling=doubling,
+            pool=pool,
+            debug_check_bounds=debug_check_bounds,
+        )
         self._sweep: list[int] = []
-        self.round = 0
-        self.ledger = CostLedger()
-        self.trace: list[TraceRow] = []
-        self.eps_min = self.guaranteed_epsilon()
-        self.eps_min_round = 0
 
-    def incumbent(self) -> int:
-        return best_by(self.arms, self.survivors, lambda s: s.lcb)
-
-    def guaranteed_epsilon(self) -> float:
-        top_ucb = max(self.arms[i].snapshot.ucb for i in self.survivors)
-        top_lcb = max(self.arms[i].snapshot.lcb for i in self.survivors)
-        return top_ucb - top_lcb
-
-    def step(self) -> StepReport:
+    def select_arm(self) -> int:
         if not self._sweep:
             self._sweep = list(self.survivors)
-        i = self._sweep.pop(0)
-        arm = self.arms[i]
-        try:
-            outcome = pull_arm(
-                arm,
-                self.ctx,
-                self.utility,
-                self.oracle,
-                self.doubling_rule,
-                self.ledger,
-                ledger_key=i,
-                debug_check=self.debug_check_bounds,
-            )
-        except InstanceExhaustedError as err:
-            err.achieved_epsilon = self.eps_min
-            err.partial = self._result("instance_exhausted")
-            raise
-        self.round += 1
-        eliminations = []
-        if not self._sweep:
-            # sweep boundary: every survivor has been advanced once
-            threshold = self.arms[self.incumbent()].snapshot.lcb
-            for j in list(self.survivors):
-                if self.arms[j].snapshot.ucb < threshold:
-                    self.arms[j].eliminated = True
-                    self.survivors.remove(j)
-                    eliminations.append(j)
-        star = self.incumbent()
-        eps_raw = self.guaranteed_epsilon()
-        if eps_raw < self.eps_min:
-            self.eps_min = eps_raw
-            self.eps_min_round = self.round
-        self.trace.append(
-            TraceRow(
-                round=self.round,
-                ledger_seconds=self.ledger.total_seconds,
-                selected=i,
-                doubled=outcome.doubled,
-                eps_raw=eps_raw,
-                eps_min=self.eps_min,
-                survivors=len(self.survivors),
-                incumbent=star,
-            )
-        )
-        return StepReport(
-            selected=i,
-            doubled=outcome.doubled,
-            runs_executed=outcome.runs_executed,
-            time_spent=outcome.time_spent,
-            eliminations=tuple(eliminations),
-        )
+        return self._sweep.pop(0)
 
-    def _stop_fires(self, stop: StopRule) -> str | None:
-        if isinstance(stop, TargetEpsilon):
-            if self.eps_min <= stop.epsilon:
-                return "target_epsilon"
-        elif isinstance(stop, BudgetSeconds):
-            if self.ledger.total_seconds >= stop.seconds:
-                return "budget_exhausted"
-        elif isinstance(stop, SingleSurvivor):
-            if len(self.survivors) <= 1:
-                return "single_survivor"
-        elif isinstance(stop, MaxRounds):
-            if self.round >= stop.rounds:
-                return "max_rounds"
-        else:
-            raise TypeError(f"unsupported stop rule {stop!r}")
-        return None
-
-    def run_until(self, stop: StopRule) -> RunResult:
-        while True:
-            reason = self._stop_fires(stop)
-            if reason is not None:
-                return self._result(reason)
-            self.step()
-
-    def _result(self, stop_reason: str) -> RunResult:
-        star = self.incumbent()
-        return RunResult(
-            procedure=self.procedure,
-            incumbent=star,
-            incumbent_config=self.arms[star].config,
-            incumbent_name=self.oracle.name(self.arms[star].config),
-            eps_raw=self.guaranteed_epsilon(),
-            eps_min=self.eps_min,
-            eps_min_round=self.eps_min_round,
-            rounds=self.round,
-            survivors=tuple(self.survivors),
-            trace=self.trace,
-            ledger=self.ledger,
-            stop_reason=stop_reason,
-        )
+    def _eliminates(self) -> bool:
+        # sweep boundary: every survivor has been advanced once
+        return not self._sweep
 
 
 # ---------------------------------------------------------------------------
 # Naive fixed-sample procedure
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class NaiveResult:
-    procedure: str
-    incumbent: int
-    incumbent_config: int
-    incumbent_name: str
-    epsilon: float
-    kappa_bar: float
-    runs_per_config: int
-    means: list[float]
-    trace: list[TraceRow]
-    ledger: CostLedger
-    extra: dict = field(default_factory=dict)
 
 
 def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> float:
@@ -228,7 +97,7 @@ def naive_run(
     delta: float,
     *,
     pool: list[int] | None = None,
-) -> NaiveResult:
+) -> RunResult:
     if pool is None:
         pool = list(range(oracle.n_configs))
     if not pool:
@@ -268,37 +137,23 @@ def naive_run(
                 )
             )
     means = [sums[a] / m for a in range(len(pool))]
-    return NaiveResult(
+    return RunResult(
         procedure="naive",
         incumbent=best,
         incumbent_config=pool[best],
         incumbent_name=oracle.name(pool[best]),
         epsilon=epsilon,
-        kappa_bar=kappa_bar,
-        runs_per_config=m,
-        means=means,
+        rounds=rounds,
         trace=trace,
         ledger=ledger,
+        stop_reason="completed",
+        extra={"kappa_bar": kappa_bar, "runs_per_config": m, "means": means},
     )
 
 
 # ---------------------------------------------------------------------------
 # Successive halving
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class HalvingResult:
-    procedure: str
-    incumbent: int
-    incumbent_config: int
-    incumbent_name: str
-    round_sizes: list[int]
-    round_counts: list[int]
-    runs_used: int
-    trace: list[TraceRow]
-    ledger: CostLedger
-    extra: dict = field(default_factory=dict)
 
 
 def halving_round_structure(n: int, eta: int) -> tuple[list[int], list[int]]:
@@ -328,7 +183,7 @@ def successive_halving(
     kappa: float,
     *,
     pool: list[int] | None = None,
-) -> HalvingResult:
+) -> RunResult:
     if pool is None:
         pool = list(range(oracle.n_configs))
     if not pool:
@@ -346,7 +201,6 @@ def successive_halving(
     counts = {a: 0 for a in range(len(pool))}
     alive = list(range(len(pool)))
     rounds = 0
-    used = 0
     round_counts = []
     for k, size in enumerate(sizes):
         target = rate * eta ** k
@@ -357,7 +211,6 @@ def successive_halving(
                 ledger.charge(a, obs.duration)
                 sums[a] += utility(obs.duration)
                 counts[a] += 1
-                used += 1
                 rounds += 1
                 best = max(
                     alive,
@@ -382,14 +235,15 @@ def successive_halving(
             )[:keep]
             alive.sort()
     winner = alive[0]
-    return HalvingResult(
+    return RunResult(
         procedure="sh",
         incumbent=winner,
         incumbent_config=pool[winner],
         incumbent_name=oracle.name(pool[winner]),
-        round_sizes=sizes,
-        round_counts=round_counts,
-        runs_used=used,
+        epsilon=math.nan,
+        rounds=rounds,
         trace=trace,
         ledger=ledger,
+        stop_reason="completed",
+        extra={"round_sizes": sizes, "round_counts": round_counts, "runs_used": rounds},
     )

@@ -110,7 +110,7 @@ def _read_run_dir(path: Path) -> tuple[dict, list[TraceRow]]:
 
 def cmd_run(args) -> int:
     spec = _spec_from_args(args, args.procedure, args.seed)
-    summary = run_experiment(spec, args.out)
+    summary = run_experiment(spec, output_directory(args.out))
     print(
         f"{spec.procedure} seed={spec.seed}: incumbent={summary['incumbent_name']} "
         f"eps={summary['final_epsilon']} total_seconds={summary['total_seconds']} "

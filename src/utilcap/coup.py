@@ -25,25 +25,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arms import ArmState, best_by, pull_arm
+from .arms import ArmState
 from .bounds import DOUBLING_RULES, BoundContext
-from .oracles import (
-    Exponential,
-    InstanceExhaustedError,
-    RuntimeOracle,
-    SyntheticOracle,
-    true_capped_utility,
-)
-from .records import (
-    BudgetSeconds,
-    CostLedger,
-    MaxPhases,
-    PhasedStopRule,
-    StepReport,
-    TraceRow,
-)
+from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
+from .oup import OupRun
+from .records import BudgetSeconds, CostLedger, MaxPhases, PhasedStopRule, RunResult, TraceRow
 from .rng import SAMPLER_STREAM, UniformStream
 from .utility import UtilityFunction
 
@@ -187,11 +175,8 @@ class FinitePoolSampler:
         self._draws += k
         return out
 
-    def population_utilities(self, u: UtilityFunction) -> list[float]:
-        return self.oracle.true_utilities(u)
-
     def optimum_quantile(self, u: UtilityFunction, gamma: float) -> float:
-        return finite_population_quantile(self.population_utilities(u), gamma)
+        return finite_population_quantile(self.oracle.true_utilities(u), gamma)
 
 
 class ParametricSampler:
@@ -271,22 +256,13 @@ class PhaseCertificate:
     ledger_seconds: float
 
 
-@dataclass
-class CoupResult:
-    procedure: str
-    certificates: list[PhaseCertificate]
-    recommendation: int | None
-    recommendation_name: str | None
-    phases_completed: int
-    pool_size: int
-    trace: list[TraceRow]
-    ledger: CostLedger
-    stop_reason: str
-    extra: dict = field(default_factory=dict)
+class CoupRun(OupRun):
+    """Phased run holding a growing arm store shared across phases.
 
-
-class CoupRun:
-    """Phased run holding a growing arm store shared across phases."""
+    Each round is the greedy engine's round over the whole pool, with no
+    elimination; this class only keeps the phases: it grows the pool, swaps
+    the bound context, and certifies each phase's incumbent.
+    """
 
     procedure = "coup"
 
@@ -303,15 +279,18 @@ class CoupRun:
     ):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        # the pool starts empty and grows in begin_phase, so the engine's
+        # state is set here rather than by OupRun.__init__
         self.sampler = sampler
         self.oracle = oracle
         self.utility = utility
         self.delta = delta
         self.schedule = schedule
         self.doubling_rule = DOUBLING_RULES[doubling]
-        self.doubling = doubling
+        self.eliminate = False
         self.debug_check_bounds = debug_check_bounds
         self.arms: list[ArmState] = []
+        self.survivors: list[int] = []
         self.p = 0
         self.eps_p = math.nan
         self.gamma_p = math.nan
@@ -331,8 +310,8 @@ class CoupRun:
         self.n_p = phase_size(self.p, self.gamma_p, self.delta)
         needed = self.n_p - len(self.arms)
         if needed > 0:
-            for config in self.sampler.sample(needed):
-                self.arms.append(ArmState(config))
+            self.arms.extend(ArmState(config) for config in self.sampler.sample(needed))
+            self.survivors = list(range(len(self.arms)))
         self.ctx = BoundContext(n=self.n_p, delta=self.delta, phase=self.p)
         for arm in self.arms:
             arm.recompute_snapshot(self.ctx, self.utility, debug_check=self.debug_check_bounds)
@@ -341,59 +320,10 @@ class CoupRun:
         self.eps_min_round = self.round
         return self.p, self.eps_p, self.gamma_p, self.n_p
 
-    def guaranteed_epsilon(self) -> float:
-        top_ucb = max(arm.snapshot.ucb for arm in self.arms)
-        top_lcb = max(arm.snapshot.lcb for arm in self.arms)
-        return top_ucb - top_lcb
-
     def phase_done(self) -> bool:
         return self.guaranteed_epsilon() < self.eps_p
 
-    def incumbent(self) -> int:
-        return best_by(self.arms, range(len(self.arms)), lambda s: s.lcb)
-
-    def phase_step(self) -> StepReport:
-        i = best_by(self.arms, range(len(self.arms)), lambda s: s.ucb)
-        arm = self.arms[i]
-        try:
-            outcome = pull_arm(
-                arm,
-                self.ctx,
-                self.utility,
-                self.oracle,
-                self.doubling_rule,
-                self.ledger,
-                ledger_key=i,
-                debug_check=self.debug_check_bounds,
-            )
-        except InstanceExhaustedError as err:
-            err.achieved_epsilon = self.eps_min
-            err.partial = self._result("instance_exhausted")
-            raise
-        self.round += 1
-        star = self.incumbent()
-        eps_raw = self.guaranteed_epsilon()
-        if eps_raw < self.eps_min:
-            self.eps_min = eps_raw
-            self.eps_min_round = self.round
-        self.trace.append(
-            TraceRow(
-                round=self.round,
-                ledger_seconds=self.ledger.total_seconds,
-                selected=i,
-                doubled=outcome.doubled,
-                eps_raw=eps_raw,
-                eps_min=self.eps_min,
-                survivors=len(self.arms),
-                incumbent=star,
-            )
-        )
-        return StepReport(
-            selected=i,
-            doubled=outcome.doubled,
-            runs_executed=outcome.runs_executed,
-            time_spent=outcome.time_spent,
-        )
+    phase_step = OupRun.step
 
     def _certify(self) -> PhaseCertificate:
         star = self.incumbent()
@@ -410,7 +340,7 @@ class CoupRun:
         self.certificates.append(certificate)
         return certificate
 
-    def run_phases(self, stop: PhasedStopRule) -> CoupResult:
+    def run_phases(self, stop: PhasedStopRule) -> RunResult:
         budget = stop.seconds if isinstance(stop, BudgetSeconds) else None
         max_phases = stop.phases if isinstance(stop, MaxPhases) else None
         if budget is None and max_phases is None:
@@ -429,17 +359,21 @@ class CoupRun:
                 self.phase_step()
             self._certify()
 
-    def _result(self, stop_reason: str) -> CoupResult:
+    def _result(self, stop_reason: str) -> RunResult:
         last = self.certificates[-1] if self.certificates else None
-        return CoupResult(
+        return RunResult(
             procedure=self.procedure,
-            certificates=list(self.certificates),
-            recommendation=last.incumbent if last else None,
-            recommendation_name=last.incumbent_name if last else None,
-            phases_completed=len(self.certificates),
-            pool_size=len(self.arms),
+            incumbent=last.incumbent if last else None,
+            incumbent_config=self.arms[last.incumbent].config if last else None,
+            incumbent_name=last.incumbent_name if last else "",
+            epsilon=last.epsilon if last else math.nan,
+            rounds=self.round,
             trace=self.trace,
             ledger=self.ledger,
             stop_reason=stop_reason,
-            extra={"arm_configs": tuple(arm.config for arm in self.arms)},
+            certificates=list(self.certificates),
+            extra={
+                "arm_configs": tuple(arm.config for arm in self.arms),
+                "pool_size": len(self.arms),
+            },
         )

@@ -15,7 +15,9 @@ running minimum, together with the round at which each minimum was achieved.
 
 from __future__ import annotations
 
-from .arms import ArmState, best_by, pull_arm
+from dataclasses import replace
+
+from .arms import ArmState, pull_arm, scan
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import (
@@ -33,13 +35,15 @@ from .utility import UtilityFunction
 
 
 class OupRun:
-    """One sequential run over a fixed pool.
+    """One sequential run over a fixed pool, and the round every engine shares.
 
     ``pool`` lists oracle configuration ids; arms are addressed by their
     position in the pool.  ``ctx`` may be supplied to force a particular
     bound context (used to compare against a single phase of the phased
     engine); ``eliminate=False`` disables the elimination step for the same
-    purpose.
+    purpose.  Subclasses change only how an arm is selected
+    (``select_arm``) and whether a round ends with elimination
+    (``_eliminates``).
     """
 
     procedure = "oup"
@@ -64,7 +68,6 @@ class OupRun:
         self.utility = utility
         self.ctx = ctx if ctx is not None else BoundContext(n=len(pool), delta=delta)
         self.doubling_rule = DOUBLING_RULES[doubling]
-        self.doubling = doubling
         self.eliminate = eliminate
         self.debug_check_bounds = debug_check_bounds
         self.arms = [ArmState(config) for config in pool]
@@ -78,28 +81,29 @@ class OupRun:
     def select_arm(self) -> int:
         if not self.survivors:
             raise RuntimeError("survivor set is empty; invariant violated")
-        return best_by(self.arms, self.survivors, lambda s: s.ucb)
+        return scan(self.arms, self.survivors)[0]
 
     def incumbent(self) -> int:
-        return best_by(self.arms, self.survivors, lambda s: s.lcb)
+        return scan(self.arms, self.survivors)[1]
 
     def guaranteed_epsilon(self) -> float:
-        top_ucb = max(self.arms[i].snapshot.ucb for i in self.survivors)
-        top_lcb = max(self.arms[i].snapshot.lcb for i in self.survivors)
-        return top_ucb - top_lcb
+        return scan(self.arms, self.survivors)[2]
+
+    def _eliminates(self) -> bool:
+        """Whether the round that just pulled an arm ends with elimination."""
+        return self.eliminate
 
     def step(self) -> StepReport:
         i = self.select_arm()
-        arm = self.arms[i]
         try:
-            outcome = pull_arm(
-                arm,
+            report = pull_arm(
+                self.arms[i],
                 self.ctx,
                 self.utility,
                 self.oracle,
                 self.doubling_rule,
                 self.ledger,
-                ledger_key=i,
+                i,
                 debug_check=self.debug_check_bounds,
             )
         except InstanceExhaustedError as err:
@@ -107,16 +111,18 @@ class OupRun:
             err.partial = self._result("instance_exhausted")
             raise
         self.round += 1
-        star = self.incumbent()
-        eliminations = []
-        if self.eliminate:
+        # Elimination moves neither maximum: an eliminated arm's UCB is below
+        # the incumbent's LCB, which is below the incumbent's UCB because a
+        # width is always positive.  So one scan before it serves both.
+        _, star, eps_raw = scan(self.arms, self.survivors)
+        if self._eliminates():
             threshold = self.arms[star].snapshot.lcb
-            for j in list(self.survivors):
-                if self.arms[j].snapshot.ucb < threshold:
+            gone = [j for j in self.survivors if self.arms[j].snapshot.ucb < threshold]
+            if gone:
+                for j in gone:
                     self.arms[j].eliminated = True
-                    self.survivors.remove(j)
-                    eliminations.append(j)
-        eps_raw = self.guaranteed_epsilon()
+                self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
+                report = replace(report, eliminations=tuple(gone))
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
             self.eps_min_round = self.round
@@ -125,20 +131,14 @@ class OupRun:
                 round=self.round,
                 ledger_seconds=self.ledger.total_seconds,
                 selected=i,
-                doubled=outcome.doubled,
+                doubled=report.doubled,
                 eps_raw=eps_raw,
                 eps_min=self.eps_min,
                 survivors=len(self.survivors),
                 incumbent=star,
             )
         )
-        return StepReport(
-            selected=i,
-            doubled=outcome.doubled,
-            runs_executed=outcome.runs_executed,
-            time_spent=outcome.time_spent,
-            eliminations=tuple(eliminations),
-        )
+        return report
 
     def _stop_fires(self, stop: StopRule) -> str | None:
         if isinstance(stop, TargetEpsilon):
@@ -165,18 +165,16 @@ class OupRun:
             self.step()
 
     def _result(self, stop_reason: str) -> RunResult:
-        star = self.incumbent()
+        _, star, eps_raw = scan(self.arms, self.survivors)
         return RunResult(
             procedure=self.procedure,
             incumbent=star,
             incumbent_config=self.arms[star].config,
             incumbent_name=self.oracle.name(self.arms[star].config),
-            eps_raw=self.guaranteed_epsilon(),
-            eps_min=self.eps_min,
-            eps_min_round=self.eps_min_round,
+            epsilon=self.eps_min,
             rounds=self.round,
-            survivors=tuple(self.survivors),
             trace=self.trace,
             ledger=self.ledger,
             stop_reason=stop_reason,
+            extra={"eps_raw": eps_raw, "survivors": tuple(self.survivors)},
         )

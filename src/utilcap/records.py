@@ -32,7 +32,7 @@ class CostLedger:
 
 @dataclass(frozen=True)
 class StepReport:
-    """What one engine step did."""
+    """What one pull, and the engine round around it, did."""
 
     selected: int
     doubled: bool
@@ -139,18 +139,24 @@ PhasedStopRule = MaxPhases | BudgetSeconds
 
 @dataclass
 class RunResult:
-    """Final state of a sequential (non-phased) run."""
+    """Final state of a run of any of the five procedures.
+
+    ``incumbent`` is the recommended arm's position in the run's pool and
+    ``epsilon`` the guarantee certified for it: the running minimum for
+    ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
+    ``coup`` (incumbent ``None`` and eps nan before its first certificate),
+    and nan for ``sh``, which certifies nothing.  Procedure-specific values
+    live in ``extra``.
+    """
 
     procedure: str
-    incumbent: int
-    incumbent_config: int
+    incumbent: int | None
+    incumbent_config: int | None
     incumbent_name: str
-    eps_raw: float
-    eps_min: float
-    eps_min_round: int
+    epsilon: float
     rounds: int
-    survivors: tuple[int, ...]
     trace: list[TraceRow]
     ledger: CostLedger
     stop_reason: str
+    certificates: list = field(default_factory=list)
     extra: dict = field(default_factory=dict)

@@ -43,7 +43,10 @@ class UniformStream:
         if j < 0:
             raise IndexError(f"stream position must be nonnegative, got {j}")
         if j >= self._values.size:
-            need = ((j // _BLOCK) + 1) * _BLOCK - self._values.size
+            # at least double the buffer, so a long stream costs amortized
+            # O(1) copying per draw; draws do not depend on the chunking
+            size = max(((j // _BLOCK) + 1) * _BLOCK, 2 * self._values.size)
+            need = size - self._values.size
             self._values = np.concatenate([self._values, self._gen.random(need)])
         return float(self._values[j])
 

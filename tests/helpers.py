@@ -138,7 +138,7 @@ def instrumented_oup(
             eps_sound = False
 
     result = run._result("target_epsilon" if run.eps_min <= target_epsilon else "max_rounds")
-    optimal_surviving = optimal_arm in result.survivors
+    optimal_surviving = optimal_arm in result.extra["survivors"]
     return InstrumentedRun(
         result=result,
         clean=clean,

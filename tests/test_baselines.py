@@ -72,7 +72,7 @@ def test_up_runs_bad_arm_at_least_as_much_as_greedy():
 
 def test_up_stop_rules_and_determinism():
     result = uc.UpRun(small_oracle(), U60, 0.1).run_until(uc.BudgetSeconds(0.0))
-    assert result.rounds == 0 and result.eps_min == 1.0
+    assert result.rounds == 0 and result.epsilon == 1.0
     a = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
     b = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
     assert [r.__dict__ for r in a.trace] == [r.__dict__ for r in b.trace]
@@ -107,13 +107,13 @@ def test_naive_run_shape():
     oracle = small_oracle(5)
     result = uc.naive_run(oracle, U60, 0.4, 0.1)
     m = uc.baselines.naive_sample_count(3, 0.1, 0.4)
-    assert result.runs_per_config == m
+    assert result.extra["runs_per_config"] == m
     assert result.ledger.run_count == 3 * m
     assert len(result.trace) == 3 * m
-    assert result.incumbent == max(range(3), key=lambda i: result.means[i])
+    assert result.incumbent == max(range(3), key=lambda i: result.extra["means"][i])
     assert result.epsilon == 0.4
     # every run happened at the fixed captime
-    assert result.kappa_bar == uc.baselines.naive_captime(U60, 0.4)
+    assert result.extra["kappa_bar"] == uc.baselines.naive_captime(U60, 0.4)
     assert result.trace[-1].eps_min == 0.4
     assert all(row.eps_min == 1.0 for row in result.trace[:-1])
 
@@ -121,7 +121,7 @@ def test_naive_run_shape():
 def test_naive_is_deterministic():
     a = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)
     b = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)
-    assert a.means == b.means and a.incumbent == b.incumbent
+    assert a.extra["means"] == b.extra["means"] and a.incumbent == b.incumbent
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +137,16 @@ def test_halving_budget_arithmetic():
         [uc.TwoPoint(t, t, 1.0) for t in (10.0, 2.0, 30.0, 20.0)], seed=0
     )
     result = uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0)
-    assert result.round_sizes == [4, 2, 1]
-    assert result.round_counts == [2, 4, 8]
-    assert result.runs_used == 16
+    assert result.extra["round_sizes"] == [4, 2, 1]
+    assert result.extra["round_counts"] == [2, 4, 8]
+    assert result.extra["runs_used"] == 16
 
 
 def test_halving_single_arm_spends_its_share():
     oracle = uc.SyntheticOracle([uc.TwoPoint(1.0, 1.0, 1.0)], seed=0)
     result = uc.successive_halving(oracle, U60, budget=7, eta=2, kappa=8.0)
-    assert result.round_sizes == [1]
-    assert result.runs_used == 7
+    assert result.extra["round_sizes"] == [1]
+    assert result.extra["runs_used"] == 7
 
 
 def test_halving_returns_argmax_on_deterministic_runtimes():
@@ -168,7 +168,7 @@ def test_halving_ledger_charges_capped_durations():
     oracle = uc.SyntheticOracle([uc.TwoPoint(t, t, 1.0) for t in times], seed=0)
     result = uc.successive_halving(oracle, U60, budget=9, eta=2, kappa=8.0)
     # runtimes cap at 8: arm 0 charges 8 per run, arm 1 charges 3
-    assert result.ledger.per_config_seconds[0] == 8.0 * result.round_counts[0]
+    assert result.ledger.per_config_seconds[0] == 8.0 * result.extra["round_counts"][0]
 
 
 # ---------------------------------------------------------------------------

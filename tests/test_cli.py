@@ -105,3 +105,39 @@ def test_env_var_overrides_output_dir(tmp_path, pool_path, monkeypatch):
     assert main(run_args(pool_path, tmp_path / "ignored")) == 0
     assert (tmp_path / "forced" / "trace.csv").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_env_var_sets_sweep_base_directory(tmp_path, pool_path, monkeypatch):
+    monkeypatch.setenv("UTILCAP_OUT", str(tmp_path / "forced"))
+    sweep = [
+        "sweep", "--procedure", "oup,up", "--seeds", "3,4",
+        "--oracle", f"synthetic:{pool_path}", "--stop", "epsilon:0.4",
+        "--delta", "0.1", "--doubling", "new", "--out", str(tmp_path / "ignored"),
+    ]
+    assert main(sweep) == 0
+    cells = sorted(p.name for p in (tmp_path / "forced").iterdir())
+    assert cells == ["oup_seed3", "oup_seed4", "up_seed3", "up_seed4"]
+    for cell in cells:
+        assert (tmp_path / "forced" / cell / "summary.csv").exists()
+    assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize(
+    "body, procedure, stop",
+    [
+        ("family=exponential\nparams=1.0;abc\n", "oup", "epsilon:0.4"),
+        ("family=exponential\nparams=1.0;2.0\nseed=x\n", "oup", "epsilon:0.4"),
+        ("family=exponential\nparams=1.0;2.0\nn_configs=two\n", "oup", "epsilon:0.4"),
+        ("family=parametric_exponential\nparams=0.1,abc\n", "coup", "phases:1"),
+        ("family=parametric_exponential\nparams=0.1,0.5\n", "coup", "phases:1"),
+    ],
+)
+def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    args = run_args(path, tmp_path / "out")
+    args[args.index("--procedure") + 1] = procedure
+    args[args.index("--stop") + 1] = stop
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "Traceback" not in err

@@ -179,7 +179,7 @@ def test_zero_budget_yields_no_certificates():
     result = run.run_phases(uc.BudgetSeconds(0.0))
     assert result.certificates == []
     assert result.trace == []
-    assert result.recommendation is None
+    assert result.incumbent is None
     assert result.stop_reason == "budget_exhausted"
 
 
@@ -191,7 +191,7 @@ def test_max_phases_gives_one_certificate_per_phase():
         eps_p, gamma_p = uc.Schedule.from_spec("default").at(c.phase)
         assert (c.epsilon, c.gamma) == (eps_p, gamma_p)
         assert c.n == uc.phase_size(c.phase, gamma_p, 0.05)
-    assert result.recommendation == result.certificates[-1].incumbent
+    assert result.incumbent == result.certificates[-1].incumbent
 
 
 def test_budget_exhaustion_mid_phase_keeps_previous_certificate():
@@ -200,7 +200,7 @@ def test_budget_exhaustion_mid_phase_keeps_previous_certificate():
     run = make_run(seed=4)
     result = run.run_phases(uc.BudgetSeconds(first_phase_cost))
     assert len(result.certificates) == 1
-    assert result.recommendation == result.certificates[0].incumbent
+    assert result.incumbent == result.certificates[0].incumbent
     assert result.stop_reason == "budget_exhausted"
 
 
@@ -326,7 +326,7 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
     for cert in result.certificates:
         _, gamma_p = schedule.at(cert.phase)
         assert cert.n == uc.phase_size(cert.phase, gamma_p, 0.1)
-    assert result.pool_size == result.certificates[-1].n
+    assert result.extra["pool_size"] == result.certificates[-1].n
     # duplicated rows are distinct arms sharing one runtime row
     configs = result.extra["arm_configs"]
     assert len(set(configs)) < len(configs)

@@ -302,3 +302,9 @@ def test_validate_guarantee_requires_synthetic(tmp_path):
     spec = spec_for(tmp_path, oracle=f"matrix:{matrix}")
     with pytest.raises(SpecError, match="synthetic"):
         uc.validate_guarantee(spec, trials=5)
+
+
+def test_validate_guarantee_rejects_procedure_without_guarantee(tmp_path):
+    spec = spec_for(tmp_path, procedure="sh", stop="budget:64")
+    with pytest.raises(SpecError, match="no guarantee"):
+        uc.validate_guarantee(spec, trials=5)

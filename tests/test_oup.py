@@ -121,7 +121,7 @@ def test_elimination_removes_provably_bad_arm():
     )
     run = uc.OupRun(oracle, uc.UniformUtility(4.0), 0.25, doubling="new")
     result = run.run_until(uc.SingleSurvivor())
-    assert result.survivors == (0,)
+    assert result.extra["survivors"] == (0,)
     assert result.incumbent == 0
     assert run.arms[1].eliminated
     # with a single survivor the guarantee equals the incumbent's own width
@@ -196,8 +196,8 @@ def test_guarantee_driven_by_best_arm_after_others_stop():
     result = run.run_until(uc.TargetEpsilon(0.3))
     star = result.incumbent
     snaps = [a.snapshot for a in run.arms]
-    assert snaps[star].ucb == max(s.ucb for i, s in enumerate(snaps) if i in result.survivors)
-    assert result.eps_raw == pytest.approx(snaps[star].width)
+    assert snaps[star].ucb == max(s.ucb for i, s in enumerate(snaps) if i in result.extra["survivors"])
+    assert result.extra["eps_raw"] == pytest.approx(snaps[star].width)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,7 @@ def test_zero_budget_returns_immediately():
     result = run.run_until(uc.BudgetSeconds(0.0))
     assert result.rounds == 0
     assert result.incumbent == 0
-    assert result.eps_min == 1.0
+    assert result.epsilon == 1.0
     assert result.trace == []
     assert result.stop_reason == "budget_exhausted"
 
@@ -237,7 +237,7 @@ def test_target_epsilon_single_arm_round_count_matches_formula():
     run = uc.OupRun(oracle, utility, delta)
     result = run.run_until(uc.TargetEpsilon(0.1))
     assert result.rounds == m_star
-    assert result.eps_min == pytest.approx(2 * alpha(run.ctx, m_star, 1.0), rel=1e-12)
+    assert result.epsilon == pytest.approx(2 * alpha(run.ctx, m_star, 1.0), rel=1e-12)
     assert not any(row.doubled for row in run.trace)
 
 
@@ -268,7 +268,7 @@ def test_identical_seeds_give_bit_identical_traces():
 def test_instrumented_run_properties_smoke():
     for seed in range(3):
         record = instrumented_oup(a2_oracle(seed), UTILITY, 0.1, "new", 0.2)
-        assert record.result.eps_min <= 0.2
+        assert record.result.epsilon <= 0.2
         if record.clean:
             assert record.stop_selection_ok
             assert record.eps_sound
