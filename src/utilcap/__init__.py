@@ -20,7 +20,6 @@ from .coup import (
     Schedule,
     exponential_mean_map,
     finite_population_quantile,
-    opt_gamma,
     phase_size,
 )
 from .harness import (
@@ -54,7 +53,6 @@ from .records import (
     MaxRounds,
     RunResult,
     SingleSurvivor,
-    StepReport,
     TargetEpsilon,
     TraceRow,
 )

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 
-from .bounds import BoundContext, BoundSnapshot, alpha, make_snapshot
+from .bounds import BoundContext, BoundSnapshot, alpha
 from .oracles import CappedObservation, RuntimeOracle
-from .records import CostLedger, StepReport
+from .records import CostLedger
 from .utility import UtilityFunction
 
 
@@ -31,9 +31,9 @@ class ArmState:
 
     Observations are stored per instance; ``durations[j]`` is the capped
     runtime of instance j at the captime it was last run with.  The running
-    sums used to rebuild snapshots are maintained append-only, so they equal
-    a left-to-right recomputation bit for bit; ``debug_check`` verifies that
-    equality against a from-scratch snapshot.
+    sums used to rebuild snapshots are maintained append-only, and rebuilt
+    left to right after a doubling's reruns, so they equal a left-to-right
+    recomputation bit for bit (tests compare them against ``make_snapshot``).
     """
 
     __slots__ = (
@@ -75,17 +75,7 @@ class ArmState:
         self._utility_sum += value
         self._completed_count += int(obs.completed)
 
-    def _replace(self, j: int, obs: CappedObservation, u: UtilityFunction) -> None:
-        self.durations[j] = obs.duration
-        self.completed[j] = obs.completed
-        self.utilities[j] = u(obs.duration)
-        # replacement breaks the append-only sum order; rebuild left to right
-        self._utility_sum = 0.0
-        for value in self.utilities:
-            self._utility_sum += value
-        self._completed_count = sum(1 for c in self.completed if c)
-
-    def recompute_snapshot(self, ctx: BoundContext, u: UtilityFunction, debug_check: bool = False) -> None:
+    def recompute_snapshot(self, ctx: BoundContext, u: UtilityFunction) -> None:
         if self.m == 0:
             self.snapshot = BoundSnapshot.fresh(self.kappa)
             return
@@ -103,13 +93,6 @@ class ArmState:
             ucb=u_hat + (1.0 - u_k) * a,
             lcb=u_hat - a - u_k * (1.0 - f_hat),
         )
-        if debug_check:
-            reference = make_snapshot(ctx, self.m, self.kappa, self.observations(), u)
-            if reference != self.snapshot:
-                raise AssertionError(
-                    f"running sums drifted from recomputation for config {self.config}: "
-                    f"{self.snapshot} != {reference}"
-                )
 
 
 def pull_arm(
@@ -120,37 +103,37 @@ def pull_arm(
     doubling_rule,
     ledger: CostLedger,
     index: int,
-    debug_check: bool = False,
-) -> StepReport:
+) -> bool:
     """Advance one arm by one observation, doubling its captime if warranted.
 
-    ``index`` is the arm's position in its pool: it keys the ledger and is
-    reported as the selected arm.
+    ``index`` is the arm's position in its pool and keys the ledger.
+    Returns whether the captime was doubled.
     """
     arm.m += 1
     a = alpha(ctx, arm.m, arm.kappa)
     # the condition sees the incremented m but the completion fraction of the
     # previous snapshot (0 for a fresh arm)
     doubled = bool(doubling_rule(a, u(arm.kappa), arm.snapshot.f_hat))
-    runs = 0
-    spent = 0.0
     if doubled:
         arm.kappa *= 2.0
         for j in range(arm.m - 1):
             if arm.completed[j]:
                 continue  # completed runs are reused, never rerun
             obs = oracle.run(arm.config, j, arm.kappa)
-            arm._replace(j, obs, u)
+            arm.durations[j] = obs.duration
+            arm.completed[j] = obs.completed
+            arm.utilities[j] = u(obs.duration)
             ledger.charge(index, obs.duration)
-            runs += 1
-            spent += obs.duration
+        # the reruns break the append-only sum order; rebuild left to right
+        arm._utility_sum = 0.0
+        for value in arm.utilities:
+            arm._utility_sum += value
+        arm._completed_count = sum(1 for c in arm.completed if c)
     obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
     arm._append(obs, u)
     ledger.charge(index, obs.duration)
-    runs += 1
-    spent += obs.duration
-    arm.recompute_snapshot(ctx, u, debug_check=debug_check)
-    return StepReport(selected=index, doubled=doubled, runs_executed=runs, time_spent=spent)
+    arm.recompute_snapshot(ctx, u)
+    return doubled
 
 
 def scan(arms: list[ArmState], indices) -> tuple[int, int, float]:

@@ -42,16 +42,8 @@ class UpRun(OupRun):
         *,
         doubling: str = "old",
         pool: list[int] | None = None,
-        debug_check_bounds: bool = False,
     ):
-        super().__init__(
-            oracle,
-            utility,
-            delta,
-            doubling=doubling,
-            pool=pool,
-            debug_check_bounds=debug_check_bounds,
-        )
+        super().__init__(oracle, utility, delta, doubling=doubling, pool=pool)
         self._sweep: list[int] = []
 
     def select_arm(self) -> int:
@@ -67,6 +59,49 @@ class UpRun(OupRun):
 # ---------------------------------------------------------------------------
 # Naive fixed-sample procedure
 # ---------------------------------------------------------------------------
+
+
+def _sample_to(
+    oracle: RuntimeOracle,
+    utility: UtilityFunction,
+    pool: list[int],
+    kappa: float,
+    alive: list[int],
+    target: int,
+    sums: list[float],
+    counts: list[int],
+    ledger: CostLedger,
+    trace: list[TraceRow],
+) -> None:
+    """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
+    the sampling loop of both naive and successive halving.
+
+    Arms are positions in ``pool``; run j of an arm is instance j.  Appends
+    one trace row per run, with eps 1.0 and the best empirical mean among
+    ``alive`` as the incumbent (ties to the lowest position).
+    """
+    for a in alive:
+        while counts[a] < target:
+            obs = oracle.run(pool[a], counts[a], kappa)
+            ledger.charge(a, obs.duration)
+            sums[a] += utility(obs.duration)
+            counts[a] += 1
+            best = max(
+                alive,
+                key=lambda i: (sums[i] / counts[i] if counts[i] else -math.inf, -i),
+            )
+            trace.append(
+                TraceRow(
+                    round=len(trace) + 1,
+                    ledger_seconds=ledger.total_seconds,
+                    selected=a,
+                    doubled=False,
+                    eps_raw=1.0,
+                    eps_min=1.0,
+                    survivors=len(alive),
+                    incumbent=best,
+                )
+            )
 
 
 def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> float:
@@ -106,36 +141,13 @@ def naive_run(
     m = naive_sample_count(len(pool), delta, epsilon)
     ledger = CostLedger()
     trace: list[TraceRow] = []
-    sums = [0.0 for _ in pool]
-    counts = [0 for _ in pool]
-    rounds = 0
-    best = 0
-    total = len(pool) * m
-    for a, config in enumerate(pool):
-        for j in range(m):
-            obs = oracle.run(config, j, kappa_bar)
-            ledger.charge(a, obs.duration)
-            sums[a] += utility(obs.duration)
-            counts[a] += 1
-            rounds += 1
-            best = max(
-                range(len(pool)),
-                key=lambda i: (sums[i] / counts[i] if counts[i] else -math.inf, -i),
-            )
-            done = rounds == total
-            eps_now = epsilon if done else 1.0
-            trace.append(
-                TraceRow(
-                    round=rounds,
-                    ledger_seconds=ledger.total_seconds,
-                    selected=a,
-                    doubled=False,
-                    eps_raw=eps_now,
-                    eps_min=eps_now,
-                    survivors=len(pool),
-                    incumbent=best,
-                )
-            )
+    sums = [0.0] * len(pool)
+    counts = [0] * len(pool)
+    alive = list(range(len(pool)))
+    _sample_to(oracle, utility, pool, kappa_bar, alive, m, sums, counts, ledger, trace)
+    # the certificate holds only once every configuration has all m samples
+    trace[-1] = trace[-1]._replace(eps_raw=epsilon, eps_min=epsilon)
+    best = trace[-1].incumbent
     means = [sums[a] / m for a in range(len(pool))]
     return RunResult(
         procedure="naive",
@@ -143,7 +155,7 @@ def naive_run(
         incumbent_config=pool[best],
         incumbent_name=oracle.name(pool[best]),
         epsilon=epsilon,
-        rounds=rounds,
+        rounds=len(trace),
         trace=trace,
         ledger=ledger,
         stop_reason="completed",
@@ -197,37 +209,12 @@ def successive_halving(
         )
     ledger = CostLedger()
     trace: list[TraceRow] = []
-    sums = {a: 0.0 for a in range(len(pool))}
-    counts = {a: 0 for a in range(len(pool))}
+    sums = [0.0] * len(pool)
+    counts = [0] * len(pool)
     alive = list(range(len(pool)))
-    rounds = 0
-    round_counts = []
-    for k, size in enumerate(sizes):
-        target = rate * eta ** k
-        round_counts.append(target)
-        for a in alive:
-            while counts[a] < target:
-                obs = oracle.run(pool[a], counts[a], kappa)
-                ledger.charge(a, obs.duration)
-                sums[a] += utility(obs.duration)
-                counts[a] += 1
-                rounds += 1
-                best = max(
-                    alive,
-                    key=lambda i: (sums[i] / counts[i] if counts[i] else -math.inf, -i),
-                )
-                trace.append(
-                    TraceRow(
-                        round=rounds,
-                        ledger_seconds=ledger.total_seconds,
-                        selected=a,
-                        doubled=False,
-                        eps_raw=1.0,
-                        eps_min=1.0,
-                        survivors=len(alive),
-                        incumbent=best,
-                    )
-                )
+    round_counts = [rate * eta ** k for k in range(len(sizes))]
+    for k, target in enumerate(round_counts):
+        _sample_to(oracle, utility, pool, kappa, alive, target, sums, counts, ledger, trace)
         if k + 1 < len(sizes):
             keep = sizes[k + 1]
             alive = sorted(
@@ -241,9 +228,9 @@ def successive_halving(
         incumbent_config=pool[winner],
         incumbent_name=oracle.name(pool[winner]),
         epsilon=math.nan,
-        rounds=rounds,
+        rounds=len(trace),
         trace=trace,
         ledger=ledger,
         stop_reason="completed",
-        extra={"round_sizes": sizes, "round_counts": round_counts, "runs_used": rounds},
+        extra={"round_sizes": sizes, "round_counts": round_counts, "runs_used": len(trace)},
     )

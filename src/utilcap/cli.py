@@ -73,10 +73,18 @@ def _spec_from_args(args, procedure: str, seed: int) -> ExperimentSpec:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in text.split(",")]
+    lo, sep, hi = text.partition(":")
+    try:
+        seeds = list(range(int(lo), int(hi))) if sep else [int(s) for s in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise SpecError(f"seeds must name at least one seed, as in 0:50 or 0,3,7; got {text!r}")
+    return seeds
+
+
+# one parser per TraceRow field; a trace line is the procedure, then the fields
+_TRACE_PARSERS = (int, float, int, "true".__eq__, float, float, int, int)
 
 
 def _read_run_dir(path: Path) -> tuple[dict, list[TraceRow]]:
@@ -88,23 +96,12 @@ def _read_run_dir(path: Path) -> tuple[dict, list[TraceRow]]:
         header, row = list(csv.reader(handle))
     summary = dict(zip(header, row))
     summary["seed"] = int(summary["seed"])
-    trace = []
     with trace_path.open("r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
-    for fields in rows[1:]:
-        (_, rnd, ledger, selected, doubled, eps_raw, eps_min, survivors, incumbent) = fields
-        trace.append(
-            TraceRow(
-                round=int(rnd),
-                ledger_seconds=float(ledger),
-                selected=int(selected),
-                doubled=doubled == "true",
-                eps_raw=float(eps_raw),
-                eps_min=float(eps_min),
-                survivors=int(survivors),
-                incumbent=int(incumbent),
-            )
-        )
+    trace = [
+        TraceRow(*(parse(value) for parse, value in zip(_TRACE_PARSERS, fields[1:])))
+        for fields in rows[1:]
+    ]
     return summary, trace
 
 

@@ -228,17 +228,6 @@ def finite_population_quantile(values: list[float], gamma: float) -> float:
     return ordered[rank - 1]
 
 
-def opt_gamma(sampler, u: UtilityFunction, gamma: float) -> float:
-    """Ground-truth utility threshold excluding the top gamma fraction."""
-    try:
-        quantile = sampler.optimum_quantile
-    except AttributeError:
-        raise NotImplementedError(
-            f"sampler {type(sampler).__name__} does not expose ground-truth utilities"
-        ) from None
-    return quantile(u, gamma)
-
-
 # ---------------------------------------------------------------------------
 # Phased run
 # ---------------------------------------------------------------------------
@@ -275,7 +264,6 @@ class CoupRun(OupRun):
         schedule: Schedule,
         *,
         doubling: str = "old",
-        debug_check_bounds: bool = False,
     ):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -288,7 +276,6 @@ class CoupRun(OupRun):
         self.schedule = schedule
         self.doubling_rule = DOUBLING_RULES[doubling]
         self.eliminate = False
-        self.debug_check_bounds = debug_check_bounds
         self.arms: list[ArmState] = []
         self.survivors: list[int] = []
         self.p = 0
@@ -314,7 +301,7 @@ class CoupRun(OupRun):
             self.survivors = list(range(len(self.arms)))
         self.ctx = BoundContext(n=self.n_p, delta=self.delta, phase=self.p)
         for arm in self.arms:
-            arm.recompute_snapshot(self.ctx, self.utility, debug_check=self.debug_check_bounds)
+            arm.recompute_snapshot(self.ctx, self.utility)
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
         self.eps_min_round = self.round
@@ -351,12 +338,16 @@ class CoupRun(OupRun):
             if budget is not None and self.ledger.total_seconds >= budget:
                 return self._result("budget_exhausted")
             self.begin_phase()
-            while not self.phase_done():
+            # the phase test reads the eps of the scan that begin_phase or the
+            # round just made, the same value phase_done() would compute
+            eps = self.eps_min
+            while not eps < self.eps_p:
                 if budget is not None and self.ledger.total_seconds >= budget:
                     # unfinished phase: no certificate; the previous phase's
                     # certificate remains the standing recommendation
                     return self._result("budget_exhausted")
                 self.phase_step()
+                eps = self.trace[-1].eps_raw
             self._certify()
 
     def _result(self, stop_reason: str) -> RunResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,9 +19,9 @@ from .coup import (
     CoupRun,
     FinitePoolSampler,
     ParametricSampler,
+    SamplerExhaustedError,
     Schedule,
     exponential_mean_map,
-    opt_gamma,
 )
 from .oracles import (
     Exponential,
@@ -40,8 +41,6 @@ from .records import (
     TargetEpsilon,
     TraceRow,
     format_value,
-    trace_row_values,
-    TRACE_COLUMNS,
 )
 from .utility import parse_utility
 
@@ -87,12 +86,12 @@ def parse_stop(text: str, procedure: str):
     name = name.strip()
     try:
         if procedure == "coup":
-            if name == "phases":
+            if name == "phases" and int(value) >= 1:
                 return MaxPhases(int(value))
             if name == "budget":
                 return BudgetSeconds(float(value))
             raise SpecError(
-                f"stop rule for coup must be phases:N or budget:SECONDS, got {text!r}"
+                f"stop rule for coup must be phases:N (N >= 1) or budget:SECONDS, got {text!r}"
             )
         if procedure in ("oup", "up"):
             if name == "epsilon":
@@ -101,11 +100,11 @@ def parse_stop(text: str, procedure: str):
                 return BudgetSeconds(float(value))
             if name == "single_survivor":
                 return SingleSurvivor()
-            if name == "rounds":
+            if name == "rounds" and int(value) >= 1:
                 return MaxRounds(int(value))
             raise SpecError(
                 f"stop rule for {procedure} must be epsilon:X, budget:SECONDS, "
-                f"single_survivor or rounds:N, got {text!r}"
+                f"single_survivor or rounds:N (N >= 1), got {text!r}"
             )
         if procedure == "naive":
             if name == "epsilon":
@@ -236,20 +235,12 @@ def build_sampler(spec: ExperimentSpec, oracle, parametric):
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
+def _write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([format_value(v) for v in row])
-
-
-def write_trace_csv(path: Path, procedure: str, trace: list[TraceRow]) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("procedure",) + TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow((procedure,) + trace_row_values(row))
 
 
 SUMMARY_COLUMNS = (
@@ -305,6 +296,7 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError(f"delta must lie in (0, 1), got {spec.delta}")
     try:
         parse_utility(spec.utility)
+        Schedule.from_spec(spec.schedule)
     except ValueError as err:
         raise SpecError(str(err)) from None
 
@@ -324,14 +316,14 @@ def execute(spec: ExperimentSpec):
         return OupRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
     if spec.procedure == "up":
         return UpRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
-    if spec.procedure == "naive":
-        return naive_run(oracle, utility, stop.epsilon, spec.delta)
-    if spec.procedure == "sh":
-        budget = int(stop.seconds)
-        try:
+    try:
+        if spec.procedure == "naive":
+            return naive_run(oracle, utility, stop.epsilon, spec.delta)
+        if spec.procedure == "sh":
+            budget = int(stop.seconds)
             return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
-        except ValueError as err:
-            raise SpecError(str(err)) from None
+    except (ValueError, OverflowError) as err:
+        raise SpecError(str(err)) from None
     sampler = build_sampler(spec, oracle, parametric)
     run = CoupRun(
         sampler,
@@ -341,7 +333,10 @@ def execute(spec: ExperimentSpec):
         Schedule.from_spec(spec.schedule),
         doubling=spec.doubling,
     )
-    result = run.run_phases(stop)
+    try:
+        result = run.run_phases(stop)
+    except SamplerExhaustedError as err:
+        raise SpecError(str(err)) from None
     result.extra["sampler"] = sampler
     return result
 
@@ -374,17 +369,21 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    exhausted = None
     try:
         result = execute(spec)
     except InstanceExhaustedError as err:
-        if err.partial is not None:
-            write_trace_csv(outdir / "trace.csv", err.partial.procedure, err.partial.trace)
-            _write_csv(
-                outdir / "summary.csv", SUMMARY_COLUMNS, [_summary_row(spec, err.partial)]
-            )
-        raise
-    write_trace_csv(outdir / "trace.csv", result.procedure, result.trace)
+        if err.partial is None:
+            raise
+        exhausted, result = err, err.partial
+    _write_csv(
+        outdir / "trace.csv",
+        ("procedure",) + TraceRow._fields,
+        ((result.procedure, *row) for row in result.trace),
+    )
     _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [_summary_row(spec, result)])
+    if exhausted is not None:
+        raise exhausted
     if spec.procedure == "coup":
         rows = [
             (
@@ -500,7 +499,7 @@ def validate_guarantee(
             arm_configs = result.extra["arm_configs"]
             violated = False
             for cert in result.certificates:
-                threshold = opt_gamma(sampler, utility, cert.gamma) - cert.epsilon
+                threshold = sampler.optimum_quantile(utility, cert.gamma) - cert.epsilon
                 # certificates name arms by pool position; map back to the oracle
                 config = arm_configs[cert.incumbent]
                 truth = sampler.oracle.true_utility(config, utility)

@@ -15,8 +15,6 @@ running minimum, together with the round at which each minimum was achieved.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .arms import ArmState, pull_arm, scan
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import InstanceExhaustedError, RuntimeOracle
@@ -26,7 +24,6 @@ from .records import (
     MaxRounds,
     RunResult,
     SingleSurvivor,
-    StepReport,
     StopRule,
     TargetEpsilon,
     TraceRow,
@@ -58,7 +55,6 @@ class OupRun:
         pool: list[int] | None = None,
         ctx: BoundContext | None = None,
         eliminate: bool = True,
-        debug_check_bounds: bool = False,
     ):
         if pool is None:
             pool = list(range(oracle.n_configs))
@@ -69,7 +65,6 @@ class OupRun:
         self.ctx = ctx if ctx is not None else BoundContext(n=len(pool), delta=delta)
         self.doubling_rule = DOUBLING_RULES[doubling]
         self.eliminate = eliminate
-        self.debug_check_bounds = debug_check_bounds
         self.arms = [ArmState(config) for config in pool]
         self.survivors = list(range(len(self.arms)))
         self.round = 0
@@ -93,10 +88,11 @@ class OupRun:
         """Whether the round that just pulled an arm ends with elimination."""
         return self.eliminate
 
-    def step(self) -> StepReport:
+    def step(self) -> None:
+        """One round: select, pull, then append the round's ``TraceRow``."""
         i = self.select_arm()
         try:
-            report = pull_arm(
+            doubled = pull_arm(
                 self.arms[i],
                 self.ctx,
                 self.utility,
@@ -104,7 +100,6 @@ class OupRun:
                 self.doubling_rule,
                 self.ledger,
                 i,
-                debug_check=self.debug_check_bounds,
             )
         except InstanceExhaustedError as err:
             err.achieved_epsilon = self.eps_min
@@ -122,7 +117,6 @@ class OupRun:
                 for j in gone:
                     self.arms[j].eliminated = True
                 self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
-                report = replace(report, eliminations=tuple(gone))
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
             self.eps_min_round = self.round
@@ -131,14 +125,13 @@ class OupRun:
                 round=self.round,
                 ledger_seconds=self.ledger.total_seconds,
                 selected=i,
-                doubled=report.doubled,
+                doubled=doubled,
                 eps_raw=eps_raw,
                 eps_min=self.eps_min,
                 survivors=len(self.survivors),
                 incumbent=star,
             )
         )
-        return report
 
     def _stop_fires(self, stop: StopRule) -> str | None:
         if isinstance(stop, TargetEpsilon):

@@ -1,14 +1,15 @@
-"""Run records: cost ledger, per-round trace rows, step reports, stop rules.
+"""Run records: cost ledger, per-round trace rows, stop rules, run results.
 
-Trace serialization is centralized here so that independent engines
-producing the same decisions emit byte-identical rows.  Floats are written
-with ``repr``, the shortest round-tripping form, which is deterministic for
-a given value.
+A round's ``TraceRow`` is its only record.  The harness's one CSV writer
+serializes trace rows like every other output, through ``format_value``:
+floats with ``repr``, the shortest round-tripping form, so engines making
+the same decisions write byte-identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class CostLedger:
@@ -30,19 +31,7 @@ class CostLedger:
         self.run_count += 1
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """What one pull, and the engine round around it, did."""
-
-    selected: int
-    doubled: bool
-    runs_executed: int
-    time_spent: float
-    eliminations: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One row per engine round.
 
     ``selected`` and ``incumbent`` are arm positions within the run's pool;
@@ -60,43 +49,12 @@ class TraceRow:
     incumbent: int
 
 
-TRACE_COLUMNS = (
-    "round",
-    "ledger_seconds",
-    "selected",
-    "doubled",
-    "eps_raw",
-    "eps_min",
-    "survivors",
-    "incumbent",
-)
-
-
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def trace_row_values(row: TraceRow) -> tuple[str, ...]:
-    return (
-        str(row.round),
-        format_value(row.ledger_seconds),
-        str(row.selected),
-        format_value(row.doubled),
-        format_value(row.eps_raw),
-        format_value(row.eps_min),
-        str(row.survivors),
-        str(row.incumbent),
-    )
-
-
-def trace_csv_lines(rows: list[TraceRow]) -> list[str]:
-    lines = [",".join(TRACE_COLUMNS)]
-    lines.extend(",".join(trace_row_values(row)) for row in rows)
-    return lines
 
 
 # ---------------------------------------------------------------------------

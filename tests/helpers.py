@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import utilcap as uc
 from utilcap.bounds import alpha
+from utilcap.records import format_value
 
 TOL = 1e-9
 
@@ -116,9 +117,10 @@ def instrumented_oup(
             f_true = truth(i, arm.kappa)[1]
             if 2.0 * a + u_k * (1.0 - f_true) < gaps[i]:
                 trigger_round[i] = upcoming
-        report = run.step()
-        selections.append(report.selected)
-        if report.selected in trigger_round and upcoming >= trigger_round[report.selected]:
+        run.step()
+        selected = run.trace[-1].selected
+        selections.append(selected)
+        if selected in trigger_round and upcoming >= trigger_round[selected]:
             stop_selection_ok = False
         # clean bands and width bound for every arm with observations
         for i, arm in enumerate(run.arms):
@@ -149,3 +151,8 @@ def instrumented_oup(
         width_bound_ok=width_bound_ok,
         selections=selections,
     )
+
+
+def trace_lines(rows) -> list[str]:
+    """Trace rows as the trace CSV writes them, every value through ``format_value``."""
+    return [",".join(format_value(value) for value in row) for row in rows]

@@ -18,7 +18,6 @@ import utilcap as uc
 from utilcap.bounds import BoundContext, make_snapshot
 from utilcap.cli import main
 from utilcap.oracles import CappedObservation
-from utilcap.records import trace_csv_lines
 from utilcap.rng import UniformStream
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     a8_oracle,
     instrumented_oup,
     parametric_setup,
+    trace_lines,
 )
 
 
@@ -216,7 +216,7 @@ def test_a5_phase_certificates(a5_suite):
     counts = {p: 0 for p in (1, 2, 3, 4)}
     for sampler, result in a5_suite:
         for cert in result.certificates:
-            threshold = uc.opt_gamma(sampler, UTILITY, cert.gamma) - cert.epsilon
+            threshold = sampler.optimum_quantile(UTILITY, cert.gamma) - cert.epsilon
             truth = sampler.utility_at(sampler.thetas[cert.incumbent], UTILITY)
             counts[cert.phase] += 1
             failures[cert.phase] += truth < threshold - 1e-12
@@ -236,7 +236,7 @@ def test_a5_characteristic_sampling_invariant(a5_suite):
     phases = 0
     for sampler, result in a5_suite:
         for cert in result.certificates:
-            threshold = uc.opt_gamma(sampler, UTILITY, cert.gamma)
+            threshold = sampler.optimum_quantile(UTILITY, cert.gamma)
             pool_thetas = sampler.thetas[: cert.n]
             phases += 1
             characteristic += any(
@@ -297,7 +297,7 @@ def test_a7_differential_trace_equality():
         )
         for _ in range(200):
             oup.step()
-        if trace_csv_lines(coup.trace) != trace_csv_lines(oup.trace):
+        if trace_lines(coup.trace) != trace_lines(oup.trace):
             mismatches.append(seed)
     report("A7", not mismatches, f"20 seeds x 200 rounds byte-equal (mismatches: {mismatches})")
 

@@ -22,7 +22,10 @@ def small_oracle(seed=0):
 
 def test_round_robin_selection_order():
     run = uc.UpRun(small_oracle(), U60, 0.1)
-    order = [run.step().selected for _ in range(8)]
+    order = []
+    for _ in range(8):
+        run.step()
+        order.append(run.trace[-1].selected)
     assert order == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
@@ -30,9 +33,10 @@ def test_eliminations_happen_only_at_sweep_boundaries():
     run = uc.UpRun(a8_oracle(0), U60, 0.1, doubling="new")
     n = len(run.arms)
     for i in range(n * 40):
-        report = run.step()
+        survivors_before = len(run.survivors)
+        run.step()
         mid_sweep = (i + 1) % n != 0 if len(run.survivors) == n else None
-        if report.eliminations:
+        if run.trace[-1].survivors < survivors_before:
             # only the last pull of a sweep may eliminate
             assert run._sweep == []
 
@@ -75,7 +79,7 @@ def test_up_stop_rules_and_determinism():
     assert result.rounds == 0 and result.epsilon == 1.0
     a = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
     b = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
-    assert [r.__dict__ for r in a.trace] == [r.__dict__ for r in b.trace]
+    assert a.trace == b.trace
 
 
 # ---------------------------------------------------------------------------

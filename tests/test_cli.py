@@ -141,3 +141,36 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "verb, procedure, stop, extra",
+    [
+        ("run", "coup", "phases:1", ("--seed", "3", "--schedule", "bogus")),
+        ("run", "coup", "phases:1", ("--seed", "3", "--without-replacement")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", "a:b")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", "5:3")),
+        ("run", "naive", "epsilon:0", ("--seed", "3")),
+        ("run", "oup", "rounds:-5", ("--seed", "3")),
+        ("run", "coup", "phases:-1", ("--seed", "3")),
+        ("run", "sh", "budget:inf", ("--seed", "3")),
+    ],
+    ids=[
+        "unknown_schedule",
+        "pool_exhausted",
+        "seeds_not_integers",
+        "seeds_empty",
+        "naive_epsilon_zero",
+        "rounds_negative",
+        "phases_negative",
+        "sh_budget_infinite",
+    ],
+)
+def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
+    args = [
+        verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
+        "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
+    ]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and err.count("\n") == 1

@@ -4,9 +4,8 @@ import math
 import pytest
 
 import utilcap as uc
-from utilcap.records import trace_csv_lines
 
-from helpers import UTILITY, parametric_setup
+from helpers import UTILITY, parametric_setup, trace_lines
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -108,8 +107,8 @@ def test_first_phase_initializes_fresh_arms():
 def test_phase_step_selects_lowest_index_on_fresh_pool():
     run = make_run(seed=1)
     run.begin_phase()
-    report = run.phase_step()
-    assert report.selected == 0
+    run.phase_step()
+    assert run.trace[-1].selected == 0
 
 
 def test_carryover_keeps_observations_and_widens_bounds():
@@ -169,6 +168,24 @@ def test_fresh_pool_is_never_done():
     assert not run.phase_done()
 
 
+def test_phase_end_reuses_the_rounds_scan(monkeypatch):
+    # a round scans to select and once after the pull; the phase test reads
+    # that second scan's eps instead of scanning the pool a third time
+    calls = []
+    scan = uc.oup.scan
+
+    def counting_scan(arms, indices):
+        calls.append(len(arms))
+        return scan(arms, indices)
+
+    monkeypatch.setattr(uc.oup, "scan", counting_scan)
+    run = make_run(seed=4)
+    result = run.run_phases(uc.MaxPhases(3))
+    assert result.rounds > 0 and len(result.certificates) == 3
+    # plus one scan per begin_phase and one per certificate's incumbent
+    assert len(calls) == 2 * result.rounds + run.p + len(result.certificates)
+
+
 # ---------------------------------------------------------------------------
 # Multi-phase runs
 # ---------------------------------------------------------------------------
@@ -221,7 +238,7 @@ def test_monotone_pool_and_observation_retention():
 def test_runs_are_deterministic():
     a = make_run(seed=9).run_phases(uc.MaxPhases(2))
     b = make_run(seed=9).run_phases(uc.MaxPhases(2))
-    assert trace_csv_lines(a.trace) == trace_csv_lines(b.trace)
+    assert trace_lines(a.trace) == trace_lines(b.trace)
     assert [dataclasses.astuple(c) for c in a.certificates] == [
         dataclasses.astuple(c) for c in b.certificates
     ]
@@ -242,7 +259,7 @@ def test_finite_quantile_examples():
 def test_opt_gamma_parametric_matches_direct_quantile():
     oracle, sampler = parametric_setup(0)
     gamma = 0.3
-    threshold = uc.opt_gamma(sampler, UTILITY, gamma)
+    threshold = sampler.optimum_quantile(UTILITY, gamma)
     assert threshold == pytest.approx(sampler.utility_at(gamma, UTILITY), rel=1e-12)
     # the map is strictly decreasing, so exactly the top gamma of thetas beat it
     assert sampler.utility_at(gamma - 0.01, UTILITY) > threshold
@@ -252,15 +269,7 @@ def test_opt_gamma_parametric_matches_direct_quantile():
 def test_opt_gamma_finite_sampler():
     oracle, sampler = finite_setup()
     values = oracle.true_utilities(UTILITY)
-    assert uc.opt_gamma(sampler, UTILITY, 0.19) == uc.finite_population_quantile(values, 0.19)
-
-
-def test_opt_gamma_requires_ground_truth():
-    class Opaque:
-        pass
-
-    with pytest.raises(NotImplementedError):
-        uc.opt_gamma(Opaque(), UTILITY, 0.5)
+    assert sampler.optimum_quantile(UTILITY, 0.19) == uc.finite_population_quantile(values, 0.19)
 
 
 def test_with_replacement_duplicates_share_runtimes():
@@ -343,7 +352,8 @@ def test_mid_phase_selection_ignores_sampling_phase():
     for i, arm in enumerate(run.arms):
         lift = 2.0 if i == boosted else 0.0
         arm.snapshot = dataclasses.replace(arm.snapshot, ucb=arm.snapshot.ucb + lift)
-    assert run.phase_step().selected == boosted
+    run.phase_step()
+    assert run.trace[-1].selected == boosted
 
 
 def test_every_preset_schedule_runs():
@@ -401,5 +411,5 @@ def test_single_phase_matches_greedy_engine_trace():
         )
         for _ in range(120):
             oup.step()
-        assert trace_csv_lines(coup.trace) == trace_csv_lines(oup.trace)
+        assert trace_lines(coup.trace) == trace_lines(oup.trace)
         assert coup.ledger.total_seconds == oup.ledger.total_seconds

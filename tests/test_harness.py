@@ -228,8 +228,8 @@ def test_interleaved_runs_sharing_one_oracle_match_isolated_runs():
     for _ in range(150):
         a_alone.step()
         b_alone.step()
-    assert [r.__dict__ for r in a.trace] == [r.__dict__ for r in a_alone.trace]
-    assert [r.__dict__ for r in b.trace] == [r.__dict__ for r in b_alone.trace]
+    assert a.trace == a_alone.trace
+    assert b.trace == b_alone.trace
 
 
 def test_curve_rejects_mismatched_runs(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 import utilcap as uc
 from utilcap.arms import ArmState, pull_arm
 from utilcap.bounds import alpha
-from utilcap.records import trace_csv_lines
 
-from helpers import UTILITY, a2_oracle, instrumented_oup
+from helpers import UTILITY, a2_oracle, instrumented_oup, trace_lines
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -48,10 +47,10 @@ def test_selection_is_argmax_with_index_tie_break():
 def test_first_step_executes_one_run_without_doubling():
     # alpha(1, 1) > 1 makes the original condition unsatisfiable on a fresh arm
     run = uc.OupRun(two_arm_oracle(), uc.UniformUtility(60.0), 0.5, doubling="old")
-    report = run.step()
-    assert report.selected == 0
-    assert not report.doubled
-    assert report.runs_executed == 1
+    run.step()
+    assert run.trace[-1].selected == 0
+    assert not run.trace[-1].doubled
+    assert run.ledger.run_count == 1
 
 
 def test_doubling_refreshes_only_capped_observations():
@@ -68,10 +67,11 @@ def test_doubling_refreshes_only_capped_observations():
             oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=oracle.seed + 1)
         pull_arm(arm, ctx, U60, oracle, never, ledger, 0)
     kappa_before = arm.kappa
-    outcome = pull_arm(arm, ctx, U60, oracle, always, ledger, 0)
-    assert outcome.doubled
+    runs_before = ledger.run_count
+    doubled = pull_arm(arm, ctx, U60, oracle, always, ledger, 0)
+    assert doubled
     assert arm.kappa == 2 * kappa_before
-    assert outcome.runs_executed == 3  # 2 refreshed + 1 new
+    assert ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
     # refreshed capped observations sit exactly at the new captime or resolve
     for d, c in zip(arm.durations, arm.completed):
         assert c or d == arm.kappa
@@ -94,8 +94,8 @@ def test_doubling_condition_sees_incremented_count():
     assert a_next < a_now
     threshold = (a_next + a_now)  # between 2*alpha(6) and 2*alpha(5)
     rule = lambda a, u_k, f: 2.0 * a <= threshold
-    outcome = pull_arm(arm, ctx, utility, oracle, rule, ledger, 0)
-    assert outcome.doubled  # fires only because m was incremented first
+    doubled = pull_arm(arm, ctx, utility, oracle, rule, ledger, 0)
+    assert doubled  # fires only because m was incremented first
 
 
 def test_doubling_condition_sees_previous_completion_fraction():
@@ -152,9 +152,10 @@ def test_ledger_matches_step_reports():
     spent = 0.0
     runs = 0
     for _ in range(200):
-        report = run.step()
-        spent += report.time_spent
-        runs += report.runs_executed
+        seconds_before, runs_before = run.ledger.total_seconds, run.ledger.run_count
+        run.step()
+        spent += run.ledger.total_seconds - seconds_before
+        runs += run.ledger.run_count - runs_before
     assert run.ledger.total_seconds == pytest.approx(spent, rel=1e-12)
     assert run.ledger.run_count == runs
     assert run.ledger.total_seconds == pytest.approx(
@@ -163,9 +164,13 @@ def test_ledger_matches_step_reports():
 
 
 def test_debug_bound_check_passes_through_doublings():
-    run = uc.OupRun(a2_oracle(5), U60, 0.1, doubling="new", debug_check_bounds=True)
+    # the running sums must equal a from-scratch recomputation bit for bit
+    run = uc.OupRun(a2_oracle(5), U60, 0.1, doubling="new")
     for _ in range(300):
         run.step()
+        for arm in run.arms:
+            reference = uc.make_snapshot(run.ctx, arm.m, arm.kappa, arm.observations(), U60)
+            assert arm.snapshot == reference
     assert any(row.doubled for row in run.trace)
 
 
@@ -262,7 +267,7 @@ def test_instance_exhaustion_carries_diagnostics(tmp_path):
 def test_identical_seeds_give_bit_identical_traces():
     first = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.MaxRounds(300))
     second = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.MaxRounds(300))
-    assert trace_csv_lines(first.trace) == trace_csv_lines(second.trace)
+    assert trace_lines(first.trace) == trace_lines(second.trace)
 
 
 def test_instrumented_run_properties_smoke():
