@@ -14,11 +14,13 @@ round-robin, or phased) advances an arm through the same sequence:
 
 At most one doubling happens per pull; if more were warranted the condition
 simply fires again on the next selection of the same arm.
+
+Step 5 replaces the arm's snapshot and nothing else's, so a round changes
+the bounds of only the arm it pulled; the engine's bound index (``OupRun``)
+relies on that and updates one arm per round instead of rescanning the pool.
 """
 
 from __future__ import annotations
-
-import math
 
 from .bounds import BoundContext, BoundSnapshot, alpha
 from .oracles import CappedObservation, RuntimeOracle
@@ -135,23 +137,3 @@ def pull_arm(
     arm.recompute_snapshot(ctx, u)
     return doubled
 
-
-def scan(arms: list[ArmState], indices) -> tuple[int, int, float]:
-    """One pass over the given arms: (argmax UCB, argmax LCB, max UCB - max LCB).
-
-    Ties break toward the lowest index, so ``indices`` must be increasing.
-    The last value is the anytime guarantee over the scanned arms.
-    """
-    top_ucb = top_lcb = -math.inf
-    best_ucb = best_lcb = None
-    for i in indices:
-        snapshot = arms[i].snapshot
-        if snapshot.ucb > top_ucb:
-            top_ucb = snapshot.ucb
-            best_ucb = i
-        if snapshot.lcb > top_lcb:
-            top_lcb = snapshot.lcb
-            best_lcb = i
-    if best_ucb is None or best_lcb is None:
-        raise ValueError("no arms to scan")
-    return best_ucb, best_lcb, top_ucb - top_lcb

@@ -80,16 +80,18 @@ def _sample_to(
     one trace row per run, with eps 1.0 and the best empirical mean among
     ``alive`` as the incumbent (ties to the lowest position).
     """
+    def rank(i: int) -> tuple[float, int]:
+        return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
+
     for a in alive:
+        # no other arm changes while ``a`` is sampled: rank the others once
+        others = max((rank(i) for i in alive if i != a), default=None)
         while counts[a] < target:
             obs = oracle.run(pool[a], counts[a], kappa)
             ledger.charge(a, obs.duration)
             sums[a] += utility(obs.duration)
             counts[a] += 1
-            best = max(
-                alive,
-                key=lambda i: (sums[i] / counts[i] if counts[i] else -math.inf, -i),
-            )
+            best = a if others is None else -max(rank(a), others)[1]
             trace.append(
                 TraceRow(
                     round=len(trace) + 1,

@@ -289,6 +289,7 @@ class CoupRun(OupRun):
         self.certificates: list[PhaseCertificate] = []
         self.eps_min = math.nan
         self.eps_min_round = 0
+        self.rebuild_index()
 
     def begin_phase(self) -> tuple[int, float, float, int]:
         """Enter the next phase: top up the pool, refresh bounds, no runs."""
@@ -302,6 +303,7 @@ class CoupRun(OupRun):
         self.ctx = BoundContext(n=self.n_p, delta=self.delta, phase=self.p)
         for arm in self.arms:
             arm.recompute_snapshot(self.ctx, self.utility)
+        self.rebuild_index()
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
         self.eps_min_round = self.round
@@ -338,8 +340,8 @@ class CoupRun(OupRun):
             if budget is not None and self.ledger.total_seconds >= budget:
                 return self._result("budget_exhausted")
             self.begin_phase()
-            # the phase test reads the eps of the scan that begin_phase or the
-            # round just made, the same value phase_done() would compute
+            # the phase test reads the eps that begin_phase or the round just
+            # computed, the same value phase_done() would compute
             eps = self.eps_min
             while not eps < self.eps_p:
                 if budget is not None and self.ledger.total_seconds >= budget:

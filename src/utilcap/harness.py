@@ -81,6 +81,22 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
+def _budget(value: str) -> BudgetSeconds:
+    # nan or inf would never be reached and a negative budget spends nothing
+    seconds = float(value)
+    if not 0.0 <= seconds < math.inf:
+        raise SpecError(f"budget must be a finite number >= 0, got {value.strip()!r}")
+    return BudgetSeconds(seconds)
+
+
+def _epsilon(value: str) -> TargetEpsilon:
+    # eps stays above 0 and is never <= nan, so such a target is never reached
+    epsilon = float(value)
+    if not 0.0 < epsilon < math.inf:
+        raise SpecError(f"target epsilon must be a finite number > 0, got {value.strip()!r}")
+    return TargetEpsilon(epsilon)
+
+
 def parse_stop(text: str, procedure: str):
     name, _, value = text.partition(":")
     name = name.strip()
@@ -89,15 +105,15 @@ def parse_stop(text: str, procedure: str):
             if name == "phases" and int(value) >= 1:
                 return MaxPhases(int(value))
             if name == "budget":
-                return BudgetSeconds(float(value))
+                return _budget(value)
             raise SpecError(
                 f"stop rule for coup must be phases:N (N >= 1) or budget:SECONDS, got {text!r}"
             )
         if procedure in ("oup", "up"):
             if name == "epsilon":
-                return TargetEpsilon(float(value))
+                return _epsilon(value)
             if name == "budget":
-                return BudgetSeconds(float(value))
+                return _budget(value)
             if name == "single_survivor":
                 return SingleSurvivor()
             if name == "rounds" and int(value) >= 1:
@@ -108,11 +124,11 @@ def parse_stop(text: str, procedure: str):
             )
         if procedure == "naive":
             if name == "epsilon":
-                return TargetEpsilon(float(value))
+                return _epsilon(value)
             raise SpecError(f"stop rule for naive must be epsilon:X, got {text!r}")
         if procedure == "sh":
             if name == "budget":
-                return BudgetSeconds(float(value))
+                return _budget(value)
             raise SpecError(f"stop rule for sh must be budget:RUNS, got {text!r}")
     except ValueError as err:
         if isinstance(err, SpecError):

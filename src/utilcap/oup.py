@@ -11,11 +11,20 @@ any point is
 which is non-increasing except that a captime doubling can enlarge the
 width's log term; the reported guarantee is therefore also tracked as a
 running minimum, together with the round at which each minimum was achieved.
+
+A round changes the bounds of only the arm it pulled, because the bound
+context is fixed within a run (or a phase).  So the engine keeps an index of
+lazy heaps over the survivors instead of scanning them: a round pushes the
+pulled arm's new keys, and a heap top whose arm was eliminated or whose key
+the arm has since left is dropped when it surfaces.  Select, incumbent and
+eps then cost O(log n) amortized per round rather than O(n).
 """
 
 from __future__ import annotations
 
-from .arms import ArmState, pull_arm, scan
+from heapq import heapify, heappop, heappush
+
+from .arms import ArmState, pull_arm
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import (
@@ -31,6 +40,19 @@ from .records import (
 from .utility import UtilityFunction
 
 
+# the keys of the index heaps, as an arm's current snapshot gives them
+def _neg_ucb(snapshot) -> float:
+    return -snapshot.ucb
+
+
+def _neg_lcb(snapshot) -> float:
+    return -snapshot.lcb
+
+
+def _ucb(snapshot) -> float:
+    return snapshot.ucb
+
+
 class OupRun:
     """One sequential run over a fixed pool, and the round every engine shares.
 
@@ -41,6 +63,9 @@ class OupRun:
     purpose.  Subclasses change only how an arm is selected
     (``select_arm``) and whether a round ends with elimination
     (``_eliminates``).
+
+    Code that changes snapshots or survivors other than through ``step``
+    must call ``rebuild_index`` afterwards.
     """
 
     procedure = "oup"
@@ -67,22 +92,57 @@ class OupRun:
         self.eliminate = eliminate
         self.arms = [ArmState(config) for config in pool]
         self.survivors = list(range(len(self.arms)))
+        self.rebuild_index()
         self.round = 0
         self.ledger = CostLedger()
         self.trace: list[TraceRow] = []
         self.eps_min = self.guaranteed_epsilon()
         self.eps_min_round = 0
 
+    def rebuild_index(self) -> None:
+        """Rebuild the bound index from the survivors' current snapshots.
+
+        Entries are ``(key, index)`` tuples, so a heap breaks ties toward
+        the lowest index.  Max-heaps on UCB and LCB answer the leaders; a
+        min-heap on UCB, kept only by an engine that eliminates, finds the
+        arms to eliminate.
+        """
+        snapshots = [(i, self.arms[i].snapshot) for i in self.survivors]
+        self._by_ucb = [(-s.ucb, i) for i, s in snapshots]
+        self._by_lcb = [(-s.lcb, i) for i, s in snapshots]
+        self._low_ucb = [(s.ucb, i) for i, s in snapshots] if self.eliminate else []
+        for heap in (self._by_ucb, self._by_lcb, self._low_ucb):
+            heapify(heap)
+
+    def _top(self, heap: list, key) -> tuple[float, int]:
+        """The heap's least live entry, dropping stale entries above it: an
+        entry is stale once its arm is eliminated or its key differs from
+        ``key(snapshot)`` of the arm's current snapshot."""
+        arms = self.arms
+        while heap:
+            value, i = heap[0]
+            arm = arms[i]
+            if not arm.eliminated and key(arm.snapshot) == value:
+                return value, i
+            heappop(heap)
+        raise RuntimeError("survivor set is empty; invariant violated")
+
+    def leaders(self) -> tuple[int, int, float]:
+        """(argmax UCB, argmax LCB, max UCB - max LCB) over the survivors,
+        ties to the lowest index.  The last value is the anytime guarantee."""
+        top_ucb, best_ucb = self._top(self._by_ucb, _neg_ucb)
+        top_lcb, best_lcb = self._top(self._by_lcb, _neg_lcb)
+        # keys are negated bounds, and negation is exact
+        return best_ucb, best_lcb, top_lcb - top_ucb
+
     def select_arm(self) -> int:
-        if not self.survivors:
-            raise RuntimeError("survivor set is empty; invariant violated")
-        return scan(self.arms, self.survivors)[0]
+        return self._top(self._by_ucb, _neg_ucb)[1]
 
     def incumbent(self) -> int:
-        return scan(self.arms, self.survivors)[1]
+        return self._top(self._by_lcb, _neg_lcb)[1]
 
     def guaranteed_epsilon(self) -> float:
-        return scan(self.arms, self.survivors)[2]
+        return self.leaders()[2]
 
     def _eliminates(self) -> bool:
         """Whether the round that just pulled an arm ends with elimination."""
@@ -106,17 +166,32 @@ class OupRun:
             err.partial = self._result("instance_exhausted")
             raise
         self.round += 1
+        snapshot = self.arms[i].snapshot
+        heappush(self._by_ucb, (-snapshot.ucb, i))
+        heappush(self._by_lcb, (-snapshot.lcb, i))
+        if self.eliminate:
+            heappush(self._low_ucb, (snapshot.ucb, i))
         # Elimination moves neither maximum: an eliminated arm's UCB is below
         # the incumbent's LCB, which is below the incumbent's UCB because a
-        # width is always positive.  So one scan before it serves both.
-        _, star, eps_raw = scan(self.arms, self.survivors)
+        # width is always positive.  So the leaders read before it serve both.
+        _, star, eps_raw = self.leaders()
         if self._eliminates():
             threshold = self.arms[star].snapshot.lcb
-            gone = [j for j in self.survivors if self.arms[j].snapshot.ucb < threshold]
+            gone = False
+            while True:
+                value, j = self._top(self._low_ucb, _ucb)
+                if not value < threshold:
+                    break
+                heappop(self._low_ucb)
+                self.arms[j].eliminated = True
+                gone = True
             if gone:
-                for j in gone:
-                    self.arms[j].eliminated = True
                 self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
+        # stale entries pile up below the tops; compaction keeps every heap
+        # within twice the survivors, at O(1) amortized per round
+        limit = 2 * len(self.survivors) + 64
+        if len(self._by_ucb) > limit or len(self._by_lcb) > limit or len(self._low_ucb) > limit:
+            self.rebuild_index()
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
             self.eps_min_round = self.round
@@ -158,7 +233,7 @@ class OupRun:
             self.step()
 
     def _result(self, stop_reason: str) -> RunResult:
-        _, star, eps_raw = scan(self.arms, self.survivors)
+        _, star, eps_raw = self.leaders()
         return RunResult(
             procedure=self.procedure,
             incumbent=star,

@@ -4,11 +4,13 @@ The instrumented runner replays a greedy run round by round against analytic
 ground truth, recording everything the behavioral assertions need: whether
 the confidence bands held at every round (a clean execution), the first
 round at which each arm's width-plus-capping term fell below its true gap,
-every selection, and the soundness of the anytime guarantee.
+every selection, and the soundness of the anytime guarantee.  ``scan`` is the
+full pass over the survivors that the engine's bound index must agree with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import utilcap as uc
@@ -156,3 +158,24 @@ def instrumented_oup(
 def trace_lines(rows) -> list[str]:
     """Trace rows as the trace CSV writes them, every value through ``format_value``."""
     return [",".join(format_value(value) for value in row) for row in rows]
+
+
+def scan(arms, indices) -> tuple[int, int, float]:
+    """One pass over the given arms: (argmax UCB, argmax LCB, max UCB - max LCB).
+
+    Ties break toward the lowest index, so ``indices`` must be increasing.
+    The last value is the anytime guarantee over the scanned arms.
+    """
+    top_ucb = top_lcb = -math.inf
+    best_ucb = best_lcb = None
+    for i in indices:
+        snapshot = arms[i].snapshot
+        if snapshot.ucb > top_ucb:
+            top_ucb = snapshot.ucb
+            best_ucb = i
+        if snapshot.lcb > top_lcb:
+            top_lcb = snapshot.lcb
+            best_lcb = i
+    if best_ucb is None or best_lcb is None:
+        raise ValueError("no arms to scan")
+    return best_ucb, best_lcb, top_ucb - top_lcb

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from utilcap.cli import main
@@ -10,6 +13,22 @@ def pool_path(tmp_path):
     path = tmp_path / "pool.txt"
     path.write_text(POOL)
     return str(path)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging, if its body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_args(pool_path, out, extra=()):
@@ -154,6 +173,16 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         ("run", "oup", "rounds:-5", ("--seed", "3")),
         ("run", "coup", "phases:-1", ("--seed", "3")),
         ("run", "sh", "budget:inf", ("--seed", "3")),
+        # stop rules that never fire (nan, inf, eps <= 0) or fire before any run
+        ("run", "oup", "budget:nan", ("--seed", "3")),
+        ("run", "oup", "budget:inf", ("--seed", "3")),
+        ("run", "oup", "budget:-5", ("--seed", "3")),
+        ("run", "oup", "epsilon:0", ("--seed", "3")),
+        ("run", "oup", "epsilon:nan", ("--seed", "3")),
+        ("run", "oup", "epsilon:-1", ("--seed", "3")),
+        ("run", "coup", "budget:nan", ("--seed", "3")),
+        ("run", "coup", "budget:-5", ("--seed", "3")),
+        ("run", "naive", "epsilon:inf", ("--seed", "3")),
     ],
     ids=[
         "unknown_schedule",
@@ -164,6 +193,15 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         "rounds_negative",
         "phases_negative",
         "sh_budget_infinite",
+        "oup_budget_nan",
+        "oup_budget_infinite",
+        "oup_budget_negative",
+        "oup_epsilon_zero",
+        "oup_epsilon_nan",
+        "oup_epsilon_negative",
+        "coup_budget_nan",
+        "coup_budget_negative",
+        "naive_epsilon_infinite",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -171,6 +209,7 @@ def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, c
         verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
         "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
     ]
-    assert main(args) == 2
+    with time_limit(10.0):
+        assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and err.count("\n") == 1

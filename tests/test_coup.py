@@ -5,7 +5,7 @@ import pytest
 
 import utilcap as uc
 
-from helpers import UTILITY, parametric_setup, trace_lines
+from helpers import UTILITY, a2_oracle, parametric_setup, trace_lines
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -155,6 +155,7 @@ def test_phase_done_uses_both_maxima():
     run.arms[1].snapshot = dataclasses.replace(snap, ucb=0.85, lcb=0.84)
     for arm in run.arms[2:]:
         arm.snapshot = dataclasses.replace(arm.snapshot, ucb=0.5, lcb=0.0)
+    run.rebuild_index()
     # max UCB comes from arm 0, max LCB from arm 1
     assert run.guaranteed_epsilon() == pytest.approx(0.9 - 0.84)
     assert run.phase_done()
@@ -168,22 +169,29 @@ def test_fresh_pool_is_never_done():
     assert not run.phase_done()
 
 
-def test_phase_end_reuses_the_rounds_scan(monkeypatch):
-    # a round scans to select and once after the pull; the phase test reads
-    # that second scan's eps instead of scanning the pool a third time
-    calls = []
-    scan = uc.oup.scan
+def test_rounds_make_no_full_pool_pass(monkeypatch):
+    # a round updates the bound index for the pulled arm only; the whole pool
+    # is indexed at construction, at each begin_phase, and otherwise only to
+    # compact a heap whose stale entries outgrew the survivors
+    compacting = []
+    rebuild = uc.OupRun.rebuild_index
 
-    def counting_scan(arms, indices):
-        calls.append(len(arms))
-        return scan(arms, indices)
+    def counting_rebuild(run):
+        heaps = [getattr(run, name, ()) for name in ("_by_ucb", "_by_lcb", "_low_ucb")]
+        compacting.append(max(map(len, heaps)) > 2 * len(run.survivors) + 64)
+        rebuild(run)
 
-    monkeypatch.setattr(uc.oup, "scan", counting_scan)
+    monkeypatch.setattr(uc.OupRun, "rebuild_index", counting_rebuild)
     run = make_run(seed=4)
     result = run.run_phases(uc.MaxPhases(3))
     assert result.rounds > 0 and len(result.certificates) == 3
-    # plus one scan per begin_phase and one per certificate's incumbent
-    assert len(calls) == 2 * result.rounds + run.p + len(result.certificates)
+    assert compacting == [False] * (1 + run.p)
+    # a compaction takes more than 64 pushes, one per heap per round
+    compacting.clear()
+    run = uc.OupRun(a2_oracle(1), UTILITY, 0.1, eliminate=False)
+    run.run_until(uc.MaxRounds(1000))
+    assert compacting[0] is False and 1 <= compacting.count(True) <= 1000 // 65
+    assert len(compacting) == 1 + compacting.count(True)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +360,7 @@ def test_mid_phase_selection_ignores_sampling_phase():
     for i, arm in enumerate(run.arms):
         lift = 2.0 if i == boosted else 0.0
         arm.snapshot = dataclasses.replace(arm.snapshot, ucb=arm.snapshot.ucb + lift)
+    run.rebuild_index()
     run.phase_step()
     assert run.trace[-1].selected == boosted
 

@@ -34,8 +34,10 @@ def test_selection_is_argmax_with_index_tie_break():
     for i, ucb in enumerate([0.4, 0.9, 0.7]):
         run.arms[i].snapshot = dataclasses.replace(run.arms[i].snapshot, ucb=ucb)
     run.survivors = [0, 1, 2]
+    run.rebuild_index()
     assert run.select_arm() == 1
     run.arms[2].snapshot = dataclasses.replace(run.arms[2].snapshot, ucb=0.9)
+    run.rebuild_index()
     assert run.select_arm() == 1
 
 
@@ -126,6 +128,23 @@ def test_elimination_removes_provably_bad_arm():
     assert run.arms[1].eliminated
     # with a single survivor the guarantee equals the incumbent's own width
     assert run.guaranteed_epsilon() == pytest.approx(run.arms[0].snapshot.width)
+
+
+def test_elimination_is_strict_and_final():
+    # hand-set bounds: arm 0 is pulled first, arm 1 becomes the incumbent
+    # with LCB 0.5, arm 2 sits level with it and survives, arm 3 falls below
+    run = uc.OupRun(a2_oracle(0), U60, 0.1, pool=[0, 1, 2, 3])
+    for arm, (ucb, lcb) in zip(run.arms, [(6.0, -1.0), (5.0, 0.5), (0.5, 0.0), (0.49, 0.45)]):
+        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=ucb, lcb=lcb)
+    run.rebuild_index()
+    run.step()
+    assert (run.trace[-1].selected, run.trace[-1].incumbent) == (0, 1)
+    assert run.survivors == [0, 1, 2] and run.arms[3].eliminated
+    # pulling arm 1 drops its LCB below arm 3's, which stays out of the race
+    run.step()
+    assert run.trace[-1].selected == 1
+    assert run.arms[1].snapshot.lcb < 0.45
+    assert run.trace[-1].incumbent == 2 and run.incumbent() == 2
 
 
 def test_eliminated_arm_state_never_changes():
