@@ -9,8 +9,9 @@ behaviour, and say why in the change:
     PYTHONPATH=src python tests/test_golden.py
 
 The grid covers all five procedures, two seeds and both doubling rules, a
-matrix oracle run to instance exhaustion (partial outputs), and a coup run
-whose budget is too small to certify (incumbent -1, eps nan).
+matrix oracle run to instance exhaustion (partial outputs), a coup run
+whose budget is too small to certify (incumbent -1, eps nan), and coup runs
+under two more schedules and over a finite pool sampled with replacement.
 """
 
 from __future__ import annotations
@@ -72,6 +73,19 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
             doubling="new",
         ),
     ))
+    for name, oracle, schedule, doubling in (
+        ("coup_gamma_then_epsilon", "synthetic:parametric.txt", "gamma_then_epsilon", "old"),
+        ("coup_custom_schedule", "synthetic:parametric.txt",
+         "custom:eps=e^-p^2/30,gamma=e^-p/5", "new"),
+        ("coup_finite_pool", "synthetic:pool.txt", "default", "new"),
+    ):
+        cells.append((
+            name,
+            uc.ExperimentSpec(
+                procedure="coup", oracle=oracle, utility="loglaplace:kappa0=60,a=1",
+                stop="phases:4", seed=1, delta=0.1, doubling=doubling, schedule=schedule,
+            ),
+        ))
     return cells
 
 
@@ -100,6 +114,21 @@ EXPECTED: dict[str, dict[str, str]] = {
         'certificates.csv': 'f9bc2b3f58026829c4add5afd9cd80791605462be287a935a620bac8e5f71cf0',
         'summary.csv': '14dab1a629710ca81a00655c014864a404809d2810961fc6cee5e65302f25295',
         'trace.csv': '705b4fd9789a13468b397a0187cb1cb4d3248a2f2602d33948de7f0fb2fae911',
+    },
+    'coup_custom_schedule': {
+        'certificates.csv': '9dbb228c7f5ba63496c6bddfee4d3e53ce8c88d1268377f5296f47bc05cd0d23',
+        'summary.csv': '6989690176ce80aa0821775bf3d3d74bec43b638efa7b8f2bf27dbb8985e1f2c',
+        'trace.csv': '8b34dde5244b4c335204e8a0b2a5b7a6bff878c51dabd76b459271ec0c31d0fd',
+    },
+    'coup_finite_pool': {
+        'certificates.csv': 'f742dec8a2bb69b8f58f0033d895e01e1ab4d36b4078ad5ecf4e1dcbbbe2a7ea',
+        'summary.csv': 'abc95fa318cd0d34a9bce7d678ecb831d0c131332b9c11aeec06b3219f7ff75c',
+        'trace.csv': 'dff32beaafacc0fb8fc3c799f44c781c53ef1576e9bc3d8d59eddb723e3c0c01',
+    },
+    'coup_gamma_then_epsilon': {
+        'certificates.csv': '3a7cdaa5bc7e81d81b857a21d1941b4d39f81e2776b2a51593bee621fe9b50de',
+        'summary.csv': '5d82ccd0f720fc82013da91d066aee0e4aaff1d7a1add15ad16b0cf73e86cf1a',
+        'trace.csv': '416d16fecd93099e7c92cb3dabc4e8613ee994f46cea28a8fddd726782f52887',
     },
     'coup_new_seed1': {
         'certificates.csv': '9606363ae8d6b6259c6730ede079360d30c959b70e7dbf7fc4a7604c360fc618',
