@@ -64,7 +64,6 @@ class UpRun(OupRun):
 def _sample_to(
     oracle: RuntimeOracle,
     utility: UtilityFunction,
-    pool: list[int],
     kappa: float,
     alive: list[int],
     target: int,
@@ -76,7 +75,7 @@ def _sample_to(
     """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
     the sampling loop of both naive and successive halving.
 
-    Arms are positions in ``pool``; run j of an arm is instance j.  Appends
+    Arms are configuration ids; run j of an arm is instance j.  Appends
     one trace row per run, with eps 1.0 and the best empirical mean among
     ``alive`` as the incumbent (ties to the lowest position).
     """
@@ -87,7 +86,7 @@ def _sample_to(
         # no other arm changes while ``a`` is sampled: rank the others once
         others = max((rank(i) for i in alive if i != a), default=None)
         while counts[a] < target:
-            obs = oracle.run(pool[a], counts[a], kappa)
+            obs = oracle.run(a, counts[a], kappa)
             ledger.charge(a, obs.duration)
             sums[a] += utility(obs.duration)
             counts[a] += 1
@@ -132,30 +131,26 @@ def naive_run(
     utility: UtilityFunction,
     epsilon: float,
     delta: float,
-    *,
-    pool: list[int] | None = None,
 ) -> RunResult:
-    if pool is None:
-        pool = list(range(oracle.n_configs))
-    if not pool:
+    n = oracle.n_configs
+    if not n:
         raise ValueError("configuration pool must not be empty")
     kappa_bar = naive_captime(utility, epsilon)
-    m = naive_sample_count(len(pool), delta, epsilon)
+    m = naive_sample_count(n, delta, epsilon)
     ledger = CostLedger()
     trace: list[TraceRow] = []
-    sums = [0.0] * len(pool)
-    counts = [0] * len(pool)
-    alive = list(range(len(pool)))
-    _sample_to(oracle, utility, pool, kappa_bar, alive, m, sums, counts, ledger, trace)
+    sums = [0.0] * n
+    counts = [0] * n
+    _sample_to(oracle, utility, kappa_bar, list(range(n)), m, sums, counts, ledger, trace)
     # the certificate holds only once every configuration has all m samples
     trace[-1] = trace[-1]._replace(eps_raw=epsilon, eps_min=epsilon)
     best = trace[-1].incumbent
-    means = [sums[a] / m for a in range(len(pool))]
+    means = [total / m for total in sums]
     return RunResult(
         procedure="naive",
         incumbent=best,
-        incumbent_config=pool[best],
-        incumbent_name=oracle.name(pool[best]),
+        incumbent_config=best,
+        incumbent_name=oracle.name(best),
         epsilon=epsilon,
         rounds=len(trace),
         trace=trace,
@@ -195,14 +190,11 @@ def successive_halving(
     budget: int,
     eta: int,
     kappa: float,
-    *,
-    pool: list[int] | None = None,
 ) -> RunResult:
-    if pool is None:
-        pool = list(range(oracle.n_configs))
-    if not pool:
+    n = oracle.n_configs
+    if not n:
         raise ValueError("configuration pool must not be empty")
-    sizes, unit_costs = halving_round_structure(len(pool), eta)
+    sizes, unit_costs = halving_round_structure(n, eta)
     rate = budget // sum(unit_costs)
     if rate < 1:
         raise ValueError(
@@ -211,12 +203,12 @@ def successive_halving(
         )
     ledger = CostLedger()
     trace: list[TraceRow] = []
-    sums = [0.0] * len(pool)
-    counts = [0] * len(pool)
-    alive = list(range(len(pool)))
+    sums = [0.0] * n
+    counts = [0] * n
+    alive = list(range(n))
     round_counts = [rate * eta ** k for k in range(len(sizes))]
     for k, target in enumerate(round_counts):
-        _sample_to(oracle, utility, pool, kappa, alive, target, sums, counts, ledger, trace)
+        _sample_to(oracle, utility, kappa, alive, target, sums, counts, ledger, trace)
         if k + 1 < len(sizes):
             keep = sizes[k + 1]
             alive = sorted(
@@ -227,8 +219,8 @@ def successive_halving(
     return RunResult(
         procedure="sh",
         incumbent=winner,
-        incumbent_config=pool[winner],
-        incumbent_name=oracle.name(pool[winner]),
+        incumbent_config=winner,
+        incumbent_name=oracle.name(winner),
         epsilon=math.nan,
         rounds=len(trace),
         trace=trace,

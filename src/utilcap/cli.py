@@ -93,15 +93,28 @@ def _read_run_dir(path: Path) -> tuple[dict, list[TraceRow]]:
     if not summary_path.exists() or not trace_path.exists():
         raise SpecError(f"{path} does not contain summary.csv and trace.csv")
     with summary_path.open("r", encoding="utf-8", newline="") as handle:
-        header, row = list(csv.reader(handle))
-    summary = dict(zip(header, row))
-    summary["seed"] = int(summary["seed"])
+        lines = list(csv.reader(handle))
+    if len(lines) != 2:
+        raise SpecError(f"{summary_path}: expected a header and one row, got {len(lines)} lines")
+    summary = dict(zip(*lines))
+    missing = {"procedure", "oracle", "utility", "seed"} - summary.keys()
+    if missing:
+        raise SpecError(f"{summary_path}: missing columns {sorted(missing)}")
+    try:
+        summary["seed"] = int(summary["seed"])
+    except ValueError as err:
+        raise SpecError(f"{summary_path}: seed: {err}") from None
     with trace_path.open("r", encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
-    trace = [
-        TraceRow(*(parse(value) for parse, value in zip(_TRACE_PARSERS, fields[1:])))
-        for fields in rows[1:]
-    ]
+    width = 1 + len(_TRACE_PARSERS)
+    trace = []
+    for lineno, fields in enumerate(rows[1:], start=2):
+        try:
+            if len(fields) != width:
+                raise ValueError(f"expected {width} fields, got {len(fields)}")
+            trace.append(TraceRow(*(parse(v) for parse, v in zip(_TRACE_PARSERS, fields[1:]))))
+        except ValueError as err:
+            raise SpecError(f"{trace_path}:{lineno}: {err}") from None
     return summary, trace
 
 

@@ -7,10 +7,10 @@ The run proceeds in phases p = 1, 2, ...; phase p targets a pair
 
 configurations sampled from the configuration distribution, enough that with
 high probability some sampled configuration sits in the top gamma_p fraction.
-Within a phase the mechanics are exactly the greedy engine's, with the
-phase-indexed confidence width and no elimination: configurations are kept
-because later phases still need them for their guarantees, but the selection
-rule stops visiting poor ones on its own.  A phase ends once
+Within a phase the mechanics are exactly the greedy engine's, with a
+phase-indexed width over the whole pool (at least n_p arms) and no
+elimination: configurations are kept because later phases still need them
+for their guarantees, but selection stops visiting poor ones.  A phase ends once
 
     max_i UCB_i - max_i LCB_i < eps_p      (both maxima over the whole pool)
 
@@ -254,6 +254,7 @@ class CoupRun(OupRun):
     """
 
     procedure = "coup"
+    eliminate = False
 
     def __init__(
         self,
@@ -275,7 +276,6 @@ class CoupRun(OupRun):
         self.delta = delta
         self.schedule = schedule
         self.doubling_rule = DOUBLING_RULES[doubling]
-        self.eliminate = False
         self.arms: list[ArmState] = []
         self.survivors: list[int] = []
         self.p = 0
@@ -288,7 +288,6 @@ class CoupRun(OupRun):
         self.trace: list[TraceRow] = []
         self.certificates: list[PhaseCertificate] = []
         self.eps_min = math.nan
-        self.eps_min_round = 0
         self.rebuild_index()
 
     def begin_phase(self) -> tuple[int, float, float, int]:
@@ -300,17 +299,15 @@ class CoupRun(OupRun):
         if needed > 0:
             self.arms.extend(ArmState(config) for config in self.sampler.sample(needed))
             self.survivors = list(range(len(self.arms)))
-        self.ctx = BoundContext(n=self.n_p, delta=self.delta, phase=self.p)
+        # the union bound counts the pool searched, which exceeds n_p when
+        # an earlier phase needed more configurations
+        self.ctx = BoundContext(n=len(self.arms), delta=self.delta, phase=self.p)
         for arm in self.arms:
             arm.recompute_snapshot(self.ctx, self.utility)
         self.rebuild_index()
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
-        self.eps_min_round = self.round
         return self.p, self.eps_p, self.gamma_p, self.n_p
-
-    def phase_done(self) -> bool:
-        return self.guaranteed_epsilon() < self.eps_p
 
     phase_step = OupRun.step
 
@@ -320,7 +317,7 @@ class CoupRun(OupRun):
             phase=self.p,
             epsilon=self.eps_p,
             gamma=self.gamma_p,
-            n=self.n_p,
+            n=self.ctx.n,
             incumbent=star,
             incumbent_name=self.oracle.name(self.arms[star].config),
             incumbent_lcb=self.arms[star].snapshot.lcb,
@@ -340,8 +337,7 @@ class CoupRun(OupRun):
             if budget is not None and self.ledger.total_seconds >= budget:
                 return self._result("budget_exhausted")
             self.begin_phase()
-            # the phase test reads the eps that begin_phase or the round just
-            # computed, the same value phase_done() would compute
+            # the phase test reads the eps that begin_phase or the last round computed
             eps = self.eps_min
             while not eps < self.eps_p:
                 if budget is not None and self.ledger.total_seconds >= budget:

@@ -56,7 +56,7 @@ class CappedObservation:
 
     @classmethod
     def observe(cls, true_runtime: float, captime: float) -> "CappedObservation":
-        if captime <= 0:
+        if not captime > 0:
             raise ValueError(f"captime must be positive, got {captime}")
         if true_runtime < 0:
             raise ValueError(f"true runtime must be nonnegative, got {true_runtime}")
@@ -82,9 +82,6 @@ class Exponential:
     def runtime_from_uniform(self, v: float) -> float:
         return -self.mean * math.log1p(-v)
 
-    def runtimes_from_uniform(self, v: np.ndarray) -> np.ndarray:
-        return -self.mean * np.log1p(-v)
-
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa); the distribution is continuous so ties have no mass."""
         if math.isinf(kappa):
@@ -109,10 +106,6 @@ class LogNormal:
 
     def runtime_from_uniform(self, v: float) -> float:
         return math.exp(self.mu + self.sigma * ndtri(v)) if v > 0.0 else 0.0
-
-    def runtimes_from_uniform(self, v: np.ndarray) -> np.ndarray:
-        out = np.exp(self.mu + self.sigma * ndtri(v))
-        return np.where(v > 0.0, out, 0.0)
 
     def completion_probability(self, kappa: float) -> float:
         if math.isinf(kappa):
@@ -147,9 +140,6 @@ class TwoPoint:
 
     def runtime_from_uniform(self, v: float) -> float:
         return self.t_fast if v < self.p_fast else self.t_slow
-
-    def runtimes_from_uniform(self, v: np.ndarray) -> np.ndarray:
-        return np.where(v < self.p_fast, self.t_fast, self.t_slow)
 
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa), strict, matching the completion flag of capped runs."""
@@ -337,10 +327,6 @@ class SyntheticOracle:
     def n_configs(self) -> int:
         return len(self._dists)
 
-    @property
-    def n_instances(self) -> None:
-        return None  # unbounded
-
     def add_config(self, dist: RuntimeDistribution) -> int:
         self._dists.append(dist)
         return len(self._dists) - 1
@@ -361,11 +347,6 @@ class SyntheticOracle:
     def true_runtime(self, config: int, instance: int) -> float:
         v = self._stream(config).value(instance)
         return self._dists[config].runtime_from_uniform(v)
-
-    def true_runtimes(self, config: int, count: int) -> np.ndarray:
-        """First ``count`` runtimes of a configuration, vectorized."""
-        v = self._stream(config).prefix(count)
-        return self._dists[config].runtimes_from_uniform(v)
 
     def run(self, config: int, instance: int, captime: float) -> CappedObservation:
         return CappedObservation.observe(self.true_runtime(config, instance), captime)

@@ -10,7 +10,7 @@ any point is
 
 which is non-increasing except that a captime doubling can enlarge the
 width's log term; the reported guarantee is therefore also tracked as a
-running minimum, together with the round at which each minimum was achieved.
+running minimum.
 
 A round changes the bounds of only the arm it pulled, because the bound
 context is fixed within a run (or a phase).  So the engine keeps an index of
@@ -57,18 +57,16 @@ class OupRun:
     """One sequential run over a fixed pool, and the round every engine shares.
 
     ``pool`` lists oracle configuration ids; arms are addressed by their
-    position in the pool.  ``ctx`` may be supplied to force a particular
-    bound context (used to compare against a single phase of the phased
-    engine); ``eliminate=False`` disables the elimination step for the same
-    purpose.  Subclasses change only how an arm is selected
+    position in the pool.  Subclasses change only how an arm is selected
     (``select_arm``) and whether a round ends with elimination
-    (``_eliminates``).
+    (``_eliminates``, never when the class sets ``eliminate = False``).
 
     Code that changes snapshots or survivors other than through ``step``
     must call ``rebuild_index`` afterwards.
     """
 
     procedure = "oup"
+    eliminate = True
 
     def __init__(
         self,
@@ -78,8 +76,6 @@ class OupRun:
         *,
         doubling: str = "old",
         pool: list[int] | None = None,
-        ctx: BoundContext | None = None,
-        eliminate: bool = True,
     ):
         if pool is None:
             pool = list(range(oracle.n_configs))
@@ -87,9 +83,8 @@ class OupRun:
             raise ValueError("configuration pool must not be empty")
         self.oracle = oracle
         self.utility = utility
-        self.ctx = ctx if ctx is not None else BoundContext(n=len(pool), delta=delta)
+        self.ctx = BoundContext(n=len(pool), delta=delta)
         self.doubling_rule = DOUBLING_RULES[doubling]
-        self.eliminate = eliminate
         self.arms = [ArmState(config) for config in pool]
         self.survivors = list(range(len(self.arms)))
         self.rebuild_index()
@@ -97,7 +92,6 @@ class OupRun:
         self.ledger = CostLedger()
         self.trace: list[TraceRow] = []
         self.eps_min = self.guaranteed_epsilon()
-        self.eps_min_round = 0
 
     def rebuild_index(self) -> None:
         """Rebuild the bound index from the survivors' current snapshots.
@@ -194,7 +188,6 @@ class OupRun:
             self.rebuild_index()
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
-            self.eps_min_round = self.round
         self.trace.append(
             TraceRow(
                 round=self.round,

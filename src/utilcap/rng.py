@@ -31,11 +31,10 @@ class UniformStream:
     """Lazily materialized stream of uniform doubles on [0, 1).
 
     ``value(j)`` returns the j-th double of the stream regardless of which
-    draws were requested before it; the stream only ever grows as a prefix.
+    draws were requested before it; the buffer only ever grows at its end.
     """
 
     def __init__(self, seed: int, purpose: int, index: int = 0):
-        self.key = (int(seed), int(purpose), int(index))
         self._gen = stream_generator(seed, purpose, index)
         self._values = np.empty(0, dtype=np.float64)
 
@@ -49,12 +48,6 @@ class UniformStream:
             need = size - self._values.size
             self._values = np.concatenate([self._values, self._gen.random(need)])
         return float(self._values[j])
-
-    def prefix(self, n: int) -> np.ndarray:
-        """First n doubles of the stream, as an array (vectorized access)."""
-        if n > self._values.size:
-            self.value(n - 1)
-        return self._values[:n].copy()
 
 
 def seeded_permutation(n: int, seed: int, index: int = 0) -> tuple[int, ...]:

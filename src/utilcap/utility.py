@@ -14,6 +14,7 @@ clearly apart from the confidence width alpha used elsewhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,10 @@ class LogLaplaceUtility:
     a: float = 1.0
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
-            raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
-        if self.a <= 0:
-            raise ValueError(f"decay exponent must be positive, got {self.a}")
+        if not 0 < self.kappa0 < math.inf:
+            raise ValueError(f"kappa0 must be positive and finite, got {self.kappa0}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"decay exponent must be positive and finite, got {self.a}")
 
     def __call__(self, t: float) -> float:
         _check_runtime(t)
@@ -59,8 +60,8 @@ class UniformUtility:
     kappa0: float
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
-            raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
+        if not 0 < self.kappa0 < math.inf:
+            raise ValueError(f"kappa0 must be positive and finite, got {self.kappa0}")
 
     def __call__(self, t: float) -> float:
         _check_runtime(t)

@@ -64,6 +64,23 @@ def parametric_setup(seed: int):
     return oracle, sampler
 
 
+class NoElimination(uc.OupRun):
+    """The greedy round without elimination, as a coup phase runs it."""
+
+    eliminate = False
+
+
+def phase_one_engine(sampler, seed: int, delta: float, n_1: int) -> NoElimination:
+    """The greedy engine over the arms a coup run sampled for its first phase,
+    under that phase's bound context.  Fresh arms carry sentinel bounds that
+    do not depend on the context, so setting it before the first step is
+    enough."""
+    oracle = uc.SyntheticOracle([sampler.make_distribution(t) for t in sampler.thetas], seed=seed)
+    run = NoElimination(oracle, UTILITY, delta, doubling="new")
+    run.ctx = uc.BoundContext(n=n_1, delta=delta, phase=1)
+    return run
+
+
 @dataclass
 class InstrumentedRun:
     result: uc.RunResult

@@ -27,6 +27,7 @@ from helpers import (
     a8_oracle,
     instrumented_oup,
     parametric_setup,
+    phase_one_engine,
     trace_lines,
 )
 
@@ -284,17 +285,7 @@ def test_a7_differential_trace_equality():
         _, _, _, n_1 = coup.begin_phase()
         for _ in range(200):
             coup.phase_step()
-        oracle_o = uc.SyntheticOracle(
-            [sampler.make_distribution(t) for t in sampler.thetas], seed=seed
-        )
-        oup = uc.OupRun(
-            oracle_o,
-            UTILITY,
-            0.05,
-            doubling="new",
-            ctx=BoundContext(n=n_1, delta=0.05, phase=1),
-            eliminate=False,
-        )
+        oup = phase_one_engine(sampler, seed, 0.05, n_1)
         for _ in range(200):
             oup.step()
         if trace_lines(coup.trace) != trace_lines(oup.trace):

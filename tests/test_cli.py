@@ -119,6 +119,33 @@ def test_sweep_and_curve_round_trip(tmp_path, pool_path, capsys):
     assert main(bad) == 2
 
 
+def _drop_seed_column(lines):
+    header, row = (line.split(",") for line in lines)
+    k = header.index("seed")
+    return [",".join(header[:k] + header[k + 1:]), ",".join(row[:k] + row[k + 1:])]
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("summary.csv", lambda lines: lines[:1]),
+        ("summary.csv", _drop_seed_column),
+        ("trace.csv", lambda lines: [lines[0], "oup,abc" + lines[1][lines[1].index(",", 4):]]),
+        ("trace.csv", lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]]),
+    ],
+    ids=["summary_one_line", "summary_without_seed", "trace_field_not_a_number", "trace_row_short"],
+)
+def test_curve_bad_run_directory_exits_two(tmp_path, pool_path, name, edit, capsys):
+    run = tmp_path / "run"
+    assert main(run_args(pool_path, run)) == 0
+    path = run / name
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main(["curve", "--runs", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and err.count("\n") == 1 and str(path) in err
+
+
 def test_env_var_overrides_output_dir(tmp_path, pool_path, monkeypatch):
     monkeypatch.setenv("UTILCAP_OUT", str(tmp_path / "forced"))
     assert main(run_args(pool_path, tmp_path / "ignored")) == 0
@@ -183,6 +210,11 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         ("run", "coup", "budget:nan", ("--seed", "3")),
         ("run", "coup", "budget:-5", ("--seed", "3")),
         ("run", "naive", "epsilon:inf", ("--seed", "3")),
+        # non-finite utility parameters and captimes
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:kappa0=nan")),
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:kappa0=60,a=nan")),
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "uniform:kappa0=inf")),
+        ("run", "sh", "budget:64", ("--seed", "3", "--sh-kappa", "nan")),
     ],
     ids=[
         "unknown_schedule",
@@ -202,6 +234,10 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         "coup_budget_nan",
         "coup_budget_negative",
         "naive_epsilon_infinite",
+        "utility_kappa0_nan",
+        "utility_decay_nan",
+        "utility_kappa0_infinite",
+        "sh_kappa_nan",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):

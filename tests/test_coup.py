@@ -5,7 +5,14 @@ import pytest
 
 import utilcap as uc
 
-from helpers import UTILITY, a2_oracle, parametric_setup, trace_lines
+from helpers import (
+    UTILITY,
+    NoElimination,
+    a2_oracle,
+    parametric_setup,
+    phase_one_engine,
+    trace_lines,
+)
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -137,13 +144,15 @@ def test_shrinking_requirement_keeps_pool():
     oracle, sampler = parametric_setup(3)
     schedule = uc.Schedule.explicit([(0.5, 0.05), (0.5, 0.9)])
     run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling="new")
-    run.begin_phase()
+    run.run_phases(uc.MaxPhases(1))
     n_1 = len(run.arms)
-    assert n_1 == uc.phase_size(1, 0.05, 0.1)
-    run.begin_phase()
+    assert n_1 == uc.phase_size(1, 0.05, 0.1) == 70
+    result = run.run_phases(uc.MaxPhases(2))
     assert len(run.arms) == n_1  # nothing added, nothing removed
     assert run.n_p == uc.phase_size(2, 0.9, 0.1)
-    assert run.ctx.n == run.n_p  # the phase requirement, not the pool size
+    # the union bound counts the pool searched, not the phase requirement
+    assert run.ctx.n == len(run.arms)
+    assert [c.n for c in result.certificates] == [70, 70]
 
 
 def test_phase_done_uses_both_maxima():
@@ -158,15 +167,16 @@ def test_phase_done_uses_both_maxima():
     run.rebuild_index()
     # max UCB comes from arm 0, max LCB from arm 1
     assert run.guaranteed_epsilon() == pytest.approx(0.9 - 0.84)
-    assert run.phase_done()
+    assert run.guaranteed_epsilon() < run.eps_p
     run.eps_p = 0.05
-    assert not run.phase_done()
+    assert not run.guaranteed_epsilon() < run.eps_p
 
 
 def test_fresh_pool_is_never_done():
     run = make_run(seed=1)
     run.begin_phase()
-    assert not run.phase_done()
+    # the phase test reads the eps that begin_phase left
+    assert run.eps_min == 1.0 and not run.eps_min < run.eps_p
 
 
 def test_rounds_make_no_full_pool_pass(monkeypatch):
@@ -188,7 +198,7 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
     assert compacting == [False] * (1 + run.p)
     # a compaction takes more than 64 pushes, one per heap per round
     compacting.clear()
-    run = uc.OupRun(a2_oracle(1), UTILITY, 0.1, eliminate=False)
+    run = NoElimination(a2_oracle(1), UTILITY, 0.1)
     run.run_until(uc.MaxRounds(1000))
     assert compacting[0] is False and 1 <= compacting.count(True) <= 1000 // 65
     assert len(compacting) == 1 + compacting.count(True)
@@ -233,14 +243,29 @@ def test_monotone_pool_and_observation_retention():
     run = make_run(seed=6)
     sizes = []
     totals = []
-    for _ in range(3):
-        run.begin_phase()
+    for p in range(1, 4):
+        run.run_phases(uc.MaxPhases(p))
         sizes.append(len(run.arms))
-        while not run.phase_done():
-            run.phase_step()
         totals.append(sum(a.m for a in run.arms))
     assert sizes == sorted(sizes)
     assert totals == sorted(totals)
+
+
+def test_phases_never_eliminate():
+    # later phases need every sampled configuration, so an arm whose UCB is
+    # below the incumbent's LCB stays in the pool
+    run = make_run(seed=1)
+    run.begin_phase()
+    snap = run.arms[0].snapshot
+    run.arms[0].snapshot = dataclasses.replace(snap, ucb=2.0, lcb=0.0)
+    run.arms[1].snapshot = dataclasses.replace(snap, ucb=0.95, lcb=0.9)
+    for arm in run.arms[2:]:
+        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=0.5, lcb=0.0)
+    run.rebuild_index()
+    run.phase_step()
+    assert run.trace[-1].incumbent == 1
+    assert not any(arm.eliminated for arm in run.arms)
+    assert run.trace[-1].survivors == len(run.survivors) == len(run.arms)
 
 
 def test_runs_are_deterministic():
@@ -352,9 +377,7 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
 def test_mid_phase_selection_ignores_sampling_phase():
     # a carried-over arm with the top bound is selected ahead of newer arms
     run = make_run(seed=5)
-    run.begin_phase()
-    while not run.phase_done():
-        run.phase_step()
+    run.run_phases(uc.MaxPhases(1))
     run.begin_phase()
     boosted = 0  # sampled in phase 1
     for i, arm in enumerate(run.arms):
@@ -383,10 +406,7 @@ def test_phase_cost_within_factor_three_of_direct_search():
     )
     ledgers = {}
     for p in range(1, 7):
-        run.begin_phase()
-        while not run.phase_done():
-            run.phase_step()
-        run._certify()
+        run.run_phases(uc.MaxPhases(p))
         ledgers[p] = run.ledger.total_seconds
     for cert in run.certificates:
         pool = [sampler.make_distribution(t) for t in sampler.thetas[: cert.n]]
@@ -411,13 +431,7 @@ def test_single_phase_matches_greedy_engine_trace():
         for _ in range(120):
             coup.phase_step()
 
-        oracle_o = uc.SyntheticOracle(
-            [sampler.make_distribution(t) for t in sampler.thetas], seed=seed
-        )
-        forced = uc.BoundContext(n=n_1, delta=0.05, phase=1)
-        oup = uc.OupRun(
-            oracle_o, UTILITY, 0.05, doubling="new", ctx=forced, eliminate=False
-        )
+        oup = phase_one_engine(sampler, seed, 0.05, n_1)
         for _ in range(120):
             oup.step()
         assert trace_lines(coup.trace) == trace_lines(oup.trace)

