@@ -10,7 +10,9 @@ round-robin, or phased) advances an arm through the same sequence:
    had capped (completed runs already reveal their true runtime and are
    reused verbatim);
 4. run instance ``m`` at the current captime;
-5. recompute the bound snapshot from the stored observations.
+5. recompute the bound snapshot from the stored observations, reusing the
+   width and ``u(kappa)`` of step 2 (or, after a doubling, of the new
+   captime).
 
 At most one doubling happens per pull; if more were warranted the condition
 simply fires again on the next selection of the same arm.
@@ -77,23 +79,36 @@ class ArmState:
         self._utility_sum += value
         self._completed_count += int(obs.completed)
 
-    def recompute_snapshot(self, ctx: BoundContext, u: UtilityFunction) -> None:
+    def recompute_snapshot(
+        self,
+        ctx: BoundContext,
+        u: UtilityFunction,
+        a: float | None = None,
+        u_k: float | None = None,
+    ) -> None:
+        """Rebuild the snapshot from the running sums.
+
+        ``a`` and ``u_k``, when given, must be ``alpha(ctx, m, kappa)`` and
+        ``u(kappa)`` at the arm's current ``m`` and ``kappa``; a pull passes
+        the ones it has already computed, so neither is computed twice.
+        """
         if self.m == 0:
             self.snapshot = BoundSnapshot.fresh(self.kappa)
             return
         f_hat = self._completed_count / self.m
         u_hat = self._utility_sum / self.m
-        a = alpha(ctx, self.m, self.kappa)
-        u_k = u(self.kappa)
+        if a is None:
+            a = alpha(ctx, self.m, self.kappa)
+            u_k = u(self.kappa)
         self.snapshot = BoundSnapshot(
-            m=self.m,
-            kappa=self.kappa,
-            f_hat=f_hat,
-            u_hat=u_hat,
-            alpha=a,
-            u_at_kappa=u_k,
-            ucb=u_hat + (1.0 - u_k) * a,
-            lcb=u_hat - a - u_k * (1.0 - f_hat),
+            self.m,
+            self.kappa,
+            f_hat,
+            u_hat,
+            a,
+            u_k,
+            u_hat + (1.0 - u_k) * a,
+            u_hat - a - u_k * (1.0 - f_hat),
         )
 
 
@@ -109,13 +124,15 @@ def pull_arm(
     """Advance one arm by one observation, doubling its captime if warranted.
 
     ``index`` is the arm's position in its pool and keys the ledger.
-    Returns whether the captime was doubled.
+    Returns whether the captime was doubled.  ``alpha`` and ``u(kappa)`` are
+    computed once per pull, and once more after a doubling.
     """
     arm.m += 1
     a = alpha(ctx, arm.m, arm.kappa)
+    u_k = u(arm.kappa)
     # the condition sees the incremented m but the completion fraction of the
     # previous snapshot (0 for a fresh arm)
-    doubled = bool(doubling_rule(a, u(arm.kappa), arm.snapshot.f_hat))
+    doubled = bool(doubling_rule(a, u_k, arm.snapshot.f_hat))
     if doubled:
         arm.kappa *= 2.0
         for j in range(arm.m - 1):
@@ -131,9 +148,10 @@ def pull_arm(
         for value in arm.utilities:
             arm._utility_sum += value
         arm._completed_count = sum(1 for c in arm.completed if c)
+        a = alpha(ctx, arm.m, arm.kappa)
+        u_k = u(arm.kappa)
     obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
     arm._append(obs, u)
     ledger.charge(index, obs.duration)
-    arm.recompute_snapshot(ctx, u)
+    arm.recompute_snapshot(ctx, u, a, u_k)
     return doubled
-

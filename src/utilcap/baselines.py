@@ -120,6 +120,11 @@ def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> f
     )
 
 
+# the most runs a naive plan may make: at one trace row per run, 10^8 runs
+# already write more than 6 GB of trace
+NAIVE_MAX_RUNS = 10**8
+
+
 def naive_sample_count(n: int, delta: float, epsilon: float) -> int:
     """Two-sided Hoeffding count: eps/2 sampling error at confidence delta/n
     per configuration, alongside the eps/2 capping error."""
@@ -137,6 +142,11 @@ def naive_run(
         raise ValueError("configuration pool must not be empty")
     kappa_bar = naive_captime(utility, epsilon)
     m = naive_sample_count(n, delta, epsilon)
+    if n * m > NAIVE_MAX_RUNS:
+        raise ValueError(
+            f"naive plans {n * m} runs ({m} per configuration), more than the "
+            f"{NAIVE_MAX_RUNS} it can finish; raise the target epsilon"
+        )
     ledger = CostLedger()
     trace: list[TraceRow] = []
     sums = [0.0] * n

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracles import CappedObservation
 from .utility import UtilityFunction
@@ -79,6 +80,18 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
         arg = 11.0 * ctx.n * m * m * log_term / ctx.delta
     else:
         arg = 36.0 * ctx.phase * ctx.phase * ctx.n * m * m * log_term / ctx.delta
+    if arg == math.inf:
+        # a tiny delta overflows the product, though its log is modest; only
+        # then is the log summed over the factors, so finite cases keep their bits
+        lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
+        log_arg = (
+            math.log(lead)
+            + math.log(ctx.n)
+            + math.log(m * m)
+            + math.log(log_term)
+            - math.log(ctx.delta)
+        )
+        return math.sqrt(log_arg / (2.0 * m))
     return math.sqrt(math.log(arg) / (2.0 * m))
 
 
@@ -113,9 +126,12 @@ def doubling_new(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
 DOUBLING_RULES = {"old": doubling_old, "new": doubling_new}
 
 
-@dataclass(frozen=True)
-class BoundSnapshot:
-    """Bounds for one configuration, recomputed from its stored observations."""
+class BoundSnapshot(NamedTuple):
+    """Bounds for one configuration, recomputed from its stored observations.
+
+    A named tuple because one is built on every pull: a tuple is built
+    without a per-field ``__setattr__``.
+    """
 
     m: int
     kappa: float

@@ -8,9 +8,10 @@ every output byte.  All outputs are CSV with ``repr`` float formatting.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -251,12 +252,44 @@ def build_sampler(spec: ExperimentSpec, oracle, parametric):
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+def _write_csv(path: Path, columns: tuple[str, ...], lines: Iterable[str]) -> None:
+    """Write a header of ``columns`` and the rendered ``lines`` (each ending
+    in a newline); every CSV file goes through here."""
     with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(lines)
+
+
+def _quoted_lines(rows: Iterable[tuple]) -> Iterator[str]:
+    """Rows through ``csv.writer`` and ``format_value``: a cell with a comma,
+    a quote or a newline (a spec string, a name) comes out quoted."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow([format_value(v) for v in row])
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+
+
+def trace_csv_lines(procedure: str, trace: Iterable[TraceRow]) -> Iterator[str]:
+    """The lines of ``trace.csv``: one format per row, the text that
+    ``csv.writer`` and ``format_value`` would give.
+
+    Trace cells are numbers, booleans and a name from ``PROCEDURES``, so
+    none ever needs quoting.  Any other name raises here, before a file is
+    opened, so a name that could need quoting never reaches a file.
+    """
+    if procedure not in PROCEDURES:
+        raise ValueError(
+            f"unknown procedure {procedure!r} in a trace; expected one of {PROCEDURES}"
+        )
+    return (
+        f"{procedure},{r.round},{r.ledger_seconds!r},{r.selected},"
+        f"{'true' if r.doubled else 'false'},{r.eps_raw!r},{r.eps_min!r},"
+        f"{r.survivors},{r.incumbent}\n"
+        for r in trace
+    )
 
 
 SUMMARY_COLUMNS = (
@@ -395,9 +428,10 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     _write_csv(
         outdir / "trace.csv",
         ("procedure",) + TraceRow._fields,
-        ((result.procedure, *row) for row in result.trace),
+        trace_csv_lines(result.procedure, result.trace),
     )
-    _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, [_summary_row(spec, result)])
+    summary_lines = _quoted_lines([_summary_row(spec, result)])
+    _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, summary_lines)
     if exhausted is not None:
         raise exhausted
     if spec.procedure == "coup":
@@ -413,7 +447,7 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
             )
             for c in result.certificates
         ]
-        _write_csv(outdir / "certificates.csv", CERTIFICATE_COLUMNS, rows)
+        _write_csv(outdir / "certificates.csv", CERTIFICATE_COLUMNS, _quoted_lines(rows))
     summary = dict(zip(SUMMARY_COLUMNS, _summary_row(spec, result)))
     summary["outdir"] = str(outdir)
     return summary

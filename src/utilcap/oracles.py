@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
@@ -47,9 +48,11 @@ class InstanceExhaustedError(RuntimeError):
         self.partial = None
 
 
-@dataclass(frozen=True)
-class CappedObservation:
-    """Outcome of one capped run: observed duration and completion flag."""
+class CappedObservation(NamedTuple):
+    """Outcome of one capped run: observed duration and completion flag.
+
+    A tuple, as one is built on every run.
+    """
 
     duration: float
     completed: bool
@@ -62,8 +65,8 @@ class CappedObservation:
             raise ValueError(f"true runtime must be nonnegative, got {true_runtime}")
         # a run landing exactly on the captime counts as capped
         if true_runtime < captime:
-            return cls(duration=true_runtime, completed=True)
-        return cls(duration=captime, completed=False)
+            return cls(true_runtime, True)
+        return cls(captime, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Run records: cost ledger, per-round trace rows, stop rules, run results.
 
-A round's ``TraceRow`` is its only record.  The harness's one CSV writer
-serializes trace rows like every other output, through ``format_value``:
-floats with ``repr``, the shortest round-tripping form, so engines making
-the same decisions write byte-identical files.
+A round's ``TraceRow`` is its only record.  Every output value is written
+as ``format_value`` gives it: floats with ``repr``, the shortest
+round-tripping form, so engines making the same decisions write
+byte-identical files.  The trace writer renders a whole row with one
+format that gives the same text.
 """
 
 from __future__ import annotations

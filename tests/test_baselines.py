@@ -122,6 +122,17 @@ def test_naive_run_shape():
     assert all(row.eps_min == 1.0 for row in result.trace[:-1])
 
 
+def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):
+    # the cap admits a plan of exactly its size and refuses one run more;
+    # test_bad_spec_exits_two checks the real cap end to end
+    planned = 3 * uc.baselines.naive_sample_count(3, 0.1, 0.4)
+    monkeypatch.setattr(uc.baselines, "NAIVE_MAX_RUNS", planned)
+    assert uc.naive_run(small_oracle(5), U60, 0.4, 0.1).ledger.run_count == planned
+    monkeypatch.setattr(uc.baselines, "NAIVE_MAX_RUNS", planned - 1)
+    with pytest.raises(ValueError, match=f"naive plans {planned} runs"):
+        uc.naive_run(small_oracle(5), U60, 0.4, 0.1)
+
+
 def test_naive_is_deterministic():
     a = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)
     b = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)

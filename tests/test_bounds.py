@@ -73,6 +73,23 @@ def test_first_pull_width_exceeds_one():
             assert alpha(BoundContext(n=n, delta=delta), 1, 1.0) > 1.0
 
 
+def test_alpha_sums_logs_only_when_the_argument_overflows():
+    # 11 * 5 * 7^2 * 2^2 / 1e-320 overflows to inf; its log is about 746
+    tiny = BoundContext(n=5, delta=1e-320)
+    log_arg = math.log(11.0) + math.log(5) + math.log(49) + math.log(4) - math.log(1e-320)
+    assert alpha(tiny, 7, 2.0) == pytest.approx(math.sqrt(log_arg / 14), rel=1e-15)
+    phased = BoundContext(n=5, delta=1e-320, phase=3)
+    log_arg = math.log(36.0 * 9) + math.log(5) + math.log(49) + math.log(4) - math.log(1e-320)
+    assert alpha(phased, 7, 2.0) == pytest.approx(math.sqrt(log_arg / 14), rel=1e-15)
+    # a finite argument keeps the direct formula's bits
+    small = BoundContext(n=5, delta=1e-300)
+    assert alpha(small, 7, 2.0) == math.sqrt(math.log(11.0 * 5 * 7 * 7 * 4 / 1e-300) / 14)
+    assert alpha(small, 7, 2.0) < alpha(tiny, 7, 2.0) < alpha(phased, 7, 2.0)
+    values = [alpha(tiny, m, 2.0) for m in range(1, 200)]
+    assert all(math.isfinite(a) for a in values)
+    assert all(b < a for a, b in zip(values, values[1:]))
+
+
 def test_bound_context_validation():
     with pytest.raises(ValueError):
         BoundContext(n=0, delta=0.1)

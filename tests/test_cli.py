@@ -215,6 +215,8 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:kappa0=60,a=nan")),
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "uniform:kappa0=inf")),
         ("run", "sh", "budget:64", ("--seed", "3", "--sh-kappa", "nan")),
+        # a plan of about 10^19 runs
+        ("run", "naive", "epsilon:1e-9", ("--seed", "3")),
     ],
     ids=[
         "unknown_schedule",
@@ -238,6 +240,7 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         "utility_decay_nan",
         "utility_kappa0_infinite",
         "sh_kappa_nan",
+        "naive_plan_too_large",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -249,3 +252,16 @@ def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, c
         assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+def test_tiny_delta_run_ends(tmp_path):
+    # 11 n m^2 (level+1)^2 / delta overflows at delta = 1e-320; the width
+    # stays finite, so the target is reached
+    path = tmp_path / "pool.txt"
+    path.write_text("family=exponential\nparams=1.0;5.0;20.0;60.0;200.0\nseed=0\n")
+    out = tmp_path / "out"
+    args = run_args(path, out, ("--delta", "1e-320", "--doubling", "old", "--seed", "1"))
+    with time_limit(10.0):
+        assert main(args) == 0
+    _, row = (out / "summary.csv").read_text().splitlines()
+    assert row.endswith(",17654,target_epsilon")  # rounds, stop reason

@@ -160,10 +160,10 @@ def test_phase_done_uses_both_maxima():
     run.begin_phase()
     run.eps_p = 0.1
     snap = run.arms[0].snapshot
-    run.arms[0].snapshot = dataclasses.replace(snap, ucb=0.9, lcb=0.1)
-    run.arms[1].snapshot = dataclasses.replace(snap, ucb=0.85, lcb=0.84)
+    run.arms[0].snapshot = snap._replace(ucb=0.9, lcb=0.1)
+    run.arms[1].snapshot = snap._replace(ucb=0.85, lcb=0.84)
     for arm in run.arms[2:]:
-        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=0.5, lcb=0.0)
+        arm.snapshot = arm.snapshot._replace(ucb=0.5, lcb=0.0)
     run.rebuild_index()
     # max UCB comes from arm 0, max LCB from arm 1
     assert run.guaranteed_epsilon() == pytest.approx(0.9 - 0.84)
@@ -257,10 +257,10 @@ def test_phases_never_eliminate():
     run = make_run(seed=1)
     run.begin_phase()
     snap = run.arms[0].snapshot
-    run.arms[0].snapshot = dataclasses.replace(snap, ucb=2.0, lcb=0.0)
-    run.arms[1].snapshot = dataclasses.replace(snap, ucb=0.95, lcb=0.9)
+    run.arms[0].snapshot = snap._replace(ucb=2.0, lcb=0.0)
+    run.arms[1].snapshot = snap._replace(ucb=0.95, lcb=0.9)
     for arm in run.arms[2:]:
-        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=0.5, lcb=0.0)
+        arm.snapshot = arm.snapshot._replace(ucb=0.5, lcb=0.0)
     run.rebuild_index()
     run.phase_step()
     assert run.trace[-1].incumbent == 1
@@ -382,7 +382,7 @@ def test_mid_phase_selection_ignores_sampling_phase():
     boosted = 0  # sampled in phase 1
     for i, arm in enumerate(run.arms):
         lift = 2.0 if i == boosted else 0.0
-        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=arm.snapshot.ucb + lift)
+        arm.snapshot = arm.snapshot._replace(ucb=arm.snapshot.ucb + lift)
     run.rebuild_index()
     run.phase_step()
     assert run.trace[-1].selected == boosted

@@ -1,17 +1,26 @@
+import csv
+import dataclasses
+import io
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import utilcap as uc
 from utilcap.harness import (
+    PROCEDURES,
     SpecError,
+    _write_csv,
     build_oracle,
     load_synthetic_spec,
     output_directory,
     parse_stop,
+    trace_csv_lines,
 )
+from utilcap.records import TraceRow, format_value
 
-from helpers import UTILITY
+from helpers import UTILITY, trace_lines
 
 
 def write_pool(tmp_path, body, name="pool.txt") -> str:
@@ -144,6 +153,60 @@ def test_run_experiment_coup_certificates(tmp_path):
     assert lines[0] == "phase,epsilon_p,gamma_p,n_p,incumbent_name,incumbent_lcb,ledger_seconds"
     assert len(lines) == 4
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
+
+
+TRACE_COLUMNS = ("procedure",) + TraceRow._fields
+
+# every float class: nan, both infinities, signed zero, subnormals, and
+# values whose repr switches to exponent form
+FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e16, 1e22, 0.1]
+    ),
+    st.floats(),
+)
+INTS = st.one_of(st.integers(min_value=-1, max_value=10**6), st.integers(-(2**80), 2**80))
+TRACE_ROWS = st.builds(
+    TraceRow,
+    round=INTS,
+    ledger_seconds=FLOATS,
+    selected=INTS,
+    doubled=st.booleans(),
+    eps_raw=FLOATS,
+    eps_min=FLOATS,
+    survivors=INTS,
+    incumbent=INTS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(procedure=st.sampled_from(PROCEDURES), rows=st.lists(TRACE_ROWS, max_size=4))
+def test_trace_lines_match_csv_writer(procedure, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow([format_value(v) for v in (procedure, *row)])
+    rendered = "".join(trace_csv_lines(procedure, rows))
+    assert rendered == buffer.getvalue()
+    assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
+
+
+@pytest.mark.parametrize("procedure", ["bandit", "oup,x", 'o"up', ""])
+def test_trace_writer_refuses_unknown_procedure(tmp_path, monkeypatch, procedure):
+    row = TraceRow(1, 0.5, 0, False, 1.0, 1.0, 3, 0)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match="unknown procedure"):
+        _write_csv(path, TRACE_COLUMNS, trace_csv_lines(procedure, [row]))
+    assert not path.exists()
+    # the same through a whole run: no file at all is left behind
+    spec = spec_for(tmp_path)
+    result = uc.harness.execute(spec)
+    monkeypatch.setattr(
+        uc.harness, "execute", lambda spec: dataclasses.replace(result, procedure=procedure)
+    )
+    with pytest.raises(ValueError, match="unknown procedure"):
+        uc.run_experiment(spec, tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_run_experiment_validates_fields(tmp_path):

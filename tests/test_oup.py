@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -7,7 +6,7 @@ import utilcap as uc
 from utilcap.arms import ArmState, pull_arm
 from utilcap.bounds import alpha
 
-from helpers import UTILITY, a2_oracle, instrumented_oup, trace_lines
+from helpers import UTILITY, a2_oracle, a8_oracle, instrumented_oup, trace_lines
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -32,11 +31,11 @@ def test_fresh_pool_selects_lowest_index():
 def test_selection_is_argmax_with_index_tie_break():
     run = uc.OupRun(a2_oracle(0), U60, 0.1)
     for i, ucb in enumerate([0.4, 0.9, 0.7]):
-        run.arms[i].snapshot = dataclasses.replace(run.arms[i].snapshot, ucb=ucb)
+        run.arms[i].snapshot = run.arms[i].snapshot._replace(ucb=ucb)
     run.survivors = [0, 1, 2]
     run.rebuild_index()
     assert run.select_arm() == 1
-    run.arms[2].snapshot = dataclasses.replace(run.arms[2].snapshot, ucb=0.9)
+    run.arms[2].snapshot = run.arms[2].snapshot._replace(ucb=0.9)
     run.rebuild_index()
     assert run.select_arm() == 1
 
@@ -135,7 +134,7 @@ def test_elimination_is_strict_and_final():
     # with LCB 0.5, arm 2 sits level with it and survives, arm 3 falls below
     run = uc.OupRun(a2_oracle(0), U60, 0.1, pool=[0, 1, 2, 3])
     for arm, (ucb, lcb) in zip(run.arms, [(6.0, -1.0), (5.0, 0.5), (0.5, 0.0), (0.49, 0.45)]):
-        arm.snapshot = dataclasses.replace(arm.snapshot, ucb=ucb, lcb=lcb)
+        arm.snapshot = arm.snapshot._replace(ucb=ucb, lcb=lcb)
     run.rebuild_index()
     run.step()
     assert (run.trace[-1].selected, run.trace[-1].incumbent) == (0, 1)
@@ -191,6 +190,23 @@ def test_debug_bound_check_passes_through_doublings():
             reference = uc.make_snapshot(run.ctx, arm.m, arm.kappa, arm.observations(), U60)
             assert arm.snapshot == reference
     assert any(row.doubled for row in run.trace)
+
+
+@pytest.mark.parametrize("doubling", ["old", "new"])
+def test_alpha_is_computed_once_per_pull_and_once_per_doubling(monkeypatch, doubling):
+    calls = 0
+
+    def counted(ctx, m, kappa):
+        nonlocal calls
+        calls += 1
+        return alpha(ctx, m, kappa)
+
+    monkeypatch.setattr(uc.arms, "alpha", counted)
+    # the old rule first doubles after some hundreds of rounds on this pool
+    result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    doublings = sum(row.doubled for row in result.trace)
+    assert doublings > 0
+    assert calls == len(result.trace) + doublings
 
 
 # ---------------------------------------------------------------------------
