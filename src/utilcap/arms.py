@@ -79,27 +79,12 @@ class ArmState:
         self._utility_sum += value
         self._completed_count += int(obs.completed)
 
-    def recompute_snapshot(
-        self,
-        ctx: BoundContext,
-        u: UtilityFunction,
-        a: float | None = None,
-        u_k: float | None = None,
-    ) -> None:
-        """Rebuild the snapshot from the running sums.
-
-        ``a`` and ``u_k``, when given, must be ``alpha(ctx, m, kappa)`` and
-        ``u(kappa)`` at the arm's current ``m`` and ``kappa``; a pull passes
-        the ones it has already computed, so neither is computed twice.
-        """
-        if self.m == 0:
-            self.snapshot = BoundSnapshot.fresh(self.kappa)
-            return
+    def recompute_snapshot(self, a: float, u_k: float) -> None:
+        """Rebuild the snapshot of a pulled arm (``m >= 1``) from the running
+        sums, with ``a = alpha(ctx, m, kappa)`` and ``u_k = u(kappa)`` at the
+        arm's current ``m`` and ``kappa``."""
         f_hat = self._completed_count / self.m
         u_hat = self._utility_sum / self.m
-        if a is None:
-            a = alpha(ctx, self.m, self.kappa)
-            u_k = u(self.kappa)
         self.snapshot = BoundSnapshot(
             self.m,
             self.kappa,
@@ -110,6 +95,14 @@ class ArmState:
             u_hat + (1.0 - u_k) * a,
             u_hat - a - u_k * (1.0 - f_hat),
         )
+
+
+def refresh_snapshots(arms: list[ArmState], ctx: BoundContext, u: UtilityFunction) -> None:
+    """Rebuild every pulled arm's snapshot under a new ``ctx``; an arm never
+    pulled keeps its fresh snapshot, which no context enters."""
+    for arm in arms:
+        if arm.m:
+            arm.recompute_snapshot(alpha(ctx, arm.m, arm.kappa), u(arm.kappa))
 
 
 def pull_arm(
@@ -153,5 +146,5 @@ def pull_arm(
     obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
     arm._append(obs, u)
     ledger.charge(index, obs.duration)
-    arm.recompute_snapshot(ctx, u, a, u_k)
+    arm.recompute_snapshot(a, u_k)
     return doubled

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .arms import ArmState
+from .arms import ArmState, refresh_snapshots
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
 from .oup import OupRun
@@ -302,8 +302,7 @@ class CoupRun(OupRun):
         # the union bound counts the pool searched, which exceeds n_p when
         # an earlier phase needed more configurations
         self.ctx = BoundContext(n=len(self.arms), delta=self.delta, phase=self.p)
-        for arm in self.arms:
-            arm.recompute_snapshot(self.ctx, self.utility)
+        refresh_snapshots(self.arms, self.ctx, self.utility)
         self.rebuild_index()
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()

@@ -284,20 +284,11 @@ def trace_csv_lines(procedure: str, trace: Iterable[TraceRow]) -> Iterator[str]:
         raise ValueError(
             f"unknown procedure {procedure!r} in a trace; expected one of {PROCEDURES}"
         )
-    return _render_trace(procedure, trace)
-
-
-def _render_trace(procedure: str, trace: Iterable[TraceRow]) -> Iterator[str]:
-    # eps_min is a running minimum: the same float object over long runs of
-    # rows, so its repr is reused while the object stays the same
-    last = text = None
-    for round_, seconds, selected, doubled, eps_raw, eps_min, survivors, incumbent in trace:
-        if eps_min is not last:
-            last, text = eps_min, repr(eps_min)
-        yield (
-            f"{procedure},{round_},{seconds!r},{selected},"
-            f"{'true' if doubled else 'false'},{eps_raw!r},{text},{survivors},{incumbent}\n"
-        )
+    return (
+        f"{procedure},{round_},{seconds!r},{selected},"
+        f"{'true' if doubled else 'false'},{eps_raw!r},{eps_min!r},{survivors},{incumbent}\n"
+        for round_, seconds, selected, doubled, eps_raw, eps_min, survivors, incumbent in trace
+    )
 
 
 SUMMARY_COLUMNS = (

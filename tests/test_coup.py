@@ -139,6 +139,23 @@ def test_carryover_keeps_observations_and_widens_bounds():
         assert arm.snapshot.width >= width - 1e-12
 
 
+def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
+    run = make_run(seed=2)
+    run.begin_phase()
+    for _ in range(40):
+        run.phase_step()
+    run.begin_phase()
+    assert run.ctx.phase == 2
+    pulled = [arm for arm in run.arms if arm.m > 0]
+    assert pulled and len(pulled) < len(run.arms)
+    for arm in run.arms:
+        if arm.m > 0:
+            reference = uc.make_snapshot(run.ctx, arm.m, arm.kappa, arm.observations(), UTILITY)
+        else:
+            reference = uc.BoundSnapshot.fresh(arm.kappa)
+        assert arm.snapshot == reference
+
+
 def test_shrinking_requirement_keeps_pool():
     # second phase needs fewer configurations than already exist
     oracle, sampler = parametric_setup(3)
