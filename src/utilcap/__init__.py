@@ -7,9 +7,6 @@ from .bounds import (
     alpha,
     doubling_new,
     doubling_old,
-    empirical_cdf_at_cap,
-    empirical_utility,
-    make_snapshot,
 )
 from .coup import (
     CoupRun,
@@ -28,7 +25,6 @@ from .harness import (
     SpecError,
     ValidationReport,
     epsilon_vs_time_curve,
-    per_config_time_profile,
     run_experiment,
     validate_guarantee,
 )

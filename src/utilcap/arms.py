@@ -25,7 +25,7 @@ relies on that and updates one arm per round instead of rescanning the pool.
 from __future__ import annotations
 
 from .bounds import BoundContext, BoundSnapshot, alpha
-from .oracles import CappedObservation, RuntimeOracle
+from .oracles import RuntimeOracle
 from .records import CostLedger
 from .utility import UtilityFunction
 
@@ -34,10 +34,13 @@ class ArmState:
     """Mutable state for one configuration inside a run.
 
     Observations are stored per instance; ``durations[j]`` is the capped
-    runtime of instance j at the captime it was last run with.  The running
-    sums used to rebuild snapshots are maintained append-only, and rebuilt
-    left to right after a doubling's reruns, so they equal a left-to-right
-    recomputation bit for bit (tests compare them against ``make_snapshot``).
+    runtime of instance j at the captime it was last run with, and run j
+    completed exactly when ``durations[j] < kappa`` (a capped run reports the
+    captime itself).  The running sums used to rebuild snapshots are
+    maintained append-only, and rebuilt left to right after a doubling's
+    reruns, so they equal a left-to-right recomputation bit for bit (tests
+    compare them against a from-scratch reference).  Every arm starts at
+    captime 1.
     """
 
     __slots__ = (
@@ -45,7 +48,6 @@ class ArmState:
         "m",
         "kappa",
         "durations",
-        "completed",
         "utilities",
         "snapshot",
         "eliminated",
@@ -53,31 +55,16 @@ class ArmState:
         "_completed_count",
     )
 
-    def __init__(self, config: int, kappa: float = 1.0):
+    def __init__(self, config: int):
         self.config = config
         self.m = 0
-        self.kappa = kappa
+        self.kappa = 1.0
         self.durations: list[float] = []
-        self.completed: list[bool] = []
         self.utilities: list[float] = []
-        self.snapshot = BoundSnapshot.fresh(kappa)
+        self.snapshot = BoundSnapshot.fresh()
         self.eliminated = False
         self._utility_sum = 0.0
         self._completed_count = 0
-
-    def observations(self) -> list[CappedObservation]:
-        return [
-            CappedObservation(duration=d, completed=c)
-            for d, c in zip(self.durations, self.completed)
-        ]
-
-    def _append(self, obs: CappedObservation, u: UtilityFunction) -> None:
-        value = u(obs.duration)
-        self.durations.append(obs.duration)
-        self.completed.append(obs.completed)
-        self.utilities.append(value)
-        self._utility_sum += value
-        self._completed_count += int(obs.completed)
 
     def recompute_snapshot(self, a: float, u_k: float) -> None:
         """Rebuild the snapshot of a pulled arm (``m >= 1``) from the running
@@ -127,24 +114,28 @@ def pull_arm(
     # previous snapshot (0 for a fresh arm)
     doubled = bool(doubling_rule(a, u_k, arm.snapshot.f_hat))
     if doubled:
+        capped = arm.kappa
         arm.kappa *= 2.0
         for j in range(arm.m - 1):
-            if arm.completed[j]:
+            if arm.durations[j] < capped:
                 continue  # completed runs are reused, never rerun
             obs = oracle.run(arm.config, j, arm.kappa)
             arm.durations[j] = obs.duration
-            arm.completed[j] = obs.completed
             arm.utilities[j] = u(obs.duration)
+            arm._completed_count += obs.completed
             ledger.charge(index, obs.duration)
         # the reruns break the append-only sum order; rebuild left to right
         arm._utility_sum = 0.0
         for value in arm.utilities:
             arm._utility_sum += value
-        arm._completed_count = sum(1 for c in arm.completed if c)
         a = alpha(ctx, arm.m, arm.kappa)
         u_k = u(arm.kappa)
     obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
-    arm._append(obs, u)
+    value = u(obs.duration)
+    arm.durations.append(obs.duration)
+    arm.utilities.append(value)
+    arm._utility_sum += value
+    arm._completed_count += obs.completed
     ledger.charge(index, obs.duration)
     arm.recompute_snapshot(a, u_k)
     return doubled

@@ -120,9 +120,9 @@ def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> f
     )
 
 
-# the most runs a naive plan may make: at one trace row per run, 10^8 runs
-# already write more than 6 GB of trace
-NAIVE_MAX_RUNS = 10**8
+# the most runs a naive or successive-halving plan may make: at one trace row
+# per run, 10^8 runs already write more than 6 GB of trace
+MAX_PLANNED_RUNS = 10**8
 
 
 def naive_sample_count(n: int, delta: float, epsilon: float) -> int:
@@ -142,10 +142,10 @@ def naive_run(
         raise ValueError("configuration pool must not be empty")
     kappa_bar = naive_captime(utility, epsilon)
     m = naive_sample_count(n, delta, epsilon)
-    if n * m > NAIVE_MAX_RUNS:
+    if n * m > MAX_PLANNED_RUNS:
         raise ValueError(
             f"naive plans {n * m} runs ({m} per configuration), more than the "
-            f"{NAIVE_MAX_RUNS} it can finish; raise the target epsilon"
+            f"{MAX_PLANNED_RUNS} it can finish; raise the target epsilon"
         )
     ledger = CostLedger()
     trace: list[TraceRow] = []
@@ -210,6 +210,12 @@ def successive_halving(
         raise ValueError(
             f"budget {budget} is too small: one pass over the round structure "
             f"costs {sum(unit_costs)} runs"
+        )
+    planned = rate * sum(unit_costs)
+    if planned > MAX_PLANNED_RUNS:
+        raise ValueError(
+            f"sh plans {planned} runs, more than the "
+            f"{MAX_PLANNED_RUNS} it can finish; lower the budget"
         )
     ledger = CostLedger()
     trace: list[TraceRow] = []

@@ -1,4 +1,4 @@
-"""Confidence widths, empirical summaries, and captime-doubling rules.
+"""Confidence widths, bound snapshots, and captime-doubling rules.
 
 The confidence width for a configuration observed ``m`` times at captime
 ``kappa`` is
@@ -33,9 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from .oracles import CappedObservation
-from .utility import UtilityFunction
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,11 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
         raise ValueError("confidence width is undefined before the first observation")
     level = _check_kappa(kappa)
     log_term = (level + 1) ** 2
-    if ctx.phase is None:
-        arg = 11.0 * ctx.n * m * m * log_term / ctx.delta
-    else:
-        arg = 36.0 * ctx.phase * ctx.phase * ctx.n * m * m * log_term / ctx.delta
+    lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
+    arg = lead * ctx.n * m * m * log_term / ctx.delta
     if arg == math.inf:
         # a tiny delta overflows the product, though its log is modest; only
         # then is the log summed over the factors, so finite cases keep their bits
-        lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
         log_arg = (
             math.log(lead)
             + math.log(ctx.n)
@@ -93,20 +87,6 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
         )
         return math.sqrt(log_arg / (2.0 * m))
     return math.sqrt(math.log(arg) / (2.0 * m))
-
-
-def empirical_cdf_at_cap(observations: list[CappedObservation]) -> float:
-    """Fraction of runs that completed below the captime."""
-    if not observations:
-        raise ValueError("empirical completion fraction needs at least one observation")
-    return sum(1 for o in observations if o.completed) / len(observations)
-
-
-def empirical_utility(observations: list[CappedObservation], u: UtilityFunction) -> float:
-    """Mean utility of the observed (capped) durations."""
-    if not observations:
-        raise ValueError("empirical utility needs at least one observation")
-    return sum(u(o.duration) for o in observations) / len(observations)
 
 
 def doubling_old(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
@@ -160,32 +140,3 @@ class BoundSnapshot(NamedTuple):
     def width(self) -> float:
         return self.ucb - self.lcb
 
-
-def make_snapshot(
-    ctx: BoundContext,
-    m: int,
-    kappa: float,
-    observations: list[CappedObservation],
-    u: UtilityFunction,
-) -> BoundSnapshot:
-    """Recompute all bound quantities from scratch for m observations at kappa."""
-    if m == 0:
-        if observations:
-            raise ValueError("m = 0 but observations were supplied")
-        return BoundSnapshot.fresh(kappa)
-    if len(observations) != m:
-        raise ValueError(f"expected {m} observations, got {len(observations)}")
-    f_hat = empirical_cdf_at_cap(observations)
-    u_hat = empirical_utility(observations, u)
-    a = alpha(ctx, m, kappa)
-    u_k = u(kappa)
-    return BoundSnapshot(
-        m=m,
-        kappa=kappa,
-        f_hat=f_hat,
-        u_hat=u_hat,
-        alpha=a,
-        u_at_kappa=u_k,
-        ucb=u_hat + (1.0 - u_k) * a,
-        lcb=u_hat - a - u_k * (1.0 - f_hat),
-    )

@@ -429,8 +429,8 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
         ("procedure",) + TraceRow._fields,
         trace_csv_lines(result.procedure, result.trace),
     )
-    summary_lines = _quoted_lines([_summary_row(spec, result)])
-    _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, summary_lines)
+    row = _summary_row(spec, result)
+    _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, _quoted_lines([row]))
     if exhausted is not None:
         raise exhausted
     if spec.procedure == "coup":
@@ -447,7 +447,7 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
             for c in result.certificates
         ]
         _write_csv(outdir / "certificates.csv", CERTIFICATE_COLUMNS, _quoted_lines(rows))
-    summary = dict(zip(SUMMARY_COLUMNS, _summary_row(spec, result)))
+    summary = dict(zip(SUMMARY_COLUMNS, row))
     summary["outdir"] = str(outdir)
     return summary
 
@@ -485,15 +485,6 @@ def epsilon_vs_time_curve(runs: list[tuple[dict, list[TraceRow]]]) -> list[tuple
             last = row.eps_min
             rows.append((summary["procedure"], row.ledger_seconds, row.eps_min))
     return rows
-
-
-def per_config_time_profile(ledger, names: list[str], true_utilities: list[float]) -> list[tuple]:
-    """Seconds spent per configuration, best true utility first."""
-    order = sorted(range(len(names)), key=lambda i: (-true_utilities[i], i))
-    return [
-        (names[i], true_utilities[i], ledger.per_config_seconds.get(i, 0.0))
-        for i in order
-    ]
 
 
 # ---------------------------------------------------------------------------

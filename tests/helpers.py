@@ -5,7 +5,9 @@ ground truth, recording everything the behavioral assertions need: whether
 the confidence bands held at every round (a clean execution), the first
 round at which each arm's width-plus-capping term fell below its true gap,
 every selection, and the soundness of the anytime guarantee.  ``scan`` is the
-full pass over the survivors that the engine's bound index must agree with.
+full pass over the survivors that the engine's bound index must agree with,
+and ``make_snapshot`` the from-scratch recomputation that an arm's running
+sums must agree with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import utilcap as uc
-from utilcap.bounds import alpha
+from utilcap.bounds import BoundContext, BoundSnapshot, alpha
+from utilcap.oracles import CappedObservation
 from utilcap.records import format_value
 
 TOL = 1e-9
@@ -196,3 +199,53 @@ def scan(arms, indices) -> tuple[int, int, float]:
     if best_ucb is None or best_lcb is None:
         raise ValueError("no arms to scan")
     return best_ucb, best_lcb, top_ucb - top_lcb
+
+
+def observations(arm) -> list[CappedObservation]:
+    """An arm's stored runs as observations: a run completed exactly when its
+    duration is below the arm's captime."""
+    return [CappedObservation(d, d < arm.kappa) for d in arm.durations]
+
+
+def empirical_cdf_at_cap(observations: list[CappedObservation]) -> float:
+    """Fraction of runs that completed below the captime."""
+    if not observations:
+        raise ValueError("empirical completion fraction needs at least one observation")
+    return sum(1 for o in observations if o.completed) / len(observations)
+
+
+def empirical_utility(observations: list[CappedObservation], u) -> float:
+    """Mean utility of the observed (capped) durations."""
+    if not observations:
+        raise ValueError("empirical utility needs at least one observation")
+    return sum(u(o.duration) for o in observations) / len(observations)
+
+
+def make_snapshot(
+    ctx: BoundContext,
+    m: int,
+    kappa: float,
+    observations: list[CappedObservation],
+    u,
+) -> BoundSnapshot:
+    """Recompute all bound quantities from scratch for m observations at kappa."""
+    if m == 0:
+        if observations:
+            raise ValueError("m = 0 but observations were supplied")
+        return BoundSnapshot.fresh(kappa)
+    if len(observations) != m:
+        raise ValueError(f"expected {m} observations, got {len(observations)}")
+    f_hat = empirical_cdf_at_cap(observations)
+    u_hat = empirical_utility(observations, u)
+    a = alpha(ctx, m, kappa)
+    u_k = u(kappa)
+    return BoundSnapshot(
+        m=m,
+        kappa=kappa,
+        f_hat=f_hat,
+        u_hat=u_hat,
+        alpha=a,
+        u_at_kappa=u_k,
+        ucb=u_hat + (1.0 - u_k) * a,
+        lcb=u_hat - a - u_k * (1.0 - f_hat),
+    )

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 import utilcap as uc
-from utilcap.bounds import BoundContext, make_snapshot
+from utilcap.bounds import BoundContext
 from utilcap.cli import main
 from utilcap.oracles import CappedObservation
 from utilcap.rng import UniformStream
@@ -26,6 +26,7 @@ from helpers import (
     a3_oracle,
     a8_oracle,
     instrumented_oup,
+    make_snapshot,
     parametric_setup,
     phase_one_engine,
     trace_lines,

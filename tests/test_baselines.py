@@ -126,9 +126,9 @@ def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):
     # the cap admits a plan of exactly its size and refuses one run more;
     # test_bad_spec_exits_two checks the real cap end to end
     planned = 3 * uc.baselines.naive_sample_count(3, 0.1, 0.4)
-    monkeypatch.setattr(uc.baselines, "NAIVE_MAX_RUNS", planned)
+    monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", planned)
     assert uc.naive_run(small_oracle(5), U60, 0.4, 0.1).ledger.run_count == planned
-    monkeypatch.setattr(uc.baselines, "NAIVE_MAX_RUNS", planned - 1)
+    monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", planned - 1)
     with pytest.raises(ValueError, match=f"naive plans {planned} runs"):
         uc.naive_run(small_oracle(5), U60, 0.4, 0.1)
 
@@ -176,6 +176,17 @@ def test_halving_budget_too_small():
     oracle = small_oracle()
     with pytest.raises(ValueError, match="too small"):
         uc.successive_halving(oracle, U60, budget=3, eta=2, kappa=8.0)
+
+
+def test_halving_refuses_a_plan_it_cannot_finish(monkeypatch):
+    # the cap admits a plan of exactly its size and refuses one run more;
+    # test_bad_spec_exits_two checks the real cap end to end
+    oracle = uc.SyntheticOracle([uc.TwoPoint(t, t, 1.0) for t in (10.0, 2.0, 30.0, 20.0)], seed=0)
+    monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", 16)
+    assert uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0).ledger.run_count == 16
+    monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", 15)
+    with pytest.raises(ValueError, match="sh plans 16 runs"):
+        uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0)
 
 
 def test_halving_ledger_charges_capped_durations():

@@ -12,10 +12,9 @@ from utilcap import (
     alpha,
     doubling_new,
     doubling_old,
-    empirical_cdf_at_cap,
-    empirical_utility,
-    make_snapshot,
 )
+
+from helpers import empirical_cdf_at_cap, empirical_utility, make_snapshot
 
 CTX10 = BoundContext(n=10, delta=0.1)
 

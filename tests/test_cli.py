@@ -215,8 +215,9 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:kappa0=60,a=nan")),
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "uniform:kappa0=inf")),
         ("run", "sh", "budget:64", ("--seed", "3", "--sh-kappa", "nan")),
-        # a plan of about 10^19 runs
+        # plans of about 10^19 and 10^18 runs
         ("run", "naive", "epsilon:1e-9", ("--seed", "3")),
+        ("run", "sh", "budget:1e18", ("--seed", "3")),
     ],
     ids=[
         "unknown_schedule",
@@ -241,6 +242,7 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         "utility_kappa0_infinite",
         "sh_kappa_nan",
         "naive_plan_too_large",
+        "sh_plan_too_large",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):

@@ -9,6 +9,8 @@ from helpers import (
     UTILITY,
     NoElimination,
     a2_oracle,
+    make_snapshot,
+    observations,
     parametric_setup,
     phase_one_engine,
     trace_lines,
@@ -150,7 +152,7 @@ def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
     assert pulled and len(pulled) < len(run.arms)
     for arm in run.arms:
         if arm.m > 0:
-            reference = uc.make_snapshot(run.ctx, arm.m, arm.kappa, arm.observations(), UTILITY)
+            reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), UTILITY)
         else:
             reference = uc.BoundSnapshot.fresh(arm.kappa)
         assert arm.snapshot == reference

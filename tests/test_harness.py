@@ -304,17 +304,6 @@ def test_curve_rejects_mismatched_runs(tmp_path):
         uc.epsilon_vs_time_curve([_read_run_dir(tmp_path / "a"), _read_run_dir(tmp_path / "b")])
 
 
-def test_per_config_profile_sorted_by_truth(tmp_path):
-    oracle, _ = build_oracle(spec_for(tmp_path).oracle, seed=3)
-    result = uc.OupRun(oracle, UTILITY, 0.1, doubling="new").run_until(uc.TargetEpsilon(0.4))
-    names = [oracle.name(c) for c in range(oracle.n_configs)]
-    truths = oracle.true_utilities(UTILITY)
-    profile = uc.per_config_time_profile(result.ledger, names, truths)
-    listed = [row[1] for row in profile]
-    assert listed == sorted(listed, reverse=True)
-    assert sum(row[2] for row in profile) == pytest.approx(result.ledger.total_seconds)
-
-
 def test_greedy_concentrates_time_on_the_good_arm():
     oracle = uc.SyntheticOracle(
         [uc.TwoPoint(0.1, 5.0, 0.9), uc.TwoPoint(0.1, 5.0, 0.05)], seed=1

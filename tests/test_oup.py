@@ -6,7 +6,15 @@ import utilcap as uc
 from utilcap.arms import ArmState, pull_arm
 from utilcap.bounds import alpha
 
-from helpers import UTILITY, a2_oracle, a8_oracle, instrumented_oup, trace_lines
+from helpers import (
+    UTILITY,
+    a2_oracle,
+    a8_oracle,
+    instrumented_oup,
+    make_snapshot,
+    observations,
+    trace_lines,
+)
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -62,20 +70,26 @@ def test_doubling_refreshes_only_capped_observations():
     arm = ArmState(0)
     never = lambda a, u_k, f: False
     always = lambda a, u_k, f: True
-    while arm.m < 3 or sum(arm.completed) != 1:
+    while arm.m < 3 or sum(d < arm.kappa for d in arm.durations) != 1:
         if arm.m >= 3:
             arm = ArmState(0)
             oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=oracle.seed + 1)
         pull_arm(arm, ctx, U60, oracle, never, ledger, 0)
     kappa_before = arm.kappa
+    durations_before = list(arm.durations)
     runs_before = ledger.run_count
     doubled = pull_arm(arm, ctx, U60, oracle, always, ledger, 0)
     assert doubled
     assert arm.kappa == 2 * kappa_before
     assert ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
-    # refreshed capped observations sit exactly at the new captime or resolve
-    for d, c in zip(arm.durations, arm.completed):
-        assert c or d == arm.kappa
+    # completed runs are reused verbatim; a refreshed capped run resolves
+    # between the two captimes or sits exactly at the new one
+    for before, after in zip(durations_before, arm.durations):
+        if before < kappa_before:
+            assert after == before
+        else:
+            assert kappa_before <= after <= arm.kappa
+    assert arm.snapshot.f_hat == sum(d < arm.kappa for d in arm.durations) / arm.m
 
 
 def test_doubling_condition_sees_incremented_count():
@@ -181,13 +195,19 @@ def test_ledger_matches_step_reports():
     )
 
 
-def test_debug_bound_check_passes_through_doublings():
-    # the running sums must equal a from-scratch recomputation bit for bit
-    run = uc.OupRun(a2_oracle(5), U60, 0.1, doubling="new")
+@pytest.mark.parametrize("doubling", ["old", "new"])
+@pytest.mark.parametrize("engine", [uc.OupRun, uc.UpRun])
+def test_running_sums_match_a_from_scratch_recomputation(engine, doubling):
+    # the running sums, and the completions the oracle counted, must equal a
+    # recomputation from the stored durations alone, bit for bit; every arm
+    # of this pool caps often at captime 1, so both rules double within 300
+    # rounds
+    oracle = uc.SyntheticOracle([uc.Exponential(m) for m in (3.0, 8.0, 30.0)], seed=5)
+    run = engine(oracle, U60, 0.1, doubling=doubling)
     for _ in range(300):
         run.step()
         for arm in run.arms:
-            reference = uc.make_snapshot(run.ctx, arm.m, arm.kappa, arm.observations(), U60)
+            reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), U60)
             assert arm.snapshot == reference
     assert any(row.doubled for row in run.trace)
 
