@@ -52,14 +52,9 @@ class BoundContext:
             raise ValueError(f"phase index must be at least 1, got {self.phase}")
 
 
-def _check_kappa(kappa: float) -> float:
-    """Captimes must sit on the doubling grid 1, 2, 4, ...; returns log2(kappa)."""
-    if kappa < 1:
-        raise ValueError(f"captime must be at least 1, got {kappa}")
-    level = math.log2(kappa)
-    if 2.0 ** round(level) != kappa:
-        raise ValueError(f"captime must be a power of two, got {kappa}")
-    return round(level)
+# captimes live on the doubling grid 1, 2, 4, ..., up to the largest finite
+# power of two; a width looks its captime's level up here on every pull
+_GRID_LEVELS = {2.0**level: level for level in range(1024)}
 
 
 def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
@@ -71,7 +66,9 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
     """
     if m < 1:
         raise ValueError("confidence width is undefined before the first observation")
-    level = _check_kappa(kappa)
+    level = _GRID_LEVELS.get(kappa)
+    if level is None:
+        raise ValueError(f"captime must be a power of two and at least 1, got {kappa}")
     log_term = (level + 1) ** 2
     lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
     arg = lead * ctx.n * m * m * log_term / ctx.delta

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import UpRun, naive_run, successive_halving
+from .baselines import MAX_PLANNED_RUNS, UpRun, naive_run, successive_halving
 from .coup import (
     CoupRun,
     FinitePoolSampler,
@@ -98,6 +98,18 @@ def _epsilon(value: str) -> TargetEpsilon:
     return TargetEpsilon(epsilon)
 
 
+def _rounds(value: str) -> MaxRounds:
+    # every round makes at least one run, so a round count past the cap on
+    # planned runs would never finish either
+    rounds = int(value)
+    if rounds > MAX_PLANNED_RUNS:
+        raise SpecError(
+            f"rounds:{rounds} plans at least {rounds} runs, more than the "
+            f"{MAX_PLANNED_RUNS} a run can finish; lower the round count"
+        )
+    return MaxRounds(rounds)
+
+
 def parse_stop(text: str, procedure: str):
     name, _, value = text.partition(":")
     name = name.strip()
@@ -118,7 +130,7 @@ def parse_stop(text: str, procedure: str):
             if name == "single_survivor":
                 return SingleSurvivor()
             if name == "rounds" and int(value) >= 1:
-                return MaxRounds(int(value))
+                return _rounds(value)
             raise SpecError(
                 f"stop rule for {procedure} must be epsilon:X, budget:SECONDS, "
                 f"single_survivor or rounds:N (N >= 1), got {text!r}"

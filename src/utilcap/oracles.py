@@ -21,8 +21,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 from .rng import RUNTIME_STREAM, UniformStream, seeded_permutation
 from .utility import UtilityFunction
@@ -72,6 +70,24 @@ class CappedObservation(NamedTuple):
 # ---------------------------------------------------------------------------
 # Runtime distributions with closed-form ground truth
 # ---------------------------------------------------------------------------
+
+# scipy takes most of the start-up time and only lognormal draws and ground
+# truth use it, so it is imported on first use.  Each stand-in below rebinds
+# its global to the scipy ufunc, so later calls go straight to the ufunc.
+
+
+def ndtri(p):
+    global ndtri
+    from scipy.special import ndtri
+
+    return ndtri(p)
+
+
+def ndtr(x):
+    global ndtr
+    from scipy.special import ndtr
+
+    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -164,6 +180,8 @@ _QUAD_ABS_TOL = 1e-12  # target for each quadrature piece; well under the 1e-9 c
 
 def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa: float) -> float:
     """E[u(min(t, kappa))] by closed form (atoms) or adaptive quadrature."""
+    from scipy import integrate
+
     if kappa <= 0:
         raise ValueError(f"captime must be positive, got {kappa}")
     if not isinstance(dist, (Exponential, LogNormal, TwoPoint)):

@@ -61,6 +61,21 @@ def test_alpha_rejects_m_zero_and_bad_kappa():
         alpha(CTX10, 5, 3.0)
 
 
+def test_alpha_reads_every_level_of_the_doubling_grid():
+    # log2 of each captime from 1 to the largest finite power of two, as
+    # the formula writes it
+    ctx = BoundContext(n=5, delta=0.25)
+    for level in range(1024):
+        kappa = 2.0**level
+        log_term = (math.log2(kappa) + 1) ** 2
+        assert alpha(ctx, 7, kappa) == math.sqrt(
+            math.log(11.0 * 5 * 7 * 7 * log_term / 0.25) / 14
+        )
+    for kappa in (0.0, -1.0, 0.5, 3.0, 1.0 + 2**-52, 2.0**10 + 1, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            alpha(ctx, 7, kappa)
+
+
 def test_first_pull_width_exceeds_one():
     # on a fresh pool the width cannot certify anything: alpha(1, 1) > 1
     # whenever delta <= 0.5 and n >= 2

@@ -1,5 +1,10 @@
 import contextlib
+import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +223,9 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         # plans of about 10^19 and 10^18 runs
         ("run", "naive", "epsilon:1e-9", ("--seed", "3")),
         ("run", "sh", "budget:1e18", ("--seed", "3")),
+        # every round makes a run, so 10^12 rounds is a plan of 10^12 runs
+        ("run", "oup", "rounds:1000000000000", ("--seed", "3")),
+        ("run", "up", "rounds:1000000000000", ("--seed", "3")),
     ],
     ids=[
         "unknown_schedule",
@@ -243,6 +251,8 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
         "sh_kappa_nan",
         "naive_plan_too_large",
         "sh_plan_too_large",
+        "oup_rounds_too_large",
+        "up_rounds_too_large",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -267,3 +277,39 @@ def test_tiny_delta_run_ends(tmp_path):
         assert main(args) == 0
     _, row = (out / "summary.csv").read_text().splitlines()
     assert row.endswith(",17654,target_epsilon")  # rounds, stop reason
+
+
+# Runs in a fresh interpreter; prints whether scipy is loaded after the
+# import, after a coup run on a parametric pool and after an oup run on a
+# lognormal pool.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from utilcap.cli import main
+
+def loaded_after(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", *args, "--seed", "1", "--delta", "0.1"]) == 0
+    return "scipy" in sys.modules
+
+print(json.dumps([
+    "scipy" in sys.modules,
+    loaded_after("--procedure", "coup", "--oracle", "synthetic:parametric.txt",
+                 "--stop", "phases:3", "--out", "coup"),
+    loaded_after("--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
+                 "--stop", "rounds:20", "--out", "lognormal"),
+]))
+"""
+
+
+def test_scipy_loads_only_for_lognormal_runs(tmp_path):
+    # other tests import scipy into this process, so a fresh one is asked
+    (tmp_path / "parametric.txt").write_text("family=parametric_exponential\nparams=0.1,10000\n")
+    (tmp_path / "lognormal.txt").write_text("family=lognormal\nparams=0.0,1.0;1.5,0.8\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("UTILCAP_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]

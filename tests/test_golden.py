@@ -9,9 +9,10 @@ behaviour, and say why in the change:
     PYTHONPATH=src python tests/test_golden.py
 
 The grid covers all five procedures, two seeds and both doubling rules, a
-matrix oracle run to instance exhaustion (partial outputs), a coup run
-whose budget is too small to certify (incumbent -1, eps nan), and coup runs
-under two more schedules and over a finite pool sampled with replacement.
+matrix oracle run to instance exhaustion (partial outputs), an oup run on
+lognormal runtimes (the scipy inverse CDF), a coup run whose budget is too
+small to certify (incumbent -1, eps nan), and coup runs under two more
+schedules and over a finite pool sampled with replacement.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import utilcap as uc
 
 POOL = "family=exponential\nparams=1.0;5.0;20.0;60.0;200.0\nn_configs=5\n"
 PARAMETRIC = "family=parametric_exponential\nparams=0.1,10000\n"
+# runtimes through the lognormal inverse CDF, the only draw that needs scipy
+LOGNORMAL = "family=lognormal\nparams=0.0,1.0;1.5,0.8;2.5,1.2;3.5,0.5\n"
 # 3 configurations by 6 instances: oup runs out of columns before eps 0.01
 MATRIX = "a,0.5,3,0.25,8,1,2\nb,4,40,2,90,7,3\nc,20,1,60,300,5,150\n"
 
@@ -66,6 +69,14 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
         ),
     ))
     cells.append((
+        "oup_lognormal",
+        uc.ExperimentSpec(
+            procedure="oup", oracle="synthetic:lognormal.txt",
+            utility="loglaplace:kappa0=60,a=1", stop="epsilon:0.3", seed=1, delta=0.1,
+            doubling="new",
+        ),
+    ))
+    cells.append((
         "coup_budget_uncertified",
         uc.ExperimentSpec(
             procedure="coup", oracle="synthetic:parametric.txt",
@@ -93,6 +104,7 @@ def digests(workdir: Path) -> dict[str, dict[str, str]]:
     """Run the grid inside ``workdir`` and digest every CSV each cell wrote."""
     (workdir / "pool.txt").write_text(POOL)
     (workdir / "parametric.txt").write_text(PARAMETRIC)
+    (workdir / "lognormal.txt").write_text(LOGNORMAL)
     (workdir / "m.csv").write_text(MATRIX)
     out = {}
     for name, spec in grid():
@@ -165,6 +177,10 @@ EXPECTED: dict[str, dict[str, str]] = {
     'naive_old_seed2': {
         'summary.csv': '1ee08d46515f19825f6feeda9aa236b604181902b572bd3006d87b6952d25d8d',
         'trace.csv': 'abff949ee7f1bd6288fcd4fba6553f8289d9d77a565c6c619a59f00832e844f7',
+    },
+    'oup_lognormal': {
+        'summary.csv': '2864de9a43255e95b0fb104df834c2e967121518c86c3acbb466eebb6ecf05e9',
+        'trace.csv': '80d7feda88cdfe38020d623e70bf4d4e8f8ea33807266acd792eb42176b8defd',
     },
     'oup_matrix_exhausted': {
         'summary.csv': '8fc77cbffd4e72951b954fd27e78cc63e4b53589aab4ff86a725d5011e247e90',

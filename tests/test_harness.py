@@ -101,6 +101,8 @@ def test_parse_stop_rules():
     assert parse_stop("budget:100", "up") == uc.BudgetSeconds(100.0)
     assert parse_stop("single_survivor", "oup") == uc.SingleSurvivor()
     assert parse_stop("rounds:50", "up") == uc.MaxRounds(50)
+    # every round makes a run, so the round cap is the plan cap of naive and sh
+    assert parse_stop("rounds:100000000", "oup") == uc.MaxRounds(10**8)
     assert parse_stop("phases:3", "coup") == uc.MaxPhases(3)
     assert parse_stop("budget:1e6", "coup") == uc.BudgetSeconds(1e6)
     for text, procedure in [
@@ -110,6 +112,7 @@ def test_parse_stop_rules():
         ("epsilon:0.2", "sh"),
         ("epsilon:abc", "oup"),
         ("epsilon:0.2", "hyperband"),
+        ("rounds:100000001", "oup"),
     ]:
         with pytest.raises(SpecError):
             parse_stop(text, procedure)
