@@ -210,8 +210,12 @@ class ParametricSampler:
 
 def exponential_mean_map(scale: float, growth: float):
     """theta in [0, 1] -> exponential runtimes with mean scale * growth^theta."""
-    if scale <= 0 or growth <= 1:
-        raise ValueError("scale must be positive and growth above 1")
+    # the largest mean, at theta = 1, must be finite too
+    if not (0 < scale < math.inf and 1 < growth < math.inf and scale * growth < math.inf):
+        raise ValueError(
+            f"scale must be positive and growth above 1, with a finite product; "
+            f"got scale={scale}, growth={growth}"
+        )
     return lambda theta: Exponential(mean=scale * growth ** theta)
 
 

@@ -15,6 +15,7 @@ expected utilities for use as ground truth in tests and validators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,8 +96,8 @@ class Exponential:
     mean: float
 
     def __post_init__(self):
-        if self.mean <= 0:
-            raise ValueError(f"exponential mean must be positive, got {self.mean}")
+        if not 0 < self.mean < math.inf:
+            raise ValueError(f"exponential mean must be positive and finite, got {self.mean}")
 
     def runtime_from_uniform(self, v: float) -> float:
         return -self.mean * math.log1p(-v)
@@ -120,8 +121,10 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"lognormal sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"lognormal mu must be finite, got {self.mu}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"lognormal sigma must be positive and finite, got {self.sigma}")
 
     def runtime_from_uniform(self, v: float) -> float:
         return math.exp(self.mu + self.sigma * ndtri(v)) if v > 0.0 else 0.0
@@ -152,8 +155,11 @@ class TwoPoint:
     p_fast: float
 
     def __post_init__(self):
-        if self.t_fast < 0 or self.t_slow < 0:
-            raise ValueError("two-point runtimes must be nonnegative")
+        if not (0 <= self.t_fast < math.inf and 0 <= self.t_slow < math.inf):
+            raise ValueError(
+                f"two-point runtimes must be finite and nonnegative, "
+                f"got {self.t_fast} and {self.t_slow}"
+            )
         if not 0.0 <= self.p_fast <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {self.p_fast}")
 
@@ -180,8 +186,6 @@ _QUAD_ABS_TOL = 1e-12  # target for each quadrature piece; well under the 1e-9 c
 
 def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa: float) -> float:
     """E[u(min(t, kappa))] by closed form (atoms) or adaptive quadrature."""
-    from scipy import integrate
-
     if kappa <= 0:
         raise ValueError(f"captime must be positive, got {kappa}")
     if not isinstance(dist, (Exponential, LogNormal, TwoPoint)):
@@ -193,6 +197,8 @@ def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa
             dist.p_fast * u(min(dist.t_fast, kappa))
             + (1.0 - dist.p_fast) * u(min(dist.t_slow, kappa))
         )
+    from scipy import integrate
+
     kink = u.kappa0
 
     def integrand(t: float) -> float:
@@ -210,12 +216,17 @@ def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa
     return body + u(kappa) * survival
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def true_capped_utility(
     dist: RuntimeDistribution, u: UtilityFunction, kappa: float
 ) -> tuple[float, float]:
     """Exact (capped expected utility, completion probability) at ``kappa``.
 
     ``kappa = inf`` yields the uncapped expected utility and probability 1.
+    Distributions and utilities are frozen dataclasses, so the result is
+    cached by value: every trial of a validation asks for the same truths,
+    such as a parametric space's quantile at each phase's ``gamma_p``.  The
+    bound keeps a pool of up to 16,384 configurations in the cache.
     """
     return expected_capped_utility(dist, u, kappa), dist.completion_probability(kappa)
 
@@ -342,7 +353,6 @@ class SyntheticOracle:
         self.seed = int(seed)
         self._dists: list[RuntimeDistribution] = list(distributions)
         self._streams: dict[int, UniformStream] = {}
-        self._truth_cache: dict = {}
 
     @property
     def n_configs(self) -> int:
@@ -375,12 +385,7 @@ class SyntheticOracle:
     def true_capped_utility(
         self, config: int, u: UtilityFunction, kappa: float
     ) -> tuple[float, float]:
-        key = (config, u, kappa)
-        cached = self._truth_cache.get(key)
-        if cached is None:
-            cached = true_capped_utility(self._dists[config], u, kappa)
-            self._truth_cache[key] = cached
-        return cached
+        return true_capped_utility(self._dists[config], u, kappa)
 
     def true_utility(self, config: int, u: UtilityFunction) -> float:
         return self.true_capped_utility(config, u, math.inf)[0]

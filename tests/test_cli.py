@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from utilcap.cli import main
+from utilcap import cli, harness
+from utilcap.cli import build_parser, main
 
 POOL = "family=exponential\nparams=1.0;50.0;150.0\nn_configs=3\nseed=0\n"
 
@@ -181,6 +182,17 @@ def test_env_var_sets_sweep_base_directory(tmp_path, pool_path, monkeypatch):
         ("family=exponential\nparams=1.0;2.0\nn_configs=two\n", "oup", "epsilon:0.4"),
         ("family=parametric_exponential\nparams=0.1,abc\n", "coup", "phases:1"),
         ("family=parametric_exponential\nparams=0.1,0.5\n", "coup", "phases:1"),
+        # non-finite parameters, one family at a time
+        ("family=exponential\nparams=nan;2.0\n", "oup", "epsilon:0.4"),
+        ("family=exponential\nparams=inf;2.0\n", "oup", "epsilon:0.4"),
+        ("family=lognormal\nparams=1.0,nan;2.0,1.0\n", "oup", "epsilon:0.4"),
+        ("family=lognormal\nparams=inf,1.0;2.0,1.0\n", "oup", "epsilon:0.4"),
+        ("family=twopoint\nparams=nan,5,0.5\n", "oup", "epsilon:0.4"),
+        ("family=twopoint\nparams=1,inf,0.5\n", "oup", "epsilon:0.4"),
+        ("family=parametric_exponential\nparams=nan,5\n", "coup", "phases:1"),
+        ("family=parametric_exponential\nparams=0.1,nan\n", "coup", "phases:1"),
+        # finite, but the largest mean, scale * growth, overflows
+        ("family=parametric_exponential\nparams=1e300,1e300\n", "coup", "phases:1"),
     ],
 )
 def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
@@ -192,6 +204,78 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "Traceback" not in err
+
+
+VALIDATE = ("validate", "--trials", "2", "--procedure", "oup", "--oracle", "synthetic:x",
+            "--stop", "epsilon:0.4")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_jobs_must_be_a_positive_integer(value, capsys):
+    # parsing only: no worker is ever started for these values
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args([*VALIDATE, "--jobs", value])
+    assert exited.value.code == 2
+    assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
+
+
+def test_jobs_defaults_to_every_usable_cpu():
+    assert build_parser().parse_args(VALIDATE).jobs is None
+
+
+def validate_output(monkeypatch, capsys, args, jobs):
+    """(exit code, stdout, stderr, report) of one validate command."""
+    reports = []
+    real = harness.validate_guarantee
+
+    def capture(*a, **kw):
+        reports.append(real(*a, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "validate_guarantee", capture)
+    code = main(["validate", *args, "--jobs", str(jobs)])
+    out, err = capsys.readouterr()
+    return code, out, err, reports
+
+
+@pytest.mark.parametrize(
+    "body, args",
+    [
+        (
+            "family=lognormal\nparams=0.0,1.0;1.5,0.8;1.0,0.5;2.0,0.7\n",
+            ("--procedure", "oup", "--stop", "epsilon:0.3", "--trials", "8"),
+        ),
+        (
+            "family=parametric_exponential\nparams=0.1,10000\n",
+            ("--procedure", "coup", "--stop", "phases:3", "--delta", "0.05", "--trials", "4"),
+        ),
+        (
+            # phase 1 needs more configurations than the pool has
+            "family=exponential\nparams=1.0;2.0;3.0\n",
+            ("--procedure", "coup", "--stop", "phases:3", "--without-replacement",
+             "--trials", "4"),
+        ),
+    ],
+    ids=["oup_lognormal", "coup_parametric", "coup_pool_exhausted"],
+)
+def test_validate_output_does_not_depend_on_jobs(tmp_path, monkeypatch, capsys, body, args):
+    path = tmp_path / "pool.txt"
+    path.write_text(body)
+    args = ("--oracle", f"synthetic:{path}", "--doubling", "new", "--base-seed", "7", *args)
+    # two workers even on a one-CPU machine
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    with time_limit(30.0):
+        serial = validate_output(monkeypatch, capsys, args, 1)
+        parallel = validate_output(monkeypatch, capsys, args, 2)
+    assert serial == parallel
+    code, out, err, reports = serial
+    if "--without-replacement" in args:
+        assert (code, out, reports) == (2, "", [])
+        assert err.startswith("spec error: cannot grow the pool") and err.count("\n") == 1
+    else:
+        assert code == 0 and "violations" in out
+        (report,) = reports
+        assert report.trials == len({entry[0] for entry in report.details})
 
 
 @pytest.mark.parametrize(
@@ -279,24 +363,28 @@ def test_tiny_delta_run_ends(tmp_path):
     assert row.endswith(",17654,target_epsilon")  # rounds, stop reason
 
 
-# Runs in a fresh interpreter; prints whether scipy is loaded after the
-# import, after a coup run on a parametric pool and after an oup run on a
-# lognormal pool.
+# Runs in a fresh interpreter; prints which of scipy and the process-pool
+# modules are loaded after the import, after a coup run on a parametric
+# pool, after a serial validate on a two-point pool and after an oup run on
+# a lognormal pool.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from utilcap.cli import main
 
 def loaded_after(*args):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", *args, "--seed", "1", "--delta", "0.1"]) == 0
-    return "scipy" in sys.modules
+    if args:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args, "--delta", "0.1"]) == 0
+    return [m for m in ("scipy", "multiprocessing", "concurrent.futures") if m in sys.modules]
 
 print(json.dumps([
-    "scipy" in sys.modules,
-    loaded_after("--procedure", "coup", "--oracle", "synthetic:parametric.txt",
-                 "--stop", "phases:3", "--out", "coup"),
-    loaded_after("--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
-                 "--stop", "rounds:20", "--out", "lognormal"),
+    loaded_after(),
+    loaded_after("run", "--procedure", "coup", "--oracle", "synthetic:parametric.txt",
+                 "--stop", "phases:3", "--seed", "1", "--out", "coup"),
+    loaded_after("validate", "--procedure", "oup", "--oracle", "synthetic:twopoint.txt",
+                 "--stop", "epsilon:0.4", "--trials", "4", "--jobs", "1"),
+    loaded_after("run", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
+                 "--stop", "rounds:20", "--seed", "1", "--out", "lognormal"),
 ]))
 """
 
@@ -304,6 +392,7 @@ print(json.dumps([
 def test_scipy_loads_only_for_lognormal_runs(tmp_path):
     # other tests import scipy into this process, so a fresh one is asked
     (tmp_path / "parametric.txt").write_text("family=parametric_exponential\nparams=0.1,10000\n")
+    (tmp_path / "twopoint.txt").write_text("family=twopoint\nparams=1,30,0.9;2,100,0.5\n")
     (tmp_path / "lognormal.txt").write_text("family=lognormal\nparams=0.0,1.0;1.5,0.8\n")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     env.pop("UTILCAP_OUT", None)
@@ -312,4 +401,8 @@ def test_scipy_loads_only_for_lognormal_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, True]
+    imported, coup, validate, lognormal = json.loads(proc.stdout.splitlines()[-1])
+    # a serial validate starts no pool, and ground truth for a two-point
+    # pool is closed-form, so it loads none of them
+    assert imported == coup == validate == []
+    assert "scipy" in lognormal and "multiprocessing" not in lognormal

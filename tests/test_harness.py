@@ -17,6 +17,7 @@ from utilcap.harness import (
     output_directory,
     parse_stop,
     trace_csv_lines,
+    worker_count,
 )
 from utilcap.records import TraceRow, format_value
 
@@ -349,6 +350,39 @@ def test_validate_guarantee_coup_per_phase(tmp_path):
     report = uc.validate_guarantee(spec, trials=10)
     assert set(report.per_phase_rates) == {1, 2}
     assert report.ok
+
+
+def test_worker_count_clamps_to_cpus_and_trials():
+    assert worker_count(None, 100, 2) == 2
+    assert worker_count(64, 100, 2) == 2
+    assert worker_count(1, 100, 2) == 1
+    assert worker_count(None, 1, 8) == 1
+    assert worker_count(10**9, 3, 8) == 3
+
+
+def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
+    from utilcap import harness, oracles
+
+    space = "family=parametric_exponential\nparams=0.1,10000\n"
+    oracle = write_pool(tmp_path, space, name="space.txt")
+    spec = spec_for(tmp_path, procedure="coup", oracle=oracle, stop="phases:3", delta=0.05)
+    make = uc.exponential_mean_map(0.1, 10000.0)
+    schedule = uc.Schedule.from_spec(spec.schedule)
+    quantiles = {make(schedule.at(p)[1]) for p in (1, 2, 3)}
+    computed = []
+    quadrature = oracles.expected_capped_utility
+
+    def counted(dist, u, kappa):
+        computed.append(dist)
+        return quadrature(dist, u, kappa)
+
+    monkeypatch.setattr(oracles, "expected_capped_utility", counted)
+    oracles.true_capped_utility.cache_clear()
+    harness._trial(dataclasses.replace(spec, seed=0))
+    assert quantiles <= set(computed)
+    computed.clear()
+    harness._trial(dataclasses.replace(spec, seed=1))
+    assert computed and not quantiles & set(computed)
 
 
 def test_validate_guarantee_requires_synthetic(tmp_path):
