@@ -72,16 +72,6 @@ def _spec_from_args(args, procedure: str, seed: int) -> ExperimentSpec:
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
 def _parse_seeds(text: str) -> list[int]:
     lo, sep, hi = text.partition(":")
     try:
@@ -157,7 +147,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     spec = _spec_from_args(args, args.procedure, args.base_seed)
-    report = validate_guarantee(spec, args.trials, base_seed=args.base_seed, jobs=args.jobs)
+    report = validate_guarantee(spec, args.trials, base_seed=args.base_seed)
     bound = args.max_failure_rate if args.max_failure_rate is not None else report.bound
     print(
         f"{report.procedure}: {report.failures}/{report.trials} violations "
@@ -215,13 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="override the delta-plus-margin failure bound (operational use)",
-    )
-    p_val.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for the trials (default: every usable CPU); at most "
-        "one per CPU and one per trial; the output does not depend on it",
     )
     p_val.set_defaults(func=cmd_validate)
 

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import os
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -524,12 +525,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def worker_count(requested: int | None, trials: int, cpus: int) -> int:
-    """Workers for ``trials`` trials: the request (every CPU when it is
-    None), but no more than ``cpus`` and no more than one per trial."""
-    return max(1, min(cpus if requested is None else requested, cpus, trials))
-
-
 def _trial(spec: ExperimentSpec):
     """The evidence of one validation trial, a pure function of its spec.
 
@@ -556,11 +551,13 @@ def _trial(spec: ExperimentSpec):
 def _trial_results(specs: list[ExperimentSpec], jobs: int) -> Iterator:
     """``_trial`` of each spec, in the order of ``specs``.
 
-    With more than one job the trials run in forked worker processes.  A
-    failing trial raises its exception when its result is reached, so the
-    first failure in seed order is the one raised, as in a serial run.
+    With more than one job on Linux the trials run in forked worker
+    processes; elsewhere they run in this process, because ``fork`` is
+    unsafe on macOS and missing on Windows.  A failing trial raises its
+    exception when its result is reached, so the first failure in seed order
+    is the one raised, as in a serial run.
     """
-    if jobs == 1 or not hasattr(os, "fork"):
+    if jobs == 1 or not sys.platform.startswith("linux"):
         yield from map(_trial, specs)
         return
     # imported only here: they take about 40 ms, and a serial run needs neither
@@ -578,7 +575,7 @@ def _trial_results(specs: list[ExperimentSpec], jobs: int) -> Iterator:
 
 
 def validate_guarantee(
-    template: ExperimentSpec, trials: int, base_seed: int = 0, jobs: int | None = 1
+    template: ExperimentSpec, trials: int, base_seed: int = 0
 ) -> ValidationReport:
     """Replay a spec across seeded trials and measure certificate violations.
 
@@ -588,9 +585,9 @@ def validate_guarantee(
     The empirical failure rate is compared against delta plus three binomial
     standard errors.
 
-    Trials run in up to ``jobs`` worker processes (None: one per usable
-    CPU).  Their results are reduced in seed order, so the report does not
-    depend on ``jobs``.
+    Trials run in one worker process per usable CPU, but no more workers
+    than trials.  Their results are reduced in seed order, so the report
+    does not depend on the number of workers.
     """
     if trials < 1:
         raise SpecError(f"trials must be positive, got {trials}")
@@ -610,7 +607,7 @@ def validate_guarantee(
     phase_failures: dict[int, int] = {}
     phase_counts: dict[int, int] = {}
     specs = [replace(template, seed=base_seed + k) for k in range(trials)]
-    results = _trial_results(specs, worker_count(jobs, trials, usable_cpus()))
+    results = _trial_results(specs, min(usable_cpus(), trials))
     for seed, evidence in enumerate(results, start=base_seed):
         if template.procedure == "coup":
             violated = False

@@ -216,7 +216,7 @@ def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa
     return body + u(kappa) * survival
 
 
-@functools.lru_cache(maxsize=1 << 14)
+@functools.lru_cache(maxsize=None)
 def true_capped_utility(
     dist: RuntimeDistribution, u: UtilityFunction, kappa: float
 ) -> tuple[float, float]:
@@ -225,8 +225,10 @@ def true_capped_utility(
     ``kappa = inf`` yields the uncapped expected utility and probability 1.
     Distributions and utilities are frozen dataclasses, so the result is
     cached by value: every trial of a validation asks for the same truths,
-    such as a parametric space's quantile at each phase's ``gamma_p``.  The
-    bound keeps a pool of up to 16,384 configurations in the cache.
+    such as a parametric space's quantile at each phase's ``gamma_p``, and a
+    finite pool's truths are computed once however often it is scanned.  The
+    cache has no bound: it holds one small entry per distribution, utility
+    and captime this process has asked about.
     """
     return expected_capped_utility(dist, u, kappa), dist.completion_probability(kappa)
 

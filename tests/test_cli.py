@@ -206,25 +206,9 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
     assert err.startswith("spec error:") and "Traceback" not in err
 
 
-VALIDATE = ("validate", "--trials", "2", "--procedure", "oup", "--oracle", "synthetic:x",
-            "--stop", "epsilon:0.4")
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_jobs_must_be_a_positive_integer(value, capsys):
-    # parsing only: no worker is ever started for these values
-    with pytest.raises(SystemExit) as exited:
-        build_parser().parse_args([*VALIDATE, "--jobs", value])
-    assert exited.value.code == 2
-    assert "argument --jobs: expected a positive integer" in capsys.readouterr().err
-
-
-def test_jobs_defaults_to_every_usable_cpu():
-    assert build_parser().parse_args(VALIDATE).jobs is None
-
-
-def validate_output(monkeypatch, capsys, args, jobs):
-    """(exit code, stdout, stderr, report) of one validate command."""
+def validate_output(monkeypatch, capsys, args, cpus):
+    """(exit code, stdout, stderr, report) of one validate command on a
+    machine with ``cpus`` usable CPUs."""
     reports = []
     real = harness.validate_guarantee
 
@@ -233,7 +217,8 @@ def validate_output(monkeypatch, capsys, args, jobs):
         return reports[-1]
 
     monkeypatch.setattr(cli, "validate_guarantee", capture)
-    code = main(["validate", *args, "--jobs", str(jobs)])
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    code = main(["validate", *args])
     out, err = capsys.readouterr()
     return code, out, err, reports
 
@@ -258,12 +243,12 @@ def validate_output(monkeypatch, capsys, args, jobs):
     ],
     ids=["oup_lognormal", "coup_parametric", "coup_pool_exhausted"],
 )
-def test_validate_output_does_not_depend_on_jobs(tmp_path, monkeypatch, capsys, body, args):
+def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, body, args):
     path = tmp_path / "pool.txt"
     path.write_text(body)
     args = ("--oracle", f"synthetic:{path}", "--doubling", "new", "--base-seed", "7", *args)
-    # two workers even on a one-CPU machine
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    # one CPU runs the trials in this process; two start a pool of two
+    # workers, even on a one-CPU machine
     with time_limit(30.0):
         serial = validate_output(monkeypatch, capsys, args, 1)
         parallel = validate_output(monkeypatch, capsys, args, 2)
@@ -365,7 +350,8 @@ def test_tiny_delta_run_ends(tmp_path):
 
 # Runs in a fresh interpreter; prints which of scipy and the process-pool
 # modules are loaded after the import, after a coup run on a parametric
-# pool, after a serial validate on a two-point pool and after an oup run on
+# pool, after a one-trial validate (which runs in this process, with no
+# pool) on a two-point pool and after an oup run on
 # a lognormal pool.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
@@ -382,7 +368,7 @@ print(json.dumps([
     loaded_after("run", "--procedure", "coup", "--oracle", "synthetic:parametric.txt",
                  "--stop", "phases:3", "--seed", "1", "--out", "coup"),
     loaded_after("validate", "--procedure", "oup", "--oracle", "synthetic:twopoint.txt",
-                 "--stop", "epsilon:0.4", "--trials", "4", "--jobs", "1"),
+                 "--stop", "epsilon:0.4", "--trials", "1"),
     loaded_after("run", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
                  "--stop", "rounds:20", "--seed", "1", "--out", "lognormal"),
 ]))
@@ -402,7 +388,7 @@ def test_scipy_loads_only_for_lognormal_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     imported, coup, validate, lognormal = json.loads(proc.stdout.splitlines()[-1])
-    # a serial validate starts no pool, and ground truth for a two-point
+    # a one-trial validate starts no pool, and ground truth for a two-point
     # pool is closed-form, so it loads none of them
     assert imported == coup == validate == []
     assert "scipy" in lognormal and "multiprocessing" not in lognormal

@@ -17,7 +17,6 @@ from utilcap.harness import (
     output_directory,
     parse_stop,
     trace_csv_lines,
-    worker_count,
 )
 from utilcap.records import TraceRow, format_value
 
@@ -352,14 +351,6 @@ def test_validate_guarantee_coup_per_phase(tmp_path):
     assert report.ok
 
 
-def test_worker_count_clamps_to_cpus_and_trials():
-    assert worker_count(None, 100, 2) == 2
-    assert worker_count(64, 100, 2) == 2
-    assert worker_count(1, 100, 2) == 1
-    assert worker_count(None, 1, 8) == 1
-    assert worker_count(10**9, 3, 8) == 3
-
-
 def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
     from utilcap import harness, oracles
 
@@ -383,6 +374,32 @@ def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
     computed.clear()
     harness._trial(dataclasses.replace(spec, seed=1))
     assert computed and not quantiles & set(computed)
+
+
+def test_finite_pool_truths_are_computed_once_per_process(tmp_path, monkeypatch):
+    # every certificate scans the whole pool's truths for its quantile, so a
+    # bounded cache smaller than the pool would recompute them per certificate
+    from utilcap import harness, oracles
+
+    means = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0]
+    pool = "family=exponential\nparams=" + ";".join(map(str, means)) + "\n"
+    oracle = write_pool(tmp_path, pool, name="finite.txt")
+    spec = spec_for(tmp_path, procedure="coup", oracle=oracle, stop="phases:3", delta=0.05)
+    computed = []
+    quadrature = oracles.expected_capped_utility
+
+    def counted(dist, u, kappa):
+        computed.append((dist, kappa))
+        return quadrature(dist, u, kappa)
+
+    monkeypatch.setattr(oracles, "expected_capped_utility", counted)
+    oracles.true_capped_utility.cache_clear()
+    assert oracles.true_capped_utility.cache_info().maxsize is None
+    assert len({cert[0] for cert in harness._trial(dataclasses.replace(spec, seed=0))}) == 3
+    assert sorted(dist.mean for dist, _ in computed) == means
+    computed.clear()
+    harness._trial(dataclasses.replace(spec, seed=1))
+    assert computed == []
 
 
 def test_validate_guarantee_requires_synthetic(tmp_path):
