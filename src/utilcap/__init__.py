@@ -52,6 +52,6 @@ from .records import (
     TargetEpsilon,
     TraceRow,
 )
-from .utility import DEFAULT_UTILITY, LogLaplaceUtility, UniformUtility, parse_utility
+from .utility import LogLaplaceUtility, UniformUtility, parse_utility
 
 __version__ = "0.1.0"

@@ -33,18 +33,8 @@ class UpRun(OupRun):
     """Round-robin sweeps with sweep-boundary elimination."""
 
     procedure = "up"
-
-    def __init__(
-        self,
-        oracle: RuntimeOracle,
-        utility: UtilityFunction,
-        delta: float,
-        *,
-        doubling: str = "old",
-        pool: list[int] | None = None,
-    ):
-        super().__init__(oracle, utility, delta, doubling=doubling, pool=pool)
-        self._sweep: list[int] = []
+    # the arms left in the current sweep; empty starts the next sweep
+    _sweep = ()
 
     def select_arm(self) -> int:
         if not self._sweep:
@@ -155,7 +145,6 @@ def naive_run(
     # the certificate holds only once every configuration has all m samples
     trace[-1] = trace[-1]._replace(eps_raw=epsilon, eps_min=epsilon)
     best = trace[-1].incumbent
-    means = [total / m for total in sums]
     return RunResult(
         procedure="naive",
         incumbent=best,
@@ -166,7 +155,6 @@ def naive_run(
         trace=trace,
         ledger=ledger,
         stop_reason="completed",
-        extra={"kappa_bar": kappa_bar, "runs_per_config": m, "means": means},
     )
 
 
@@ -222,9 +210,8 @@ def successive_halving(
     sums = [0.0] * n
     counts = [0] * n
     alive = list(range(n))
-    round_counts = [rate * eta ** k for k in range(len(sizes))]
-    for k, target in enumerate(round_counts):
-        _sample_to(oracle, utility, kappa, alive, target, sums, counts, ledger, trace)
+    for k in range(len(sizes)):
+        _sample_to(oracle, utility, kappa, alive, rate * eta ** k, sums, counts, ledger, trace)
         if k + 1 < len(sizes):
             keep = sizes[k + 1]
             alive = sorted(
@@ -242,5 +229,4 @@ def successive_halving(
         trace=trace,
         ledger=ledger,
         stop_reason="completed",
-        extra={"round_sizes": sizes, "round_counts": round_counts, "runs_used": len(trace)},
     )

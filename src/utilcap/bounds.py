@@ -133,7 +133,3 @@ class BoundSnapshot(NamedTuple):
             lcb=0.0,
         )
 
-    @property
-    def width(self) -> float:
-        return self.ucb - self.lcb
-

@@ -87,9 +87,14 @@ class Schedule:
         if spec in _PRESETS:
             return cls(_PRESETS[spec], spec)
         if spec.startswith("custom:"):
-            parts = dict(
-                item.split("=", 1) for item in spec[len("custom:"):].split(",") if item
-            )
+            parts = {}
+            for item in filter(None, spec[len("custom:"):].split(",")):
+                name, sep, term = item.partition("=")
+                if not sep:
+                    raise ValueError(
+                        f"bad custom schedule item {item!r} in {spec!r}; expected name=term"
+                    )
+                parts[name] = term
             missing = {"eps", "gamma"} - parts.keys()
             if missing:
                 raise ValueError(f"custom schedule is missing {sorted(missing)}: {spec!r}")
@@ -100,15 +105,6 @@ class Schedule:
             f"unknown schedule {spec!r}; presets are {sorted(_PRESETS)} "
             f"and custom specs look like custom:eps=e^-p/6,gamma=e^-p/3"
         )
-
-    @classmethod
-    def explicit(cls, pairs: list[tuple[float, float]]) -> "Schedule":
-        def fn(p: int):
-            if p > len(pairs):
-                raise ValueError(f"explicit schedule has only {len(pairs)} phases")
-            return pairs[p - 1]
-
-        return cls(fn, "explicit")
 
 
 def phase_size(p: int, gamma_p: float, delta: float) -> int:
@@ -364,8 +360,5 @@ class CoupRun(OupRun):
             ledger=self.ledger,
             stop_reason=stop_reason,
             certificates=list(self.certificates),
-            extra={
-                "arm_configs": tuple(arm.config for arm in self.arms),
-                "pool_size": len(self.arms),
-            },
+            extra={"arm_configs": tuple(arm.config for arm in self.arms)},
         )

@@ -24,6 +24,7 @@ from .coup import (
     SamplerExhaustedError,
     Schedule,
     exponential_mean_map,
+    phase_size,
 )
 from .oracles import (
     Exponential,
@@ -230,7 +231,8 @@ def _integer(path: Path, key: str, text: str) -> int:
 
 
 def build_oracle(oracle_spec: str, seed: int):
-    """Build the runtime oracle named by an oracle spec string."""
+    """Build the runtime oracle named by an oracle spec string, and for a
+    parametric space the map from theta to a runtime distribution (else None)."""
     kind, _, target = oracle_spec.partition(":")
     if not target:
         raise SpecError(f"oracle spec must look like matrix:PATH or synthetic:PATH, got {oracle_spec!r}")
@@ -248,16 +250,9 @@ def build_oracle(oracle_spec: str, seed: int):
                 make = exponential_mean_map(scale, growth)
             except ValueError as err:
                 raise SpecError(f"{target}: {err}") from None
-            return SyntheticOracle([], seed), ("parametric", make)
+            return SyntheticOracle([], seed), make
         return SyntheticOracle(list(spec.entries), seed), None
     raise SpecError(f"unknown oracle kind {kind!r} in {oracle_spec!r}")
-
-
-def build_sampler(spec: ExperimentSpec, oracle, parametric):
-    if parametric is not None:
-        _, make = parametric
-        return ParametricSampler(oracle, spec.seed, make)
-    return FinitePoolSampler(oracle, spec.seed, replace=not spec.without_replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +343,13 @@ def output_directory(requested: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _validate_spec(spec: ExperimentSpec) -> None:
+# a sampled configuration takes about 800 bytes with its arm state, oracle
+# entry and index heap entries, so a pool of this many takes about 0.8 GB
+MAX_POOL_CONFIGS = 10**6
+
+
+def _validate_spec(spec: ExperimentSpec):
+    """Refuse a bad spec before anything runs; returns its stop rule."""
     if spec.procedure not in PROCEDURES:
         raise SpecError(f"unknown procedure {spec.procedure!r}; expected one of {PROCEDURES}")
     if spec.doubling not in ("old", "new"):
@@ -357,18 +358,28 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError(f"delta must lie in (0, 1), got {spec.delta}")
     try:
         parse_utility(spec.utility)
-        Schedule.from_spec(spec.schedule)
+        schedule = Schedule.from_spec(spec.schedule)
+        stop = parse_stop(spec.stop, spec.procedure)
+        if isinstance(stop, MaxPhases):
+            # every schedule term e^-p^k/D decreases in p, so the last phase
+            # has the largest pool and the first value outside (0, 1)
+            size = phase_size(stop.phases, schedule.at(stop.phases)[1], spec.delta)
+            if size > MAX_POOL_CONFIGS:
+                raise SpecError(
+                    f"phases:{stop.phases} grows the pool to {size} configurations, more "
+                    f"than the {MAX_POOL_CONFIGS} a run may hold; lower the phase count"
+                )
     except ValueError as err:
         raise SpecError(str(err)) from None
+    return stop
 
 
 def execute(spec: ExperimentSpec):
     """Run the procedure of a spec in memory; returns the engine result."""
-    _validate_spec(spec)
+    stop = _validate_spec(spec)
     utility = parse_utility(spec.utility)
-    stop = parse_stop(spec.stop, spec.procedure)
-    oracle, parametric = build_oracle(spec.oracle, spec.seed)
-    if spec.procedure != "coup" and parametric is not None:
+    oracle, make = build_oracle(spec.oracle, spec.seed)
+    if spec.procedure != "coup" and make is not None:
         raise SpecError(
             "a parametric configuration space needs phased sampling; "
             "only the coup procedure can search it"
@@ -385,7 +396,10 @@ def execute(spec: ExperimentSpec):
             return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
     except (ValueError, OverflowError) as err:
         raise SpecError(str(err)) from None
-    sampler = build_sampler(spec, oracle, parametric)
+    if make is not None:
+        sampler = ParametricSampler(oracle, spec.seed, make)
+    else:
+        sampler = FinitePoolSampler(oracle, spec.seed, replace=not spec.without_replacement)
     run = CoupRun(
         sampler,
         oracle,

@@ -328,13 +328,6 @@ class MatrixOracle:
     def run(self, config: int, instance: int, captime: float) -> CappedObservation:
         return CappedObservation.observe(self.true_runtime(config, instance), captime)
 
-    def true_utilities(self, u: UtilityFunction) -> list[float]:
-        """Per-configuration mean utility over every recorded instance.
-
-        The dataset-wide mean stands in for the unknown population value.
-        """
-        return [float(np.mean(u.array(row))) for row in self.dataset.runtimes]
-
 
 # ---------------------------------------------------------------------------
 # Synthetic oracle with analytic ground truth
@@ -363,9 +356,6 @@ class SyntheticOracle:
     def add_config(self, dist: RuntimeDistribution) -> int:
         self._dists.append(dist)
         return len(self._dists) - 1
-
-    def distribution(self, config: int) -> RuntimeDistribution:
-        return self._dists[config]
 
     def name(self, config: int) -> str:
         return self._dists[config].label()

@@ -226,7 +226,7 @@ class OupRun:
             self.step()
 
     def _result(self, stop_reason: str) -> RunResult:
-        _, star, eps_raw = self.leaders()
+        star = self.incumbent()
         return RunResult(
             procedure=self.procedure,
             incumbent=star,
@@ -237,5 +237,4 @@ class OupRun:
             trace=self.trace,
             ledger=self.ledger,
             stop_reason=stop_reason,
-            extra={"eps_raw": eps_raw, "survivors": tuple(self.survivors)},
         )

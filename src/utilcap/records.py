@@ -104,8 +104,8 @@ class RunResult:
     ``epsilon`` the guarantee certified for it: the running minimum for
     ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
-    and nan for ``sh``, which certifies nothing.  Procedure-specific values
-    live in ``extra``.
+    and nan for ``sh``, which certifies nothing.  ``extra`` holds what
+    validation reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
     """
 
     procedure: str

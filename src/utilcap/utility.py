@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 def _check_runtime(t: float) -> None:
     if t < 0:
@@ -42,18 +40,6 @@ class LogLaplaceUtility:
             return 1.0 - 0.5 * (t / self.kappa0) ** self.a
         return 0.5 * (self.kappa0 / t) ** self.a
 
-    def array(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0):
-            raise ValueError("runtimes must be nonnegative")
-        below = 1.0 - 0.5 * (t / self.kappa0) ** self.a
-        # clip avoids a divide-by-zero warning; the branch is unused below kappa0
-        above = 0.5 * (self.kappa0 / np.maximum(t, self.kappa0)) ** self.a
-        return np.where(t < self.kappa0, below, above)
-
-    def spec(self) -> str:
-        return f"loglaplace:kappa0={self.kappa0!r},a={self.a!r}"
-
 
 @dataclass(frozen=True)
 class UniformUtility:
@@ -69,19 +55,8 @@ class UniformUtility:
             return 1.0 - t / self.kappa0
         return 0.0
 
-    def array(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0):
-            raise ValueError("runtimes must be nonnegative")
-        return np.where(t < self.kappa0, 1.0 - t / self.kappa0, 0.0)
-
-    def spec(self) -> str:
-        return f"uniform:kappa0={self.kappa0!r}"
-
 
 UtilityFunction = LogLaplaceUtility | UniformUtility
-
-DEFAULT_UTILITY = LogLaplaceUtility(kappa0=60.0, a=1.0)
 
 
 def parse_utility(text: str) -> UtilityFunction:

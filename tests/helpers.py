@@ -155,14 +155,14 @@ def instrumented_oup(
                 or abs(snap.u_hat - u_true) > (1.0 - snap.u_at_kappa) * snap.alpha + TOL
             ):
                 clean = False
-            if snap.width > 2.0 * snap.alpha + snap.u_at_kappa * (1.0 - f_true) + TOL:
+            if snap.ucb - snap.lcb > 2.0 * snap.alpha + snap.u_at_kappa * (1.0 - f_true) + TOL:
                 width_bound_ok = False
         star = run.incumbent()
         if gaps[star] > run.guaranteed_epsilon() + TOL:
             eps_sound = False
 
     result = run._result("target_epsilon" if run.eps_min <= target_epsilon else "max_rounds")
-    optimal_surviving = optimal_arm in result.extra["survivors"]
+    optimal_surviving = optimal_arm in run.survivors
     return InstrumentedRun(
         result=result,
         clean=clean,

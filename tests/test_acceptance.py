@@ -120,7 +120,7 @@ def test_a1_exact_width_identity():
             )
         snap = make_snapshot(ctx, m, kappa, observations, utility)
         identity = (2.0 - snap.u_at_kappa) * snap.alpha + snap.u_at_kappa * (1.0 - snap.f_hat)
-        worst = max(worst, abs(snap.width - identity) / identity)
+        worst = max(worst, abs(snap.ucb - snap.lcb - identity) / identity)
     elapsed = time.perf_counter() - start
     report(
         "A1",

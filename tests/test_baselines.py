@@ -111,13 +111,16 @@ def test_naive_run_shape():
     oracle = small_oracle(5)
     result = uc.naive_run(oracle, U60, 0.4, 0.1)
     m = uc.baselines.naive_sample_count(3, 0.1, 0.4)
-    assert result.extra["runs_per_config"] == m
     assert result.ledger.run_count == 3 * m
-    assert len(result.trace) == 3 * m
-    assert result.incumbent == max(range(3), key=lambda i: result.extra["means"][i])
+    assert [row.selected for row in result.trace] == [i for i in range(3) for _ in range(m)]
+    # runs are pure functions of (seed, config, instance): replaying them at
+    # the fixed captime gives the means and the seconds the run saw
+    kappa = uc.baselines.naive_captime(U60, 0.4)
+    durations = [[oracle.run(i, j, kappa).duration for j in range(m)] for i in range(3)]
+    means = [sum(U60(d) for d in row) / m for row in durations]
+    assert result.incumbent == max(range(3), key=lambda i: means[i])
+    assert result.ledger.per_config_seconds == {i: sum(row) for i, row in enumerate(durations)}
     assert result.epsilon == 0.4
-    # every run happened at the fixed captime
-    assert result.extra["kappa_bar"] == uc.baselines.naive_captime(U60, 0.4)
     assert result.trace[-1].eps_min == 0.4
     assert all(row.eps_min == 1.0 for row in result.trace[:-1])
 
@@ -136,7 +139,7 @@ def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):
 def test_naive_is_deterministic():
     a = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)
     b = uc.naive_run(small_oracle(4), U60, 0.5, 0.1)
-    assert a.extra["means"] == b.extra["means"] and a.incumbent == b.incumbent
+    assert a.trace == b.trace and a.incumbent == b.incumbent
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +155,16 @@ def test_halving_budget_arithmetic():
         [uc.TwoPoint(t, t, 1.0) for t in (10.0, 2.0, 30.0, 20.0)], seed=0
     )
     result = uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0)
-    assert result.extra["round_sizes"] == [4, 2, 1]
-    assert result.extra["round_counts"] == [2, 4, 8]
-    assert result.extra["runs_used"] == 16
+    # survivors per run: 4 arms to 2 runs each, 2 arms to 4, 1 arm to 8
+    assert [row.survivors for row in result.trace] == [4] * 8 + [2] * 4 + [1] * 4
+    assert result.rounds == 16
 
 
 def test_halving_single_arm_spends_its_share():
     oracle = uc.SyntheticOracle([uc.TwoPoint(1.0, 1.0, 1.0)], seed=0)
     result = uc.successive_halving(oracle, U60, budget=7, eta=2, kappa=8.0)
-    assert result.extra["round_sizes"] == [1]
-    assert result.extra["runs_used"] == 7
+    assert [row.survivors for row in result.trace] == [1] * 7
+    assert result.rounds == 7
 
 
 def test_halving_returns_argmax_on_deterministic_runtimes():
@@ -193,8 +196,10 @@ def test_halving_ledger_charges_capped_durations():
     times = (12.0, 3.0)
     oracle = uc.SyntheticOracle([uc.TwoPoint(t, t, 1.0) for t in times], seed=0)
     result = uc.successive_halving(oracle, U60, budget=9, eta=2, kappa=8.0)
-    # runtimes cap at 8: arm 0 charges 8 per run, arm 1 charges 3
-    assert result.ledger.per_config_seconds[0] == 8.0 * result.extra["round_counts"][0]
+    # 9 runs buy 3 passes over round costs (2, 1): arm 0 runs 3 times before
+    # it is dropped, arm 1 runs 6.  Runtimes cap at 8, so arm 0 charges 8 per
+    # run and arm 1 charges 3
+    assert result.ledger.per_config_seconds == {0: 8.0 * 3, 1: 3.0 * 6}
 
 
 # ---------------------------------------------------------------------------

@@ -232,5 +232,5 @@ def test_width_identity_on_random_snapshots(m, level, data):
                    else CappedObservation(kappa, False))
     snap = make_snapshot(CTX10, m, kappa, obs, u)
     identity = (2.0 - snap.u_at_kappa) * snap.alpha + snap.u_at_kappa * (1.0 - snap.f_hat)
-    assert snap.width == pytest.approx(identity, rel=1e-12)
+    assert snap.ucb - snap.lcb == pytest.approx(identity, rel=1e-12)
     assert snap.lcb <= snap.ucb

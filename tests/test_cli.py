@@ -295,6 +295,12 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         # every round makes a run, so 10^12 rounds is a plan of 10^12 runs
         ("run", "oup", "rounds:1000000000000", ("--seed", "3")),
         ("run", "up", "rounds:1000000000000", ("--seed", "3")),
+        # phase 50 of the default schedule needs about 2 * 10^8 configurations;
+        # phase 10^12 and phase 80 of gamma_then_epsilon have eps underflow to 0
+        ("run", "coup", "phases:50", ("--seed", "3")),
+        ("run", "coup", "phases:1000000000000", ("--seed", "3")),
+        ("run", "coup", "phases:80", ("--seed", "3", "--schedule", "gamma_then_epsilon")),
+        ("run", "coup", "phases:1", ("--seed", "3", "--schedule", "custom:eps")),
     ],
     ids=[
         "unknown_schedule",
@@ -322,6 +328,10 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         "sh_plan_too_large",
         "oup_rounds_too_large",
         "up_rounds_too_large",
+        "coup_phases_pool_too_large",
+        "coup_phases_far_past_underflow",
+        "coup_phases_schedule_underflows",
+        "custom_schedule_item_without_value",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -333,6 +343,20 @@ def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, c
         assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+def test_validate_refuses_a_phase_count_before_any_trial(pool_path, monkeypatch, capsys):
+    def no_trials(specs, jobs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(harness, "_trial_results", no_trials)
+    args = [
+        "validate", "--procedure", "coup", "--oracle", f"synthetic:{pool_path}",
+        "--stop", "phases:50", "--trials", "2",
+    ]
+    with time_limit(10.0):
+        assert main(args) == 2
+    assert "configurations, more than the 1000000" in capsys.readouterr().err
 
 
 def test_tiny_delta_run_ends(tmp_path):

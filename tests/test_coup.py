@@ -87,15 +87,19 @@ def test_bad_schedules_rejected():
                 "custom:eps=e^-p/0,gamma=e^-p/3"):
         with pytest.raises(ValueError):
             uc.Schedule.from_spec(bad)
+    with pytest.raises(ValueError, match="bad custom schedule item 'eps' in 'custom:eps'"):
+        uc.Schedule.from_spec("custom:eps")
 
 
 def test_explicit_schedule_values_validated():
-    schedule = uc.Schedule.explicit([(0.5, 0.5), (0.25, 1.5)])
-    assert schedule.at(1) == (0.5, 0.5)
+    # e^-p^3 underflows to 0.0 at p = 10, which lies outside (0, 1)
+    schedule = uc.Schedule.from_spec("custom:eps=e^-p^3/1,gamma=e^-p/3")
+    assert schedule.at(1) == (math.exp(-1.0), math.exp(-1.0 / 3.0))
+    assert schedule.at(9)[0] > 0.0
     with pytest.raises(ValueError):
-        schedule.at(2)
+        schedule.at(10)
     with pytest.raises(ValueError):
-        schedule.at(3)
+        schedule.at(0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,7 @@ def test_carryover_keeps_observations_and_widens_bounds():
     for _ in range(40):
         run.phase_step()
     kept = {
-        i: (list(a.durations), a.m, a.kappa, a.snapshot.width)
+        i: (list(a.durations), a.m, a.kappa, a.snapshot.ucb - a.snapshot.lcb)
         for i, a in enumerate(run.arms)
         if a.m > 0
     }
@@ -138,7 +142,7 @@ def test_carryover_keeps_observations_and_widens_bounds():
         assert arm.durations == durations
         assert (arm.m, arm.kappa) == (m, kappa)
         # same observations, larger phase log factor: width weakly increases
-        assert arm.snapshot.width >= width - 1e-12
+        assert arm.snapshot.ucb - arm.snapshot.lcb >= width - 1e-12
 
 
 def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
@@ -161,7 +165,8 @@ def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
 def test_shrinking_requirement_keeps_pool():
     # second phase needs fewer configurations than already exist
     oracle, sampler = parametric_setup(3)
-    schedule = uc.Schedule.explicit([(0.5, 0.05), (0.5, 0.9)])
+    pairs = [(0.5, 0.05), (0.5, 0.9)]
+    schedule = uc.Schedule(lambda p: pairs[p - 1], "explicit")
     run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling="new")
     run.run_phases(uc.MaxPhases(1))
     n_1 = len(run.arms)
@@ -387,7 +392,7 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
     for cert in result.certificates:
         _, gamma_p = schedule.at(cert.phase)
         assert cert.n == uc.phase_size(cert.phase, gamma_p, 0.1)
-    assert result.extra["pool_size"] == result.certificates[-1].n
+    assert len(result.extra["arm_configs"]) == result.certificates[-1].n
     # duplicated rows are distinct arms sharing one runtime row
     configs = result.extra["arm_configs"]
     assert len(set(configs)) < len(configs)

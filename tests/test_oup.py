@@ -136,11 +136,12 @@ def test_elimination_removes_provably_bad_arm():
     )
     run = uc.OupRun(oracle, uc.UniformUtility(4.0), 0.25, doubling="new")
     result = run.run_until(uc.SingleSurvivor())
-    assert result.extra["survivors"] == (0,)
+    assert run.survivors == [0]
     assert result.incumbent == 0
     assert run.arms[1].eliminated
     # with a single survivor the guarantee equals the incumbent's own width
-    assert run.guaranteed_epsilon() == pytest.approx(run.arms[0].snapshot.width)
+    snap = run.arms[0].snapshot
+    assert run.guaranteed_epsilon() == pytest.approx(snap.ucb - snap.lcb)
 
 
 def test_elimination_is_strict_and_final():
@@ -258,8 +259,8 @@ def test_guarantee_driven_by_best_arm_after_others_stop():
     result = run.run_until(uc.TargetEpsilon(0.3))
     star = result.incumbent
     snaps = [a.snapshot for a in run.arms]
-    assert snaps[star].ucb == max(s.ucb for i, s in enumerate(snaps) if i in result.extra["survivors"])
-    assert result.extra["eps_raw"] == pytest.approx(snaps[star].width)
+    assert snaps[star].ucb == max(s.ucb for i, s in enumerate(snaps) if i in run.survivors)
+    assert run.guaranteed_epsilon() == pytest.approx(snaps[star].ucb - snaps[star].lcb)
 
 
 # ---------------------------------------------------------------------------
