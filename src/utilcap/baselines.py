@@ -115,10 +115,16 @@ def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> f
 MAX_PLANNED_RUNS = 10**8
 
 
-def naive_sample_count(n: int, delta: float, epsilon: float) -> int:
+def naive_sample_count(n: int, delta: float, epsilon: float) -> int | float:
     """Two-sided Hoeffding count: eps/2 sampling error at confidence delta/n
-    per configuration, alongside the eps/2 capping error."""
-    return math.ceil(2.0 / epsilon ** 2 * math.log(2.0 * n / delta))
+    per configuration, alongside the eps/2 capping error; inf when the
+    count overflows a float."""
+    arg = 2.0 * n / delta
+    # as in bounds.alpha: only an overflowing argument sums its logs
+    log_arg = math.log(arg) if arg < math.inf else math.log(2.0 * n) - math.log(delta)
+    # eps^2 can underflow to 0
+    count = 2.0 / epsilon ** 2 * log_arg if epsilon ** 2 else math.inf
+    return math.ceil(count) if count < math.inf else count
 
 
 def naive_run(

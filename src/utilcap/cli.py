@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -146,6 +147,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.max_failure_rate is not None and not math.isfinite(args.max_failure_rate):
+        raise SpecError(f"max failure rate must be finite, got {args.max_failure_rate}")
     spec = _spec_from_args(args, args.procedure, args.base_seed)
     report = validate_guarantee(spec, args.trials, base_seed=args.base_seed)
     bound = args.max_failure_rate if args.max_failure_rate is not None else report.bound

@@ -107,15 +107,22 @@ class Schedule:
         )
 
 
-def phase_size(p: int, gamma_p: float, delta: float) -> int:
-    """Pool size needed in phase p to cover the top gamma_p fraction."""
+def phase_size(p: int, gamma_p: float, delta: float) -> int | float:
+    """Pool size needed in phase p to cover the top gamma_p fraction; inf
+    when even the float quotient overflows (a subnormal gamma_p)."""
     if p < 1:
         raise ValueError(f"phase index must be at least 1, got {p}")
     if not 0.0 < gamma_p < 1.0:
         raise ValueError(f"gamma_p must lie in (0, 1), got {gamma_p}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return math.ceil(math.log(math.pi ** 2 * p * p / (3.0 * delta)) / gamma_p)
+    top = math.pi ** 2 * p * p
+    arg = top / (3.0 * delta)
+    # as in bounds.alpha: only an argument that overflows (a tiny delta)
+    # sums its logs, so every finite case keeps its bits
+    log_arg = math.log(arg) if arg < math.inf else math.log(top / 3.0) - math.log(delta)
+    size = log_arg / gamma_p
+    return math.ceil(size) if size < math.inf else size
 
 
 # ---------------------------------------------------------------------------

@@ -152,21 +152,25 @@ def parse_stop(text: str, procedure: str):
     raise SpecError(f"unknown procedure {procedure!r}; expected one of {PROCEDURES}")
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    family: str
-    entries: tuple
-    seed: int
+# each family's runtime distribution (for the parametric space, the map from
+# theta to one) and the fields of one params entry
+_FAMILIES = {
+    "exponential": (Exponential, ("mean",)),
+    "lognormal": (LogNormal, ("mu", "sigma")),
+    "twopoint": (TwoPoint, ("t_fast", "t_slow", "p_fast")),
+    "parametric_exponential": (exponential_mean_map, ("scale", "growth")),
+}
 
 
-def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
-    """Parse a synthetic pool file of key=value lines.
+def load_synthetic_spec(path: str | Path):
+    """Parse a synthetic pool file of key=value lines into its tuple of
+    runtime distributions, or for ``parametric_exponential`` the map from
+    theta to one.
 
-    Keys: ``family`` (exponential, lognormal, twopoint, parametric_exponential),
-    ``params`` (semicolon-separated entries; comma-separated fields within an
-    entry), ``n_configs`` and ``seed``.  The file seed is a default used when
-    the caller supplies none; experiment specs carry their own seed, which
-    wins.
+    Keys: ``family`` (a key of ``_FAMILIES``), ``params`` (semicolon-separated
+    entries; comma-separated fields within an entry), ``n_configs`` and
+    ``seed``.  The seed must be an integer but is never used: the run's
+    ``--seed`` decides.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -185,34 +189,24 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
     family = fields.get("family")
     if family is None:
         raise SpecError(f"{path}: missing required key 'family'")
+    if family not in _FAMILIES:
+        raise SpecError(f"{path}: unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
+    make, names = _FAMILIES[family]
+    _integer(path, "seed", fields.get("seed", "0"))
     params = fields.get("params", "")
-    seed = _integer(path, "seed", fields.get("seed", "0"))
     entries = []
-    if family == "parametric_exponential":
-        parts = params.split(",")
-        if len(parts) != 2:
-            raise SpecError(f"{path}: parametric_exponential needs params=scale,growth")
-        try:
-            entries = (float(parts[0]), float(parts[1]))
-        except ValueError as err:
-            raise SpecError(f"{path}: params ({params!r}): {err}") from None
-        return SyntheticSpec(family=family, entries=entries, seed=seed)
     for i, chunk in enumerate(filter(None, (c.strip() for c in params.split(";"))), start=1):
         try:
             values = [float(v) for v in chunk.split(",")]
-            if family == "exponential":
-                (mean,) = values
-                entries.append(Exponential(mean=mean))
-            elif family == "lognormal":
-                mu, sigma = values
-                entries.append(LogNormal(mu=mu, sigma=sigma))
-            elif family == "twopoint":
-                t_fast, t_slow, p_fast = values
-                entries.append(TwoPoint(t_fast=t_fast, t_slow=t_slow, p_fast=p_fast))
-            else:
-                raise SpecError(f"{path}: unknown family {family!r}")
+            if len(values) != len(names):
+                raise ValueError(f"expected {','.join(names)}, got {len(values)} values")
+            entries.append(make(*values))
         except ValueError as err:
             raise SpecError(f"{path}: params entry {i} ({chunk!r}): {err}") from None
+    if family == "parametric_exponential":
+        if len(entries) != 1:
+            raise SpecError(f"{path}: parametric_exponential needs one params entry scale,growth")
+        return entries[0]
     if not entries:
         raise SpecError(f"{path}: no configurations in params")
     declared = fields.get("n_configs")
@@ -220,7 +214,7 @@ def load_synthetic_spec(path: str | Path) -> SyntheticSpec:
         raise SpecError(
             f"{path}: n_configs={declared} but params lists {len(entries)} entries"
         )
-    return SyntheticSpec(family=family, entries=tuple(entries), seed=seed)
+    return tuple(entries)
 
 
 def _integer(path: Path, key: str, text: str) -> int:
@@ -243,15 +237,9 @@ def build_oracle(oracle_spec: str, seed: int):
             raise SpecError(f"cannot load runtime matrix: {err}") from None
         return MatrixOracle(dataset), None
     if kind == "synthetic":
-        spec = load_synthetic_spec(target)
-        if spec.family == "parametric_exponential":
-            scale, growth = spec.entries
-            try:
-                make = exponential_mean_map(scale, growth)
-            except ValueError as err:
-                raise SpecError(f"{target}: {err}") from None
-            return SyntheticOracle([], seed), make
-        return SyntheticOracle(list(spec.entries), seed), None
+        pool = load_synthetic_spec(target)
+        make = None if isinstance(pool, tuple) else pool
+        return SyntheticOracle(() if make else pool, seed), make
     raise SpecError(f"unknown oracle kind {kind!r} in {oracle_spec!r}")
 
 
@@ -348,42 +336,48 @@ def output_directory(requested: str | Path) -> Path:
 MAX_POOL_CONFIGS = 10**6
 
 
-def _validate_spec(spec: ExperimentSpec):
-    """Refuse a bad spec before anything runs; returns its stop rule."""
+def parse_spec(spec: ExperimentSpec):
+    """The spec boundary: parse and check every field once, before any run.
+    Returns ``(utility, stop, schedule, oracle, make)``, the last two as
+    ``build_oracle`` gives them; raises ``SpecError``."""
     if spec.procedure not in PROCEDURES:
         raise SpecError(f"unknown procedure {spec.procedure!r}; expected one of {PROCEDURES}")
     if spec.doubling not in ("old", "new"):
         raise SpecError(f"doubling must be 'old' or 'new', got {spec.doubling!r}")
     if not 0.0 < spec.delta < 1.0:
         raise SpecError(f"delta must lie in (0, 1), got {spec.delta}")
+    if spec.seed < 0:
+        raise SpecError(f"seed must be an integer >= 0, got {spec.seed}")
     try:
-        parse_utility(spec.utility)
+        utility = parse_utility(spec.utility)
         schedule = Schedule.from_spec(spec.schedule)
         stop = parse_stop(spec.stop, spec.procedure)
-        if isinstance(stop, MaxPhases):
+        oracle, make = build_oracle(spec.oracle, spec.seed)
+        if spec.procedure != "coup" and make is not None:
+            raise SpecError(
+                "a parametric configuration space needs phased sampling; "
+                "only the coup procedure can search it"
+            )
+        if spec.procedure == "coup":
             # every schedule term e^-p^k/D decreases in p, so the last phase
-            # has the largest pool and the first value outside (0, 1)
-            size = phase_size(stop.phases, schedule.at(stop.phases)[1], spec.delta)
+            # known in advance (N of phases:N, 1 of a budget) has the largest
+            # pool and the first value outside (0, 1)
+            last = stop.phases if isinstance(stop, MaxPhases) else 1
+            size = phase_size(last, schedule.at(last)[1], spec.delta)
             if size > MAX_POOL_CONFIGS:
                 raise SpecError(
-                    f"phases:{stop.phases} grows the pool to {size} configurations, more "
-                    f"than the {MAX_POOL_CONFIGS} a run may hold; lower the phase count"
+                    f"phase {last} needs a pool of {size} configurations, more than the "
+                    f"{MAX_POOL_CONFIGS} a run may hold; lower the phase count or raise gamma_p"
                 )
-    except ValueError as err:
+    # an int phase count past any float overflows the schedule's arithmetic
+    except (ValueError, OverflowError) as err:
         raise SpecError(str(err)) from None
-    return stop
+    return utility, stop, schedule, oracle, make
 
 
 def execute(spec: ExperimentSpec):
     """Run the procedure of a spec in memory; returns the engine result."""
-    stop = _validate_spec(spec)
-    utility = parse_utility(spec.utility)
-    oracle, make = build_oracle(spec.oracle, spec.seed)
-    if spec.procedure != "coup" and make is not None:
-        raise SpecError(
-            "a parametric configuration space needs phased sampling; "
-            "only the coup procedure can search it"
-        )
+    utility, stop, schedule, oracle, make = parse_spec(spec)
     if spec.procedure == "oup":
         return OupRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
     if spec.procedure == "up":
@@ -394,20 +388,13 @@ def execute(spec: ExperimentSpec):
         if spec.procedure == "sh":
             budget = int(stop.seconds)
             return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         raise SpecError(str(err)) from None
     if make is not None:
         sampler = ParametricSampler(oracle, spec.seed, make)
     else:
         sampler = FinitePoolSampler(oracle, spec.seed, replace=not spec.without_replacement)
-    run = CoupRun(
-        sampler,
-        oracle,
-        utility,
-        spec.delta,
-        Schedule.from_spec(spec.schedule),
-        doubling=spec.doubling,
-    )
+    run = CoupRun(sampler, oracle, utility, spec.delta, schedule, doubling=spec.doubling)
     try:
         result = run.run_phases(stop)
     except SamplerExhaustedError as err:
@@ -508,7 +495,10 @@ def epsilon_vs_time_curve(runs: list[tuple[dict, list[TraceRow]]]) -> list[tuple
         last = math.inf
         for row in trace:
             if row.eps_min > last + _TOL:
-                raise AssertionError("eps_min column must be non-increasing")
+                raise SpecError(
+                    f"the {summary['procedure']} run's eps_min rises at round {row.round}; "
+                    f"curve takes runs whose eps_min never rises (coup's is in certificates.csv)"
+                )
             last = row.eps_min
             rows.append((summary["procedure"], row.ledger_seconds, row.eps_min))
     return rows
@@ -607,14 +597,13 @@ def validate_guarantee(
         raise SpecError(f"trials must be positive, got {trials}")
     if not template.oracle.startswith("synthetic:"):
         raise SpecError("guarantee validation needs a synthetic oracle with ground truth")
-    _validate_spec(template)
+    utility, _, _, oracle, _ = parse_spec(template)
     if template.procedure == "sh":
         raise SpecError("sh certifies no guarantee, so there is nothing to validate")
     if template.procedure != "coup":
         # a finite synthetic pool's true utilities do not depend on the seed;
         # they are computed once, before any worker starts
-        oracle, _ = build_oracle(template.oracle, template.seed)
-        true_utilities = oracle.true_utilities(parse_utility(template.utility))
+        true_utilities = oracle.true_utilities(utility)
         best = max(true_utilities)
     failures = 0
     details = []

@@ -73,7 +73,7 @@ class CappedObservation(NamedTuple):
 # ---------------------------------------------------------------------------
 
 # scipy takes most of the start-up time and only lognormal draws and ground
-# truth use it, so it is imported on first use.  Each stand-in below rebinds
+# truth use it, so it is imported on first use.  The stand-in below rebinds
 # its global to the scipy ufunc, so later calls go straight to the ufunc.
 
 
@@ -82,13 +82,6 @@ def ndtri(p):
     from scipy.special import ndtri
 
     return ndtri(p)
-
-
-def ndtr(x):
-    global ndtr
-    from scipy.special import ndtr
-
-    return ndtr(x)
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,8 @@ class LogNormal:
             return 1.0
         if kappa <= 0:
             return 0.0
-        return float(ndtr((math.log(kappa) - self.mu) / self.sigma))
+        # the normal CDF at (ln kappa - mu) / sigma, through erfc for its tail
+        return 0.5 * math.erfc((self.mu - math.log(kappa)) / (self.sigma * math.sqrt(2.0)))
 
     def pdf(self, t: float) -> float:
         if t <= 0:

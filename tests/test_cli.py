@@ -301,6 +301,22 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         ("run", "coup", "phases:1000000000000", ("--seed", "3")),
         ("run", "coup", "phases:80", ("--seed", "3", "--schedule", "gamma_then_epsilon")),
         ("run", "coup", "phases:1", ("--seed", "3", "--schedule", "custom:eps")),
+        # seeds below 0, for run and sweep alike
+        ("run", "oup", "epsilon:0.4", ("--seed", "-1")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds=-3:-1",)),
+        # a budget's schedule is checked at phase 1: eps underflows to 0 there
+        ("run", "coup", "budget:100",
+         ("--seed", "3", "--schedule", "custom:eps=e^-p/0.0000001,gamma=e^-p/3")),
+        # a subnormal gamma_1 overflows even the log-summed pool size
+        ("run", "coup", "phases:1",
+         ("--seed", "3", "--schedule", "custom:eps=e^-p/6,gamma=e^-p/0.0014")),
+        ("run", "coup", "budget:10",
+         ("--seed", "3", "--schedule", "custom:eps=e^-p/6,gamma=e^-p/0.0014")),
+        # eps^2 underflows to 0 and to a subnormal: the sample count overflows
+        ("run", "naive", "epsilon:1e-170", ("--seed", "3", "--utility", "uniform:kappa0=60")),
+        ("run", "naive", "epsilon:1e-160", ("--seed", "3", "--utility", "uniform:kappa0=60")),
+        # a phase count past any float
+        ("run", "coup", "phases:1" + "0" * 320, ("--seed", "3")),
     ],
     ids=[
         "unknown_schedule",
@@ -332,6 +348,14 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         "coup_phases_far_past_underflow",
         "coup_phases_schedule_underflows",
         "custom_schedule_item_without_value",
+        "seed_negative",
+        "sweep_seeds_negative",
+        "coup_budget_schedule_underflows",
+        "coup_phases_gamma_subnormal",
+        "coup_budget_gamma_subnormal",
+        "naive_epsilon_squared_underflows",
+        "naive_epsilon_squared_subnormal",
+        "coup_phases_past_float",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -357,6 +381,79 @@ def test_validate_refuses_a_phase_count_before_any_trial(pool_path, monkeypatch,
     with time_limit(10.0):
         assert main(args) == 2
     assert "configurations, more than the 1000000" in capsys.readouterr().err
+
+
+PARAMETRIC = "family=parametric_exponential\nparams=0.1,10000\n"
+
+
+@pytest.mark.parametrize(
+    "body, extra",
+    [
+        (PARAMETRIC, ("--procedure", "oup", "--stop", "epsilon:0.5")),
+        (PARAMETRIC, ("--procedure", "up", "--stop", "epsilon:0.5")),
+        (PARAMETRIC, ("--procedure", "naive", "--stop", "epsilon:0.5")),
+        (POOL, ("--procedure", "oup", "--stop", "epsilon:0.5", "--base-seed", "-2")),
+        # every failure rate compares false with nan, so nan would always pass
+        (POOL, ("--procedure", "oup", "--stop", "epsilon:0.5", "--max-failure-rate", "nan")),
+        (POOL, ("--procedure", "oup", "--stop", "epsilon:0.5", "--max-failure-rate", "inf")),
+    ],
+    ids=["oup_parametric", "up_parametric", "naive_parametric", "base_seed_negative",
+         "max_failure_rate_nan", "max_failure_rate_infinite"],
+)
+def test_validate_bad_spec_exits_two_before_any_trial(tmp_path, monkeypatch, capsys, body, extra):
+    def no_trials(specs, jobs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(harness, "_trial_results", no_trials)
+    path = tmp_path / "pool.txt"
+    path.write_text(body)
+    with time_limit(10.0):
+        assert main(["validate", "--oracle", f"synthetic:{path}", "--trials", "2", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and err.count("\n") == 1
+
+
+def test_curve_of_a_coup_run_exits_two(tmp_path, capsys):
+    # coup restarts eps_min at every phase; its guarantee is the certificates
+    path = tmp_path / "pool.txt"
+    path.write_text("family=exponential\nparams=1.0;5.0;20.0\n")
+    run = tmp_path / "coup"
+    args = ["run", "--procedure", "coup", "--oracle", f"synthetic:{path}",
+            "--stop", "phases:2", "--delta", "0.05", "--seed", "1", "--out", str(run)]
+    assert main(args) == 0
+    assert len((run / "trace.csv").read_text().splitlines()) == 1 + 27
+    capsys.readouterr()
+    assert main(["curve", "--runs", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: the coup run's eps_min rises at round ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "body, procedure, stop, expected",
+    [
+        # n_p = ceil((ln(pi^2/3) - ln(1e-320)) / e^-1/3) = 1030
+        (PARAMETRIC, "coup", "phases:1", "1030"),
+        (PARAMETRIC, "coup", "budget:100", None),
+        # 2 n / delta overflows; the plan is 5,909 runs per configuration
+        ("family=exponential\nparams=1.0;5.0;20.0\n", "naive", "epsilon:0.5", None),
+    ],
+    ids=["coup_phases", "coup_budget", "naive"],
+)
+def test_tiny_delta_plans_stay_finite(tmp_path, body, procedure, stop, expected):
+    path = tmp_path / "pool.txt"
+    path.write_text(body)
+    out = tmp_path / "out"
+    args = ["run", "--procedure", procedure, "--oracle", f"synthetic:{path}", "--stop", stop,
+            "--delta", "1e-320", "--seed", "1", "--out", str(out)]
+    with time_limit(10.0):
+        assert main(args) == 0
+    if expected is not None:
+        _, row = (out / "certificates.csv").read_text().splitlines()
+        assert row.split(",")[3] == expected
+    if procedure == "naive":
+        _, row = (out / "summary.csv").read_text().splitlines()
+        assert row.split(",")[-3] == str(3 * 5909)  # run_count
 
 
 def test_tiny_delta_run_ends(tmp_path):

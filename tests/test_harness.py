@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import io
@@ -5,7 +6,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import utilcap as uc
 from utilcap.harness import (
@@ -15,6 +16,7 @@ from utilcap.harness import (
     build_oracle,
     load_synthetic_spec,
     output_directory,
+    parse_spec,
     parse_stop,
     trace_csv_lines,
 )
@@ -52,18 +54,16 @@ def spec_for(tmp_path, **overrides) -> uc.ExperimentSpec:
 
 
 def test_load_synthetic_spec_families(tmp_path):
-    spec = load_synthetic_spec(Path(write_pool(tmp_path, EXP_POOL).split(":", 1)[1]))
-    assert spec.family == "exponential"
-    assert spec.entries == (uc.Exponential(1.0), uc.Exponential(50.0), uc.Exponential(150.0))
-    assert spec.seed == 0
+    pool = load_synthetic_spec(Path(write_pool(tmp_path, EXP_POOL).split(":", 1)[1]))
+    assert pool == (uc.Exponential(1.0), uc.Exponential(50.0), uc.Exponential(150.0))
     path = tmp_path / "tp.txt"
     path.write_text("family=twopoint\nparams=0.5,100,0.9;1,200,0.5\n")
-    spec = load_synthetic_spec(path)
-    assert spec.entries[0] == uc.TwoPoint(0.5, 100.0, 0.9)
+    assert load_synthetic_spec(path)[0] == uc.TwoPoint(0.5, 100.0, 0.9)
     path.write_text("family=lognormal\nparams=1.0,0.5\n")
-    assert load_synthetic_spec(path).entries == (uc.LogNormal(1.0, 0.5),)
+    assert load_synthetic_spec(path) == (uc.LogNormal(1.0, 0.5),)
     path.write_text("family=parametric_exponential\nparams=0.1,10000\n")
-    assert load_synthetic_spec(path).entries == (0.1, 10000.0)
+    make = load_synthetic_spec(path)
+    assert make(0.5) == uc.exponential_mean_map(0.1, 10000.0)(0.5) == uc.Exponential(10.0)
 
 
 def test_load_synthetic_spec_errors(tmp_path):
@@ -74,7 +74,14 @@ def test_load_synthetic_spec_errors(tmp_path):
         ("family=exponential\nparams=1.0;2.0\nn_configs=3\n", "n_configs"),
         ("family=exponential\nnot a kv line\n", "key=value"),
         ("family=weird\nparams=1\n", "unknown family"),
+        # the family is named before the params are read
+        ("family=weird\n", "unknown family 'weird'"),
+        # a wrong field count names the fields
         ("family=parametric_exponential\nparams=1\n", "scale,growth"),
+        ("family=parametric_exponential\nparams=0.1,10;0.2,10\n", "one params entry"),
+        ("family=lognormal\nparams=1.0\n", "expected mu,sigma, got 1 values"),
+        ("family=twopoint\nparams=1,2,0.5,9\n", "expected t_fast,t_slow,p_fast, got 4"),
+        ("family=exponential\nparams=1.0;2.0\nseed=x\n", "seed must be an integer"),
     ]:
         path.write_text(body)
         with pytest.raises(SpecError, match=match):
@@ -116,6 +123,106 @@ def test_parse_stop_rules():
     ]:
         with pytest.raises(SpecError):
             parse_stop(text, procedure)
+
+
+def test_run_experiment_parses_each_part_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    harness = uc.harness
+    for name in ("parse_utility", "parse_stop", "load_synthetic_spec"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    from_spec = counted("Schedule.from_spec", uc.Schedule.from_spec.__func__)
+    monkeypatch.setattr(uc.Schedule, "from_spec", classmethod(from_spec))
+    spec = spec_for(tmp_path, procedure="coup", stop="phases:2", delta=0.05)
+    uc.run_experiment(spec, tmp_path / "out")
+    assert calls == {
+        "parse_utility": 1, "Schedule.from_spec": 1, "parse_stop": 1, "load_synthetic_spec": 1
+    }
+
+
+# text that float() reads as each class of number: nan, both infinities,
+# zero, a subnormal, an underflow to 0, huge and negative values
+NUMBERS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-320", "1e-400", "1e400", "0.5", "3",
+                     "60", "1e300", "abc", ""]),
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+)
+STOPS = st.one_of(
+    st.sampled_from(["single_survivor", "phases:1", "phases:3", "phases:40", "epsilon:0.2",
+                     "budget:100", "rounds:50", "phases:1" + "0" * 320, "nonsense", ""]),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["epsilon", "budget", "rounds", "phases", "single_survivor", "bogus"]),
+        NUMBERS,
+    ),
+)
+TERMS = st.builds(
+    "e^-p{}/{}".format,
+    st.sampled_from(["", "^2", "^3", "^4"]),
+    st.sampled_from(["6", "3", "0.0014", "0.0000001", "0", "1" + "0" * 400, "1000000000000000"]),
+)
+SCHEDULES = st.one_of(
+    st.sampled_from(["default", "gamma_focus", "epsilon_focus", "balanced", "gamma_then_epsilon",
+                     "custom:eps", "custom:", "bogus", ""]),
+    st.builds("custom:eps={},gamma={}".format, TERMS, TERMS),
+    st.text(max_size=20),
+)
+UTILITIES = st.one_of(
+    st.sampled_from(["loglaplace:kappa0=60,a=1", "uniform:kappa0=60", "step:k=1", "uniform", ""]),
+    st.builds("loglaplace:kappa0={},a={}".format, NUMBERS, NUMBERS),
+    st.builds("uniform:kappa0={}".format, NUMBERS),
+)
+ENTRIES = st.lists(NUMBERS, min_size=0, max_size=4).map(",".join)
+POOLS = st.builds(
+    "family={}\nparams={}\n{}".format,
+    st.sampled_from(["exponential", "lognormal", "twopoint", "parametric_exponential", "bogus"]),
+    st.lists(ENTRIES, min_size=0, max_size=4).map(";".join),
+    st.sampled_from(["", "n_configs=2\n", "n_configs=x\n", "seed=7\n", "seed=-1\n", "seed=x\n"]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    procedure=st.sampled_from(PROCEDURES + ("bandit",)),
+    stop=STOPS,
+    schedule=SCHEDULES,
+    utility=UTILITIES,
+    delta=st.one_of(st.sampled_from([0.0, 1.0, math.nan, 1e-320, 0.05, -0.1]), st.floats()),
+    seed=st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80)),
+    doubling=st.sampled_from(["old", "new", "fast"]),
+    pool=POOLS,
+)
+# a delta that overflows the phase-size argument; a gamma_1 that overflows its quotient
+@example(procedure="coup", stop="phases:1", schedule="default", utility="uniform:kappa0=60",
+         delta=1e-320, seed=1, doubling="old", pool="family=exponential\nparams=1;2\n")
+@example(procedure="coup", stop="budget:10", schedule="custom:eps=e^-p/6,gamma=e^-p/0.0014",
+         utility="uniform:kappa0=60", delta=0.1, seed=1, doubling="old",
+         pool="family=exponential\nparams=1;2\n")
+def test_spec_boundary_returns_or_raises_spec_error(
+    fuzz_dir, procedure, stop, schedule, utility, delta, seed, doubling, pool
+):
+    path = fuzz_dir / "pool.txt"
+    path.write_text(pool)
+    spec = uc.ExperimentSpec(procedure=procedure, oracle=f"synthetic:{path}", utility=utility,
+                             stop=stop, seed=seed, delta=delta, doubling=doubling,
+                             schedule=schedule)
+    try:
+        parse_spec(spec)
+    except SpecError:
+        pass
 
 
 def test_output_directory_env_override(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from utilcap import (
     CappedObservation,
@@ -102,6 +103,17 @@ def test_exponential_cdf_value():
     dist = Exponential(1.0)
     _, f = true_capped_utility(dist, LogLaplaceUtility(60.0), 1.0)
     assert f == pytest.approx(0.6321205588285577, abs=1e-12)
+
+
+def test_lognormal_cdf_matches_mpmath():
+    # the normal CDF through erfc, at z = (ln kappa - mu) / sigma in [-37, 9]:
+    # below -37 it underflows towards 0, above 9 it rounds to 1
+    dist = LogNormal(0.7, 1.3)
+    with mp.workdps(40):
+        for z in np.linspace(-37.0, 9.0, 2001).tolist():
+            kappa = math.exp(dist.mu + dist.sigma * z)
+            exact = mp.ncdf((mp.log(kappa) - dist.mu) / dist.sigma)
+            assert float(abs(dist.completion_probability(kappa) - exact) / exact) < 1e-12
 
 
 def test_cap_near_zero_returns_full_utility():

@@ -23,10 +23,6 @@ EXEMPT = {
     # returns the CPUs of this process; the probe patches it to 1 so that
     # `validate` runs its trials in the traced process
     "harness.usable_cpus",
-    # the normal CDF behind a lognormal's completion probability below an
-    # infinite captime: the finite-captime ground truth the tests compare
-    # the bounds against
-    "oracles.ndtr",
 }
 
 POOLS = {
