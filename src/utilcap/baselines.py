@@ -81,17 +81,9 @@ def _sample_to(
             sums[a] += utility(obs.duration)
             counts[a] += 1
             best = a if others is None else -max(rank(a), others)[1]
+            # positional, as in OupRun.step: one row per run
             trace.append(
-                TraceRow(
-                    round=len(trace) + 1,
-                    ledger_seconds=ledger.total_seconds,
-                    selected=a,
-                    doubled=False,
-                    eps_raw=1.0,
-                    eps_min=1.0,
-                    survivors=len(alive),
-                    incumbent=best,
-                )
+                TraceRow(len(trace) + 1, ledger.total_seconds, a, False, 1.0, 1.0, len(alive), best)
             )
 
 

@@ -24,7 +24,9 @@ from .harness import (
     SpecError,
     epsilon_vs_time_curve,
     format_value,
+    map_in_workers,
     output_directory,
+    parse_spec,
     run_experiment,
     validate_guarantee,
 )
@@ -81,6 +83,8 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = []
     if not seeds:
         raise SpecError(f"seeds must name at least one seed, as in 0:50 or 0,3,7; got {text!r}")
+    if min(seeds) < 0:
+        raise SpecError(f"seeds must be integers >= 0, got {min(seeds)} in {text!r}")
     return seeds
 
 
@@ -130,19 +134,44 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _sweep_cell(cell: tuple[ExperimentSpec, Path]):
+    """One sweep cell: run its spec into its directory.  Returns the two
+    numbers its stdout line prints, or the spec or exhaustion error it
+    raised (an exhausted cell has written its partial files), so that the
+    other cells still run."""
+    spec, outdir = cell
+    try:
+        summary = run_experiment(spec, outdir)
+    except (SpecError, InstanceExhaustedError) as err:
+        return err
+    return summary["final_epsilon"], summary["total_seconds"]
+
+
 def cmd_sweep(args) -> int:
     procedures = args.procedure.split(",")
     seeds = _parse_seeds(args.seeds)
-    base = output_directory(args.out)
+    # a spec depends on its seed only through the sign, checked above, and a
+    # matrix's column order, which cannot fail: one parse per procedure
+    # refuses a bad spec before any cell runs
     for procedure in procedures:
-        for seed in seeds:
-            spec = _spec_from_args(args, procedure, seed)
-            outdir = base / f"{procedure}_seed{seed}"
-            summary = run_experiment(spec, outdir)
-            print(
-                f"{procedure} seed={seed}: eps={summary['final_epsilon']} "
-                f"total_seconds={summary['total_seconds']}"
-            )
+        parse_spec(_spec_from_args(args, procedure, seeds[0]))
+    base = output_directory(args.out)
+    cells = [
+        (_spec_from_args(args, procedure, seed), base / f"{procedure}_seed{seed}")
+        for procedure in procedures
+        for seed in seeds
+    ]
+    # the cells run in workers, so a failed cell does not stop the others;
+    # the first failure in cell order is raised once every cell has run
+    failed = None
+    for (spec, _), result in zip(cells, map_in_workers(_sweep_cell, cells)):
+        if isinstance(result, Exception):
+            failed = result if failed is None else failed
+            continue
+        epsilon, seconds = result
+        print(f"{spec.procedure} seed={spec.seed}: eps={epsilon} total_seconds={seconds}")
+    if failed is not None:
+        raise failed
     return EXIT_OK
 
 

@@ -363,14 +363,21 @@ def parse_spec(spec: ExperimentSpec):
             # known in advance (N of phases:N, 1 of a budget) has the largest
             # pool and the first value outside (0, 1)
             last = stop.phases if isinstance(stop, MaxPhases) else 1
-            size = phase_size(last, schedule.at(last)[1], spec.delta)
+            try:
+                gamma = schedule.at(last)[1]
+            except OverflowError:
+                # p, p^2 or p^3 of an int phase count past any float
+                raise SpecError(
+                    f"phases:N with N of {len(str(last))} digits is too large for the "
+                    f"schedule's float arithmetic; lower the phase count"
+                ) from None
+            size = phase_size(last, gamma, spec.delta)
             if size > MAX_POOL_CONFIGS:
                 raise SpecError(
                     f"phase {last} needs a pool of {size} configurations, more than the "
                     f"{MAX_POOL_CONFIGS} a run may hold; lower the phase count or raise gamma_p"
                 )
-    # an int phase count past any float overflows the schedule's arithmetic
-    except (ValueError, OverflowError) as err:
+    except ValueError as err:
         raise SpecError(str(err)) from None
     return utility, stop, schedule, oracle, make
 
@@ -426,18 +433,22 @@ def _summary_row(spec: ExperimentSpec, result) -> tuple:
 def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     """Execute a spec and write trace.csv, summary.csv (and certificates.csv).
 
-    On instance exhaustion the partial trace and summary are still written,
-    then the error propagates so callers can surface the diagnostic.
+    The directory is created only once the run has ended.  On instance
+    exhaustion the partial trace and summary are still written, then the
+    error propagates, without its partial result, so callers can surface
+    the diagnostic.
     """
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     exhausted = None
     try:
         result = execute(spec)
     except InstanceExhaustedError as err:
         if err.partial is None:
             raise
-        exhausted, result = err, err.partial
+        # the files below are all that is kept of the partial run
+        exhausted, result, err.partial = err, err.partial, None
+    # only now, so that a refused spec leaves no directory behind
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         outdir / "trace.csv",
         ("procedure",) + TraceRow._fields,
@@ -552,17 +563,19 @@ def _trial(spec: ExperimentSpec):
     return evidence
 
 
-def _trial_results(specs: list[ExperimentSpec], jobs: int) -> Iterator:
-    """``_trial`` of each spec, in the order of ``specs``.
+def map_in_workers(fn, items: list) -> Iterator:
+    """``fn`` of each item, in the order of ``items``.
 
-    With more than one job on Linux the trials run in forked worker
-    processes; elsewhere they run in this process, because ``fork`` is
-    unsafe on macOS and missing on Windows.  A failing trial raises its
-    exception when its result is reached, so the first failure in seed order
-    is the one raised, as in a serial run.
+    The calls run in one forked worker process per usable CPU, but in no
+    more workers than items.  With one worker, or off Linux, they run in
+    this process, because ``fork`` is unsafe on macOS and missing on
+    Windows.  A call that raises raises when its result is reached, so the
+    first failure in item order is the one raised, as in a serial run.
+    ``validate`` trials and ``sweep`` cells both run through here.
     """
-    if jobs == 1 or not sys.platform.startswith("linux"):
-        yield from map(_trial, specs)
+    jobs = min(usable_cpus(), len(items))
+    if jobs <= 1 or not sys.platform.startswith("linux"):
+        yield from map(fn, items)
         return
     # imported only here: they take about 40 ms, and a serial run needs neither
     import multiprocessing
@@ -570,10 +583,10 @@ def _trial_results(specs: list[ExperimentSpec], jobs: int) -> Iterator:
 
     # fork, so the workers inherit the loaded modules and the cached ground
     # truth.  The only other threads are OpenBLAS's, which registers fork
-    # handlers, and a trial makes no BLAS call.
+    # handlers, and neither a trial nor a sweep cell makes a BLAS call.
     pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
     try:
-        yield from pool.map(_trial, specs, chunksize=max(1, len(specs) // (4 * jobs)))
+        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -610,7 +623,7 @@ def validate_guarantee(
     phase_failures: dict[int, int] = {}
     phase_counts: dict[int, int] = {}
     specs = [replace(template, seed=base_seed + k) for k in range(trials)]
-    results = _trial_results(specs, min(usable_cpus(), trials))
+    results = map_in_workers(_trial, specs)
     for seed, evidence in enumerate(results, start=base_seed):
         if template.procedure == "coup":
             violated = False

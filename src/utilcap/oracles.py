@@ -32,19 +32,24 @@ class InstanceExhaustedError(RuntimeError):
 
     Engines annotate the exception with the guarantee achieved so far
     (``achieved_epsilon``) and the partial result (``partial``) before
-    letting it propagate.
+    letting it propagate.  The constructor's arguments are the exception's
+    ``args``, so it pickles, as a sweep worker returns it, with its
+    attributes; ``run_experiment`` drops ``partial`` once it is written.
     """
 
     def __init__(self, config: int, instance: int, available: int):
-        super().__init__(
-            f"configuration {config} has no instance {instance}: "
-            f"only {available} instances available"
-        )
+        super().__init__(config, instance, available)
         self.config = config
         self.instance = instance
         self.available = available
         self.achieved_epsilon: float | None = None
         self.partial = None
+
+    def __str__(self) -> str:
+        return (
+            f"configuration {self.config} has no instance {self.instance}: "
+            f"only {self.available} instances available"
+        )
 
 
 class CappedObservation(NamedTuple):

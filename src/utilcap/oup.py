@@ -188,16 +188,11 @@ class OupRun:
             self.rebuild_index()
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
+        # positional: a row is built every round, and keywords take twice as long
         self.trace.append(
             TraceRow(
-                round=self.round,
-                ledger_seconds=self.ledger.total_seconds,
-                selected=i,
-                doubled=doubled,
-                eps_raw=eps_raw,
-                eps_min=self.eps_min,
-                survivors=len(self.survivors),
-                incumbent=star,
+                self.round, self.ledger.total_seconds, i, doubled, eps_raw, self.eps_min,
+                len(self.survivors), star,
             )
         )
 

@@ -263,6 +263,60 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         assert report.trials == len({entry[0] for entry in report.details})
 
 
+def sweep_output(monkeypatch, capsys, args, out, cpus):
+    """(exit code, stdout, stderr, {file: bytes}) of one sweep command into
+    ``out`` on a machine with ``cpus`` usable CPUs."""
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+    code = main(["sweep", *args, "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+    return code, stdout, stderr, files
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (
+            ("pool.txt", POOL),
+            ("--procedure", "oup,up,naive", "--stop", "epsilon:0.4", "--seeds", "0:3"),
+        ),
+        (
+            # every cell runs out of dataset columns; each writes its partial files
+            ("m.csv", "a,1,1\nb,2,2\n"),
+            ("--procedure", "oup,up", "--stop", "epsilon:0.001", "--seeds", "0:2"),
+        ),
+    ],
+    ids=["ok", "exhausted"],
+)
+def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, oracle, args):
+    name, body = oracle
+    (tmp_path / name).write_text(body)
+    kind = "matrix" if name.endswith(".csv") else "synthetic"
+    args = ("--oracle", f"{kind}:{tmp_path / name}", "--delta", "0.1", "--doubling", "new", *args)
+    # one CPU runs the cells in this process; two start a pool of two
+    # workers, even on a one-CPU machine
+    with time_limit(30.0):
+        serial = sweep_output(monkeypatch, capsys, args, tmp_path / "serial", 1)
+        parallel = sweep_output(monkeypatch, capsys, args, tmp_path / "parallel", 2)
+    assert serial == parallel
+    code, out, err, files = serial
+    procedures = args[args.index("--procedure") + 1].split(",")
+    seeds = range(*map(int, args[args.index("--seeds") + 1].split(":")))
+    cells = [f"{p}_seed{s}" for p in procedures for s in seeds]
+    assert {path.split("/")[0] for path in files} == set(cells)
+    if kind == "synthetic":
+        assert (code, err) == (0, "")
+        assert [line.partition(":")[0] for line in out.splitlines()] == [
+            c.replace("_seed", " seed=") for c in cells
+        ]
+    else:
+        # every cell ran and wrote its files; the first in cell order is reported
+        assert (code, out) == (3, "")
+        assert err.startswith("instance exhaustion: ") and "achieved eps=" in err
+        assert err.count("\n") == 1
+        assert all(f"{c}/summary.csv" in files for c in cells)
+
+
 @pytest.mark.parametrize(
     "verb, procedure, stop, extra",
     [
@@ -315,8 +369,13 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         # eps^2 underflows to 0 and to a subnormal: the sample count overflows
         ("run", "naive", "epsilon:1e-170", ("--seed", "3", "--utility", "uniform:kappa0=60")),
         ("run", "naive", "epsilon:1e-160", ("--seed", "3", "--utility", "uniform:kappa0=60")),
-        # a phase count past any float
+        # a phase count past any float, and one whose cube is
         ("run", "coup", "phases:1" + "0" * 320, ("--seed", "3")),
+        ("run", "coup", "phases:" + "9" * 320, ("--seed", "3")),
+        ("run", "coup", "phases:1" + "0" * 105, ("--seed", "3", "--schedule", "gamma_then_epsilon")),
+        # a later procedure's stop rule is refused before any cell runs
+        ("sweep", "oup,coup", "epsilon:0.4", ("--seeds", "0:2")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", "0,-1")),
     ],
     ids=[
         "unknown_schedule",
@@ -356,6 +415,10 @@ def test_validate_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, 
         "naive_epsilon_squared_underflows",
         "naive_epsilon_squared_subnormal",
         "coup_phases_past_float",
+        "coup_phases_nines_past_float",
+        "coup_phases_cube_past_float",
+        "sweep_later_procedure_bad",
+        "sweep_later_seed_negative",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -365,15 +428,20 @@ def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, c
     ]
     with time_limit(10.0):
         assert main(args) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("spec error:") and err.count("\n") == 1
+    # no run, and so no sweep cell, got as far as its output
+    assert out == "" and not (tmp_path / "out").exists()
+    if stop.startswith("phases:") and len(stop) > 100:
+        # a phase count too large for the schedule's arithmetic names itself
+        assert "phases:N" in err and "lower the phase count" in err
 
 
 def test_validate_refuses_a_phase_count_before_any_trial(pool_path, monkeypatch, capsys):
-    def no_trials(specs, jobs):
+    def no_trials(fn, items):
         raise AssertionError("a trial started")
 
-    monkeypatch.setattr(harness, "_trial_results", no_trials)
+    monkeypatch.setattr(harness, "map_in_workers", no_trials)
     args = [
         "validate", "--procedure", "coup", "--oracle", f"synthetic:{pool_path}",
         "--stop", "phases:50", "--trials", "2",
@@ -401,10 +469,10 @@ PARAMETRIC = "family=parametric_exponential\nparams=0.1,10000\n"
          "max_failure_rate_nan", "max_failure_rate_infinite"],
 )
 def test_validate_bad_spec_exits_two_before_any_trial(tmp_path, monkeypatch, capsys, body, extra):
-    def no_trials(specs, jobs):
+    def no_trials(fn, items):
         raise AssertionError("a trial started")
 
-    monkeypatch.setattr(harness, "_trial_results", no_trials)
+    monkeypatch.setattr(harness, "map_in_workers", no_trials)
     path = tmp_path / "pool.txt"
     path.write_text(body)
     with time_limit(10.0):

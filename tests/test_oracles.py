@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -228,6 +229,17 @@ def test_matrix_oracle_instance_exhaustion(tmp_path):
     with pytest.raises(InstanceExhaustedError) as err:
         oracle.run(0, 2, 1.0)
     assert err.value.available == 2
+
+
+def test_instance_exhaustion_survives_pickling():
+    # a sweep worker returns the error to the parent, which reports it
+    err = InstanceExhaustedError(1, 2, 3)
+    err.achieved_epsilon = 0.25
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is InstanceExhaustedError
+    assert str(copy) == str(err) == "configuration 1 has no instance 2: only 3 instances available"
+    assert (copy.config, copy.instance, copy.available) == (1, 2, 3)
+    assert copy.achieved_epsilon == 0.25 and copy.partial is None
 
 
 def test_distribution_parameter_validation():

@@ -21,7 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Functions that no command reaches and that stay, with the reason why.
 EXEMPT = {
     # returns the CPUs of this process; the probe patches it to 1 so that
-    # `validate` runs its trials in the traced process
+    # `validate` trials and `sweep` cells run in the traced process
     "harness.usable_cpus",
 }
 
