@@ -34,7 +34,6 @@ from .oracles import (
     InstanceExhaustedError,
     LogNormal,
     MatrixOracle,
-    RuntimeMatrixDataset,
     SyntheticOracle,
     TwoPoint,
     expected_capped_utility,

@@ -87,36 +87,40 @@ def _sample_to(
             )
 
 
-def naive_captime(u: UtilityFunction, epsilon: float, max_level: int = 200) -> float:
-    """Smallest power-of-two captime at which utility is at most epsilon/2."""
-    if epsilon <= 0:
-        raise ValueError(f"target epsilon must be positive, got {epsilon}")
-    kappa = 1.0
-    for _ in range(max_level + 1):
-        if u(kappa) <= epsilon / 2.0:
-            return kappa
-        kappa *= 2.0
-    raise ValueError(
-        f"utility never falls to {epsilon / 2.0} below captime 2^{max_level}; "
-        f"the capping error cannot be brought under epsilon/2"
-    )
-
-
 # the most runs a naive or successive-halving plan may make: at one trace row
 # per run, 10^8 runs already write more than 6 GB of trace
 MAX_PLANNED_RUNS = 10**8
 
 
-def naive_sample_count(n: int, delta: float, epsilon: float) -> int | float:
-    """Two-sided Hoeffding count: eps/2 sampling error at confidence delta/n
-    per configuration, alongside the eps/2 capping error; inf when the
-    count overflows a float."""
+def naive_plan(n: int, u: UtilityFunction, epsilon: float, delta: float) -> tuple[float, int]:
+    """The captime and per-configuration sample count of a naive run over
+    ``n`` configurations; raises ``ValueError`` for a plan no run can finish.
+
+    The captime is the smallest power of two, up to 2^200, at which utility
+    is at most epsilon/2.  The count is the two-sided Hoeffding count: eps/2
+    sampling error at confidence delta/n per configuration, alongside the
+    eps/2 capping error.
+    """
+    kappa = 1.0
+    while not u(kappa) <= epsilon / 2.0:
+        if kappa == 2.0 ** 200:
+            raise ValueError(
+                f"utility never falls to {epsilon / 2.0} below captime 2^200; "
+                f"the capping error cannot be brought under epsilon/2"
+            )
+        kappa *= 2.0
     arg = 2.0 * n / delta
     # as in bounds.alpha: only an overflowing argument sums its logs
     log_arg = math.log(arg) if arg < math.inf else math.log(2.0 * n) - math.log(delta)
     # eps^2 can underflow to 0
     count = 2.0 / epsilon ** 2 * log_arg if epsilon ** 2 else math.inf
-    return math.ceil(count) if count < math.inf else count
+    m = math.ceil(count) if count < math.inf else count
+    if n * m > MAX_PLANNED_RUNS:
+        raise ValueError(
+            f"naive plans {n * m} runs ({m} per configuration), more than the "
+            f"{MAX_PLANNED_RUNS} it can finish; raise the target epsilon"
+        )
+    return kappa, m
 
 
 def naive_run(
@@ -126,15 +130,7 @@ def naive_run(
     delta: float,
 ) -> RunResult:
     n = oracle.n_configs
-    if not n:
-        raise ValueError("configuration pool must not be empty")
-    kappa_bar = naive_captime(utility, epsilon)
-    m = naive_sample_count(n, delta, epsilon)
-    if n * m > MAX_PLANNED_RUNS:
-        raise ValueError(
-            f"naive plans {n * m} runs ({m} per configuration), more than the "
-            f"{MAX_PLANNED_RUNS} it can finish; raise the target epsilon"
-        )
+    kappa_bar, m = naive_plan(n, utility, epsilon, delta)
     ledger = CostLedger()
     trace: list[TraceRow] = []
     sums = [0.0] * n
@@ -161,23 +157,37 @@ def naive_run(
 # ---------------------------------------------------------------------------
 
 
-def halving_round_structure(n: int, eta: int) -> tuple[list[int], list[int]]:
-    """Survivor sizes per round and the unit cost of each round.
+def halving_plan(n: int, budget: int, eta: int, kappa: float) -> tuple[list[int], int]:
+    """Survivor sizes per round and the unit rate of a successive-halving
+    run over ``n`` configurations; raises ``ValueError`` for a plan no run
+    can finish.
 
     Sizes shrink by a factor eta down to a final singleton round; the
-    per-survivor cumulative count doubles by eta each round with run reuse,
+    per-survivor cumulative count grows by eta each round with run reuse,
     so round k at unit rate r costs ``sizes[k] * (r eta^k - r eta^(k-1))``
-    fresh runs beyond the first round's ``n * r``.
+    fresh runs beyond the first round's ``n * r``.  The rate is the number
+    of whole passes over that structure the budget buys.
     """
     if eta < 2:
         raise ValueError(f"elimination factor must be at least 2, got {eta}")
+    if not kappa > 0:
+        raise ValueError(f"sh captime must be positive, got {kappa}")
     sizes = [n]
     while sizes[-1] > 1:
         sizes.append(max(1, sizes[-1] // eta))
-    unit_costs = [sizes[0]]
-    for k in range(1, len(sizes)):
-        unit_costs.append(sizes[k] * (eta ** k - eta ** (k - 1)))
-    return sizes, unit_costs
+    unit_cost = n + sum(sizes[k] * (eta ** k - eta ** (k - 1)) for k in range(1, len(sizes)))
+    rate = budget // unit_cost
+    if rate < 1:
+        raise ValueError(
+            f"budget {budget} is too small: one pass over the round structure "
+            f"costs {unit_cost} runs"
+        )
+    if rate * unit_cost > MAX_PLANNED_RUNS:
+        raise ValueError(
+            f"sh plans {rate * unit_cost} runs, more than the "
+            f"{MAX_PLANNED_RUNS} it can finish; lower the budget"
+        )
+    return sizes, rate
 
 
 def successive_halving(
@@ -188,21 +198,7 @@ def successive_halving(
     kappa: float,
 ) -> RunResult:
     n = oracle.n_configs
-    if not n:
-        raise ValueError("configuration pool must not be empty")
-    sizes, unit_costs = halving_round_structure(n, eta)
-    rate = budget // sum(unit_costs)
-    if rate < 1:
-        raise ValueError(
-            f"budget {budget} is too small: one pass over the round structure "
-            f"costs {sum(unit_costs)} runs"
-        )
-    planned = rate * sum(unit_costs)
-    if planned > MAX_PLANNED_RUNS:
-        raise ValueError(
-            f"sh plans {planned} runs, more than the "
-            f"{MAX_PLANNED_RUNS} it can finish; lower the budget"
-        )
+    sizes, rate = halving_plan(n, budget, eta, kappa)
     ledger = CostLedger()
     trace: list[TraceRow] = []
     sums = [0.0] * n

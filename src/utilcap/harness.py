@@ -16,7 +16,14 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .baselines import MAX_PLANNED_RUNS, UpRun, naive_run, successive_halving
+from .baselines import (
+    MAX_PLANNED_RUNS,
+    UpRun,
+    halving_plan,
+    naive_plan,
+    naive_run,
+    successive_halving,
+)
 from .coup import (
     CoupRun,
     FinitePoolSampler,
@@ -30,7 +37,6 @@ from .oracles import (
     Exponential,
     InstanceExhaustedError,
     LogNormal,
-    MatrixOracle,
     SyntheticOracle,
     TwoPoint,
     load_runtime_matrix,
@@ -232,10 +238,9 @@ def build_oracle(oracle_spec: str, seed: int):
         raise SpecError(f"oracle spec must look like matrix:PATH or synthetic:PATH, got {oracle_spec!r}")
     if kind == "matrix":
         try:
-            dataset = load_runtime_matrix(target, seed)
+            return load_runtime_matrix(target, seed), None
         except (OSError, ValueError) as err:
             raise SpecError(f"cannot load runtime matrix: {err}") from None
-        return MatrixOracle(dataset), None
     if kind == "synthetic":
         pool = load_synthetic_spec(target)
         make = None if isinstance(pool, tuple) else pool
@@ -339,7 +344,11 @@ MAX_POOL_CONFIGS = 10**6
 def parse_spec(spec: ExperimentSpec):
     """The spec boundary: parse and check every field once, before any run.
     Returns ``(utility, stop, schedule, oracle, make)``, the last two as
-    ``build_oracle`` gives them; raises ``SpecError``."""
+    ``build_oracle`` gives them; raises ``SpecError``.
+
+    Every refusal that the spec alone decides is made here: a naive or sh
+    plan no run can finish, and a coup pool that a population without
+    replacement cannot fill by the last phase known in advance."""
     if spec.procedure not in PROCEDURES:
         raise SpecError(f"unknown procedure {spec.procedure!r}; expected one of {PROCEDURES}")
     if spec.doubling not in ("old", "new"):
@@ -358,6 +367,10 @@ def parse_spec(spec: ExperimentSpec):
                 "a parametric configuration space needs phased sampling; "
                 "only the coup procedure can search it"
             )
+        if spec.procedure == "naive":
+            naive_plan(oracle.n_configs, utility, stop.epsilon, spec.delta)
+        if spec.procedure == "sh":
+            halving_plan(oracle.n_configs, int(stop.seconds), spec.sh_eta, spec.sh_kappa)
         if spec.procedure == "coup":
             # every schedule term e^-p^k/D decreases in p, so the last phase
             # known in advance (N of phases:N, 1 of a budget) has the largest
@@ -377,6 +390,8 @@ def parse_spec(spec: ExperimentSpec):
                     f"phase {last} needs a pool of {size} configurations, more than the "
                     f"{MAX_POOL_CONFIGS} a run may hold; lower the phase count or raise gamma_p"
                 )
+            if spec.without_replacement and make is None and size > oracle.n_configs:
+                raise SpecError(str(SamplerExhaustedError(size, oracle.n_configs)))
     except ValueError as err:
         raise SpecError(str(err)) from None
     return utility, stop, schedule, oracle, make
@@ -389,14 +404,11 @@ def execute(spec: ExperimentSpec):
         return OupRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
     if spec.procedure == "up":
         return UpRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
-    try:
-        if spec.procedure == "naive":
-            return naive_run(oracle, utility, stop.epsilon, spec.delta)
-        if spec.procedure == "sh":
-            budget = int(stop.seconds)
-            return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
-    except ValueError as err:
-        raise SpecError(str(err)) from None
+    if spec.procedure == "naive":
+        return naive_run(oracle, utility, stop.epsilon, spec.delta)
+    if spec.procedure == "sh":
+        budget = int(stop.seconds)
+        return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
     if make is not None:
         sampler = ParametricSampler(oracle, spec.seed, make)
     else:
@@ -405,6 +417,8 @@ def execute(spec: ExperimentSpec):
     try:
         result = run.run_phases(stop)
     except SamplerExhaustedError as err:
+        # a budget run that outgrew a population without replacement after
+        # phase 1: how many phases a budget buys is known only once it is spent
         raise SpecError(str(err)) from None
     result.extra["sampler"] = sampler
     return result
@@ -610,12 +624,13 @@ def validate_guarantee(
         raise SpecError(f"trials must be positive, got {trials}")
     if not template.oracle.startswith("synthetic:"):
         raise SpecError("guarantee validation needs a synthetic oracle with ground truth")
-    utility, _, _, oracle, _ = parse_spec(template)
+    utility, _, _, oracle, make = parse_spec(template)
     if template.procedure == "sh":
         raise SpecError("sh certifies no guarantee, so there is nothing to validate")
-    if template.procedure != "coup":
+    if make is None:
         # a finite synthetic pool's true utilities do not depend on the seed;
-        # they are computed once, before any worker starts
+        # they are computed once, before any worker starts, and the workers
+        # inherit them in the cache of true_capped_utility
         true_utilities = oracle.true_utilities(utility)
         best = max(true_utilities)
     failures = 0

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .rng import RUNTIME_STREAM, UniformStream, seeded_permutation
 from .utility import UtilityFunction
 
@@ -237,32 +235,16 @@ def true_capped_utility(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuntimeMatrixDataset:
-    """Recorded true runtimes: rows are configurations, columns are instances."""
+def load_runtime_matrix(path: str | Path, seed: int) -> "MatrixOracle":
+    """Load a runtime matrix CSV, ``name,t1,t2,...`` per row and no header,
+    as an oracle.
 
-    runtimes: np.ndarray
-    names: tuple[str, ...]
-    instance_order: tuple[int, ...]
-
-    def __post_init__(self):
-        r, c = self.runtimes.shape
-        if len(self.names) != r:
-            raise ValueError("one name per configuration row is required")
-        if sorted(self.instance_order) != list(range(c)):
-            raise ValueError("instance_order must be a permutation of the columns")
-
-
-def load_runtime_matrix(path: str | Path, seed: int) -> RuntimeMatrixDataset:
-    """Load a runtime matrix CSV: ``name,t1,t2,...`` per row, no header.
-
-    Columns are permuted once by the seed; every consumer of the dataset sees
+    Columns are permuted once by the seed; every consumer of the oracle sees
     the same instance sequence, so comparisons between procedures are paired.
     """
     path = Path(path)
     names: list[str] = []
-    rows: list[list[float]] = []
-    width = None
+    rows: list[tuple[float, ...]] = []
     with path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -286,43 +268,41 @@ def load_runtime_matrix(path: str | Path, seed: int) -> RuntimeMatrixDataset:
                         f"nonnegative, got {cell!r}"
                     )
                 values.append(value)
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
+            if rows and len(values) != len(rows[0]):
                 raise ValueError(
-                    f"{path}:{lineno}: ragged row: {len(values)} runtimes, expected {width}"
+                    f"{path}:{lineno}: ragged row: {len(values)} runtimes, expected {len(rows[0])}"
                 )
             names.append(name)
-            rows.append(values)
+            rows.append(tuple(values))
     if not rows:
         raise ValueError(f"{path}: empty runtime matrix")
-    matrix = np.asarray(rows, dtype=np.float64)
-    order = seeded_permutation(matrix.shape[1], seed)
-    return RuntimeMatrixDataset(runtimes=matrix, names=tuple(names), instance_order=order)
+    return MatrixOracle(tuple(rows), tuple(names), seeded_permutation(len(rows[0]), seed))
 
 
 class MatrixOracle:
-    """Capped runs replayed from a runtime matrix in its seeded column order."""
+    """Capped runs replayed from recorded runtimes in a seeded column order:
+    ``runtimes[config]`` is a configuration's row, and instance j is column
+    ``instance_order[j]``."""
 
-    def __init__(self, dataset: RuntimeMatrixDataset):
-        self.dataset = dataset
-
-    @property
-    def n_configs(self) -> int:
-        return self.dataset.runtimes.shape[0]
-
-    @property
-    def n_instances(self) -> int:
-        return self.dataset.runtimes.shape[1]
+    def __init__(
+        self,
+        runtimes: tuple[tuple[float, ...], ...],
+        names: tuple[str, ...],
+        instance_order: tuple[int, ...],
+    ):
+        self.runtimes = runtimes
+        self.names = names
+        self.instance_order = instance_order
+        self.n_configs = len(runtimes)
+        self.n_instances = len(instance_order)
 
     def name(self, config: int) -> str:
-        return self.dataset.names[config]
+        return self.names[config]
 
     def true_runtime(self, config: int, instance: int) -> float:
         if instance >= self.n_instances:
             raise InstanceExhaustedError(config, instance, self.n_instances)
-        column = self.dataset.instance_order[instance]
-        return float(self.dataset.runtimes[config, column])
+        return self.runtimes[config][self.instance_order[instance]]
 
     def run(self, config: int, instance: int, captime: float) -> CappedObservation:
         return CappedObservation.observe(self.true_runtime(config, instance), captime)

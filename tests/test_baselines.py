@@ -87,22 +87,30 @@ def test_up_stop_rules_and_determinism():
 # ---------------------------------------------------------------------------
 
 
+def captime(u, epsilon):
+    return uc.baselines.naive_plan(1, u, epsilon, 0.1)[0]
+
+
+def sample_count(n, delta, epsilon):
+    return uc.baselines.naive_plan(n, uc.UniformUtility(60.0), epsilon, delta)[1]
+
+
 def test_naive_captime_scan():
-    assert uc.baselines.naive_captime(uc.UniformUtility(60.0), 0.2) == 64.0
-    assert uc.baselines.naive_captime(uc.UniformUtility(1.0), 2.0) == 1.0
+    assert captime(uc.UniformUtility(60.0), 0.2) == 64.0
+    assert captime(uc.UniformUtility(1.0), 2.0) == 1.0
     # log-Laplace tail: u(k) = 30/k <= 0.05 first at k = 1024
-    assert uc.baselines.naive_captime(U60, 0.1) == 1024.0
+    assert captime(U60, 0.1) == 1024.0
 
 
 def test_naive_captime_unreachable():
     with pytest.raises(ValueError, match="cannot"):
-        uc.baselines.naive_captime(U60, 1e-70)
+        captime(U60, 1e-70)
 
 
 def test_naive_sample_count_examples():
-    assert uc.baselines.naive_sample_count(10, 0.1, 0.2) == 265
-    assert uc.baselines.naive_sample_count(20, 0.1, 0.2) == 300
-    assert uc.baselines.naive_sample_count(10, 0.1, 2.0) == math.ceil(
+    assert sample_count(10, 0.1, 0.2) == 265
+    assert sample_count(20, 0.1, 0.2) == 300
+    assert sample_count(10, 0.1, 2.0) == math.ceil(
         0.5 * math.log(2 * 10 / 0.1)
     )
 
@@ -110,12 +118,11 @@ def test_naive_sample_count_examples():
 def test_naive_run_shape():
     oracle = small_oracle(5)
     result = uc.naive_run(oracle, U60, 0.4, 0.1)
-    m = uc.baselines.naive_sample_count(3, 0.1, 0.4)
+    kappa, m = uc.baselines.naive_plan(3, U60, 0.4, 0.1)
     assert result.ledger.run_count == 3 * m
     assert [row.selected for row in result.trace] == [i for i in range(3) for _ in range(m)]
     # runs are pure functions of (seed, config, instance): replaying them at
     # the fixed captime gives the means and the seconds the run saw
-    kappa = uc.baselines.naive_captime(U60, 0.4)
     durations = [[oracle.run(i, j, kappa).duration for j in range(m)] for i in range(3)]
     means = [sum(U60(d) for d in row) / m for row in durations]
     assert result.incumbent == max(range(3), key=lambda i: means[i])
@@ -128,7 +135,7 @@ def test_naive_run_shape():
 def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):
     # the cap admits a plan of exactly its size and refuses one run more;
     # test_bad_spec_exits_two checks the real cap end to end
-    planned = 3 * uc.baselines.naive_sample_count(3, 0.1, 0.4)
+    planned = 3 * sample_count(3, 0.1, 0.4)
     monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", planned)
     assert uc.naive_run(small_oracle(5), U60, 0.4, 0.1).ledger.run_count == planned
     monkeypatch.setattr(uc.baselines, "MAX_PLANNED_RUNS", planned - 1)
@@ -148,9 +155,10 @@ def test_naive_is_deterministic():
 
 
 def test_halving_budget_arithmetic():
-    sizes, unit_costs = uc.baselines.halving_round_structure(4, 2)
-    assert sizes == [4, 2, 1]
-    assert sum(unit_costs) == 8
+    # one pass over sizes 4, 2, 1 costs 4 + 2 * (2 - 1) + 1 * (4 - 2) = 8 runs
+    assert uc.baselines.halving_plan(4, 8, 2, 64.0) == ([4, 2, 1], 1)
+    with pytest.raises(ValueError, match="costs 8 runs"):
+        uc.baselines.halving_plan(4, 7, 2, 64.0)
     oracle = uc.SyntheticOracle(
         [uc.TwoPoint(t, t, 1.0) for t in (10.0, 2.0, 30.0, 20.0)], seed=0
     )

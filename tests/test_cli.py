@@ -376,6 +376,14 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         # a later procedure's stop rule is refused before any cell runs
         ("sweep", "oup,coup", "epsilon:0.4", ("--seeds", "0:2")),
         ("sweep", "oup", "epsilon:0.4", ("--seeds", "0,-1")),
+        # a later procedure's plan, captime or pool is refused before any cell
+        # runs: naive's captime never brings u under eps/2, sh's eta < 2, sh's
+        # captime is negative, and coup's phase 1 needs 5 of the 3 configurations
+        ("sweep", "oup,naive", "epsilon:0.4",
+         ("--seeds", "0:2", "--utility", "loglaplace:kappa0=1e300")),
+        ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-eta", "1")),
+        ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-kappa", "-1")),
+        ("sweep", "oup,coup", "budget:50", ("--seeds", "0:2", "--without-replacement")),
     ],
     ids=[
         "unknown_schedule",
@@ -419,6 +427,10 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         "coup_phases_cube_past_float",
         "sweep_later_procedure_bad",
         "sweep_later_seed_negative",
+        "sweep_later_naive_captime_unreachable",
+        "sweep_later_sh_eta_one",
+        "sweep_later_sh_kappa_negative",
+        "sweep_later_coup_pool_exhausted",
     ],
 )
 def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
@@ -464,9 +476,13 @@ PARAMETRIC = "family=parametric_exponential\nparams=0.1,10000\n"
         # every failure rate compares false with nan, so nan would always pass
         (POOL, ("--procedure", "oup", "--stop", "epsilon:0.5", "--max-failure-rate", "nan")),
         (POOL, ("--procedure", "oup", "--stop", "epsilon:0.5", "--max-failure-rate", "inf")),
+        # a plan of about 10^19 runs; phase 3 needs more than the 3 configurations
+        (POOL, ("--procedure", "naive", "--stop", "epsilon:1e-9")),
+        (POOL, ("--procedure", "coup", "--stop", "phases:3", "--without-replacement")),
     ],
     ids=["oup_parametric", "up_parametric", "naive_parametric", "base_seed_negative",
-         "max_failure_rate_nan", "max_failure_rate_infinite"],
+         "max_failure_rate_nan", "max_failure_rate_infinite", "naive_plan_too_large",
+         "coup_pool_exhausted"],
 )
 def test_validate_bad_spec_exits_two_before_any_trial(tmp_path, monkeypatch, capsys, body, extra):
     def no_trials(fn, items):

@@ -382,7 +382,7 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
         )
     path = tmp_path / "runtimes.csv"
     path.write_text("\n".join(rows) + "\n")
-    oracle = uc.MatrixOracle(uc.load_runtime_matrix(path, seed=2))
+    oracle = uc.load_runtime_matrix(path, seed=2)
     sampler = uc.FinitePoolSampler(oracle, seed=2, replace=True)
     run = uc.CoupRun(
         sampler, oracle, UTILITY, 0.1, uc.Schedule.from_spec("default"), doubling="new"

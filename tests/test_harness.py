@@ -204,21 +204,35 @@ def fuzz_dir(tmp_path_factory):
     seed=st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80)),
     doubling=st.sampled_from(["old", "new", "fast"]),
     pool=POOLS,
+    sh_eta=st.one_of(st.integers(-3, 5), st.integers(-(2**80), 2**80)),
+    sh_kappa=st.one_of(st.sampled_from([math.nan, 0.0, -1.0, math.inf, 5e-324, 8.0]), st.floats()),
+    without_replacement=st.booleans(),
 )
 # a delta that overflows the phase-size argument; a gamma_1 that overflows its quotient
 @example(procedure="coup", stop="phases:1", schedule="default", utility="uniform:kappa0=60",
-         delta=1e-320, seed=1, doubling="old", pool="family=exponential\nparams=1;2\n")
+         delta=1e-320, seed=1, doubling="old", pool="family=exponential\nparams=1;2\n",
+         sh_eta=2, sh_kappa=1.0, without_replacement=False)
 @example(procedure="coup", stop="budget:10", schedule="custom:eps=e^-p/6,gamma=e^-p/0.0014",
          utility="uniform:kappa0=60", delta=0.1, seed=1, doubling="old",
-         pool="family=exponential\nparams=1;2\n")
+         pool="family=exponential\nparams=1;2\n", sh_eta=2, sh_kappa=1.0,
+         without_replacement=False)
+# sh's captime nan; a pool that phase 1 outgrows without replacement
+@example(procedure="sh", stop="budget:100", schedule="default", utility="uniform:kappa0=60",
+         delta=0.1, seed=1, doubling="old", pool="family=exponential\nparams=1;2\n",
+         sh_eta=2, sh_kappa=math.nan, without_replacement=False)
+@example(procedure="coup", stop="budget:10", schedule="default", utility="uniform:kappa0=60",
+         delta=0.1, seed=1, doubling="old", pool="family=exponential\nparams=1;2\n",
+         sh_eta=2, sh_kappa=1.0, without_replacement=True)
 def test_spec_boundary_returns_or_raises_spec_error(
-    fuzz_dir, procedure, stop, schedule, utility, delta, seed, doubling, pool
+    fuzz_dir, procedure, stop, schedule, utility, delta, seed, doubling, pool, sh_eta, sh_kappa,
+    without_replacement,
 ):
     path = fuzz_dir / "pool.txt"
     path.write_text(pool)
     spec = uc.ExperimentSpec(procedure=procedure, oracle=f"synthetic:{path}", utility=utility,
                              stop=stop, seed=seed, delta=delta, doubling=doubling,
-                             schedule=schedule)
+                             schedule=schedule, without_replacement=without_replacement,
+                             sh_eta=sh_eta, sh_kappa=sh_kappa)
     try:
         parse_spec(spec)
     except SpecError:
@@ -509,6 +523,33 @@ def test_finite_pool_truths_are_computed_once_per_process(tmp_path, monkeypatch)
     computed.clear()
     harness._trial(dataclasses.replace(spec, seed=1))
     assert computed == []
+
+
+def test_validate_computes_finite_pool_truths_before_the_fork(tmp_path, monkeypatch):
+    # forked workers inherit the parent's cache, so a coup validate on a
+    # finite pool computes each truth once, not once in every worker
+    from utilcap import harness, oracles
+
+    means = [1.0, 2.0, 3.0, 5.0]
+    pool = "family=exponential\nparams=" + ";".join(map(str, means)) + "\n"
+    oracle = write_pool(tmp_path, pool, name="finite.txt")
+    spec = spec_for(tmp_path, procedure="coup", oracle=oracle, stop="phases:1", delta=0.05)
+    utility = uc.parse_utility(spec.utility)
+    fork = harness.map_in_workers
+    missed = []
+
+    def cache_checked(fn, items):
+        before = oracles.true_capped_utility.cache_info().misses
+        for mean in means:
+            oracles.true_capped_utility(uc.Exponential(mean), utility, math.inf)
+        missed.append(oracles.true_capped_utility.cache_info().misses - before)
+        return fork(fn, items)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "map_in_workers", cache_checked)
+    oracles.true_capped_utility.cache_clear()
+    assert uc.validate_guarantee(spec, trials=2).trials == 2
+    assert missed == [0]
 
 
 def test_validate_guarantee_requires_synthetic(tmp_path):

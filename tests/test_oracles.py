@@ -12,7 +12,6 @@ from utilcap import (
     InstanceExhaustedError,
     LogLaplaceUtility,
     LogNormal,
-    MatrixOracle,
     SyntheticOracle,
     TwoPoint,
     UniformUtility,
@@ -163,10 +162,10 @@ def test_monte_carlo_consistency(dist):
 def test_load_small_matrix(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,1,2,3\nb,4,5,6\n")
-    ds = load_runtime_matrix(path, seed=0)
-    assert ds.names == ("a", "b")
-    assert ds.runtimes.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-    assert sorted(ds.instance_order) == [0, 1, 2]
+    oracle = load_runtime_matrix(path, seed=0)
+    assert oracle.names == ("a", "b")
+    assert oracle.runtimes == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+    assert sorted(oracle.instance_order) == [0, 1, 2]
 
 
 def test_load_permutation_depends_on_seed(tmp_path):
@@ -213,11 +212,10 @@ def test_load_rejects_negative_runtime(tmp_path):
 def test_matrix_oracle_replays_permuted_columns(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,1,2,3,4\nb,5,6,7,8\n")
-    ds = load_runtime_matrix(path, seed=3)
-    oracle = MatrixOracle(ds)
+    oracle = load_runtime_matrix(path, seed=3)
     for j in range(4):
-        col = ds.instance_order[j]
-        assert oracle.true_runtime(0, j) == ds.runtimes[0][col]
+        col = oracle.instance_order[j]
+        assert oracle.true_runtime(0, j) == oracle.runtimes[0][col]
     obs = oracle.run(1, 0, 2.0)
     assert obs.duration <= 2.0
 
@@ -225,7 +223,7 @@ def test_matrix_oracle_replays_permuted_columns(tmp_path):
 def test_matrix_oracle_instance_exhaustion(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,1,2\n")
-    oracle = MatrixOracle(load_runtime_matrix(path, seed=0))
+    oracle = load_runtime_matrix(path, seed=0)
     with pytest.raises(InstanceExhaustedError) as err:
         oracle.run(0, 2, 1.0)
     assert err.value.available == 2

@@ -307,7 +307,7 @@ def test_target_epsilon_single_arm_round_count_matches_formula():
 def test_instance_exhaustion_carries_diagnostics(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,1,1,1\nb,2,2,2\n")
-    oracle = uc.MatrixOracle(uc.load_runtime_matrix(path, seed=0))
+    oracle = uc.load_runtime_matrix(path, seed=0)
     run = uc.OupRun(oracle, U60, 0.1, doubling="new")
     with pytest.raises(uc.InstanceExhaustedError) as err:
         run.run_until(uc.TargetEpsilon(0.01))

@@ -31,6 +31,7 @@ POOLS = {
     "twopoint.txt": "family=twopoint\nparams=1,30,0.9;2,100,0.5\n",
     "parametric.txt": "family=parametric_exponential\nparams=0.1,10000\n",
     "matrix.csv": "a,1,2\nb,3,4\n",
+    "six.txt": "family=exponential\nparams=1.0;5.0;20.0;60.0;150.0;400.0\n",
 }
 
 
@@ -61,9 +62,10 @@ COMMANDS = [
     # a finite pool's quantile and a parametric space's closed-form one
     (_command("validate", "coup", "synthetic:twopoint.txt", "phases:1", "--trials", "2"), 0),
     (_command("validate", "coup", "synthetic:parametric.txt", "phases:1", "--trials", "2"), 0),
-    # phase 1 needs 5 distinct configurations and the pool has 3
-    (_command("run", "coup", EXP, "phases:1", "--without-replacement", "--seed", "1",
-              "--out", "drained"), 2),
+    # phase 1 takes 5 of the 6 configurations and phase 2 needs 10; the
+    # spec boundary checks only phase 1 of a budget, so the sampler refuses
+    (_command("run", "coup", "synthetic:six.txt", "budget:1000", "--without-replacement",
+              "--seed", "1", "--out", "drained"), 2),
     (_command("run", "oup", "matrix:matrix.csv", "epsilon:0.01", "--seed", "1",
               "--out", "exhausted"), 3),
 ]
