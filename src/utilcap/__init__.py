@@ -29,7 +29,6 @@ from .harness import (
     validate_guarantee,
 )
 from .oracles import (
-    CappedObservation,
     Exponential,
     InstanceExhaustedError,
     LogNormal,

@@ -9,7 +9,8 @@ round-robin, or phased) advances an arm through the same sequence:
 3. if it fires, double the captime once and rerun only the observations that
    had capped (completed runs already reveal their true runtime and are
    reused verbatim);
-4. run instance ``m`` at the current captime;
+4. run instance ``m`` at the current captime: the oracle's true runtime
+   ``t``, observed as ``min(t, kappa)`` and completed when ``t < kappa``;
 5. recompute the bound snapshot from the stored observations, reusing the
    width and ``u(kappa)`` of step 2 (or, after a doubling, of the new
    captime).
@@ -19,7 +20,8 @@ simply fires again on the next selection of the same arm.
 
 Step 5 replaces the arm's snapshot and nothing else's, so a round changes
 the bounds of only the arm it pulled; the engine's bound index (``OupRun``)
-relies on that and updates one arm per round instead of rescanning the pool.
+relies on that: it holds the pulled arm out of its heaps and compares it
+with the other arms' cached tops instead of rescanning the pool.
 """
 
 from __future__ import annotations
@@ -104,38 +106,47 @@ def pull_arm(
     """Advance one arm by one observation, doubling its captime if warranted.
 
     ``index`` is the arm's position in its pool and keys the ledger.
-    Returns whether the captime was doubled.  ``alpha`` and ``u(kappa)`` are
-    computed once per pull, and once more after a doubling.
+    Returns whether the captime was doubled.  ``alpha`` is computed once per
+    pull, and once more after a doubling; ``u(kappa)`` is the snapshot's
+    after the first pull, so it is computed only then and after a doubling.
+    A run is the oracle's true runtime ``t``, capped here: it observes
+    ``t`` if ``t < kappa`` (completed) and ``kappa`` otherwise.
     """
     arm.m += 1
-    a = alpha(ctx, arm.m, arm.kappa)
-    u_k = u(arm.kappa)
+    kappa = arm.kappa
+    a = alpha(ctx, arm.m, kappa)
+    u_k = arm.snapshot.u_at_kappa if arm.m > 1 else u(kappa)
     # the condition sees the incremented m but the completion fraction of the
     # previous snapshot (0 for a fresh arm)
     doubled = bool(doubling_rule(a, u_k, arm.snapshot.f_hat))
     if doubled:
-        capped = arm.kappa
-        arm.kappa *= 2.0
+        capped = kappa
+        kappa = arm.kappa = 2.0 * capped
+        durations = arm.durations
         for j in range(arm.m - 1):
-            if arm.durations[j] < capped:
+            if durations[j] < capped:
                 continue  # completed runs are reused, never rerun
-            obs = oracle.run(arm.config, j, arm.kappa)
-            arm.durations[j] = obs.duration
-            arm.utilities[j] = u(obs.duration)
-            arm._completed_count += obs.completed
-            ledger.charge(index, obs.duration)
+            t = oracle.true_runtime(arm.config, j)
+            d = t if t < kappa else kappa
+            durations[j] = d
+            arm.utilities[j] = u(d)
+            if t < kappa:
+                arm._completed_count += 1
+            ledger.charge(index, d)
         # the reruns break the append-only sum order; rebuild left to right
         arm._utility_sum = 0.0
         for value in arm.utilities:
             arm._utility_sum += value
-        a = alpha(ctx, arm.m, arm.kappa)
-        u_k = u(arm.kappa)
-    obs = oracle.run(arm.config, arm.m - 1, arm.kappa)
-    value = u(obs.duration)
-    arm.durations.append(obs.duration)
+        a = alpha(ctx, arm.m, kappa)
+        u_k = u(kappa)
+    t = oracle.true_runtime(arm.config, arm.m - 1)
+    d = t if t < kappa else kappa
+    value = u(d)
+    arm.durations.append(d)
     arm.utilities.append(value)
     arm._utility_sum += value
-    arm._completed_count += obs.completed
-    ledger.charge(index, obs.duration)
+    if t < kappa:
+        arm._completed_count += 1
+    ledger.charge(index, d)
     arm.recompute_snapshot(a, u_k)
     return doubled

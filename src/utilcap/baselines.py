@@ -76,9 +76,10 @@ def _sample_to(
         # no other arm changes while ``a`` is sampled: rank the others once
         others = max((rank(i) for i in alive if i != a), default=None)
         while counts[a] < target:
-            obs = oracle.run(a, counts[a], kappa)
-            ledger.charge(a, obs.duration)
-            sums[a] += utility(obs.duration)
+            t = oracle.true_runtime(a, counts[a])
+            d = t if t < kappa else kappa
+            ledger.charge(a, d)
+            sums[a] += utility(d)
             counts[a] += 1
             best = a if others is None else -max(rank(a), others)[1]
             # positional, as in OupRun.step: one row per run

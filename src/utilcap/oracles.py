@@ -1,10 +1,9 @@
 """Runtime sources: dataset replay and synthetic distributions with ground truth.
 
-An oracle answers capped runs: given (configuration, instance, captime) it
-returns the observed duration ``min(t, captime)`` and whether the run
-completed, where completion means the true runtime is strictly below the
-captime.  Repeating a run at a higher captime reveals strictly more of the
-same underlying runtime.
+An oracle gives the true runtime ``t`` of (configuration, instance); the
+engines cap it themselves.  A run at captime ``kappa`` observes
+``min(t, kappa)`` and completed exactly when ``t < kappa``, so repeating a
+run at a higher captime reveals strictly more of the same runtime.
 
 Two oracle kinds are provided.  ``MatrixOracle`` replays a recorded runtime
 matrix with a seeded column order, so every procedure consuming it sees the
@@ -19,7 +18,6 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 from .rng import RUNTIME_STREAM, UniformStream, seeded_permutation
 from .utility import UtilityFunction
@@ -48,27 +46,6 @@ class InstanceExhaustedError(RuntimeError):
             f"configuration {self.config} has no instance {self.instance}: "
             f"only {self.available} instances available"
         )
-
-
-class CappedObservation(NamedTuple):
-    """Outcome of one capped run: observed duration and completion flag.
-
-    A tuple, as one is built on every run.
-    """
-
-    duration: float
-    completed: bool
-
-    @classmethod
-    def observe(cls, true_runtime: float, captime: float) -> "CappedObservation":
-        if not captime > 0:
-            raise ValueError(f"captime must be positive, got {captime}")
-        if true_runtime < 0:
-            raise ValueError(f"true runtime must be nonnegative, got {true_runtime}")
-        # a run landing exactly on the captime counts as capped
-        if true_runtime < captime:
-            return cls(true_runtime, True)
-        return cls(captime, False)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +257,7 @@ def load_runtime_matrix(path: str | Path, seed: int) -> "MatrixOracle":
 
 
 class MatrixOracle:
-    """Capped runs replayed from recorded runtimes in a seeded column order:
+    """Runtimes replayed from a recorded matrix in a seeded column order:
     ``runtimes[config]`` is a configuration's row, and instance j is column
     ``instance_order[j]``."""
 
@@ -304,9 +281,6 @@ class MatrixOracle:
             raise InstanceExhaustedError(config, instance, self.n_instances)
         return self.runtimes[config][self.instance_order[instance]]
 
-    def run(self, config: int, instance: int, captime: float) -> CappedObservation:
-        return CappedObservation.observe(self.true_runtime(config, instance), captime)
-
 
 # ---------------------------------------------------------------------------
 # Synthetic oracle with analytic ground truth
@@ -314,7 +288,7 @@ class MatrixOracle:
 
 
 class SyntheticOracle:
-    """Capped runs drawn from per-configuration runtime distributions.
+    """Runtimes drawn from per-configuration distributions.
 
     Instances are unbounded.  The runtime of (config, instance) is a pure
     function of (seed, config, instance): one uniform double drawn from the
@@ -339,19 +313,11 @@ class SyntheticOracle:
     def name(self, config: int) -> str:
         return self._dists[config].label()
 
-    def _stream(self, config: int) -> UniformStream:
+    def true_runtime(self, config: int, instance: int) -> float:
         stream = self._streams.get(config)
         if stream is None:
-            stream = UniformStream(self.seed, RUNTIME_STREAM, config)
-            self._streams[config] = stream
-        return stream
-
-    def true_runtime(self, config: int, instance: int) -> float:
-        v = self._stream(config).value(instance)
-        return self._dists[config].runtime_from_uniform(v)
-
-    def run(self, config: int, instance: int, captime: float) -> CappedObservation:
-        return CappedObservation.observe(self.true_runtime(config, instance), captime)
+            stream = self._streams[config] = UniformStream(self.seed, RUNTIME_STREAM, config)
+        return self._dists[config].runtime_from_uniform(stream.value(instance))
 
     def true_capped_utility(
         self, config: int, u: UtilityFunction, kappa: float

@@ -14,14 +14,20 @@ running minimum.
 
 A round changes the bounds of only the arm it pulled, because the bound
 context is fixed within a run (or a phase).  So the engine keeps an index of
-lazy heaps over the survivors instead of scanning them: a round pushes the
-pulled arm's new keys, and a heap top whose arm was eliminated or whose key
-the arm has since left is dropped when it surfaces.  Select, incumbent and
-eps then cost O(log n) amortized per round rather than O(n).
+lazy heaps over the survivors instead of scanning them.  The arm pulled last
+is *held* out of the heaps: a round compares its keys with the tops of the
+other survivors (its rivals), which no round changes and so are cached.  A
+heap top whose arm was eliminated, is held, or whose key the arm has since
+left is dropped when it surfaces.  The held arm's keys are pushed only when
+another arm is pulled, or when the index is queried from outside a round.
+A round that re-pulls the held arm, as the greedy engine almost always
+does, touches no heap; select, incumbent and eps cost O(log n) amortized
+per round rather than O(n).
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 
 from .arms import ArmState, pull_arm
@@ -51,6 +57,11 @@ def _neg_lcb(snapshot) -> float:
 
 def _ucb(snapshot) -> float:
     return snapshot.ucb
+
+
+# the rivals' top while the held arm is the only survivor: every key of the
+# held arm's entries is below it
+_NO_RIVAL = (math.inf, math.inf)
 
 
 class OupRun:
@@ -99,7 +110,8 @@ class OupRun:
         Entries are ``(key, index)`` tuples, so a heap breaks ties toward
         the lowest index.  Max-heaps on UCB and LCB answer the leaders; a
         min-heap on UCB, kept only by an engine that eliminates, finds the
-        arms to eliminate.
+        arms to eliminate.  Every survivor is in the heaps, so no arm is
+        held.
         """
         snapshots = [(i, self.arms[i].snapshot) for i in self.survivors]
         self._by_ucb = [(-s.ucb, i) for i, s in snapshots]
@@ -107,32 +119,72 @@ class OupRun:
         self._low_ucb = [(s.ucb, i) for i, s in snapshots] if self.eliminate else []
         for heap in (self._by_ucb, self._by_lcb, self._low_ucb):
             heapify(heap)
+        self._held = None
+        self._forget_rivals()
+
+    def _forget_rivals(self) -> None:
+        """Drop the cached rival tops: one of them may have left its heap, or
+        the held arm, which no top may be, changed."""
+        self._rival_ucb = self._rival_lcb = self._rival_low = None
 
     def _top(self, heap: list, key) -> tuple[float, int]:
         """The heap's least live entry, dropping stale entries above it: an
-        entry is stale once its arm is eliminated or its key differs from
-        ``key(snapshot)`` of the arm's current snapshot."""
+        entry is stale once its arm is eliminated or held, or its key
+        differs from ``key(snapshot)`` of the arm's current snapshot.  With
+        an arm held and no live entry, the held arm is the only survivor,
+        and the top is ``_NO_RIVAL``."""
         arms = self.arms
+        held = self._held
         while heap:
-            value, i = heap[0]
-            arm = arms[i]
-            if not arm.eliminated and key(arm.snapshot) == value:
-                return value, i
+            entry = heap[0]
+            arm = arms[entry[1]]
+            if entry[1] != held and not arm.eliminated and key(arm.snapshot) == entry[0]:
+                return entry
             heappop(heap)
+        if held is not None:
+            return _NO_RIVAL
         raise RuntimeError("survivor set is empty; invariant violated")
+
+    def _flush(self) -> None:
+        """Push the held arm's keys, so that the heaps hold every survivor."""
+        i = self._held
+        if i is not None:
+            self._held = None
+            snapshot = self.arms[i].snapshot
+            heappush(self._by_ucb, (-snapshot.ucb, i))
+            heappush(self._by_lcb, (-snapshot.lcb, i))
+            if self.eliminate:
+                heappush(self._low_ucb, (snapshot.ucb, i))
+            # stale entries pile up below the tops; compaction keeps every
+            # heap within twice the survivors, at O(1) amortized per push
+            limit = 2 * len(self.survivors) + 64
+            if len(self._by_ucb) > limit or len(self._by_lcb) > limit or len(self._low_ucb) > limit:
+                self.rebuild_index()
+        self._forget_rivals()
 
     def leaders(self) -> tuple[int, int, float]:
         """(argmax UCB, argmax LCB, max UCB - max LCB) over the survivors,
         ties to the lowest index.  The last value is the anytime guarantee."""
+        self._flush()
         top_ucb, best_ucb = self._top(self._by_ucb, _neg_ucb)
         top_lcb, best_lcb = self._top(self._by_lcb, _neg_lcb)
         # keys are negated bounds, and negation is exact
         return best_ucb, best_lcb, top_lcb - top_ucb
 
     def select_arm(self) -> int:
-        return self._top(self._by_ucb, _neg_ucb)[1]
+        """The survivor with the largest UCB, ties to the lowest index: the
+        held arm unless a rival's key is below its own.  It reads the index
+        without changing it, so it needs no flush."""
+        i = self._held
+        if i is None:
+            return self._top(self._by_ucb, _neg_ucb)[1]
+        rival = self._rival_ucb
+        if rival is None:
+            rival = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
+        return i if (-self.arms[i].snapshot.ucb, i) < rival else rival[1]
 
     def incumbent(self) -> int:
+        self._flush()
         return self._top(self._by_lcb, _neg_lcb)[1]
 
     def guaranteed_epsilon(self) -> float:
@@ -143,8 +195,15 @@ class OupRun:
         return self.eliminate
 
     def step(self) -> None:
-        """One round: select, pull, then append the round's ``TraceRow``."""
+        """One round: select, pull, then append the round's ``TraceRow``.
+
+        The pulled arm is held afterwards; every leader and elimination test
+        compares its ``(key, index)`` entries with the rivals' cached tops,
+        so ties still break toward the lowest index.
+        """
         i = self.select_arm()
+        if i != self._held:
+            self._flush()
         try:
             doubled = pull_arm(
                 self.arms[i],
@@ -160,32 +219,49 @@ class OupRun:
             err.partial = self._result("instance_exhausted")
             raise
         self.round += 1
+        self._held = i
         snapshot = self.arms[i].snapshot
-        heappush(self._by_ucb, (-snapshot.ucb, i))
-        heappush(self._by_lcb, (-snapshot.lcb, i))
-        if self.eliminate:
-            heappush(self._low_ucb, (snapshot.ucb, i))
+        top_ucb = (-snapshot.ucb, i)
+        rival = self._rival_ucb
+        if rival is None:
+            rival = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
+        if rival < top_ucb:
+            top_ucb = rival
+        top_lcb = (-snapshot.lcb, i)
+        rival = self._rival_lcb
+        if rival is None:
+            rival = self._rival_lcb = self._top(self._by_lcb, _neg_lcb)
+        if rival < top_lcb:
+            top_lcb = rival
+        star = top_lcb[1]
+        # keys are negated bounds, and negation is exact
+        eps_raw = top_lcb[0] - top_ucb[0]
         # Elimination moves neither maximum: an eliminated arm's UCB is below
         # the incumbent's LCB, which is below the incumbent's UCB because a
         # width is always positive.  So the leaders read before it serve both.
-        _, star, eps_raw = self.leaders()
         if self._eliminates():
             threshold = self.arms[star].snapshot.lcb
+            own = (snapshot.ucb, i)
             gone = False
             while True:
-                value, j = self._top(self._low_ucb, _ucb)
-                if not value < threshold:
-                    break
-                heappop(self._low_ucb)
-                self.arms[j].eliminated = True
+                rival = self._rival_low
+                if rival is None:
+                    rival = self._rival_low = self._top(self._low_ucb, _ucb)
+                if own is not None and own < rival:
+                    if not own[0] < threshold:
+                        break
+                    # the held arm falls: it leaves no entry to pop
+                    self.arms[i].eliminated = True
+                    self._held = own = None
+                else:
+                    if not rival[0] < threshold:
+                        break
+                    heappop(self._low_ucb)
+                    self.arms[rival[1]].eliminated = True
+                self._forget_rivals()
                 gone = True
             if gone:
                 self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
-        # stale entries pile up below the tops; compaction keeps every heap
-        # within twice the survivors, at O(1) amortized per round
-        limit = 2 * len(self.survivors) + 64
-        if len(self._by_ucb) > limit or len(self._by_lcb) > limit or len(self._low_ucb) > limit:
-            self.rebuild_index()
         if eps_raw < self.eps_min:
             self.eps_min = eps_raw
         # positional: a row is built every round, and keywords take twice as long

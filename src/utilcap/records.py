@@ -16,7 +16,7 @@ from typing import NamedTuple
 class CostLedger:
     """Accumulated simulated runtime, charged once per executed run.
 
-    Every oracle call is charged at its observed capped duration, including
+    Every run is charged at its observed capped duration, including
     reruns triggered by captime doubling (restarting a capped run costs the
     full rerun, not the difference).
     """

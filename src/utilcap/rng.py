@@ -11,7 +11,6 @@ ones.
 
 from __future__ import annotations
 
-import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 # Purpose codes for stream splitting.
@@ -32,22 +31,24 @@ class UniformStream:
 
     ``value(j)`` returns the j-th double of the stream regardless of which
     draws were requested before it; the buffer only ever grows at its end.
+    It is a list of Python floats, the same doubles the generator drew, so a
+    draw is read without converting a numpy scalar.
     """
 
     def __init__(self, seed: int, purpose: int, index: int = 0):
         self._gen = stream_generator(seed, purpose, index)
-        self._values = np.empty(0, dtype=np.float64)
+        self._values: list[float] = []
 
     def value(self, j: int) -> float:
         if j < 0:
             raise IndexError(f"stream position must be nonnegative, got {j}")
-        if j >= self._values.size:
-            # at least double the buffer, so a long stream costs amortized
-            # O(1) copying per draw; draws do not depend on the chunking
-            size = max(((j // _BLOCK) + 1) * _BLOCK, 2 * self._values.size)
-            need = size - self._values.size
-            self._values = np.concatenate([self._values, self._gen.random(need)])
-        return float(self._values[j])
+        values = self._values
+        if j >= len(values):
+            # at least double the buffer, so a long stream draws in amortized
+            # O(1) per value; draws do not depend on the chunking
+            size = max(((j // _BLOCK) + 1) * _BLOCK, 2 * len(values))
+            values += self._gen.random(size - len(values)).tolist()
+        return values[j]
 
 
 def seeded_permutation(n: int, seed: int, index: int = 0) -> tuple[int, ...]:

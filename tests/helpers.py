@@ -7,20 +7,40 @@ round at which each arm's width-plus-capping term fell below its true gap,
 every selection, and the soundness of the anytime guarantee.  ``scan`` is the
 full pass over the survivors that the engine's bound index must agree with,
 and ``make_snapshot`` the from-scratch recomputation that an arm's running
-sums must agree with.
+sums must agree with.  ``CappedObservation`` spells a capped run out as the
+reference does: the engines keep only its duration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import utilcap as uc
 from utilcap.bounds import BoundContext, BoundSnapshot, alpha
-from utilcap.oracles import CappedObservation
 from utilcap.records import format_value
 
 TOL = 1e-9
+
+
+class CappedObservation(NamedTuple):
+    """One run at a captime: the observed duration and whether it completed."""
+
+    duration: float
+    completed: bool
+
+    @classmethod
+    def observe(cls, true_runtime: float, captime: float) -> "CappedObservation":
+        # a run landing exactly on the captime counts as capped
+        if true_runtime < captime:
+            return cls(true_runtime, True)
+        return cls(captime, False)
+
+
+def capped_run(oracle, config: int, instance: int, captime: float) -> CappedObservation:
+    """The run of (config, instance) at ``captime``, capped as the engines cap it."""
+    return CappedObservation.observe(oracle.true_runtime(config, instance), captime)
 
 # 10 arms, two-point and exponential, unique optimum exp(0.5)
 A2_DISTS = (

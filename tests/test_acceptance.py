@@ -17,11 +17,11 @@ from mpmath import mp, mpf
 import utilcap as uc
 from utilcap.bounds import BoundContext
 from utilcap.cli import main
-from utilcap.oracles import CappedObservation
 from utilcap.rng import UniformStream
 
 from helpers import (
     UTILITY,
+    CappedObservation,
     a2_oracle,
     a3_oracle,
     a8_oracle,

@@ -4,7 +4,7 @@ import pytest
 
 import utilcap as uc
 
-from helpers import UTILITY, a8_oracle
+from helpers import UTILITY, a8_oracle, capped_run
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -123,7 +123,7 @@ def test_naive_run_shape():
     assert [row.selected for row in result.trace] == [i for i in range(3) for _ in range(m)]
     # runs are pure functions of (seed, config, instance): replaying them at
     # the fixed captime gives the means and the seconds the run saw
-    durations = [[oracle.run(i, j, kappa).duration for j in range(m)] for i in range(3)]
+    durations = [[capped_run(oracle, i, j, kappa).duration for j in range(m)] for i in range(3)]
     means = [sum(U60(d) for d in row) / m for row in durations]
     assert result.incumbent == max(range(3), key=lambda i: means[i])
     assert result.ledger.per_config_seconds == {i: sum(row) for i, row in enumerate(durations)}

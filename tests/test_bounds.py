@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from utilcap import (
     BoundContext,
     BoundSnapshot,
-    CappedObservation,
     LogLaplaceUtility,
     UniformUtility,
     alpha,
@@ -14,7 +13,7 @@ from utilcap import (
     doubling_old,
 )
 
-from helpers import empirical_cdf_at_cap, empirical_utility, make_snapshot
+from helpers import CappedObservation, empirical_cdf_at_cap, empirical_utility, make_snapshot
 
 CTX10 = BoundContext(n=10, delta=0.1)
 

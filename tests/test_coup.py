@@ -210,9 +210,11 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
     compacting = []
     rebuild = uc.OupRun.rebuild_index
 
+    def heap_sizes(run):
+        return [len(getattr(run, name, ())) for name in ("_by_ucb", "_by_lcb", "_low_ucb")]
+
     def counting_rebuild(run):
-        heaps = [getattr(run, name, ()) for name in ("_by_ucb", "_by_lcb", "_low_ucb")]
-        compacting.append(max(map(len, heaps)) > 2 * len(run.survivors) + 64)
+        compacting.append(max(heap_sizes(run)) > 2 * len(run.survivors) + 64)
         rebuild(run)
 
     monkeypatch.setattr(uc.OupRun, "rebuild_index", counting_rebuild)
@@ -220,12 +222,21 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
     result = run.run_phases(uc.MaxPhases(3))
     assert result.rounds > 0 and len(result.certificates) == 3
     assert compacting == [False] * (1 + run.p)
-    # a compaction takes more than 64 pushes, one per heap per round
+    # a single-leader run pushes nothing while it re-pulls the held arm, so
+    # its heaps neither grow nor need compacting
     compacting.clear()
     run = NoElimination(a2_oracle(1), UTILITY, 0.1)
-    run.run_until(uc.MaxRounds(1000))
-    assert compacting[0] is False and 1 <= compacting.count(True) <= 1000 // 65
-    assert len(compacting) == 1 + compacting.count(True)
+    repulls = 0
+    for _ in range(1000):
+        held, before = run._held, heap_sizes(run)
+        run.step()
+        after = heap_sizes(run)
+        if run.trace[-1].selected == held:
+            repulls += 1
+            assert after == before
+        assert max(after) <= 2 * len(run.survivors) + 64
+    assert repulls > 800  # 898: after the ten fresh arms, mostly one leader
+    assert compacting == [False]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +348,7 @@ def test_with_replacement_duplicates_share_runtimes():
     # any duplicated configuration replays the same runtime stream
     seen = {}
     for config in draws:
-        runs = [oracle.run(config, j, 4.0) for j in range(5)]
+        runs = [oracle.true_runtime(config, j) for j in range(5)]
         if config in seen:
             assert runs == seen[config]
         seen[config] = runs

@@ -7,44 +7,91 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from utilcap import (
-    CappedObservation,
+    BoundContext,
+    CostLedger,
     Exponential,
     InstanceExhaustedError,
     LogLaplaceUtility,
     LogNormal,
+    MatrixOracle,
     SyntheticOracle,
     TwoPoint,
     UniformUtility,
+    alpha,
     expected_capped_utility,
     load_runtime_matrix,
     true_capped_utility,
 )
+from utilcap.arms import ArmState, pull_arm
+from utilcap.baselines import _sample_to, halving_plan, naive_plan
+
+from helpers import capped_run
 
 
 # ---------------------------------------------------------------------------
-# Capped observations
+# Capped runs: an oracle gives the true runtime, and the engines cap it
 # ---------------------------------------------------------------------------
+
+U60 = UniformUtility(60.0)
+
+
+def never_double(alpha_value, u_at_kappa, f_hat):
+    return False
+
+
+def observe(runtimes, kappa=1.0):
+    """Pull one arm once per runtime at captime 1, and sample the same runs
+    as naive does at ``kappa``; both must charge the same capped durations.
+    Returns the arm."""
+    n = len(runtimes)
+    oracle = MatrixOracle((tuple(runtimes),), ("a",), tuple(range(n)))
+    arm = ArmState(0)
+    ledger = CostLedger()
+    ctx = BoundContext(n=1, delta=0.1)
+    for _ in range(n):
+        pull_arm(arm, ctx, U60, oracle, never_double, ledger, 0)
+    sampled = CostLedger()
+    _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [])
+    assert sampled.total_seconds == ledger.total_seconds == sum(arm.durations)
+    return arm
 
 
 def test_observe_capped_and_completed():
-    assert CappedObservation.observe(2.7, 1.0) == CappedObservation(1.0, False)
-    assert CappedObservation.observe(0.4, 1.0) == CappedObservation(0.4, True)
+    arm = observe([2.7, 0.4])
+    assert arm.durations == [1.0, 0.4]
+    assert arm.snapshot.f_hat == 0.5
 
 
 def test_observe_boundary_is_capped():
     # landing exactly on the captime counts as capped
-    assert CappedObservation.observe(1.0, 1.0) == CappedObservation(1.0, False)
+    arm = observe([1.0])
+    assert arm.durations == [1.0] and arm.snapshot.f_hat == 0.0
 
 
 def test_observe_zero_runtime_allowed():
-    assert CappedObservation.observe(0.0, 1.0) == CappedObservation(0.0, True)
+    arm = observe([0.0])
+    assert arm.durations == [0.0] and arm.snapshot.f_hat == 1.0
 
 
 def test_observe_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        CappedObservation.observe(1.0, 0.0)
-    with pytest.raises(ValueError):
-        CappedObservation.observe(-1.0, 1.0)
+    # a negative runtime: the distributions and the matrix loader refuse it
+    # (tests below), and past them the utility checks every run it values
+    with pytest.raises(ValueError, match="nonnegative"):
+        observe([0.5, -1.0])
+    negative = MatrixOracle(((-1.0,),), ("a",), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _sample_to(negative, U60, 1.0, [0], 1, [0.0], [0], CostLedger(), [])
+    # a captime: every pull's width looks the arm's up on the doubling grid,
+    # naive's is a power of two, and sh's is checked by its plan
+    ctx = BoundContext(n=1, delta=0.1)
+    for kappa in (0.0, -1.0, 3.0, math.nan):
+        with pytest.raises(ValueError, match="power of two"):
+            alpha(ctx, 1, kappa)
+    kappa, _ = naive_plan(3, U60, 0.4, 0.1)
+    assert kappa >= 1.0 and math.frexp(kappa)[0] == 0.5
+    for kappa in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="captime must be positive"):
+            halving_plan(4, 8, 2, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +103,18 @@ def test_synthetic_run_is_deterministic():
     a = SyntheticOracle([Exponential(2.0)], seed=4)
     b = SyntheticOracle([Exponential(2.0)], seed=4)
     for j in range(10):
-        assert a.run(0, j, 8.0) == b.run(0, j, 8.0)
+        assert a.true_runtime(0, j) == b.true_runtime(0, j)
+
+
+@pytest.fixture(scope="module")
+def three_families():
+    oracle = SyntheticOracle(
+        [Exponential(3.0), LogNormal(1.0, 1.5), TwoPoint(0.5, 40.0, 0.6)], seed=13
+    )
+    # the first lognormal draw imports scipy; make it before the first example,
+    # so that the import is not charged to an example's deadline
+    oracle.true_runtime(1, 0)
+    return oracle
 
 
 @given(
@@ -66,13 +124,10 @@ def test_synthetic_run_is_deterministic():
     st.integers(min_value=0, max_value=8),
 )
 @settings(max_examples=200)
-def test_oracle_consistency_across_captimes(config, instance, l1, l2):
-    oracle = SyntheticOracle(
-        [Exponential(3.0), LogNormal(1.0, 1.5), TwoPoint(0.5, 40.0, 0.6)], seed=13
-    )
+def test_oracle_consistency_across_captimes(three_families, config, instance, l1, l2):
     k1, k2 = 2.0 ** min(l1, l2), 2.0 ** max(l1, l2)
-    lo = oracle.run(config, instance, k1)
-    hi = oracle.run(config, instance, k2)
+    lo = capped_run(three_families, config, instance, k1)
+    hi = capped_run(three_families, config, instance, k2)
     assert lo.duration <= hi.duration
     if lo.completed:
         assert hi.completed and hi.duration == lo.duration
@@ -216,8 +271,6 @@ def test_matrix_oracle_replays_permuted_columns(tmp_path):
     for j in range(4):
         col = oracle.instance_order[j]
         assert oracle.true_runtime(0, j) == oracle.runtimes[0][col]
-    obs = oracle.run(1, 0, 2.0)
-    assert obs.duration <= 2.0
 
 
 def test_matrix_oracle_instance_exhaustion(tmp_path):
@@ -225,7 +278,7 @@ def test_matrix_oracle_instance_exhaustion(tmp_path):
     path.write_text("a,1,2\n")
     oracle = load_runtime_matrix(path, seed=0)
     with pytest.raises(InstanceExhaustedError) as err:
-        oracle.run(0, 2, 1.0)
+        oracle.true_runtime(0, 2)
     assert err.value.available == 2
 
 

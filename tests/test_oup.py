@@ -230,6 +230,23 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(monkeypatch, doub
     assert calls == len(result.trace) + doublings
 
 
+@pytest.mark.parametrize("doubling", ["old", "new"])
+def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return U60(t)
+
+    # every run is valued once; later pulls read u(kappa) off the snapshot
+    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    doublings = sum(row.doubled for row in result.trace)
+    pulled = len({row.selected for row in result.trace})
+    assert doublings > 0
+    assert calls == result.ledger.run_count + pulled + doublings
+
+
 # ---------------------------------------------------------------------------
 # Anytime guarantee
 # ---------------------------------------------------------------------------
