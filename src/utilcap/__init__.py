@@ -2,6 +2,7 @@
 
 from .baselines import UpRun, naive_run, successive_halving
 from .bounds import (
+    FRESH,
     BoundContext,
     BoundSnapshot,
     alpha,

@@ -11,9 +11,9 @@ round-robin, or phased) advances an arm through the same sequence:
    reused verbatim);
 4. run instance ``m`` at the current captime: the oracle's true runtime
    ``t``, observed as ``min(t, kappa)`` and completed when ``t < kappa``;
-5. recompute the bound snapshot from the stored observations, reusing the
-   width and ``u(kappa)`` of step 2 (or, after a doubling, of the new
-   captime).
+5. recompute the bound snapshot (``f_hat``, ``u(kappa)``, UCB, LCB) from
+   the arm's running sums, reusing the width and ``u(kappa)`` of step 2
+   (or, after a doubling, of the new captime).
 
 At most one doubling happens per pull; if more were warranted the condition
 simply fires again on the next selection of the same arm.
@@ -26,7 +26,7 @@ with the other arms' cached tops instead of rescanning the pool.
 
 from __future__ import annotations
 
-from .bounds import BoundContext, BoundSnapshot, alpha
+from .bounds import FRESH, BoundContext, BoundSnapshot, alpha
 from .oracles import RuntimeOracle
 from .records import CostLedger
 from .utility import UtilityFunction
@@ -42,7 +42,8 @@ class ArmState:
     maintained append-only, and rebuilt left to right after a doubling's
     reruns, so they equal a left-to-right recomputation bit for bit (tests
     compare them against a from-scratch reference).  Every arm starts at
-    captime 1.
+    captime 1 with the shared sentinel snapshot ``FRESH``, which it keeps
+    until its first pull: snapshots are immutable, so sharing one is safe.
     """
 
     __slots__ = (
@@ -63,7 +64,7 @@ class ArmState:
         self.kappa = 1.0
         self.durations: list[float] = []
         self.utilities: list[float] = []
-        self.snapshot = BoundSnapshot.fresh()
+        self.snapshot = FRESH
         self.eliminated = False
         self._utility_sum = 0.0
         self._completed_count = 0
@@ -75,14 +76,7 @@ class ArmState:
         f_hat = self._completed_count / self.m
         u_hat = self._utility_sum / self.m
         self.snapshot = BoundSnapshot(
-            self.m,
-            self.kappa,
-            f_hat,
-            u_hat,
-            a,
-            u_k,
-            u_hat + (1.0 - u_k) * a,
-            u_hat - a - u_k * (1.0 - f_hat),
+            f_hat, u_k, u_hat + (1.0 - u_k) * a, u_hat - a - u_k * (1.0 - f_hat)
         )
 
 

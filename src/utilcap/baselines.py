@@ -146,7 +146,6 @@ def naive_run(
         incumbent_config=best,
         incumbent_name=oracle.name(best),
         epsilon=epsilon,
-        rounds=len(trace),
         trace=trace,
         ledger=ledger,
         stop_reason="completed",
@@ -220,7 +219,6 @@ def successive_halving(
         incumbent_config=winner,
         incumbent_name=oracle.name(winner),
         epsilon=math.nan,
-        rounds=len(trace),
         trace=trace,
         ledger=ledger,
         stop_reason="completed",

@@ -61,8 +61,8 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
     """Confidence width after m observations at captime kappa.
 
     Strictly decreasing in m, weakly increasing in kappa, increasing as
-    delta shrinks.  Undefined at m = 0: fresh configurations carry the
-    sentinel bounds UCB = 1, LCB = 0 instead.
+    delta shrinks.  Undefined at m = 0: fresh configurations share the
+    sentinel snapshot ``FRESH`` (UCB = 1, LCB = 0) instead.
     """
     if m < 1:
         raise ValueError("confidence width is undefined before the first observation")
@@ -104,32 +104,23 @@ DOUBLING_RULES = {"old": doubling_old, "new": doubling_new}
 
 
 class BoundSnapshot(NamedTuple):
-    """Bounds for one configuration, recomputed from its stored observations.
+    """The bounds of one configuration that the engine reads.
 
-    A named tuple because one is built on every pull: a tuple is built
-    without a per-field ``__setattr__``.
+    ``f_hat`` is the completion fraction the next pull's doubling rule
+    reads, ``u_at_kappa`` the utility at the arm's captime that the next
+    pull reuses, and ``ucb`` and ``lcb`` the keys of the bound index.  The
+    observation count and captime live on the arm; ``u_hat`` and ``alpha``
+    are intermediates that are not kept.  A named tuple because one is
+    built on every pull: a tuple is built without a per-field
+    ``__setattr__``.
     """
 
-    m: int
-    kappa: float
     f_hat: float
-    u_hat: float
-    alpha: float
     u_at_kappa: float
     ucb: float
     lcb: float
 
-    @classmethod
-    def fresh(cls, kappa: float = 1.0) -> "BoundSnapshot":
-        """Sentinel bounds for a configuration that has never been run."""
-        return cls(
-            m=0,
-            kappa=kappa,
-            f_hat=0.0,
-            u_hat=0.0,
-            alpha=math.nan,
-            u_at_kappa=math.nan,
-            ucb=1.0,
-            lcb=0.0,
-        )
 
+# the sentinel bounds of every configuration never run; one immutable
+# snapshot that every fresh arm shares, since no bound context enters it
+FRESH = BoundSnapshot(0.0, math.nan, 1.0, 0.0)

@@ -94,6 +94,13 @@ class Schedule:
                     raise ValueError(
                         f"bad custom schedule item {item!r} in {spec!r}; expected name=term"
                     )
+                if name not in ("eps", "gamma"):
+                    raise ValueError(
+                        f"unknown custom schedule name {name!r} in {spec!r}; "
+                        f"expected eps and gamma"
+                    )
+                if name in parts:
+                    raise ValueError(f"custom schedule name {name!r} given twice in {spec!r}")
                 parts[name] = term
             missing = {"eps", "gamma"} - parts.keys()
             if missing:
@@ -143,7 +150,8 @@ class SamplerExhaustedError(RuntimeError):
 
 
 class FinitePoolSampler:
-    """Uniform draws from a finite configuration population.
+    """Uniform draws from a finite configuration population, the oracle's
+    ids ``0 .. n_configs - 1``.
 
     With replacement (the default) draws are independent, and a repeated
     configuration becomes a distinct arm sharing the same runtime source.
@@ -153,24 +161,23 @@ class FinitePoolSampler:
 
     def __init__(self, oracle: RuntimeOracle, seed: int, replace: bool = True):
         self.oracle = oracle
-        self.population = list(range(oracle.n_configs))
         self.replace = replace
         self._stream = UniformStream(seed, SAMPLER_STREAM)
         self._draws = 0
         if not replace:
-            order = sorted(
-                self.population,
+            self._queue = sorted(
+                range(oracle.n_configs),
                 key=lambda c: (self._stream.value(c), c),
             )
-            self._queue = order
 
     def sample(self, k: int) -> list[int]:
         if self.replace:
+            n = self.oracle.n_configs
             out = []
             for _ in range(k):
                 v = self._stream.value(self._draws)
                 self._draws += 1
-                out.append(self.population[int(v * len(self.population))])
+                out.append(int(v * n))
             return out
         if self._draws + k > len(self._queue):
             raise SamplerExhaustedError(self._draws + k, len(self._queue))
@@ -288,21 +295,18 @@ class CoupRun(OupRun):
         self.p = 0
         self.eps_p = math.nan
         self.gamma_p = math.nan
-        self.n_p = 0
         self.ctx: BoundContext | None = None
-        self.round = 0
         self.ledger = CostLedger()
         self.trace: list[TraceRow] = []
         self.certificates: list[PhaseCertificate] = []
         self.eps_min = math.nan
         self.rebuild_index()
 
-    def begin_phase(self) -> tuple[int, float, float, int]:
+    def begin_phase(self) -> None:
         """Enter the next phase: top up the pool, refresh bounds, no runs."""
         self.p += 1
         self.eps_p, self.gamma_p = self.schedule.at(self.p)
-        self.n_p = phase_size(self.p, self.gamma_p, self.delta)
-        needed = self.n_p - len(self.arms)
+        needed = phase_size(self.p, self.gamma_p, self.delta) - len(self.arms)
         if needed > 0:
             self.arms.extend(ArmState(config) for config in self.sampler.sample(needed))
             self.survivors = list(range(len(self.arms)))
@@ -313,7 +317,6 @@ class CoupRun(OupRun):
         self.rebuild_index()
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
-        return self.p, self.eps_p, self.gamma_p, self.n_p
 
     phase_step = OupRun.step
 
@@ -362,7 +365,6 @@ class CoupRun(OupRun):
             incumbent_config=self.arms[last.incumbent].config if last else None,
             incumbent_name=last.incumbent_name if last else "",
             epsilon=last.epsilon if last else math.nan,
-            rounds=self.round,
             trace=self.trace,
             ledger=self.ledger,
             stop_reason=stop_reason,

@@ -167,6 +167,8 @@ _FAMILIES = {
     "parametric_exponential": (exponential_mean_map, ("scale", "growth")),
 }
 
+_POOL_KEYS = ("family", "params", "n_configs", "seed")
+
 
 def load_synthetic_spec(path: str | Path):
     """Parse a synthetic pool file of key=value lines into its tuple of
@@ -176,7 +178,7 @@ def load_synthetic_spec(path: str | Path):
     Keys: ``family`` (a key of ``_FAMILIES``), ``params`` (semicolon-separated
     entries; comma-separated fields within an entry), ``n_configs`` and
     ``seed``.  The seed must be an integer but is never used: the run's
-    ``--seed`` decides.
+    ``--seed`` decides.  Any other key, or a key given twice, is refused.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -191,7 +193,12 @@ def load_synthetic_spec(path: str | Path):
         key, sep, value = line.partition("=")
         if not sep:
             raise SpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _POOL_KEYS:
+            raise SpecError(f"{path}:{lineno}: unknown key {key!r}; expected one of {_POOL_KEYS}")
+        if key in fields:
+            raise SpecError(f"{path}:{lineno}: key {key!r} given twice")
+        fields[key] = value.strip()
     family = fields.get("family")
     if family is None:
         raise SpecError(f"{path}: missing required key 'family'")
@@ -326,9 +333,16 @@ def output_directory(requested: str | Path) -> Path:
 
     The command line resolves it once per command, so for ``sweep`` the
     override replaces the base directory and the cells stay apart.
+    Raises ``SpecError`` when the directory, or any existing ancestor of
+    it, exists as something other than a directory, so that no run is made
+    whose files could not be written.
     """
     override = os.environ.get(OUTPUT_DIR_ENV)
-    return Path(override) if override else Path(requested)
+    path = Path(override) if override else Path(requested)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise SpecError(f"output directory {str(path)!r}: {str(part)!r} is not a directory")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +453,7 @@ def _summary_row(spec: ExperimentSpec, result) -> tuple:
         result.epsilon,
         result.ledger.total_seconds,
         result.ledger.run_count,
-        result.rounds,
+        len(result.trace),
         result.stop_reason,
     )
 
@@ -448,9 +462,10 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     """Execute a spec and write trace.csv, summary.csv (and certificates.csv).
 
     The directory is created only once the run has ended.  On instance
-    exhaustion the partial trace and summary are still written, then the
-    error propagates, without its partial result, so callers can surface
-    the diagnostic.
+    exhaustion the partial trace and summary (and a coup run's certificates
+    of the phases it finished) are still written, then the error
+    propagates, without its partial result, so callers can surface the
+    diagnostic.
     """
     exhausted = None
     try:
@@ -470,8 +485,6 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     )
     row = _summary_row(spec, result)
     _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, _quoted_lines([row]))
-    if exhausted is not None:
-        raise exhausted
     if spec.procedure == "coup":
         rows = [
             (
@@ -486,6 +499,8 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
             for c in result.certificates
         ]
         _write_csv(outdir / "certificates.csv", CERTIFICATE_COLUMNS, _quoted_lines(rows))
+    if exhausted is not None:
+        raise exhausted
     summary = dict(zip(SUMMARY_COLUMNS, row))
     summary["outdir"] = str(outdir)
     return summary
@@ -541,7 +556,6 @@ class ValidationReport:
     failures: int
     failure_rate: float
     bound: float
-    ok: bool
     per_phase_rates: dict[int, float]
     details: list
 
@@ -666,7 +680,6 @@ def validate_guarantee(
         failures=failures,
         failure_rate=rate,
         bound=bound,
-        ok=rate <= bound,
         per_phase_rates=per_phase,
         details=details,
     )

@@ -99,7 +99,6 @@ class OupRun:
         self.arms = [ArmState(config) for config in pool]
         self.survivors = list(range(len(self.arms)))
         self.rebuild_index()
-        self.round = 0
         self.ledger = CostLedger()
         self.trace: list[TraceRow] = []
         self.eps_min = self.guaranteed_epsilon()
@@ -218,7 +217,6 @@ class OupRun:
             err.achieved_epsilon = self.eps_min
             err.partial = self._result("instance_exhausted")
             raise
-        self.round += 1
         self._held = i
         snapshot = self.arms[i].snapshot
         top_ucb = (-snapshot.ucb, i)
@@ -267,8 +265,8 @@ class OupRun:
         # positional: a row is built every round, and keywords take twice as long
         self.trace.append(
             TraceRow(
-                self.round, self.ledger.total_seconds, i, doubled, eps_raw, self.eps_min,
-                len(self.survivors), star,
+                len(self.trace) + 1, self.ledger.total_seconds, i, doubled, eps_raw,
+                self.eps_min, len(self.survivors), star,
             )
         )
 
@@ -283,7 +281,7 @@ class OupRun:
             if len(self.survivors) <= 1:
                 return "single_survivor"
         elif isinstance(stop, MaxRounds):
-            if self.round >= stop.rounds:
+            if len(self.trace) >= stop.rounds:
                 return "max_rounds"
         else:
             raise TypeError(f"unsupported stop rule {stop!r}")
@@ -304,7 +302,6 @@ class OupRun:
             incumbent_config=self.arms[star].config,
             incumbent_name=self.oracle.name(self.arms[star].config),
             epsilon=self.eps_min,
-            rounds=self.round,
             trace=self.trace,
             ledger=self.ledger,
             stop_reason=stop_reason,

@@ -104,8 +104,9 @@ class RunResult:
     ``epsilon`` the guarantee certified for it: the running minimum for
     ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
-    and nan for ``sh``, which certifies nothing.  ``extra`` holds what
-    validation reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
+    and nan for ``sh``, which certifies nothing.  A run makes one ``trace``
+    row per round, so its round count is ``len(trace)``.  ``extra`` holds
+    what validation reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
     """
 
     procedure: str
@@ -113,7 +114,6 @@ class RunResult:
     incumbent_config: int | None
     incumbent_name: str
     epsilon: float
-    rounds: int
     trace: list[TraceRow]
     ledger: CostLedger
     stop_reason: str

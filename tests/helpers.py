@@ -7,7 +7,8 @@ round at which each arm's width-plus-capping term fell below its true gap,
 every selection, and the soundness of the anytime guarantee.  ``scan`` is the
 full pass over the survivors that the engine's bound index must agree with,
 and ``make_snapshot`` the from-scratch recomputation that an arm's running
-sums must agree with.  ``CappedObservation`` spells a capped run out as the
+sums must agree with; it returns every bound quantity, of which an arm's
+snapshot keeps four.  ``CappedObservation`` spells a capped run out as the
 reference does: the engines keep only its duration.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import utilcap as uc
-from utilcap.bounds import BoundContext, BoundSnapshot, alpha
+from utilcap.bounds import FRESH, BoundContext, BoundSnapshot, alpha
 from utilcap.records import format_value
 
 TOL = 1e-9
@@ -148,8 +149,8 @@ def instrumented_oup(
     width_bound_ok = True
     selections: list[int] = []
 
-    while run.eps_min > target_epsilon and run.round < max_rounds:
-        upcoming = run.round + 1
+    while run.eps_min > target_epsilon and len(run.trace) < max_rounds:
+        upcoming = len(run.trace) + 1
         # trigger check at round start, on the state left by the previous round
         for i, arm in enumerate(run.arms):
             if arm.m == 0 or i in trigger_round:
@@ -169,13 +170,16 @@ def instrumented_oup(
             if arm.m == 0:
                 continue
             snap = arm.snapshot
-            u_true, f_true = truth(i, snap.kappa)
+            # the width and mean utility as the arm's last pull computed them
+            a = alpha(run.ctx, arm.m, arm.kappa)
+            u_hat = arm._utility_sum / arm.m
+            u_true, f_true = truth(i, arm.kappa)
             if (
-                abs(snap.f_hat - f_true) > snap.alpha + TOL
-                or abs(snap.u_hat - u_true) > (1.0 - snap.u_at_kappa) * snap.alpha + TOL
+                abs(snap.f_hat - f_true) > a + TOL
+                or abs(u_hat - u_true) > (1.0 - snap.u_at_kappa) * a + TOL
             ):
                 clean = False
-            if snap.ucb - snap.lcb > 2.0 * snap.alpha + snap.u_at_kappa * (1.0 - f_true) + TOL:
+            if snap.ucb - snap.lcb > 2.0 * a + snap.u_at_kappa * (1.0 - f_true) + TOL:
                 width_bound_ok = False
         star = run.incumbent()
         if gaps[star] > run.guaranteed_epsilon() + TOL:
@@ -241,25 +245,48 @@ def empirical_utility(observations: list[CappedObservation], u) -> float:
     return sum(u(o.duration) for o in observations) / len(observations)
 
 
+class ReferenceSnapshot(NamedTuple):
+    """Every bound quantity of one configuration, recomputed from scratch."""
+
+    m: int
+    kappa: float
+    f_hat: float
+    u_hat: float
+    alpha: float
+    u_at_kappa: float
+    ucb: float
+    lcb: float
+
+    def engine(self) -> BoundSnapshot:
+        """The four fields an arm's snapshot keeps: ``FRESH`` itself for a
+        configuration never run."""
+        if self.m == 0:
+            return FRESH
+        return BoundSnapshot(self.f_hat, self.u_at_kappa, self.ucb, self.lcb)
+
+
 def make_snapshot(
     ctx: BoundContext,
     m: int,
     kappa: float,
     observations: list[CappedObservation],
     u,
-) -> BoundSnapshot:
+) -> ReferenceSnapshot:
     """Recompute all bound quantities from scratch for m observations at kappa."""
     if m == 0:
         if observations:
             raise ValueError("m = 0 but observations were supplied")
-        return BoundSnapshot.fresh(kappa)
+        return ReferenceSnapshot(
+            m=0, kappa=kappa, f_hat=0.0, u_hat=0.0, alpha=math.nan, u_at_kappa=math.nan,
+            ucb=1.0, lcb=0.0,
+        )
     if len(observations) != m:
         raise ValueError(f"expected {m} observations, got {len(observations)}")
     f_hat = empirical_cdf_at_cap(observations)
     u_hat = empirical_utility(observations, u)
     a = alpha(ctx, m, kappa)
     u_k = u(kappa)
-    return BoundSnapshot(
+    return ReferenceSnapshot(
         m=m,
         kappa=kappa,
         f_hat=f_hat,

@@ -283,7 +283,8 @@ def test_a7_differential_trace_equality():
         coup = uc.CoupRun(
             sampler, oracle_c, UTILITY, 0.05, uc.Schedule.from_spec("default"), doubling="new"
         )
-        _, _, _, n_1 = coup.begin_phase()
+        coup.begin_phase()
+        n_1 = len(coup.arms)
         for _ in range(200):
             coup.phase_step()
         oup = phase_one_engine(sampler, seed, 0.05, n_1)

@@ -76,7 +76,7 @@ def test_up_runs_bad_arm_at_least_as_much_as_greedy():
 
 def test_up_stop_rules_and_determinism():
     result = uc.UpRun(small_oracle(), U60, 0.1).run_until(uc.BudgetSeconds(0.0))
-    assert result.rounds == 0 and result.epsilon == 1.0
+    assert result.trace == [] and result.epsilon == 1.0
     a = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
     b = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
     assert a.trace == b.trace
@@ -165,14 +165,14 @@ def test_halving_budget_arithmetic():
     result = uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0)
     # survivors per run: 4 arms to 2 runs each, 2 arms to 4, 1 arm to 8
     assert [row.survivors for row in result.trace] == [4] * 8 + [2] * 4 + [1] * 4
-    assert result.rounds == 16
+    assert len(result.trace) == 16
 
 
 def test_halving_single_arm_spends_its_share():
     oracle = uc.SyntheticOracle([uc.TwoPoint(1.0, 1.0, 1.0)], seed=0)
     result = uc.successive_halving(oracle, U60, budget=7, eta=2, kappa=8.0)
     assert [row.survivors for row in result.trace] == [1] * 7
-    assert result.rounds == 7
+    assert len(result.trace) == 7
 
 
 def test_halving_returns_argmax_on_deterministic_runtimes():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from utilcap import (
+    FRESH,
     BoundContext,
     BoundSnapshot,
     LogLaplaceUtility,
@@ -12,6 +13,7 @@ from utilcap import (
     doubling_new,
     doubling_old,
 )
+from utilcap.arms import ArmState
 
 from helpers import CappedObservation, empirical_cdf_at_cap, empirical_utility, make_snapshot
 
@@ -203,8 +205,11 @@ def test_snapshot_all_capped_is_not_clamped():
 
 
 def test_snapshot_fresh_sentinel():
-    snap = BoundSnapshot.fresh()
-    assert (snap.ucb, snap.lcb, snap.m, snap.kappa) == (1.0, 0.0, 0, 1.0)
+    # a snapshot holds what the engine reads; every fresh arm shares one
+    assert BoundSnapshot._fields == ("f_hat", "u_at_kappa", "ucb", "lcb")
+    assert (FRESH.f_hat, FRESH.ucb, FRESH.lcb) == (0.0, 1.0, 0.0)
+    assert math.isnan(FRESH.u_at_kappa)
+    assert ArmState(0).snapshot is FRESH and ArmState(1).snapshot is FRESH
 
 
 def test_snapshot_count_mismatch_rejected():

@@ -193,6 +193,9 @@ def test_env_var_sets_sweep_base_directory(tmp_path, pool_path, monkeypatch):
         ("family=parametric_exponential\nparams=0.1,nan\n", "coup", "phases:1"),
         # finite, but the largest mean, scale * growth, overflows
         ("family=parametric_exponential\nparams=1e300,1e300\n", "coup", "phases:1"),
+        # a misspelt key, and a key given twice, would be silently ignored
+        ("family=exponential\nparams=1.0;2.0\nn_config=7\n", "oup", "epsilon:0.4"),
+        ("family=exponential\nparams=1.0;2.0\nparams=3.0\n", "oup", "epsilon:0.4"),
     ],
 )
 def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
@@ -203,7 +206,8 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
     args[args.index("--stop") + 1] = stop
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("spec error:") and "Traceback" not in err
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def validate_output(monkeypatch, capsys, args, cpus):
@@ -384,6 +388,16 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-eta", "1")),
         ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-kappa", "-1")),
         ("sweep", "oup,coup", "budget:50", ("--seeds", "0:2", "--without-replacement")),
+        # misspelt and repeated custom schedule names
+        ("run", "coup", "phases:1",
+         ("--seed", "3", "--schedule", "custom:eps=e^-p/6,gamma=e^-p/3,gama=e^-p/100")),
+        ("run", "coup", "phases:1",
+         ("--seed", "3", "--schedule", "custom:eps=e^-p/6,gamma=e^-p/3,gamma=e^-p/4")),
+        # an output directory that is a file, or lies under one (relative
+        # to the test's directory, which holds the file ``afile``)
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--out", "afile")),
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--out", "afile/sub")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", "0:2", "--out", "afile")),
     ],
     ids=[
         "unknown_schedule",
@@ -431,9 +445,18 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         "sweep_later_sh_eta_one",
         "sweep_later_sh_kappa_negative",
         "sweep_later_coup_pool_exhausted",
+        "custom_schedule_name_misspelt",
+        "custom_schedule_name_repeated",
+        "out_is_a_file",
+        "out_under_a_file",
+        "sweep_out_is_a_file",
     ],
 )
-def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, capsys):
+def test_bad_spec_exits_two(
+    tmp_path, pool_path, monkeypatch, verb, procedure, stop, extra, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
     args = [
         verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
         "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
@@ -444,6 +467,7 @@ def test_bad_spec_exits_two(tmp_path, pool_path, verb, procedure, stop, extra, c
     assert err.startswith("spec error:") and err.count("\n") == 1
     # no run, and so no sweep cell, got as far as its output
     assert out == "" and not (tmp_path / "out").exists()
+    assert (tmp_path / "afile").read_text() == ""
     if stop.startswith("phases:") and len(stop) > 100:
         # a phase count too large for the schedule's arithmetic names itself
         assert "phases:N" in err and "lower the phase count" in err

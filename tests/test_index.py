@@ -10,14 +10,19 @@ checked only at the end of each segment.  After every round, each cached
 rival top must be what a scan of the other survivors finds.  Pools repeat
 configurations, so pulled arms tie exactly as well as fresh ones (UCB 1.0,
 LCB 0.0), and runs are long enough for the heaps to be compacted.
+
+The pulled arms of every engine are a prefix ``[0, k)`` of its pool, and
+every arm never pulled shares the sentinel snapshot ``FRESH``; the prefix
+tests check that after every round and every phase start.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import utilcap as uc
 from utilcap.oup import _NO_RIVAL
 
-from helpers import UTILITY, scan
+from helpers import UTILITY, parametric_setup, scan
 
 DISTS = (
     uc.TwoPoint(0.5, 4.0, 0.8),
@@ -126,3 +131,66 @@ def test_rival_eliminated_by_the_held_incumbent_leaves_no_cached_top():
     assert run.arms[0].eliminated and run._held == run.trace[-1].incumbent == 1
     step_and_check(run)
     check_index(run)
+
+
+def check_prefix(run) -> int:
+    """The pulled arms are exactly the positions ``[0, k)``; every arm never
+    pulled shares the sentinel snapshot and is never eliminated.  Returns k."""
+    k = sum(arm.m > 0 for arm in run.arms)
+    assert all(arm.m > 0 for arm in run.arms[:k])
+    assert all(arm.snapshot is uc.FRESH and not arm.eliminated for arm in run.arms[k:])
+    return k
+
+
+def checked(run, name, fresh_seen: list):
+    """Check the prefix invariant after every call of the run's method
+    ``name``, and record whether a fresh arm was left."""
+    method = getattr(run, name)
+
+    def call():
+        method()
+        fresh_seen.append(check_prefix(run) < len(run.arms))
+
+    setattr(run, name, call)
+
+
+GOLDEN_POOLS = {
+    "exponential": [uc.Exponential(m) for m in (1.0, 5.0, 20.0, 60.0, 200.0)],
+    "lognormal": [uc.LogNormal(*p) for p in ((0.0, 1.0), (1.5, 0.8), (2.5, 1.2), (3.5, 0.5))],
+}
+
+
+@pytest.mark.parametrize("doubling", ["old", "new"])
+@pytest.mark.parametrize("pool", sorted(GOLDEN_POOLS))
+@pytest.mark.parametrize("engine", [uc.OupRun, uc.UpRun])
+def test_pulled_arms_are_a_prefix_of_a_fixed_pool(engine, pool, doubling):
+    # ties go to the lowest position, and no fresh arm is eliminated, so the
+    # first pulls are in pool order
+    fresh_seen = []
+    for seed in (1, 2, 3):
+        run = engine(uc.SyntheticOracle(GOLDEN_POOLS[pool], seed=seed), UTILITY, 0.1,
+                     doubling=doubling)
+        check_prefix(run)
+        checked(run, "step", fresh_seen)
+        run.run_until(uc.TargetEpsilon(0.2))
+    assert any(fresh_seen)
+
+
+@pytest.mark.parametrize("doubling", ["old", "new"])
+@pytest.mark.parametrize("space", ["parametric", "finite"])
+def test_pulled_arms_are_a_prefix_of_a_coup_pool(space, doubling):
+    # coup appends the arms it samples, so a phase start keeps the prefix
+    fresh_seen = []
+    for seed in (1, 2, 3):
+        if space == "parametric":
+            oracle, sampler = parametric_setup(seed)
+        else:
+            oracle = uc.SyntheticOracle(GOLDEN_POOLS["exponential"], seed=seed)
+            sampler = uc.FinitePoolSampler(oracle, seed=seed)
+        run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, uc.Schedule.from_spec("default"),
+                         doubling=doubling)
+        checked(run, "begin_phase", fresh_seen)
+        checked(run, "phase_step", fresh_seen)
+        run.run_phases(uc.MaxPhases(4))
+        assert len(run.certificates) == 4
+    assert any(fresh_seen)

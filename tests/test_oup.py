@@ -209,7 +209,7 @@ def test_running_sums_match_a_from_scratch_recomputation(engine, doubling):
         run.step()
         for arm in run.arms:
             reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), U60)
-            assert arm.snapshot == reference
+            assert arm.snapshot == reference.engine()
     assert any(row.doubled for row in run.trace)
 
 
@@ -288,7 +288,6 @@ def test_guarantee_driven_by_best_arm_after_others_stop():
 def test_zero_budget_returns_immediately():
     run = uc.OupRun(a2_oracle(0), U60, 0.1)
     result = run.run_until(uc.BudgetSeconds(0.0))
-    assert result.rounds == 0
     assert result.incumbent == 0
     assert result.epsilon == 1.0
     assert result.trace == []
@@ -298,7 +297,7 @@ def test_zero_budget_returns_immediately():
 def test_max_rounds_stop():
     run = uc.OupRun(a2_oracle(0), U60, 0.1, doubling="new")
     result = run.run_until(uc.MaxRounds(25))
-    assert result.rounds == 25
+    assert len(result.trace) == 25
 
 
 def test_target_epsilon_single_arm_round_count_matches_formula():
@@ -316,7 +315,7 @@ def test_target_epsilon_single_arm_round_count_matches_formula():
     assert m_star is not None
     run = uc.OupRun(oracle, utility, delta)
     result = run.run_until(uc.TargetEpsilon(0.1))
-    assert result.rounds == m_star
+    assert len(result.trace) == m_star
     assert result.epsilon == pytest.approx(2 * alpha(run.ctx, m_star, 1.0), rel=1e-12)
     assert not any(row.doubled for row in run.trace)
 
@@ -331,7 +330,7 @@ def test_instance_exhaustion_carries_diagnostics(tmp_path):
     assert err.value.achieved_epsilon is not None
     assert err.value.partial is not None
     assert err.value.partial.stop_reason == "instance_exhausted"
-    assert len(err.value.partial.trace) == err.value.partial.rounds
+    assert err.value.partial.trace
 
 
 # ---------------------------------------------------------------------------
