@@ -45,6 +45,10 @@ class UpRun(OupRun):
         # sweep boundary: every survivor has been advanced once
         return not self._sweep
 
+    def _reselects_leader(self) -> bool:
+        # a sweep over the only survivor selects it again, and ends at once
+        return len(self.survivors) == 1
+
 
 # ---------------------------------------------------------------------------
 # Naive fixed-sample procedure
@@ -72,20 +76,40 @@ def _sample_to(
     def rank(i: int) -> tuple[float, int]:
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
 
+    per_config = ledger.per_config_seconds
+    add_row = trace.append
+    rows = len(trace)
+    survivors = len(alive)
     for a in alive:
+        count = counts[a]
+        if count >= target:
+            continue
         # no other arm changes while ``a`` is sampled: rank the others once
-        others = max((rank(i) for i in alive if i != a), default=None)
-        while counts[a] < target:
-            t = oracle.true_runtime(a, counts[a])
+        # (below every rank when there are none), and keep the arm's and the
+        # ledger's sums in locals until it is done
+        others = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
+        runtime = oracle.runtime_of(a)
+        total = ledger.total_seconds
+        spent = per_config.get(a, 0.0)
+        sum_a = sums[a]
+        runs = ledger.run_count
+        while count < target:
+            t = runtime(count)
             d = t if t < kappa else kappa
-            ledger.charge(a, d)
-            sums[a] += utility(d)
-            counts[a] += 1
-            best = a if others is None else -max(rank(a), others)[1]
+            total += d
+            spent += d
+            runs += 1
+            sum_a += utility(d)
+            count += 1
+            rows += 1
+            best = a if (sum_a / count, -a) > others else -others[1]
             # positional, as in OupRun.step: one row per run
-            trace.append(
-                TraceRow(len(trace) + 1, ledger.total_seconds, a, False, 1.0, 1.0, len(alive), best)
-            )
+            add_row(TraceRow(rows, total, a, False, 1.0, 1.0, survivors, best))
+        sums[a] = sum_a
+        counts[a] = count
+        ledger.total_seconds = total
+        ledger.run_count = runs
+        per_config[a] = spent
 
 
 # the most runs a naive or successive-halving plan may make: at one trace row

@@ -194,15 +194,30 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _output_file(requested: str) -> Path:
+    """Check an output file before any work, as ``output_directory`` checks
+    a directory: its directory must exist, and it must not be a directory
+    itself.  Raises ``SpecError``."""
+    path = Path(requested)
+    parent = path.parent
+    if not parent.is_dir():
+        problem = "is not a directory" if parent.exists() else "does not exist"
+        raise SpecError(f"output file {requested!r}: {str(parent)!r} {problem}")
+    if path.is_dir():
+        raise SpecError(f"output file {requested!r} is a directory")
+    return path
+
+
 def cmd_curve(args) -> int:
+    out = _output_file(args.out) if args.out else None
     runs = [_read_run_dir(Path(p)) for p in args.runs]
     rows = epsilon_vs_time_curve(runs)
     lines = ["procedure,ledger_seconds,eps_min"]
     for procedure, seconds, eps in rows:
         lines.append(f"{procedure},{format_value(seconds)},{format_value(eps)}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out is not None:
+        out.write_text(text, encoding="utf-8")
         print(f"wrote {len(rows)} curve points to {args.out}")
     else:
         sys.stdout.write(text)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .arms import ArmState, refresh_snapshots
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
-from .oup import OupRun
+from .oup import OupRun, _Limits
 from .records import BudgetSeconds, CostLedger, MaxPhases, PhasedStopRule, RunResult, TraceRow
 from .rng import SAMPLER_STREAM, UniformStream
 from .utility import UtilityFunction
@@ -336,26 +336,32 @@ class CoupRun(OupRun):
         return certificate
 
     def run_phases(self, stop: PhasedStopRule) -> RunResult:
-        budget = stop.seconds if isinstance(stop, BudgetSeconds) else None
-        max_phases = stop.phases if isinstance(stop, MaxPhases) else None
-        if budget is None and max_phases is None:
+        if not isinstance(stop, (BudgetSeconds, MaxPhases)):
             raise TypeError(f"unsupported stop rule {stop!r}")
-        while True:
-            if max_phases is not None and self.p >= max_phases:
-                return self._result("max_phases")
-            if budget is not None and self.ledger.total_seconds >= budget:
-                return self._result("budget_exhausted")
-            self.begin_phase()
-            # the phase test reads the eps that begin_phase or the last round computed
-            eps = self.eps_min
-            while not eps < self.eps_p:
-                if budget is not None and self.ledger.total_seconds >= budget:
-                    # unfinished phase: no certificate; the previous phase's
-                    # certificate remains the standing recommendation
+        budget = stop.seconds if isinstance(stop, BudgetSeconds) else math.inf
+        max_phases = stop.phases if isinstance(stop, MaxPhases) else math.inf
+        try:
+            while True:
+                if self.p >= max_phases:
+                    return self._result("max_phases")
+                if self.ledger.total_seconds >= budget:
                     return self._result("budget_exhausted")
-                self.phase_step()
-                eps = self.trace[-1].eps_raw
-            self._certify()
+                self.begin_phase()
+                # The phase ends once the eps of begin_phase or of its last
+                # round is below eps_p.  No eps before it was, so that eps is
+                # the phase's eps_min, and the test is eps_min <= the float
+                # just below eps_p: a limit of the round loop.
+                phase_end = math.nextafter(self.eps_p, -math.inf)
+                self._limits = _Limits(seconds=budget, epsilon=phase_end)
+                while not self.eps_min <= phase_end:
+                    if self.ledger.total_seconds >= budget:
+                        # unfinished phase: no certificate; the previous phase's
+                        # certificate remains the standing recommendation
+                        return self._result("budget_exhausted")
+                    self.phase_step()
+                self._certify()
+        finally:
+            self._limits = None
 
     def _result(self, stop_reason: str) -> RunResult:
         last = self.certificates[-1] if self.certificates else None

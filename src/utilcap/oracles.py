@@ -1,7 +1,9 @@
 """Runtime sources: dataset replay and synthetic distributions with ground truth.
 
-An oracle gives the true runtime ``t`` of (configuration, instance); the
-engines cap it themselves.  A run at captime ``kappa`` observes
+An oracle gives the true runtime ``t`` of (configuration, instance) through
+``runtime_of(config)``, a function of the instance that an engine binds
+once for every stretch of runs of one configuration; the engines cap ``t``
+themselves.  A run at captime ``kappa`` observes
 ``min(t, kappa)`` and completed exactly when ``t < kappa``, so repeating a
 run at a higher captime reveals strictly more of the same runtime.
 
@@ -276,10 +278,19 @@ class MatrixOracle:
     def name(self, config: int) -> str:
         return self.names[config]
 
-    def true_runtime(self, config: int, instance: int) -> float:
-        if instance >= self.n_instances:
-            raise InstanceExhaustedError(config, instance, self.n_instances)
-        return self.runtimes[config][self.instance_order[instance]]
+    def runtime_of(self, config: int):
+        """The true runtime of ``config`` as a function of the instance;
+        past the last instance it raises ``InstanceExhaustedError``."""
+        row = self.runtimes[config]
+        order = self.instance_order
+        available = self.n_instances
+
+        def runtime(instance: int) -> float:
+            if instance >= available:
+                raise InstanceExhaustedError(config, instance, available)
+            return row[order[instance]]
+
+        return runtime
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +324,21 @@ class SyntheticOracle:
     def name(self, config: int) -> str:
         return self._dists[config].label()
 
-    def true_runtime(self, config: int, instance: int) -> float:
+    def runtime_of(self, config: int):
+        """The true runtime of ``config`` as a function of the instance.  It
+        reads the stream's buffer, and asks the stream to draw only past its
+        end."""
         stream = self._streams.get(config)
         if stream is None:
             stream = self._streams[config] = UniformStream(self.seed, RUNTIME_STREAM, config)
-        return self._dists[config].runtime_from_uniform(stream.value(instance))
+        values = stream.values
+        draw = stream.value
+        to_runtime = self._dists[config].runtime_from_uniform
+
+        def runtime(instance: int) -> float:
+            return to_runtime(values[instance] if instance < len(values) else draw(instance))
+
+        return runtime
 
     def true_capped_utility(
         self, config: int, u: UtilityFunction, kappa: float

@@ -23,15 +23,26 @@ another arm is pulled, or when the index is queried from outside a round.
 A round that re-pulls the held arm, as the greedy engine almost always
 does, touches no heap; select, incumbent and eps cost O(log n) amortized
 per round rather than O(n).
+
+The rounds that re-pull one arm form a streak, and ``OupRun.step`` is
+written as a loop over a streak.  It holds in locals what a streak's
+rounds read and write: the arm's count, captime, sums, lists and latest
+bounds, the configuration's runtime function, the rivals' cached tops,
+the ledger's total, run count and the arm's seconds, ``eps_min`` and the
+run's stop limits.  A streak ends after a round that changes the
+selection, eliminates or meets a stop limit, or when the oracle runs out
+of instances; the locals are then written back, the arm's bounds as one
+``BoundSnapshot``.  Called alone, ``step`` makes one round.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
-from .arms import ArmState, pull_arm
-from .bounds import DOUBLING_RULES, BoundContext
+from .arms import ArmState
+from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, alpha
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import (
     BudgetSeconds,
@@ -64,13 +75,40 @@ def _ucb(snapshot) -> float:
 _NO_RIVAL = (math.inf, math.inf)
 
 
+class _Limits(NamedTuple):
+    """A stop rule as the limits a run stops at: ``rounds`` rounds,
+    ``seconds`` ledger seconds, ``eps_min <= epsilon``, or at most
+    ``survivors`` survivors.  ``step`` tests the first three after every
+    round; only elimination changes the survivors, and it ends a streak, so
+    the last is tested between streaks."""
+
+    rounds: float = math.inf
+    seconds: float = math.inf
+    epsilon: float = -math.inf
+    survivors: int = 0
+
+
+def _limits_of(stop: StopRule) -> tuple[_Limits, str]:
+    """The limits of a stop rule, and the stop reason it reports."""
+    if isinstance(stop, TargetEpsilon):
+        return _Limits(epsilon=stop.epsilon), "target_epsilon"
+    if isinstance(stop, BudgetSeconds):
+        return _Limits(seconds=stop.seconds), "budget_exhausted"
+    if isinstance(stop, SingleSurvivor):
+        return _Limits(survivors=1), "single_survivor"
+    if isinstance(stop, MaxRounds):
+        return _Limits(rounds=stop.rounds), "max_rounds"
+    raise TypeError(f"unsupported stop rule {stop!r}")
+
+
 class OupRun:
     """One sequential run over a fixed pool, and the round every engine shares.
 
     ``pool`` lists oracle configuration ids; arms are addressed by their
     position in the pool.  Subclasses change only how an arm is selected
-    (``select_arm``) and whether a round ends with elimination
-    (``_eliminates``, never when the class sets ``eliminate = False``).
+    (``select_arm``, and ``_reselects_leader`` for when a streak may go on)
+    and whether a round ends with elimination (``_eliminates``, never when
+    the class sets ``eliminate = False``).
 
     Code that changes snapshots or survivors other than through ``step``
     must call ``rebuild_index`` afterwards.
@@ -78,6 +116,8 @@ class OupRun:
 
     procedure = "oup"
     eliminate = True
+    # the stop limits of the run in progress; None makes ``step`` one round
+    _limits: _Limits | None = None
 
     def __init__(
         self,
@@ -193,106 +233,198 @@ class OupRun:
         """Whether the round that just pulled an arm ends with elimination."""
         return self.eliminate
 
-    def step(self) -> None:
-        """One round: select, pull, then append the round's ``TraceRow``.
+    def _reselects_leader(self) -> bool:
+        """Whether a round selects the held arm whenever that arm still leads
+        on UCB, so that a streak may go on: always, for greedy selection."""
+        return True
 
-        The pulled arm is held afterwards; every leader and elimination test
-        compares its ``(key, index)`` entries with the rivals' cached tops,
-        so ties still break toward the lowest index.
+    def step(self) -> None:
+        """Make one round, then go on while the streak lasts.
+
+        A round selects an arm, pulls it (doubling its captime when the
+        rule fires), reads the leaders, eliminates if the engine does, and
+        appends the round's ``TraceRow``.  The pulled arm is held
+        afterwards; every leader and elimination test compares its ``(key,
+        index)`` entries with the rivals' cached tops, so ties still break
+        toward the lowest index.
+
+        A streak is the rounds that pull the same arm one after another.
+        While it lasts, the loop below keeps in locals everything a round
+        reads or writes: the arm's count, captime, sums, lists and bounds,
+        its runtime function, the rivals' tops, the ledger's total, run
+        count and the arm's seconds, and ``eps_min``.  A doubling hands the
+        arm to ``ArmState.double_captime`` and reads it back.  The streak
+        ends after the round that changes the selection, eliminates, or
+        meets the stop limits (``run_until`` and ``run_phases`` set them;
+        without them, one round is made), or when the oracle runs out of
+        instances.  Then the locals are written back: the arm gets one
+        ``BoundSnapshot``, and the ledger and ``eps_min`` their values.
         """
+        trace = self.trace
+        rounds = len(trace)
+        limits = self._limits or _Limits(rounds=rounds + 1)
         i = self.select_arm()
         if i != self._held:
             self._flush()
+        self._held = i
+        eliminates = self._eliminates()
+        reselects = self._reselects_leader()
+        rival_ucb = self._rival_ucb
+        if rival_ucb is None:
+            rival_ucb = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
+        rival_lcb = self._rival_lcb
+        if rival_lcb is None:
+            rival_lcb = self._rival_lcb = self._top(self._by_lcb, _neg_lcb)
+        rival_low = self._rival_low
+        if eliminates and rival_low is None:
+            rival_low = self._rival_low = self._top(self._low_ucb, _ucb)
+
+        arm = self.arms[i]
+        ctx = self.ctx
+        u = self.utility
+        rule = self.doubling_rule
+        runtime = self.oracle.runtime_of(arm.config)
+        add_duration = arm.durations.append
+        add_utility = arm.utilities.append
+        m = arm.m
+        kappa = arm.kappa
+        usum = arm._utility_sum
+        done = arm._completed_count
+        # the bounds of the arm's latest pull, which the next pull reads
+        f_hat, u_k, ucb, lcb = arm.snapshot
+        if not m:
+            u_k = u(kappa)
+        ledger = self.ledger
+        total = ledger.total_seconds
+        runs = runs_before = ledger.run_count
+        spent = ledger.per_config_seconds.get(i, 0.0)
+        eps_min = self.eps_min
+        survivors = len(self.survivors)
+        rounds_before = rounds
+        add_row = trace.append
+        last_round, budget, target, _ = limits
         try:
-            doubled = pull_arm(
-                self.arms[i],
-                self.ctx,
-                self.utility,
-                self.oracle,
-                self.doubling_rule,
-                self.ledger,
-                i,
-            )
+            try:
+                while True:
+                    m += 1
+                    a = alpha(ctx, m, kappa)
+                    # u(kappa) of this pull: the last snapshot's, unless the
+                    # captime doubles
+                    u_now = u_k
+                    doubled = False
+                    if rule(a, u_k, f_hat):
+                        doubled = True
+                        # the arm reruns its capped runs; the loop charges them
+                        arm.m = m
+                        arm._completed_count = done
+                        for d in arm.double_captime(runtime, u):
+                            total += d
+                            spent += d
+                            runs += 1
+                        kappa = arm.kappa
+                        usum = arm._utility_sum
+                        done = arm._completed_count
+                        a = alpha(ctx, m, kappa)
+                        u_now = u(kappa)
+                    t = runtime(m - 1)
+                    d = t if t < kappa else kappa
+                    value = u(d)
+                    add_duration(d)
+                    add_utility(value)
+                    usum += value
+                    if t < kappa:
+                        done += 1
+                    total += d
+                    spent += d
+                    runs += 1
+                    # the bounds as ArmState.recompute_snapshot computes them
+                    u_k = u_now
+                    f_hat = done / m
+                    u_hat = usum / m
+                    ucb = u_hat + (1.0 - u_k) * a
+                    lcb = u_hat - a - u_k * (1.0 - f_hat)
+                    own = (-ucb, i)
+                    top_ucb = rival_ucb if rival_ucb < own else own
+                    top_lcb = (-lcb, i)
+                    if rival_lcb < top_lcb:
+                        top_lcb = rival_lcb
+                    star = top_lcb[1]
+                    # keys are negated bounds, and negation is exact
+                    eps_raw = top_lcb[0] - top_ucb[0]
+                    if eps_raw < eps_min:
+                        eps_min = eps_raw
+                    rounds += 1
+                    # Elimination moves neither maximum: an eliminated arm's
+                    # UCB is below the incumbent's LCB, which is below the
+                    # incumbent's UCB because a width is always positive.  So
+                    # the leaders read before it serve both.
+                    if eliminates:
+                        threshold = -top_lcb[0]
+                        low = (ucb, i)
+                        if (rival_low if rival_low < low else low)[0] < threshold:
+                            self._eliminate(low, threshold)
+                            survivors = len(self.survivors)
+                            reselects = False
+                    # positional: a row is built every round, and keywords take twice as long
+                    add_row(
+                        TraceRow(rounds, total, i, doubled, eps_raw, eps_min, survivors, star)
+                    )
+                    if not (reselects and top_ucb is own) or (
+                        rounds >= last_round or total >= budget or eps_min <= target
+                    ):
+                        break
+            finally:
+                arm.m = m
+                arm._utility_sum = usum
+                arm._completed_count = done
+                if rounds > rounds_before:
+                    arm.snapshot = BoundSnapshot(f_hat, u_k, ucb, lcb)
+                ledger.total_seconds = total
+                ledger.run_count = runs
+                if runs > runs_before:
+                    ledger.per_config_seconds[i] = spent
+                self.eps_min = eps_min
         except InstanceExhaustedError as err:
             err.achieved_epsilon = self.eps_min
             err.partial = self._result("instance_exhausted")
             raise
-        self._held = i
-        snapshot = self.arms[i].snapshot
-        top_ucb = (-snapshot.ucb, i)
-        rival = self._rival_ucb
-        if rival is None:
-            rival = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
-        if rival < top_ucb:
-            top_ucb = rival
-        top_lcb = (-snapshot.lcb, i)
-        rival = self._rival_lcb
-        if rival is None:
-            rival = self._rival_lcb = self._top(self._by_lcb, _neg_lcb)
-        if rival < top_lcb:
-            top_lcb = rival
-        star = top_lcb[1]
-        # keys are negated bounds, and negation is exact
-        eps_raw = top_lcb[0] - top_ucb[0]
-        # Elimination moves neither maximum: an eliminated arm's UCB is below
-        # the incumbent's LCB, which is below the incumbent's UCB because a
-        # width is always positive.  So the leaders read before it serve both.
-        if self._eliminates():
-            threshold = self.arms[star].snapshot.lcb
-            own = (snapshot.ucb, i)
-            gone = False
-            while True:
-                rival = self._rival_low
-                if rival is None:
-                    rival = self._rival_low = self._top(self._low_ucb, _ucb)
-                if own is not None and own < rival:
-                    if not own[0] < threshold:
-                        break
-                    # the held arm falls: it leaves no entry to pop
-                    self.arms[i].eliminated = True
-                    self._held = own = None
-                else:
-                    if not rival[0] < threshold:
-                        break
-                    heappop(self._low_ucb)
-                    self.arms[rival[1]].eliminated = True
-                self._forget_rivals()
-                gone = True
-            if gone:
-                self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
-        if eps_raw < self.eps_min:
-            self.eps_min = eps_raw
-        # positional: a row is built every round, and keywords take twice as long
-        self.trace.append(
-            TraceRow(
-                len(self.trace) + 1, self.ledger.total_seconds, i, doubled, eps_raw,
-                self.eps_min, len(self.survivors), star,
-            )
-        )
 
-    def _stop_fires(self, stop: StopRule) -> str | None:
-        if isinstance(stop, TargetEpsilon):
-            if self.eps_min <= stop.epsilon:
-                return "target_epsilon"
-        elif isinstance(stop, BudgetSeconds):
-            if self.ledger.total_seconds >= stop.seconds:
-                return "budget_exhausted"
-        elif isinstance(stop, SingleSurvivor):
-            if len(self.survivors) <= 1:
-                return "single_survivor"
-        elif isinstance(stop, MaxRounds):
-            if len(self.trace) >= stop.rounds:
-                return "max_rounds"
-        else:
-            raise TypeError(f"unsupported stop rule {stop!r}")
-        return None
+    def _eliminate(self, own: tuple[float, int], threshold: float) -> None:
+        """Eliminate every survivor whose UCB is below ``threshold``, the
+        incumbent's LCB: the held arm, whose ``(ucb, index)`` is ``own``,
+        and the rivals from the top of the low-UCB heap."""
+        while True:
+            rival = self._rival_low
+            if rival is None:
+                rival = self._rival_low = self._top(self._low_ucb, _ucb)
+            if own is not None and own < rival:
+                if not own[0] < threshold:
+                    break
+                # the held arm falls: it leaves no entry to pop
+                self.arms[own[1]].eliminated = True
+                self._held = own = None
+            else:
+                if not rival[0] < threshold:
+                    break
+                heappop(self._low_ucb)
+                self.arms[rival[1]].eliminated = True
+            self._forget_rivals()
+        self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
 
     def run_until(self, stop: StopRule) -> RunResult:
-        while True:
-            reason = self._stop_fires(stop)
-            if reason is not None:
-                return self._result(reason)
-            self.step()
+        limits, reason = _limits_of(stop)
+        self._limits = limits
+        try:
+            while not (
+                len(self.trace) >= limits.rounds
+                or self.ledger.total_seconds >= limits.seconds
+                or self.eps_min <= limits.epsilon
+                or len(self.survivors) <= limits.survivors
+            ):
+                self.step()
+        finally:
+            self._limits = None
+        return self._result(reason)
 
     def _result(self, stop_reason: str) -> RunResult:
         star = self.incumbent()

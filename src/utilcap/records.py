@@ -18,18 +18,18 @@ class CostLedger:
 
     Every run is charged at its observed capped duration, including
     reruns triggered by captime doubling (restarting a capped run costs the
-    full rerun, not the difference).
+    full rerun, not the difference).  ``per_config_seconds`` is keyed by
+    the arm's position in its pool, in the order arms were first charged.
+    An engine that runs one arm many times in a row adds the runs to
+    ``total_seconds``, the arm's seconds and ``run_count`` in locals, one
+    run at a time, and writes them back when it moves on, so the sums are
+    the same to the bit.
     """
 
     def __init__(self):
         self.total_seconds = 0.0
         self.per_config_seconds: dict[int, float] = {}
         self.run_count = 0
-
-    def charge(self, key: int, seconds: float) -> None:
-        self.total_seconds += seconds
-        self.per_config_seconds[key] = self.per_config_seconds.get(key, 0.0) + seconds
-        self.run_count += 1
 
 
 class TraceRow(NamedTuple):

@@ -30,19 +30,21 @@ class UniformStream:
     """Lazily materialized stream of uniform doubles on [0, 1).
 
     ``value(j)`` returns the j-th double of the stream regardless of which
-    draws were requested before it; the buffer only ever grows at its end.
-    It is a list of Python floats, the same doubles the generator drew, so a
-    draw is read without converting a numpy scalar.
+    draws were requested before it.  The buffer ``values`` holds the draws
+    made so far and only ever grows, in place, at its end, so a reader may
+    keep it and index it directly below its length.  It is a list of Python
+    floats, the same doubles the generator drew, so a draw is read without
+    converting a numpy scalar.
     """
 
     def __init__(self, seed: int, purpose: int, index: int = 0):
         self._gen = stream_generator(seed, purpose, index)
-        self._values: list[float] = []
+        self.values: list[float] = []
 
     def value(self, j: int) -> float:
         if j < 0:
             raise IndexError(f"stream position must be nonnegative, got {j}")
-        values = self._values
+        values = self.values
         if j >= len(values):
             # at least double the buffer, so a long stream draws in amortized
             # O(1) per value; draws do not depend on the chunking

@@ -41,7 +41,7 @@ class CappedObservation(NamedTuple):
 
 def capped_run(oracle, config: int, instance: int, captime: float) -> CappedObservation:
     """The run of (config, instance) at ``captime``, capped as the engines cap it."""
-    return CappedObservation.observe(oracle.true_runtime(config, instance), captime)
+    return CappedObservation.observe(oracle.runtime_of(config)(instance), captime)
 
 # 10 arms, two-point and exponential, unique optimum exp(0.5)
 A2_DISTS = (

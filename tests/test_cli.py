@@ -398,6 +398,10 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--out", "afile")),
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--out", "afile/sub")),
         ("sweep", "oup", "epsilon:0.4", ("--seeds", "0:2", "--out", "afile")),
+        # curve's output file, under a directory that does not exist or under
+        # a file, is refused before any run directory is read
+        ("curve", "", "", ("--out", "nodir/c.csv")),
+        ("curve", "", "", ("--out", "afile/c.csv")),
     ],
     ids=[
         "unknown_schedule",
@@ -450,6 +454,8 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         "out_is_a_file",
         "out_under_a_file",
         "sweep_out_is_a_file",
+        "curve_out_under_a_missing_directory",
+        "curve_out_under_a_file",
     ],
 )
 def test_bad_spec_exits_two(
@@ -457,14 +463,21 @@ def test_bad_spec_exits_two(
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("")
-    args = [
-        verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
-        "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
-    ]
+    if verb == "curve":
+        # the run directory does not exist: a read would be refused too, but
+        # the error names the output file
+        args = [verb, "--runs", str(tmp_path / "out"), *extra]
+    else:
+        args = [
+            verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
+            "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
+        ]
     with time_limit(10.0):
         assert main(args) == 2
     out, err = capsys.readouterr()
     assert err.startswith("spec error:") and err.count("\n") == 1
+    if verb == "curve":
+        assert err.startswith(f"spec error: output file {extra[-1]!r}")
     # no run, and so no sweep cell, got as far as its output
     assert out == "" and not (tmp_path / "out").exists()
     assert (tmp_path / "afile").read_text() == ""

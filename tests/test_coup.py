@@ -348,7 +348,7 @@ def test_with_replacement_duplicates_share_runtimes():
     # any duplicated configuration replays the same runtime stream
     seen = {}
     for config in draws:
-        runs = [oracle.true_runtime(config, j) for j in range(5)]
+        runs = [oracle.runtime_of(config)(j) for j in range(5)]
         if config in seen:
             assert runs == seen[config]
         seen[config] = runs

@@ -14,6 +14,7 @@ from utilcap import (
     LogLaplaceUtility,
     LogNormal,
     MatrixOracle,
+    OupRun,
     SyntheticOracle,
     TwoPoint,
     UniformUtility,
@@ -22,7 +23,6 @@ from utilcap import (
     load_runtime_matrix,
     true_capped_utility,
 )
-from utilcap.arms import ArmState, pull_arm
 from utilcap.baselines import _sample_to, halving_plan, naive_plan
 
 from helpers import capped_run
@@ -45,14 +45,14 @@ def observe(runtimes, kappa=1.0):
     Returns the arm."""
     n = len(runtimes)
     oracle = MatrixOracle((tuple(runtimes),), ("a",), tuple(range(n)))
-    arm = ArmState(0)
-    ledger = CostLedger()
-    ctx = BoundContext(n=1, delta=0.1)
+    run = OupRun(oracle, U60, 0.1)
+    run.doubling_rule = never_double
     for _ in range(n):
-        pull_arm(arm, ctx, U60, oracle, never_double, ledger, 0)
+        run.step()
+    arm = run.arms[0]
     sampled = CostLedger()
     _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [])
-    assert sampled.total_seconds == ledger.total_seconds == sum(arm.durations)
+    assert sampled.total_seconds == run.ledger.total_seconds == sum(arm.durations)
     return arm
 
 
@@ -103,7 +103,7 @@ def test_synthetic_run_is_deterministic():
     a = SyntheticOracle([Exponential(2.0)], seed=4)
     b = SyntheticOracle([Exponential(2.0)], seed=4)
     for j in range(10):
-        assert a.true_runtime(0, j) == b.true_runtime(0, j)
+        assert a.runtime_of(0)(j) == b.runtime_of(0)(j)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def three_families():
     )
     # the first lognormal draw imports scipy; make it before the first example,
     # so that the import is not charged to an example's deadline
-    oracle.true_runtime(1, 0)
+    oracle.runtime_of(1)(0)
     return oracle
 
 
@@ -135,9 +135,9 @@ def test_oracle_consistency_across_captimes(three_families, config, instance, l1
 
 def test_adding_configs_does_not_perturb_existing_streams():
     a = SyntheticOracle([Exponential(1.0)], seed=6)
-    before = [a.true_runtime(0, j) for j in range(20)]
+    before = [a.runtime_of(0)(j) for j in range(20)]
     a.add_config(Exponential(50.0))
-    after = [a.true_runtime(0, j) for j in range(20)]
+    after = [a.runtime_of(0)(j) for j in range(20)]
     assert before == after
 
 
@@ -198,7 +198,8 @@ def test_monte_carlo_consistency(dist):
     u = LogLaplaceUtility(60.0)
     kappa = 8.0
     oracle = SyntheticOracle([dist], seed=123)
-    runtimes = np.array([oracle.true_runtime(0, j) for j in range(10 ** 6)])
+    runtime = oracle.runtime_of(0)
+    runtimes = np.array([runtime(j) for j in range(10 ** 6)])
     capped = np.minimum(runtimes, kappa)
     values = np.array([u(t) for t in capped.tolist()])
     estimate = float(np.mean(values))
@@ -270,7 +271,7 @@ def test_matrix_oracle_replays_permuted_columns(tmp_path):
     oracle = load_runtime_matrix(path, seed=3)
     for j in range(4):
         col = oracle.instance_order[j]
-        assert oracle.true_runtime(0, j) == oracle.runtimes[0][col]
+        assert oracle.runtime_of(0)(j) == oracle.runtimes[0][col]
 
 
 def test_matrix_oracle_instance_exhaustion(tmp_path):
@@ -278,7 +279,7 @@ def test_matrix_oracle_instance_exhaustion(tmp_path):
     path.write_text("a,1,2\n")
     oracle = load_runtime_matrix(path, seed=0)
     with pytest.raises(InstanceExhaustedError) as err:
-        oracle.true_runtime(0, 2)
+        oracle.runtime_of(0)(2)
     assert err.value.available == 2
 
 

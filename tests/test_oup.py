@@ -3,7 +3,6 @@ import math
 import pytest
 
 import utilcap as uc
-from utilcap.arms import ArmState, pull_arm
 from utilcap.bounds import alpha
 
 from helpers import (
@@ -62,26 +61,35 @@ def test_first_step_executes_one_run_without_doubling():
     assert run.ledger.run_count == 1
 
 
+def one_arm_run(oracle, utility, rule) -> uc.OupRun:
+    """A greedy run over the oracle's configuration 0 alone, doubling by
+    ``rule``: every round pulls its one arm."""
+    run = uc.OupRun(oracle, utility, 0.1, pool=[0])
+    run.doubling_rule = rule
+    return run
+
+
 def test_doubling_refreshes_only_capped_observations():
     # 3 prior observations, 2 capped: a forced doubling reruns 2 and adds 1
     oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=11)
-    ctx = uc.BoundContext(n=1, delta=0.1)
-    ledger = uc.CostLedger()
-    arm = ArmState(0)
     never = lambda a, u_k, f: False
     always = lambda a, u_k, f: True
+    run = one_arm_run(oracle, U60, never)
+    arm = run.arms[0]
     while arm.m < 3 or sum(d < arm.kappa for d in arm.durations) != 1:
         if arm.m >= 3:
-            arm = ArmState(0)
             oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=oracle.seed + 1)
-        pull_arm(arm, ctx, U60, oracle, never, ledger, 0)
+            run = one_arm_run(oracle, U60, never)
+            arm = run.arms[0]
+        run.step()
     kappa_before = arm.kappa
     durations_before = list(arm.durations)
-    runs_before = ledger.run_count
-    doubled = pull_arm(arm, ctx, U60, oracle, always, ledger, 0)
-    assert doubled
+    runs_before = run.ledger.run_count
+    run.doubling_rule = always
+    run.step()
+    assert run.trace[-1].doubled
     assert arm.kappa == 2 * kappa_before
-    assert ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
+    assert run.ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
     # completed runs are reused verbatim; a refreshed capped run resolves
     # between the two captimes or sits exactly at the new one
     for before, after in zip(durations_before, arm.durations):
@@ -98,19 +106,19 @@ def test_doubling_condition_sees_incremented_count():
     # separates alpha(m) from alpha(m+1) to pin the order
     oracle = uc.SyntheticOracle([uc.TwoPoint(0.25, 0.25, 1.0)], seed=0)
     utility = uc.UniformUtility(2.0)
-    ctx = uc.BoundContext(n=1, delta=0.1)
-    ledger = uc.CostLedger()
-    arm = ArmState(0)
     never = lambda a, u_k, f: False
+    run = one_arm_run(oracle, utility, never)
     for _ in range(5):
-        pull_arm(arm, ctx, utility, oracle, never, ledger, 0)
-    a_now = alpha(ctx, 5, arm.kappa)
-    a_next = alpha(ctx, 6, arm.kappa)
+        run.step()
+    ctx = run.ctx
+    assert ctx == uc.BoundContext(n=1, delta=0.1)
+    a_now = alpha(ctx, 5, run.arms[0].kappa)
+    a_next = alpha(ctx, 6, run.arms[0].kappa)
     assert a_next < a_now
     threshold = (a_next + a_now)  # between 2*alpha(6) and 2*alpha(5)
-    rule = lambda a, u_k, f: 2.0 * a <= threshold
-    doubled = pull_arm(arm, ctx, utility, oracle, rule, ledger, 0)
-    assert doubled  # fires only because m was incremented first
+    run.doubling_rule = lambda a, u_k, f: 2.0 * a <= threshold
+    run.step()
+    assert run.trace[-1].doubled  # fires only because m was incremented first
 
 
 def test_doubling_condition_sees_previous_completion_fraction():
@@ -119,13 +127,12 @@ def test_doubling_condition_sees_previous_completion_fraction():
     # about to happen would complete
     oracle = uc.SyntheticOracle([uc.TwoPoint(0.25, 0.25, 1.0)], seed=0)
     utility = uc.UniformUtility(2.0)
-    ctx = uc.BoundContext(n=1, delta=0.1)
-    arm = ArmState(0)
     seen = {}
     rule = lambda a, u_k, f: seen.setdefault("f", f) is None
-    pull_arm(arm, ctx, utility, oracle, rule, uc.CostLedger(), 0)
+    run = one_arm_run(oracle, utility, rule)
+    run.step()
     assert seen["f"] == 0.0
-    assert arm.snapshot.f_hat == 1.0
+    assert run.arms[0].snapshot.f_hat == 1.0
 
 
 def test_elimination_removes_provably_bad_arm():
@@ -222,7 +229,7 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(monkeypatch, doub
         calls += 1
         return alpha(ctx, m, kappa)
 
-    monkeypatch.setattr(uc.arms, "alpha", counted)
+    monkeypatch.setattr(uc.oup, "alpha", counted)
     # the old rule first doubles after some hundreds of rounds on this pool
     result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
     doublings = sum(row.doubled for row in result.trace)

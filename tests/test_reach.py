@@ -47,6 +47,8 @@ COMMANDS = [
     (_command("run", "oup", EXP, "epsilon:0.4", "--doubling", "new",
               "--seed", "1", "--out", "oup"), 0),
     (_command("run", "up", EXP, "rounds:40", "--seed", "1", "--out", "up"), 0),
+    # a sweep boundary near round 890 eliminates one of the three arms
+    (_command("run", "up", EXP, "epsilon:0.3", "--seed", "1", "--out", "up_eliminates"), 0),
     (_command("run", "naive", EXP, "epsilon:0.9", "--utility", "uniform:kappa0=60",
               "--seed", "1", "--out", "naive"), 0),
     (_command("run", "sh", EXP, "budget:64", "--sh-kappa", "8", "--seed", "1",
