@@ -20,12 +20,13 @@ At most one doubling happens per pull; if more were warranted the condition
 simply fires again on the next selection of the same arm.
 
 A pull changes the bounds of only the arm it pulled, so a round changes
-nothing but that arm; the engine relies on that twice.  Its bound index
-holds the pulled arm out of its heaps and compares it with the other arms'
-cached tops instead of rescanning the pool, and while the same arm is
-pulled again and again (a streak), the round loop keeps the arm's fields in
-locals and writes them back, with one ``BoundSnapshot``, when the streak
-ends.  Between streaks an arm's fields and snapshot are exact.
+nothing but that arm; the engine relies on that.  While the same arm is
+pulled again and again (a streak), the round loop holds it out of the bound
+index, compares it with the other arms' heap tops read once at the streak's
+start instead of rescanning the pool, and keeps the arm's fields in locals.
+When the streak ends, it writes them back, with one ``BoundSnapshot``, and
+pushes the arm's keys into the index again.  Between streaks an arm's
+fields and snapshot are exact.
 """
 
 from __future__ import annotations

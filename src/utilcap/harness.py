@@ -106,16 +106,16 @@ def _epsilon(value: str) -> TargetEpsilon:
     return TargetEpsilon(epsilon)
 
 
-def _rounds(value: str) -> MaxRounds:
-    # every round makes at least one run, so a round count past the cap on
-    # planned runs would never finish either
-    rounds = int(value)
-    if rounds > MAX_PLANNED_RUNS:
+def _count(name: str, value: str) -> int:
+    # every round makes at least one run and every phase writes a certificate
+    # row, so a count past the cap on planned runs would never finish either
+    count = int(value)
+    if count > MAX_PLANNED_RUNS:
         raise SpecError(
-            f"rounds:{rounds} plans at least {rounds} runs, more than the "
-            f"{MAX_PLANNED_RUNS} a run can finish; lower the round count"
+            f"{name}:N asks for {count} {name}, more than the {MAX_PLANNED_RUNS} "
+            f"a run can finish; lower the {name[:-1]} count"
         )
-    return MaxRounds(rounds)
+    return count
 
 
 def parse_stop(text: str, procedure: str):
@@ -124,7 +124,7 @@ def parse_stop(text: str, procedure: str):
     try:
         if procedure == "coup":
             if name == "phases" and int(value) >= 1:
-                return MaxPhases(int(value))
+                return MaxPhases(_count("phases", value))
             if name == "budget":
                 return _budget(value)
             raise SpecError(
@@ -138,7 +138,7 @@ def parse_stop(text: str, procedure: str):
             if name == "single_survivor":
                 return SingleSurvivor()
             if name == "rounds" and int(value) >= 1:
-                return _rounds(value)
+                return MaxRounds(_count("rounds", value))
             raise SpecError(
                 f"stop rule for {procedure} must be epsilon:X, budget:SECONDS, "
                 f"single_survivor or rounds:N (N >= 1), got {text!r}"
@@ -388,16 +388,10 @@ def parse_spec(spec: ExperimentSpec):
         if spec.procedure == "coup":
             # every schedule term e^-p^k/D decreases in p, so the last phase
             # known in advance (N of phases:N, 1 of a budget) has the largest
-            # pool and the first value outside (0, 1)
+            # pool and the first value outside (0, 1); parse_stop caps N, so
+            # p^3 stays far inside a float
             last = stop.phases if isinstance(stop, MaxPhases) else 1
-            try:
-                gamma = schedule.at(last)[1]
-            except OverflowError:
-                # p, p^2 or p^3 of an int phase count past any float
-                raise SpecError(
-                    f"phases:N with N of {len(str(last))} digits is too large for the "
-                    f"schedule's float arithmetic; lower the phase count"
-                ) from None
+            gamma = schedule.at(last)[1]
             size = phase_size(last, gamma, spec.delta)
             if size > MAX_POOL_CONFIGS:
                 raise SpecError(

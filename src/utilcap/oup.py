@@ -14,25 +14,25 @@ running minimum.
 
 A round changes the bounds of only the arm it pulled, because the bound
 context is fixed within a run (or a phase).  So the engine keeps an index of
-lazy heaps over the survivors instead of scanning them.  The arm pulled last
-is *held* out of the heaps: a round compares its keys with the tops of the
-other survivors (its rivals), which no round changes and so are cached.  A
-heap top whose arm was eliminated, is held, or whose key the arm has since
-left is dropped when it surfaces.  The held arm's keys are pushed only when
-another arm is pulled, or when the index is queried from outside a round.
-A round that re-pulls the held arm, as the greedy engine almost always
-does, touches no heap; select, incumbent and eps cost O(log n) amortized
-per round rather than O(n).
+lazy heaps over the survivors instead of scanning them.  A heap top whose
+arm was eliminated, or whose key the arm has since left, is dropped when it
+surfaces.
 
-The rounds that re-pull one arm form a streak, and ``OupRun.step`` is
-written as a loop over a streak.  It holds in locals what a streak's
-rounds read and write: the arm's count, captime, sums, lists and latest
-bounds, the configuration's runtime function, the rivals' cached tops,
-the ledger's total, run count and the arm's seconds, ``eps_min`` and the
-run's stop limits.  A streak ends after a round that changes the
-selection, eliminates or meets a stop limit, or when the oracle runs out
-of instances; the locals are then written back, the arm's bounds as one
-``BoundSnapshot``.  Called alone, ``step`` makes one round.
+The rounds that pull one arm one after another form a streak, and
+``OupRun.step`` makes one streak.  It selects the arm from the index and
+*holds* it out of the heaps while the streak lasts: each round compares
+the arm's keys with the tops of the other survivors (its rivals), which no
+round of the streak changes and so are read once, at its start.  The arm's
+count, captime, sums, lists and latest bounds, the ledger's total, run
+count and the arm's seconds, ``eps_min`` and the run's stop limits are
+locals too.  A streak ends after a round that changes the selection,
+eliminates or meets a stop limit, or when the oracle runs out of
+instances; the locals are then written back, the arm's bounds as one
+``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps hold
+every survivor whenever ``step`` is not running, and a streak touches the
+heaps only at its two ends: select, incumbent and eps cost O(log n)
+amortized per streak rather than O(n) per round.  Called alone, ``step``
+makes one round.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class OupRun:
     eliminate = True
     # the stop limits of the run in progress; None makes ``step`` one round
     _limits: _Limits | None = None
+    # the arm of the streak in progress, which the heaps leave out
+    _held: int | None = None
 
     def __init__(
         self,
@@ -149,8 +151,7 @@ class OupRun:
         Entries are ``(key, index)`` tuples, so a heap breaks ties toward
         the lowest index.  Max-heaps on UCB and LCB answer the leaders; a
         min-heap on UCB, kept only by an engine that eliminates, finds the
-        arms to eliminate.  Every survivor is in the heaps, so no arm is
-        held.
+        arms to eliminate.
         """
         snapshots = [(i, self.arms[i].snapshot) for i in self.survivors]
         self._by_ucb = [(-s.ucb, i) for i, s in snapshots]
@@ -158,13 +159,6 @@ class OupRun:
         self._low_ucb = [(s.ucb, i) for i, s in snapshots] if self.eliminate else []
         for heap in (self._by_ucb, self._by_lcb, self._low_ucb):
             heapify(heap)
-        self._held = None
-        self._forget_rivals()
-
-    def _forget_rivals(self) -> None:
-        """Drop the cached rival tops: one of them may have left its heap, or
-        the held arm, which no top may be, changed."""
-        self._rival_ucb = self._rival_lcb = self._rival_low = None
 
     def _top(self, heap: list, key) -> tuple[float, int]:
         """The heap's least live entry, dropping stale entries above it: an
@@ -184,46 +178,19 @@ class OupRun:
             return _NO_RIVAL
         raise RuntimeError("survivor set is empty; invariant violated")
 
-    def _flush(self) -> None:
-        """Push the held arm's keys, so that the heaps hold every survivor."""
-        i = self._held
-        if i is not None:
-            self._held = None
-            snapshot = self.arms[i].snapshot
-            heappush(self._by_ucb, (-snapshot.ucb, i))
-            heappush(self._by_lcb, (-snapshot.lcb, i))
-            if self.eliminate:
-                heappush(self._low_ucb, (snapshot.ucb, i))
-            # stale entries pile up below the tops; compaction keeps every
-            # heap within twice the survivors, at O(1) amortized per push
-            limit = 2 * len(self.survivors) + 64
-            if len(self._by_ucb) > limit or len(self._by_lcb) > limit or len(self._low_ucb) > limit:
-                self.rebuild_index()
-        self._forget_rivals()
-
     def leaders(self) -> tuple[int, int, float]:
         """(argmax UCB, argmax LCB, max UCB - max LCB) over the survivors,
         ties to the lowest index.  The last value is the anytime guarantee."""
-        self._flush()
         top_ucb, best_ucb = self._top(self._by_ucb, _neg_ucb)
         top_lcb, best_lcb = self._top(self._by_lcb, _neg_lcb)
         # keys are negated bounds, and negation is exact
         return best_ucb, best_lcb, top_lcb - top_ucb
 
     def select_arm(self) -> int:
-        """The survivor with the largest UCB, ties to the lowest index: the
-        held arm unless a rival's key is below its own.  It reads the index
-        without changing it, so it needs no flush."""
-        i = self._held
-        if i is None:
-            return self._top(self._by_ucb, _neg_ucb)[1]
-        rival = self._rival_ucb
-        if rival is None:
-            rival = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
-        return i if (-self.arms[i].snapshot.ucb, i) < rival else rival[1]
+        """The survivor with the largest UCB, ties to the lowest index."""
+        return self._top(self._by_ucb, _neg_ucb)[1]
 
     def incumbent(self) -> int:
-        self._flush()
         return self._top(self._by_lcb, _neg_lcb)[1]
 
     def guaranteed_epsilon(self) -> float:
@@ -243,41 +210,34 @@ class OupRun:
 
         A round selects an arm, pulls it (doubling its captime when the
         rule fires), reads the leaders, eliminates if the engine does, and
-        appends the round's ``TraceRow``.  The pulled arm is held
-        afterwards; every leader and elimination test compares its ``(key,
-        index)`` entries with the rivals' cached tops, so ties still break
-        toward the lowest index.
+        appends the round's ``TraceRow``.
 
         A streak is the rounds that pull the same arm one after another.
-        While it lasts, the loop below keeps in locals everything a round
-        reads or writes: the arm's count, captime, sums, lists and bounds,
-        its runtime function, the rivals' tops, the ledger's total, run
-        count and the arm's seconds, and ``eps_min``.  A doubling hands the
-        arm to ``ArmState.double_captime`` and reads it back.  The streak
-        ends after the round that changes the selection, eliminates, or
-        meets the stop limits (``run_until`` and ``run_phases`` set them;
-        without them, one round is made), or when the oracle runs out of
-        instances.  Then the locals are written back: the arm gets one
-        ``BoundSnapshot``, and the ledger and ``eps_min`` their values.
+        The selected arm is held out of the heaps while it lasts, and the
+        tops of the other survivors' entries are read once; every leader
+        and elimination test compares the arm's ``(key, index)`` entries
+        with them, so ties still break toward the lowest index.  The loop
+        below keeps in locals everything a round reads or writes: the arm's
+        count, captime, sums, lists and bounds, its runtime function, the
+        rivals' tops, the ledger's total, run count and the arm's seconds,
+        and ``eps_min``.  A doubling hands the arm to
+        ``ArmState.double_captime`` and reads it back.  The streak ends
+        after the round that changes the selection, eliminates, or meets
+        the stop limits (``run_until`` and ``run_phases`` set them; without
+        them, one round is made), or when the oracle runs out of instances.
+        Then the locals are written back: the arm gets one
+        ``BoundSnapshot``, the ledger and ``eps_min`` their values, and the
+        heaps the arm's keys, unless it was eliminated.
         """
         trace = self.trace
         rounds = len(trace)
         limits = self._limits or _Limits(rounds=rounds + 1)
-        i = self.select_arm()
-        if i != self._held:
-            self._flush()
-        self._held = i
+        i = self._held = self.select_arm()
         eliminates = self._eliminates()
         reselects = self._reselects_leader()
-        rival_ucb = self._rival_ucb
-        if rival_ucb is None:
-            rival_ucb = self._rival_ucb = self._top(self._by_ucb, _neg_ucb)
-        rival_lcb = self._rival_lcb
-        if rival_lcb is None:
-            rival_lcb = self._rival_lcb = self._top(self._by_lcb, _neg_lcb)
-        rival_low = self._rival_low
-        if eliminates and rival_low is None:
-            rival_low = self._rival_low = self._top(self._low_ucb, _ucb)
+        rival_ucb = self._top(self._by_ucb, _neg_ucb)
+        rival_lcb = self._top(self._by_lcb, _neg_lcb)
+        rival_low = self._top(self._low_ucb, _ucb) if eliminates else None
 
         arm = self.arms[i]
         ctx = self.ctx
@@ -384,6 +344,18 @@ class OupRun:
                 if runs > runs_before:
                     ledger.per_config_seconds[i] = spent
                 self.eps_min = eps_min
+                self._held = None
+                if not arm.eliminated:
+                    snapshot = arm.snapshot
+                    heappush(self._by_ucb, (-snapshot.ucb, i))
+                    heappush(self._by_lcb, (-snapshot.lcb, i))
+                    if self.eliminate:
+                        heappush(self._low_ucb, (snapshot.ucb, i))
+                # stale entries pile up below the tops; compaction keeps every
+                # heap within twice the survivors, at O(1) amortized per push
+                limit = 2 * len(self.survivors) + 64
+                if max(len(self._by_ucb), len(self._by_lcb), len(self._low_ucb)) > limit:
+                    self.rebuild_index()
         except InstanceExhaustedError as err:
             err.achieved_epsilon = self.eps_min
             err.partial = self._result("instance_exhausted")
@@ -394,21 +366,18 @@ class OupRun:
         incumbent's LCB: the held arm, whose ``(ucb, index)`` is ``own``,
         and the rivals from the top of the low-UCB heap."""
         while True:
-            rival = self._rival_low
-            if rival is None:
-                rival = self._rival_low = self._top(self._low_ucb, _ucb)
+            rival = self._top(self._low_ucb, _ucb)
             if own is not None and own < rival:
                 if not own[0] < threshold:
                     break
                 # the held arm falls: it leaves no entry to pop
                 self.arms[own[1]].eliminated = True
-                self._held = own = None
+                own = None
             else:
                 if not rival[0] < threshold:
                     break
                 heappop(self._low_ucb)
                 self.arms[rival[1]].eliminated = True
-            self._forget_rivals()
         self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
 
     def run_until(self, stop: StopRule) -> RunResult:

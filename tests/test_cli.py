@@ -377,6 +377,11 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         ("run", "coup", "phases:1" + "0" * 320, ("--seed", "3")),
         ("run", "coup", "phases:" + "9" * 320, ("--seed", "3")),
         ("run", "coup", "phases:1" + "0" * 105, ("--seed", "3", "--schedule", "gamma_then_epsilon")),
+        # 10^12 phases whose eps and gamma stay near 1: each is quick, and
+        # every one writes a certificate row
+        ("run", "coup", "phases:1000000000000",
+         ("--seed", "3", "--schedule",
+          "custom:eps=e^-p/1000000000000000,gamma=e^-p/1000000000000000")),
         # a later procedure's stop rule is refused before any cell runs
         ("sweep", "oup,coup", "epsilon:0.4", ("--seeds", "0:2")),
         ("sweep", "oup", "epsilon:0.4", ("--seeds", "0,-1")),
@@ -443,6 +448,7 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         "coup_phases_past_float",
         "coup_phases_nines_past_float",
         "coup_phases_cube_past_float",
+        "coup_phases_too_many",
         "sweep_later_procedure_bad",
         "sweep_later_seed_negative",
         "sweep_later_naive_captime_unreachable",

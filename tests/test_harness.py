@@ -115,6 +115,8 @@ def test_parse_stop_rules():
     # every round makes a run, so the round cap is the plan cap of naive and sh
     assert parse_stop("rounds:100000000", "oup") == uc.MaxRounds(10**8)
     assert parse_stop("phases:3", "coup") == uc.MaxPhases(3)
+    # every phase writes a certificate row, so phases share the round cap
+    assert parse_stop("phases:100000000", "coup") == uc.MaxPhases(10**8)
     assert parse_stop("budget:1e6", "coup") == uc.BudgetSeconds(1e6)
     for text, procedure in [
         ("phases:3", "oup"),
@@ -124,6 +126,7 @@ def test_parse_stop_rules():
         ("epsilon:abc", "oup"),
         ("epsilon:0.2", "hyperband"),
         ("rounds:100000001", "oup"),
+        ("phases:100000001", "coup"),
     ]:
         with pytest.raises(SpecError):
             parse_stop(text, procedure)

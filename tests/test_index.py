@@ -3,13 +3,12 @@
 Random ``oup``, ``up`` and ``coup`` runs over small pools are checked round
 by round against ``scan`` over the survivors: each round's trace row
 (selection, incumbent and ``eps_raw``), the survivors and the eliminations.
-Those checks read only the trace and the arms' snapshots, so the pulled arm
-stays held out of the heaps across rounds, as in a real run; the queries
-that push it back (``leaders``, ``incumbent``, ``guaranteed_epsilon``) are
-checked only at the end of each segment.  After every round, each cached
-rival top must be what a scan of the other survivors finds.  Pools repeat
-configurations, so pulled arms tie exactly as well as fresh ones (UCB 1.0,
-LCB 0.0), and runs are long enough for the heaps to be compacted.
+A step holds the arm it pulls out of the heaps only while its streak lasts,
+so after every round each survivor's current entries must be back in the
+heaps; the queries (``select_arm``, ``leaders``, ``incumbent``,
+``guaranteed_epsilon``) are checked at the end of each segment.  Pools
+repeat configurations, so pulled arms tie exactly as well as fresh ones
+(UCB 1.0, LCB 0.0), and runs are long enough for the heaps to be compacted.
 
 The pulled arms of every engine are a prefix ``[0, k)`` of its pool, and
 every arm never pulled shares the sentinel snapshot ``FRESH``; the prefix
@@ -20,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import utilcap as uc
-from utilcap.oup import _NO_RIVAL
 
 from helpers import UTILITY, parametric_setup, scan
 
@@ -49,20 +47,19 @@ def step_and_check(run):
         expected = [j for j in before if run.arms[j].snapshot.ucb >= threshold]
     assert run.survivors == expected
     assert all(run.arms[j].eliminated for j in set(before) - set(expected))
-    check_rival_tops(run)
+    check_heaps_hold_survivors(run)
 
 
-def check_rival_tops(run):
-    """Each cached rival top is the least entry over the survivors other
-    than the held arm."""
-    rivals = [(j, run.arms[j].snapshot) for j in run.survivors if j != run._held]
-    for top, key in (
-        (run._rival_ucb, lambda s: -s.ucb),
-        (run._rival_lcb, lambda s: -s.lcb),
-        (run._rival_low, lambda s: s.ucb),
-    ):
-        if top is not None:
-            assert top == min(((key(s), j) for j, s in rivals), default=_NO_RIVAL)
+def check_heaps_hold_survivors(run):
+    """Between steps no arm is held: each survivor's current ``(-ucb, i)``
+    and ``(-lcb, i)`` entries, and ``(ucb, i)`` if the engine eliminates,
+    are in the heaps."""
+    heaps = [(set(run._by_ucb), lambda s: -s.ucb), (set(run._by_lcb), lambda s: -s.lcb)]
+    if run.eliminate:
+        heaps.append((set(run._low_ucb), lambda s: s.ucb))
+    for j in run.survivors:
+        for entries, key in heaps:
+            assert (key(run.arms[j].snapshot), j) in entries
 
 
 def check_index(run):
@@ -105,9 +102,9 @@ def test_index_matches_full_scan(procedure, pool, seed, doubling, segments):
 
 def test_held_arm_eliminated_at_a_sweep_boundary():
     # golden cell up_new_seed1: round 460 ends a sweep with arm 4, which that
-    # round eliminates, and round 461 starts the next sweep with arm 0.  No
-    # rival top cached while arm 4 was held may outlive it: one may hold
-    # arm 0's key from before its pull
+    # round eliminates, and round 461 starts the next sweep with arm 0.  The
+    # eliminated arm 4 must not come back into the heaps, and arm 0's entry
+    # from before its pull must not stand for it afterwards
     oracle = uc.SyntheticOracle([uc.Exponential(m) for m in (1.0, 5.0, 20.0, 60.0, 200.0)], seed=1)
     run = uc.UpRun(oracle, UTILITY, 0.1, doubling="new")
     for _ in range(459):
@@ -121,14 +118,14 @@ def test_held_arm_eliminated_at_a_sweep_boundary():
 
 def test_rival_eliminated_by_the_held_incumbent_leaves_no_cached_top():
     # round 386 pulls arm 1 at the end of a sweep; arm 1, held and the
-    # incumbent, eliminates arm 0, the top of every rival heap.  Arm 1 stays
-    # held, so only dropping the cached tops keeps arm 0 out of them
+    # incumbent, eliminates arm 0, the top of every rival heap.  Arm 0's
+    # entries must then be dropped, not read, when the next round's tops are
     oracle = uc.SyntheticOracle(list(DISTS), seed=6164)
     run = uc.UpRun(oracle, UTILITY, 0.1, doubling="new", pool=[3, 0])
     for _ in range(385):
         run.step()
     step_and_check(run)
-    assert run.arms[0].eliminated and run._held == run.trace[-1].incumbent == 1
+    assert run.arms[0].eliminated and run.trace[-1].selected == run.trace[-1].incumbent == 1
     step_and_check(run)
     check_index(run)
 
