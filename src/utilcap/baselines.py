@@ -25,7 +25,7 @@ import math
 
 from .oracles import RuntimeOracle
 from .oup import OupRun
-from .records import CostLedger, RunResult, TraceRow
+from .records import CostLedger, RunResult
 from .utility import UtilityFunction
 
 
@@ -64,7 +64,7 @@ def _sample_to(
     sums: list[float],
     counts: list[int],
     ledger: CostLedger,
-    trace: list[TraceRow],
+    trace: list[tuple],
 ) -> None:
     """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
     the sampling loop of both naive and successive halving.
@@ -103,8 +103,7 @@ def _sample_to(
             count += 1
             rows += 1
             best = a if (sum_a / count, -a) > others else -others[1]
-            # positional, as in OupRun.step: one row per run
-            add_row(TraceRow(rows, total, a, False, 1.0, 1.0, survivors, best))
+            add_row((rows, total, a, False, 1.0, 1.0, survivors, best))
         sums[a] = sum_a
         counts[a] = count
         ledger.total_seconds = total
@@ -157,13 +156,15 @@ def naive_run(
     n = oracle.n_configs
     kappa_bar, m = naive_plan(n, utility, epsilon, delta)
     ledger = CostLedger()
-    trace: list[TraceRow] = []
+    trace: list[tuple] = []
     sums = [0.0] * n
     counts = [0] * n
     _sample_to(oracle, utility, kappa_bar, list(range(n)), m, sums, counts, ledger, trace)
-    # the certificate holds only once every configuration has all m samples
-    trace[-1] = trace[-1]._replace(eps_raw=epsilon, eps_min=epsilon)
-    best = trace[-1].incumbent
+    # the certificate holds only once every configuration has all m samples:
+    # it is the last row's eps_raw and eps_min
+    last = trace[-1]
+    trace[-1] = last[:4] + (epsilon, epsilon) + last[6:]
+    best = last[7]
     return RunResult(
         procedure="naive",
         incumbent=best,
@@ -224,7 +225,7 @@ def successive_halving(
     n = oracle.n_configs
     sizes, rate = halving_plan(n, budget, eta, kappa)
     ledger = CostLedger()
-    trace: list[TraceRow] = []
+    trace: list[tuple] = []
     sums = [0.0] * n
     counts = [0] * n
     alive = list(range(n))

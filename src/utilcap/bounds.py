@@ -12,6 +12,9 @@ for a fixed pool of ``n`` configurations, and
 inside phase ``p`` of a phased run over a pool of size ``n_p``.  The log is
 base 2 because captimes live on the doubling grid ``kappa = 2^(l-1)``; the
 union bound behind the width is indexed by ``l = log2(kappa) + 1``.
+Within a run (or a phase) only ``m`` and ``kappa`` vary, so
+``width_at(ctx, kappa)`` binds the rest and returns the width as a function
+of ``m``; the round loop binds it once per streak and after each doubling.
 
 Upper and lower utility bounds for empirical mean utility ``u_hat`` and
 completion fraction ``f_hat`` at captime ``kappa`` are
@@ -53,8 +56,41 @@ class BoundContext:
 
 
 # captimes live on the doubling grid 1, 2, 4, ..., up to the largest finite
-# power of two; a width looks its captime's level up here on every pull
+# power of two; a width looks its captime's level up here once per captime
 _GRID_LEVELS = {2.0**level: level for level in range(1024)}
+
+
+def width_at(ctx: BoundContext, kappa: float):
+    """The confidence width at captime kappa, as a function of m >= 1.
+
+    Checks the captime and binds what no pull at it changes: the lead
+    constant times ``n``, ``delta`` and the squared grid level.  So an arm
+    pulled again and again pays the grid lookup once per captime, and each
+    pull computes only the terms in ``m``, in the same order as ``alpha``,
+    which returns ``width_at(ctx, kappa)(m)``.
+    """
+    level = _GRID_LEVELS.get(kappa)
+    if level is None:
+        raise ValueError(f"captime must be a power of two and at least 1, got {kappa}")
+    log_term = (level + 1) ** 2
+    lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
+    n = ctx.n
+    scale = lead * n
+    delta = ctx.delta
+    inf = math.inf
+    log = math.log
+    sqrt = math.sqrt
+
+    def width(m: int) -> float:
+        arg = scale * m * m * log_term / delta
+        if arg == inf:
+            # a tiny delta overflows the product, though its log is modest; only
+            # then is the log summed over the factors, so finite cases keep their bits
+            log_arg = log(lead) + log(n) + log(m * m) + log(log_term) - log(delta)
+            return sqrt(log_arg / (2.0 * m))
+        return sqrt(log(arg) / (2.0 * m))
+
+    return width
 
 
 def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
@@ -66,24 +102,7 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
     """
     if m < 1:
         raise ValueError("confidence width is undefined before the first observation")
-    level = _GRID_LEVELS.get(kappa)
-    if level is None:
-        raise ValueError(f"captime must be a power of two and at least 1, got {kappa}")
-    log_term = (level + 1) ** 2
-    lead = 11.0 if ctx.phase is None else 36.0 * ctx.phase * ctx.phase
-    arg = lead * ctx.n * m * m * log_term / ctx.delta
-    if arg == math.inf:
-        # a tiny delta overflows the product, though its log is modest; only
-        # then is the log summed over the factors, so finite cases keep their bits
-        log_arg = (
-            math.log(lead)
-            + math.log(ctx.n)
-            + math.log(m * m)
-            + math.log(log_term)
-            - math.log(ctx.delta)
-        )
-        return math.sqrt(log_arg / (2.0 * m))
-    return math.sqrt(math.log(arg) / (2.0 * m))
+    return width_at(ctx, kappa)(m)
 
 
 def doubling_old(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
@@ -111,8 +130,8 @@ class BoundSnapshot(NamedTuple):
     pull reuses, and ``ucb`` and ``lcb`` the keys of the bound index.  The
     observation count and captime live on the arm; ``u_hat`` and ``alpha``
     are intermediates that are not kept.  A named tuple because one is
-    built on every pull: a tuple is built without a per-field
-    ``__setattr__``.
+    built at the end of every streak of pulls: a tuple is built without a
+    per-field ``__setattr__``.
     """
 
     f_hat: float

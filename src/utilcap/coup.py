@@ -31,7 +31,7 @@ from .arms import ArmState, refresh_snapshots
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
 from .oup import OupRun, _Limits
-from .records import BudgetSeconds, CostLedger, MaxPhases, PhasedStopRule, RunResult, TraceRow
+from .records import BudgetSeconds, CostLedger, MaxPhases, PhasedStopRule, RunResult
 from .rng import SAMPLER_STREAM, UniformStream
 from .utility import UtilityFunction
 
@@ -297,7 +297,7 @@ class CoupRun(OupRun):
         self.gamma_p = math.nan
         self.ctx: BoundContext | None = None
         self.ledger = CostLedger()
-        self.trace: list[TraceRow] = []
+        self.trace: list[tuple] = []
         self.certificates: list[PhaseCertificate] = []
         self.eps_min = math.nan
         self.rebuild_index()

@@ -280,7 +280,7 @@ def _quoted_lines(rows: Iterable[tuple]) -> Iterator[str]:
         buffer.truncate()
 
 
-def trace_csv_lines(procedure: str, trace: Iterable[TraceRow]) -> Iterator[str]:
+def trace_csv_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
     """The lines of ``trace.csv``: one format per row, the text that
     ``csv.writer`` and ``format_value`` would give.
 

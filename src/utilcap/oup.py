@@ -23,9 +23,10 @@ The rounds that pull one arm one after another form a streak, and
 *holds* it out of the heaps while the streak lasts: each round compares
 the arm's keys with the tops of the other survivors (its rivals), which no
 round of the streak changes and so are read once, at its start.  The arm's
-count, captime, sums, lists and latest bounds, the ledger's total, run
-count and the arm's seconds, ``eps_min`` and the run's stop limits are
-locals too.  A streak ends after a round that changes the selection,
+count, captime, sums, lists and latest bounds, its width at its captime,
+the ledger's total, run count and the arm's seconds, ``eps_min`` and the
+run's stop limits are locals too, and a round appends its trace row as a
+plain tuple.  A streak ends after a round that changes the selection,
 eliminates or meets a stop limit, or when the oracle runs out of
 instances; the locals are then written back, the arm's bounds as one
 ``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps hold
@@ -42,7 +43,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .arms import ArmState
-from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, alpha
+from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_at
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import (
     BudgetSeconds,
@@ -52,7 +53,6 @@ from .records import (
     SingleSurvivor,
     StopRule,
     TargetEpsilon,
-    TraceRow,
 )
 from .utility import UtilityFunction
 
@@ -142,7 +142,7 @@ class OupRun:
         self.survivors = list(range(len(self.arms)))
         self.rebuild_index()
         self.ledger = CostLedger()
-        self.trace: list[TraceRow] = []
+        self.trace: list[tuple] = []
         self.eps_min = self.guaranteed_epsilon()
 
     def rebuild_index(self) -> None:
@@ -210,7 +210,8 @@ class OupRun:
 
         A round selects an arm, pulls it (doubling its captime when the
         rule fires), reads the leaders, eliminates if the engine does, and
-        appends the round's ``TraceRow``.
+        appends the round's row: a plain tuple laid out as ``TraceRow``,
+        which allocates one object and calls nothing.
 
         A streak is the rounds that pull the same arm one after another.
         The selected arm is held out of the heaps while it lasts, and the
@@ -218,10 +219,11 @@ class OupRun:
         and elimination test compares the arm's ``(key, index)`` entries
         with them, so ties still break toward the lowest index.  The loop
         below keeps in locals everything a round reads or writes: the arm's
-        count, captime, sums, lists and bounds, its runtime function, the
-        rivals' tops, the ledger's total, run count and the arm's seconds,
-        and ``eps_min``.  A doubling hands the arm to
-        ``ArmState.double_captime`` and reads it back.  The streak ends
+        count, captime, sums, lists and bounds, its runtime function, its
+        width (``bounds.width_at`` at its captime), the rivals' tops, the
+        ledger's total, run count and the arm's seconds, and ``eps_min``.
+        A doubling hands the arm to ``ArmState.double_captime``, reads it
+        back and binds the width at the new captime.  The streak ends
         after the round that changes the selection, eliminates, or meets
         the stop limits (``run_until`` and ``run_phases`` set them; without
         them, one round is made), or when the oracle runs out of instances.
@@ -248,6 +250,7 @@ class OupRun:
         add_utility = arm.utilities.append
         m = arm.m
         kappa = arm.kappa
+        width = width_at(ctx, kappa)
         usum = arm._utility_sum
         done = arm._completed_count
         # the bounds of the arm's latest pull, which the next pull reads
@@ -267,7 +270,7 @@ class OupRun:
             try:
                 while True:
                     m += 1
-                    a = alpha(ctx, m, kappa)
+                    a = width(m)
                     # u(kappa) of this pull: the last snapshot's, unless the
                     # captime doubles
                     u_now = u_k
@@ -284,7 +287,8 @@ class OupRun:
                         kappa = arm.kappa
                         usum = arm._utility_sum
                         done = arm._completed_count
-                        a = alpha(ctx, m, kappa)
+                        width = width_at(ctx, kappa)
+                        a = width(m)
                         u_now = u(kappa)
                     t = runtime(m - 1)
                     d = t if t < kappa else kappa
@@ -325,10 +329,7 @@ class OupRun:
                             self._eliminate(low, threshold)
                             survivors = len(self.survivors)
                             reselects = False
-                    # positional: a row is built every round, and keywords take twice as long
-                    add_row(
-                        TraceRow(rounds, total, i, doubled, eps_raw, eps_min, survivors, star)
-                    )
+                    add_row((rounds, total, i, doubled, eps_raw, eps_min, survivors, star))
                     if not (reselects and top_ucb is own) or (
                         rounds >= last_round or total >= budget or eps_min <= target
                     ):

@@ -1,10 +1,11 @@
 """Run records: cost ledger, per-round trace rows, stop rules, run results.
 
-A round's ``TraceRow`` is its only record.  Every output value is written
-as ``format_value`` gives it: floats with ``repr``, the shortest
-round-tripping form, so engines making the same decisions write
-byte-identical files.  The trace writer renders a whole row with one
-format that gives the same text.
+A round's trace row is its only record: a plain tuple laid out as the
+fields of ``TraceRow``.  Every output value is written as ``format_value``
+gives it: floats with ``repr``, the shortest round-tripping form, so
+engines making the same decisions write byte-identical files.  The trace
+writer unpacks a whole row by position and renders it with one format that
+gives the same text.
 """
 
 from __future__ import annotations
@@ -33,11 +34,19 @@ class CostLedger:
 
 
 class TraceRow(NamedTuple):
-    """One row per engine round.
+    """The fields of the row an engine appends per round, in order.
 
     ``selected`` and ``incumbent`` are arm positions within the run's pool;
     ``survivors`` counts arms still under consideration (the full pool for
     procedures that never eliminate).
+
+    The engines append plain tuples in this layout, not ``TraceRow``s,
+    because a row is built every round.  A named tuple is built by a Python
+    ``__new__``, is never untracked by the cyclic GC and skips the tuple
+    freelist, so every row counts toward the GC's next collection; plain
+    tuples reuse the freelist that a finished run's rows refill.
+    ``TraceRow(*row)`` names a row's fields, and ``curve`` reads
+    ``trace.csv`` back into ``TraceRow``s.
     """
 
     round: int
@@ -105,8 +114,9 @@ class RunResult:
     ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
     and nan for ``sh``, which certifies nothing.  A run makes one ``trace``
-    row per round, so its round count is ``len(trace)``.  ``extra`` holds
-    what validation reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
+    row per round, a tuple laid out as ``TraceRow``, so its round count is
+    ``len(trace)``.  ``extra`` holds what validation reads of a ``coup``
+    run: ``arm_configs`` and ``sampler``.
     """
 
     procedure: str
@@ -114,7 +124,7 @@ class RunResult:
     incumbent_config: int | None
     incumbent_name: str
     epsilon: float
-    trace: list[TraceRow]
+    trace: list[tuple]
     ledger: CostLedger
     stop_reason: str
     certificates: list = field(default_factory=list)

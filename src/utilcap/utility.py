@@ -18,11 +18,6 @@ import math
 from dataclasses import dataclass
 
 
-def _check_runtime(t: float) -> None:
-    if t < 0:
-        raise ValueError(f"runtime must be nonnegative, got {t}")
-
-
 @dataclass(frozen=True)
 class LogLaplaceUtility:
     kappa0: float
@@ -35,7 +30,9 @@ class LogLaplaceUtility:
             raise ValueError(f"decay exponent must be positive and finite, got {self.a}")
 
     def __call__(self, t: float) -> float:
-        _check_runtime(t)
+        # checked inline: a utility is called on every run
+        if t < 0:
+            raise ValueError(f"runtime must be nonnegative, got {t}")
         if t < self.kappa0:
             return 1.0 - 0.5 * (t / self.kappa0) ** self.a
         return 0.5 * (self.kappa0 / t) ** self.a
@@ -50,7 +47,8 @@ class UniformUtility:
             raise ValueError(f"kappa0 must be positive and finite, got {self.kappa0}")
 
     def __call__(self, t: float) -> float:
-        _check_runtime(t)
+        if t < 0:
+            raise ValueError(f"runtime must be nonnegative, got {t}")
         if t < self.kappa0:
             return 1.0 - t / self.kappa0
         return 0.0

@@ -161,7 +161,7 @@ def instrumented_oup(
             if 2.0 * a + u_k * (1.0 - f_true) < gaps[i]:
                 trigger_round[i] = upcoming
         run.step()
-        selected = run.trace[-1].selected
+        selected = uc.TraceRow(*run.trace[-1]).selected
         selections.append(selected)
         if selected in trigger_round and upcoming >= trigger_round[selected]:
             stop_selection_ok = False

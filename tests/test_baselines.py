@@ -25,7 +25,7 @@ def test_round_robin_selection_order():
     order = []
     for _ in range(8):
         run.step()
-        order.append(run.trace[-1].selected)
+        order.append(uc.TraceRow(*run.trace[-1]).selected)
     assert order == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
@@ -36,7 +36,7 @@ def test_eliminations_happen_only_at_sweep_boundaries():
         survivors_before = len(run.survivors)
         run.step()
         mid_sweep = (i + 1) % n != 0 if len(run.survivors) == n else None
-        if run.trace[-1].survivors < survivors_before:
+        if uc.TraceRow(*run.trace[-1]).survivors < survivors_before:
             # only the last pull of a sweep may eliminate
             assert run._sweep == []
 
@@ -120,7 +120,8 @@ def test_naive_run_shape():
     result = uc.naive_run(oracle, U60, 0.4, 0.1)
     kappa, m = uc.baselines.naive_plan(3, U60, 0.4, 0.1)
     assert result.ledger.run_count == 3 * m
-    assert [row.selected for row in result.trace] == [i for i in range(3) for _ in range(m)]
+    selected = [uc.TraceRow(*row).selected for row in result.trace]
+    assert selected == [i for i in range(3) for _ in range(m)]
     # runs are pure functions of (seed, config, instance): replaying them at
     # the fixed captime gives the means and the seconds the run saw
     durations = [[capped_run(oracle, i, j, kappa).duration for j in range(m)] for i in range(3)]
@@ -128,8 +129,8 @@ def test_naive_run_shape():
     assert result.incumbent == max(range(3), key=lambda i: means[i])
     assert result.ledger.per_config_seconds == {i: sum(row) for i, row in enumerate(durations)}
     assert result.epsilon == 0.4
-    assert result.trace[-1].eps_min == 0.4
-    assert all(row.eps_min == 1.0 for row in result.trace[:-1])
+    assert uc.TraceRow(*result.trace[-1]).eps_min == 0.4
+    assert all(uc.TraceRow(*row).eps_min == 1.0 for row in result.trace[:-1])
 
 
 def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):
@@ -164,14 +165,14 @@ def test_halving_budget_arithmetic():
     )
     result = uc.successive_halving(oracle, U60, budget=16, eta=2, kappa=64.0)
     # survivors per run: 4 arms to 2 runs each, 2 arms to 4, 1 arm to 8
-    assert [row.survivors for row in result.trace] == [4] * 8 + [2] * 4 + [1] * 4
+    assert [uc.TraceRow(*row).survivors for row in result.trace] == [4] * 8 + [2] * 4 + [1] * 4
     assert len(result.trace) == 16
 
 
 def test_halving_single_arm_spends_its_share():
     oracle = uc.SyntheticOracle([uc.TwoPoint(1.0, 1.0, 1.0)], seed=0)
     result = uc.successive_halving(oracle, U60, budget=7, eta=2, kappa=8.0)
-    assert [row.survivors for row in result.trace] == [1] * 7
+    assert [uc.TraceRow(*row).survivors for row in result.trace] == [1] * 7
     assert len(result.trace) == 7
 
 

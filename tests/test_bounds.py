@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from utilcap import (
     FRESH,
@@ -14,6 +14,7 @@ from utilcap import (
     doubling_old,
 )
 from utilcap.arms import ArmState
+from utilcap.bounds import width_at
 
 from helpers import CappedObservation, empirical_cdf_at_cap, empirical_utility, make_snapshot
 
@@ -103,6 +104,40 @@ def test_alpha_sums_logs_only_when_the_argument_overflows():
     values = [alpha(tiny, m, 2.0) for m in range(1, 200)]
     assert all(math.isfinite(a) for a in values)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(1, 10**6),
+    m=st.integers(1, 10**9),
+    level=st.integers(0, 1023),
+    phase=st.none() | st.integers(1, 10**4),
+    delta=st.sampled_from([0.5, 0.1, 1e-6, 1e-300, 1e-320, 5e-324]) | st.floats(5e-324, 0.99),
+)
+@example(n=5, m=7, level=1, phase=None, delta=1e-320)
+@example(n=5, m=7, level=1, phase=3, delta=1e-320)
+def test_width_at_equals_alpha_bit_for_bit(n, m, level, phase, delta):
+    ctx = BoundContext(n=n, delta=delta, phase=phase)
+    kappa = 2.0**level
+    got = width_at(ctx, kappa)(m)
+    assert got == alpha(ctx, m, kappa)
+    # the width as one expression, with the logs summed only on overflow
+    lead = 11.0 if phase is None else 36.0 * phase * phase
+    log_term = (level + 1) ** 2
+    arg = lead * n * m * m * log_term / delta
+    if arg == math.inf:
+        log_arg = (
+            math.log(lead) + math.log(n) + math.log(m * m) + math.log(log_term) - math.log(delta)
+        )
+    else:
+        log_arg = math.log(arg)
+    assert got == math.sqrt(log_arg / (2.0 * m))
+
+
+def test_width_at_rejects_a_captime_off_the_grid():
+    for kappa in (0.5, 3.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="captime must be a power of two"):
+            width_at(CTX10, kappa)
 
 
 def test_bound_context_validation():

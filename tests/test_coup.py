@@ -124,7 +124,7 @@ def test_phase_step_selects_lowest_index_on_fresh_pool():
     run = make_run(seed=1)
     run.begin_phase()
     run.phase_step()
-    assert run.trace[-1].selected == 0
+    assert uc.TraceRow(*run.trace[-1]).selected == 0
 
 
 def test_carryover_keeps_observations_and_widens_bounds():
@@ -302,9 +302,9 @@ def test_phases_never_eliminate():
         arm.snapshot = arm.snapshot._replace(ucb=0.5, lcb=0.0)
     run.rebuild_index()
     run.phase_step()
-    assert run.trace[-1].incumbent == 1
+    assert uc.TraceRow(*run.trace[-1]).incumbent == 1
     assert not any(arm.eliminated for arm in run.arms)
-    assert run.trace[-1].survivors == len(run.survivors) == len(run.arms)
+    assert uc.TraceRow(*run.trace[-1]).survivors == len(run.survivors) == len(run.arms)
 
 
 def test_runs_are_deterministic():
@@ -424,7 +424,7 @@ def test_mid_phase_selection_ignores_sampling_phase():
         arm.snapshot = arm.snapshot._replace(ucb=arm.snapshot.ucb + lift)
     run.rebuild_index()
     run.phase_step()
-    assert run.trace[-1].selected == boosted
+    assert uc.TraceRow(*run.trace[-1]).selected == boosted
 
 
 def test_every_preset_schedule_runs():

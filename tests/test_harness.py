@@ -330,6 +330,25 @@ def test_trace_lines_match_csv_writer(procedure, rows):
     assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
 
 
+@pytest.mark.parametrize(
+    "procedure, stop",
+    [
+        ("oup", "epsilon:0.4"),
+        ("up", "epsilon:0.4"),
+        ("coup", "phases:2"),
+        ("naive", "epsilon:0.5"),
+        ("sh", "budget:100"),
+    ],
+)
+def test_engines_append_plain_tuple_rows(tmp_path, procedure, stop):
+    # a row is laid out as TraceRow but built as a plain tuple, naive's
+    # rewritten last row included
+    result = uc.harness.execute(spec_for(tmp_path, procedure=procedure, stop=stop, delta=0.05))
+    assert result.trace
+    assert all(type(row) is tuple for row in result.trace)
+    assert {len(row) for row in result.trace} == {len(TraceRow._fields)}
+
+
 @pytest.mark.parametrize("procedure", ["bandit", "oup,x", 'o"up', ""])
 def test_trace_writer_refuses_unknown_procedure(tmp_path, monkeypatch, procedure):
     row = TraceRow(1, 0.5, 0, False, 1.0, 1.0, 3, 0)

@@ -36,7 +36,7 @@ def step_and_check(run):
     before = list(run.survivors)
     selected = scan(run.arms, before)[0]
     run.step()
-    row = run.trace[-1]
+    row = uc.TraceRow(*run.trace[-1])
     if not isinstance(run, uc.UpRun):  # up selects round-robin
         assert row.selected == selected
     _, star, eps = scan(run.arms, before)
@@ -110,9 +110,9 @@ def test_held_arm_eliminated_at_a_sweep_boundary():
     for _ in range(459):
         run.step()
     step_and_check(run)
-    assert run.trace[-1].selected == 4 and run.arms[4].eliminated
+    assert uc.TraceRow(*run.trace[-1]).selected == 4 and run.arms[4].eliminated
     step_and_check(run)
-    assert run.trace[-1].selected == 0
+    assert uc.TraceRow(*run.trace[-1]).selected == 0
     check_index(run)
 
 
@@ -125,7 +125,8 @@ def test_rival_eliminated_by_the_held_incumbent_leaves_no_cached_top():
     for _ in range(385):
         run.step()
     step_and_check(run)
-    assert run.arms[0].eliminated and run.trace[-1].selected == run.trace[-1].incumbent == 1
+    row = uc.TraceRow(*run.trace[-1])
+    assert run.arms[0].eliminated and row.selected == row.incumbent == 1
     step_and_check(run)
     check_index(run)
 

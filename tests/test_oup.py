@@ -56,8 +56,8 @@ def test_first_step_executes_one_run_without_doubling():
     # alpha(1, 1) > 1 makes the original condition unsatisfiable on a fresh arm
     run = uc.OupRun(two_arm_oracle(), uc.UniformUtility(60.0), 0.5, doubling="old")
     run.step()
-    assert run.trace[-1].selected == 0
-    assert not run.trace[-1].doubled
+    assert uc.TraceRow(*run.trace[-1]).selected == 0
+    assert not uc.TraceRow(*run.trace[-1]).doubled
     assert run.ledger.run_count == 1
 
 
@@ -87,7 +87,7 @@ def test_doubling_refreshes_only_capped_observations():
     runs_before = run.ledger.run_count
     run.doubling_rule = always
     run.step()
-    assert run.trace[-1].doubled
+    assert uc.TraceRow(*run.trace[-1]).doubled
     assert arm.kappa == 2 * kappa_before
     assert run.ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
     # completed runs are reused verbatim; a refreshed capped run resolves
@@ -118,7 +118,7 @@ def test_doubling_condition_sees_incremented_count():
     threshold = (a_next + a_now)  # between 2*alpha(6) and 2*alpha(5)
     run.doubling_rule = lambda a, u_k, f: 2.0 * a <= threshold
     run.step()
-    assert run.trace[-1].doubled  # fires only because m was incremented first
+    assert uc.TraceRow(*run.trace[-1]).doubled  # fires only because m was incremented first
 
 
 def test_doubling_condition_sees_previous_completion_fraction():
@@ -159,13 +159,14 @@ def test_elimination_is_strict_and_final():
         arm.snapshot = arm.snapshot._replace(ucb=ucb, lcb=lcb)
     run.rebuild_index()
     run.step()
-    assert (run.trace[-1].selected, run.trace[-1].incumbent) == (0, 1)
+    row = uc.TraceRow(*run.trace[-1])
+    assert (row.selected, row.incumbent) == (0, 1)
     assert run.survivors == [0, 1, 2] and run.arms[3].eliminated
     # pulling arm 1 drops its LCB below arm 3's, which stays out of the race
     run.step()
-    assert run.trace[-1].selected == 1
+    assert uc.TraceRow(*run.trace[-1]).selected == 1
     assert run.arms[1].snapshot.lcb < 0.45
-    assert run.trace[-1].incumbent == 2 and run.incumbent() == 2
+    assert uc.TraceRow(*run.trace[-1]).incumbent == 2 and run.incumbent() == 2
 
 
 def test_eliminated_arm_state_never_changes():
@@ -217,22 +218,29 @@ def test_running_sums_match_a_from_scratch_recomputation(engine, doubling):
         for arm in run.arms:
             reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), U60)
             assert arm.snapshot == reference.engine()
-    assert any(row.doubled for row in run.trace)
+    assert any(uc.TraceRow(*row).doubled for row in run.trace)
 
 
 @pytest.mark.parametrize("doubling", ["old", "new"])
 def test_alpha_is_computed_once_per_pull_and_once_per_doubling(monkeypatch, doubling):
+    # a round calls the width it bound at the streak's start or at the doubling
     calls = 0
+    width_at = uc.bounds.width_at
 
-    def counted(ctx, m, kappa):
-        nonlocal calls
-        calls += 1
-        return alpha(ctx, m, kappa)
+    def counted_width_at(ctx, kappa):
+        width = width_at(ctx, kappa)
 
-    monkeypatch.setattr(uc.oup, "alpha", counted)
+        def counted(m):
+            nonlocal calls
+            calls += 1
+            return width(m)
+
+        return counted
+
+    monkeypatch.setattr(uc.oup, "width_at", counted_width_at)
     # the old rule first doubles after some hundreds of rounds on this pool
     result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
-    doublings = sum(row.doubled for row in result.trace)
+    doublings = sum(uc.TraceRow(*row).doubled for row in result.trace)
     assert doublings > 0
     assert calls == len(result.trace) + doublings
 
@@ -248,8 +256,8 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
 
     # every run is valued once; later pulls read u(kappa) off the snapshot
     result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
-    doublings = sum(row.doubled for row in result.trace)
-    pulled = len({row.selected for row in result.trace})
+    doublings = sum(uc.TraceRow(*row).doubled for row in result.trace)
+    pulled = len({uc.TraceRow(*row).selected for row in result.trace})
     assert doublings > 0
     assert calls == result.ledger.run_count + pulled + doublings
 
@@ -270,11 +278,12 @@ def test_eps_min_is_running_minimum_with_round():
     best = 1.0
     for _ in range(400):
         run.step()
-        row = run.trace[-1]
+        row = uc.TraceRow(*run.trace[-1])
         best = min(best, row.eps_raw)
         assert row.eps_min == best
     # the running minimum is the eps of the round that first reached it
-    first = next(row for row in run.trace if row.eps_min == run.eps_min)
+    rows = [uc.TraceRow(*row) for row in run.trace]
+    first = next(row for row in rows if row.eps_min == run.eps_min)
     assert first.eps_raw == run.eps_min
 
 
@@ -324,7 +333,7 @@ def test_target_epsilon_single_arm_round_count_matches_formula():
     result = run.run_until(uc.TargetEpsilon(0.1))
     assert len(result.trace) == m_star
     assert result.epsilon == pytest.approx(2 * alpha(run.ctx, m_star, 1.0), rel=1e-12)
-    assert not any(row.doubled for row in run.trace)
+    assert not any(uc.TraceRow(*row).doubled for row in run.trace)
 
 
 def test_instance_exhaustion_carries_diagnostics(tmp_path):

@@ -74,7 +74,7 @@ def stepped_phases(run, phases):
         eps = run.eps_min
         while not eps < run.eps_p:
             run.phase_step()
-            eps = run.trace[-1].eps_raw
+            eps = uc.TraceRow(*run.trace[-1]).eps_raw
         run._certify()
     return run._result("max_phases")
 
@@ -127,7 +127,7 @@ def test_eliminations_in_the_middle_of_a_streak():
     result = streaked.run_until(uc.MaxRounds(400))
     assert result_fields(result) == result_fields(stepped_until(stepped, uc.MaxRounds(400)))
     assert state(streaked) == state(stepped)
-    trace = result.trace
+    trace = [uc.TraceRow(*row) for row in result.trace]
     falls = [k for k in range(1, len(trace)) if trace[k].survivors < trace[k - 1].survivors]
     assert len(falls) == 3 and streaked.survivors == [0]
     assert all(trace[k].selected == trace[k - 1].selected == 0 for k in falls)
@@ -199,7 +199,7 @@ def test_exhaustion_in_the_middle_of_a_streak():
     oracle = uc.MatrixOracle(matrix, ("fast", "slow", "mixed"), tuple(range(12)))
     run = uc.OupRun(oracle, UTILITY, 0.1)
     err, got = exhausted(run, lambda run: run.run_until(uc.TargetEpsilon(0.01)))
-    trace = err.partial.trace
+    trace = [uc.TraceRow(*row) for row in err.partial.trace]
     assert err.config == 0 and trace[-1].selected == trace[-2].selected == 0
     twin = uc.OupRun(uc.MatrixOracle(matrix, oracle.names, oracle.instance_order), UTILITY, 0.1)
     _, want = exhausted(twin, lambda run: stepped_until(run, uc.TargetEpsilon(0.01)))
