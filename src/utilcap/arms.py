@@ -10,8 +10,9 @@ round loop of ``OupRun.step``:
 3. if it fires, double the captime once and rerun only the observations that
    had capped (``ArmState.double_captime``: completed runs already reveal
    their true runtime and are reused verbatim);
-4. run instance ``m`` at the current captime: the oracle's true runtime
-   ``t``, observed as ``min(t, kappa)`` and completed when ``t < kappa``;
+4. run instance ``m`` at the current captime: the true runtime ``t`` from
+   the oracle's table of the configuration, observed as ``min(t, kappa)``
+   and completed when ``t < kappa``;
 5. recompute the bounds (``f_hat``, ``u(kappa)``, UCB, LCB) from the arm's
    running sums, reusing the width and ``u(kappa)`` of step 2 (or, after a
    doubling, of the new captime).
@@ -38,13 +39,15 @@ from .utility import UtilityFunction
 class ArmState:
     """Mutable state for one configuration inside a run.
 
-    Observations are stored per instance; ``durations[j]`` is the capped
-    runtime of instance j at the captime it was last run with, and run j
-    completed exactly when ``durations[j] < kappa`` (a capped run reports the
-    captime itself).  The running sums used to rebuild snapshots are
-    maintained append-only, and rebuilt left to right after a doubling's
-    reruns, so they equal a left-to-right recomputation bit for bit (tests
-    compare them against a from-scratch reference).  Every arm starts at
+    Observations are stored per instance as their utilities only:
+    ``utilities[j]`` is the utility of run j at the captime it was last run
+    with.  Its capped duration is ``min(times[j], kappa)`` for the oracle's
+    runtime table ``times`` of the configuration, since every capped run is
+    rerun at each doubling, and it completed exactly when ``times[j] <
+    kappa``.  The running sums used to rebuild snapshots are maintained
+    append-only, and rebuilt left to right after a doubling's reruns, so they
+    equal a left-to-right recomputation bit for bit (tests compare them
+    against a from-scratch reference).  Every arm starts at
     captime 1 with the shared sentinel snapshot ``FRESH``, which it keeps
     until its first pull: snapshots are immutable, so sharing one is safe.
     """
@@ -53,7 +56,6 @@ class ArmState:
         "config",
         "m",
         "kappa",
-        "durations",
         "utilities",
         "snapshot",
         "eliminated",
@@ -65,36 +67,35 @@ class ArmState:
         self.config = config
         self.m = 0
         self.kappa = 1.0
-        self.durations: list[float] = []
         self.utilities: list[float] = []
         self.snapshot = FRESH
         self.eliminated = False
         self._utility_sum = 0.0
         self._completed_count = 0
 
-    def double_captime(self, runtime, u: UtilityFunction) -> list[float]:
+    def double_captime(self, times, u: UtilityFunction) -> list[float]:
         """Double the captime and rerun, at the new one, every earlier run
-        that had capped: the first ``m - 1`` runs, as ``m`` already counts
-        the pull under way.  Completed runs are reused, never rerun.
-        ``runtime`` is the configuration's ``runtime_of``.  Returns the
-        reruns' durations in run order, for the caller to charge."""
+        that had capped: of the first ``m - 1`` runs, as ``m`` already counts
+        the pull under way, those with ``times[j]`` at or above the old
+        captime.  Completed runs are reused, never rerun.  ``times`` is the
+        configuration's runtime table, which holds every run made.  Returns
+        the reruns' durations in run order, for the caller to charge."""
         capped = self.kappa
         kappa = self.kappa = 2.0 * capped
-        durations = self.durations
+        utilities = self.utilities
         charged = []
         for j in range(self.m - 1):
-            if durations[j] < capped:
+            t = times[j]
+            if t < capped:
                 continue
-            t = runtime(j)
             d = t if t < kappa else kappa
-            durations[j] = d
-            self.utilities[j] = u(d)
+            utilities[j] = u(d)
             if t < kappa:
                 self._completed_count += 1
             charged.append(d)
         # the reruns break the append-only sum order; rebuild left to right
         self._utility_sum = 0.0
-        for value in self.utilities:
+        for value in utilities:
             self._utility_sum += value
         return charged
 

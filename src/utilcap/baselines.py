@@ -69,9 +69,11 @@ def _sample_to(
     """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
     the sampling loop of both naive and successive halving.
 
-    Arms are configuration ids; run j of an arm is instance j.  Appends
-    one trace row per run, with eps 1.0 and the best empirical mean among
-    ``alive`` as the incumbent (ties to the lowest position).
+    Arms are configuration ids; run j of an arm is instance j, read from
+    the oracle's runtime table, which is grown to ``target`` before the
+    arm's first run.  Appends one trace row per run, with eps 1.0 and the
+    best empirical mean among ``alive`` as the incumbent (ties to the
+    lowest position).
     """
     def rank(i: int) -> tuple[float, int]:
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
@@ -88,13 +90,16 @@ def _sample_to(
         # (below every rank when there are none), and keep the arm's and the
         # ledger's sums in locals until it is done
         others = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
-        runtime = oracle.runtime_of(a)
+        # the plan is known, so the runtime table is grown to it at once
+        times, draw = oracle.runtime_of(a)
+        if target > len(times):
+            draw(target - 1)
         total = ledger.total_seconds
         spent = per_config.get(a, 0.0)
         sum_a = sums[a]
         runs = ledger.run_count
         while count < target:
-            t = runtime(count)
+            t = times[count]
             d = t if t < kappa else kappa
             total += d
             spent += d

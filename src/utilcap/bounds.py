@@ -14,7 +14,10 @@ base 2 because captimes live on the doubling grid ``kappa = 2^(l-1)``; the
 union bound behind the width is indexed by ``l = log2(kappa) + 1``.
 Within a run (or a phase) only ``m`` and ``kappa`` vary, so
 ``width_at(ctx, kappa)`` binds the rest and returns the width as a function
-of ``m``; the round loop binds it once per streak and after each doubling.
+of ``m``.  The round loop reads the width from ``width_table(ctx, kappa)``
+instead: a table of those widths by ``m``, shared by every run of the
+process with the same context, so a width is computed once however many
+arms, rounds and trials read it.
 
 Upper and lower utility bounds for empirical mean utility ``u_hat`` and
 completion fraction ``f_hat`` at captime ``kappa`` are
@@ -33,7 +36,9 @@ identity, and consumers only ever compare bounds.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,11 +68,11 @@ _GRID_LEVELS = {2.0**level: level for level in range(1024)}
 def width_at(ctx: BoundContext, kappa: float):
     """The confidence width at captime kappa, as a function of m >= 1.
 
-    Checks the captime and binds what no pull at it changes: the lead
-    constant times ``n``, ``delta`` and the squared grid level.  So an arm
-    pulled again and again pays the grid lookup once per captime, and each
-    pull computes only the terms in ``m``, in the same order as ``alpha``,
-    which returns ``width_at(ctx, kappa)(m)``.
+    Checks the captime and binds what no count at it changes: the lead
+    constant times ``n``, ``delta`` and the squared grid level.  Each call
+    computes only the terms in ``m``, in the same order as ``alpha``, which
+    returns ``width_at(ctx, kappa)(m)``; ``width_table`` fills its table
+    with it.
     """
     level = _GRID_LEVELS.get(kappa)
     if level is None:
@@ -91,6 +96,43 @@ def width_at(ctx: BoundContext, kappa: float):
         return sqrt(log(arg) / (2.0 * m))
 
     return width
+
+
+# the most width tables kept at once.  A run reads the tables of its context,
+# one per captime it reaches (at most 1024), and a validation's trials share
+# one context; a phased run switches context every phase, so old phases'
+# tables are dropped first.
+_WIDTH_TABLES = 256
+
+
+@functools.lru_cache(maxsize=_WIDTH_TABLES)
+def width_table(ctx: BoundContext, kappa: float):
+    """The widths at captime kappa as a table ``(table, more)``.
+
+    ``table`` is an ``array('d')`` with ``table[m] == width_at(ctx, kappa)(m)``
+    for ``1 <= m < len(table)`` (``table[0]`` is nan), and it only grows, at
+    its end; ``more(m)``, for ``m >= len(table)``, extends it exactly to
+    ``m`` and returns ``table[m]``.  So a reader indexes the table below its
+    length and calls ``more`` past it.  Tables are cached by value of the
+    context and captime, so every run of a process with the same ones,
+    such as the trials of a validation, shares them; a width is a pure
+    function of the context, captime and count, so sharing changes no
+    result.
+    """
+    width = width_at(ctx, kappa)
+    table = array("d", [math.nan])
+
+    def more(m: int) -> float:
+        size = len(table)
+        if m == size:
+            # the next count, as every round of a streak at the end asks
+            value = width(m)
+            table.append(value)
+            return value
+        table.extend([width(k) for k in range(size, m + 1)])
+        return table[m]
+
+    return table, more
 
 
 def alpha(ctx: BoundContext, m: int, kappa: float) -> float:

@@ -17,6 +17,7 @@ import math
 import sys
 from pathlib import Path
 
+from .baselines import MAX_PLANNED_RUNS
 from .harness import (
     ExperimentSpec,
     GuaranteeViolation,
@@ -75,16 +76,26 @@ def _spec_from_args(args, procedure: str, seed: int) -> ExperimentSpec:
     )
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> range | list[int]:
+    """The seeds ``LO:HI`` as a range, or ``A,B,...`` as a list."""
     lo, sep, hi = text.partition(":")
     try:
-        seeds = list(range(int(lo), int(hi))) if sep else [int(s) for s in text.split(",")]
+        seeds = range(int(lo), int(hi)) if sep else [int(s) for s in text.split(",")]
     except ValueError:
         seeds = []
     if not seeds:
         raise SpecError(f"seeds must name at least one seed, as in 0:50 or 0,3,7; got {text!r}")
-    if min(seeds) < 0:
-        raise SpecError(f"seeds must be integers >= 0, got {min(seeds)} in {text!r}")
+    # every seed is a sweep cell, which makes at least one run; a range is
+    # counted from its ends, as len() of a range overflows past 2^63
+    count = seeds.stop - seeds.start if sep else len(seeds)
+    if count > MAX_PLANNED_RUNS:
+        raise SpecError(
+            f"seeds {text!r} name {count} seeds, more than the {MAX_PLANNED_RUNS} "
+            f"a sweep can finish; name fewer seeds"
+        )
+    lowest = seeds.start if sep else min(seeds)
+    if lowest < 0:
+        raise SpecError(f"seeds must be integers >= 0, got {lowest} in {text!r}")
     return seeds
 
 

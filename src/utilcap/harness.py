@@ -630,6 +630,12 @@ def validate_guarantee(
     """
     if trials < 1:
         raise SpecError(f"trials must be positive, got {trials}")
+    # every trial is a run, and has a spec in the list below
+    if trials > MAX_PLANNED_RUNS:
+        raise SpecError(
+            f"validation asks for {trials} trials, more than the {MAX_PLANNED_RUNS} "
+            f"it can finish; lower the trial count"
+        )
     if not template.oracle.startswith("synthetic:"):
         raise SpecError("guarantee validation needs a synthetic oracle with ground truth")
     utility, _, _, oracle, make = parse_spec(template)

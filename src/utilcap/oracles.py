@@ -1,27 +1,34 @@
 """Runtime sources: dataset replay and synthetic distributions with ground truth.
 
-An oracle gives the true runtime ``t`` of (configuration, instance) through
-``runtime_of(config)``, a function of the instance that an engine binds
-once for every stretch of runs of one configuration; the engines cap ``t``
-themselves.  A run at captime ``kappa`` observes
-``min(t, kappa)`` and completed exactly when ``t < kappa``, so repeating a
-run at a higher captime reveals strictly more of the same runtime.
+An oracle gives the true runtimes ``t`` of a configuration as a table:
+``runtime_of(config)`` returns ``(times, draw)``, where ``times[j]`` is the
+true runtime at instance ``j`` for every ``j`` below its length, and
+``draw(j)`` makes ``times`` hold instance ``j`` and returns ``times[j]``.
+``times`` only ever grows, at its end, so an engine binds it once per
+stretch of runs of one configuration and reads it directly, calling
+``draw`` only past its end; the engines cap ``t`` themselves.  A run at
+captime ``kappa`` observes ``min(t, kappa)`` and completed exactly when
+``t < kappa``, so repeating a run at a higher captime reveals strictly more
+of the same runtime.
 
 Two oracle kinds are provided.  ``MatrixOracle`` replays a recorded runtime
 matrix with a seeded column order, so every procedure consuming it sees the
-same instance sequence.  ``SyntheticOracle`` draws runtimes from closed-form
-distributions through keyed uniform streams, and can report exact capped
-expected utilities for use as ground truth in tests and validators.
+same instance sequence; its table is the row in that order, and ``draw``
+past it raises ``InstanceExhaustedError``.  ``SyntheticOracle`` draws
+runtimes from closed-form distributions through keyed uniform streams, a
+block at a time, and can report exact capped expected utilities for use as
+ground truth in tests and validators.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from .rng import RUNTIME_STREAM, UniformStream, seeded_permutation
+from .rng import RUNTIME_STREAM, grown_size, seeded_permutation, stream_generator
 from .utility import UtilityFunction
 
 
@@ -54,9 +61,15 @@ class InstanceExhaustedError(RuntimeError):
 # Runtime distributions with closed-form ground truth
 # ---------------------------------------------------------------------------
 
+# Each distribution maps a block of uniforms to runtimes with
+# ``runtimes_from_uniforms``, element by element in ``math``, as one draw at
+# a time would: numpy's log1p, exp and log round differently from ``math``
+# on some inputs, so they are not used.
+#
 # scipy takes most of the start-up time and only lognormal draws and ground
 # truth use it, so it is imported on first use.  The stand-in below rebinds
-# its global to the scipy ufunc, so later calls go straight to the ufunc.
+# its global to the scipy ufunc, so later calls go straight to the ufunc,
+# once per block of lognormal draws.
 
 
 def ndtri(p):
@@ -74,8 +87,10 @@ class Exponential:
         if not 0 < self.mean < math.inf:
             raise ValueError(f"exponential mean must be positive and finite, got {self.mean}")
 
-    def runtime_from_uniform(self, v: float) -> float:
-        return -self.mean * math.log1p(-v)
+    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+        scale = -self.mean
+        log1p = math.log1p
+        return [scale * log1p(-v) for v in vs]
 
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa); the distribution is continuous so ties have no mass."""
@@ -101,8 +116,12 @@ class LogNormal:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"lognormal sigma must be positive and finite, got {self.sigma}")
 
-    def runtime_from_uniform(self, v: float) -> float:
-        return math.exp(self.mu + self.sigma * ndtri(v)) if v > 0.0 else 0.0
+    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+        # ndtri(0) is -inf, and exp(-inf) is 0.0
+        mu = self.mu
+        sigma = self.sigma
+        exp = math.exp
+        return [exp(mu + sigma * z) for z in ndtri(vs).tolist()]
 
     def completion_probability(self, kappa: float) -> float:
         if math.isinf(kappa):
@@ -139,8 +158,9 @@ class TwoPoint:
         if not 0.0 <= self.p_fast <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {self.p_fast}")
 
-    def runtime_from_uniform(self, v: float) -> float:
-        return self.t_fast if v < self.p_fast else self.t_slow
+    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+        fast, slow, p = self.t_fast, self.t_slow, self.p_fast
+        return [fast if v < p else slow for v in vs]
 
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa), strict, matching the completion flag of capped runs."""
@@ -259,9 +279,12 @@ def load_runtime_matrix(path: str | Path, seed: int) -> "MatrixOracle":
 
 
 class MatrixOracle:
-    """Runtimes replayed from a recorded matrix in a seeded column order:
-    ``runtimes[config]`` is a configuration's row, and instance j is column
-    ``instance_order[j]``."""
+    """Runtimes replayed from a recorded matrix in a seeded column order.
+
+    ``runtimes[config]`` is a configuration's recorded row, and instance j
+    is its column ``instance_order[j]``.  The rows are stored in instance
+    order, as ``times``: ``times[config][j]`` is the runtime at instance j.
+    """
 
     def __init__(
         self,
@@ -269,7 +292,7 @@ class MatrixOracle:
         names: tuple[str, ...],
         instance_order: tuple[int, ...],
     ):
-        self.runtimes = runtimes
+        self.times = tuple(tuple(row[k] for k in instance_order) for row in runtimes)
         self.names = names
         self.instance_order = instance_order
         self.n_configs = len(runtimes)
@@ -279,18 +302,21 @@ class MatrixOracle:
         return self.names[config]
 
     def runtime_of(self, config: int):
-        """The true runtime of ``config`` as a function of the instance;
-        past the last instance it raises ``InstanceExhaustedError``."""
-        row = self.runtimes[config]
-        order = self.instance_order
+        """``(times, draw)`` of ``config``: its whole row in instance order,
+        and a ``draw`` that raises ``InstanceExhaustedError`` past it, for
+        the first instance missing."""
+        times = self.times[config]
         available = self.n_instances
 
-        def runtime(instance: int) -> float:
+        def draw(instance: int) -> float:
             if instance >= available:
-                raise InstanceExhaustedError(config, instance, available)
-            return row[order[instance]]
+                # the first instance missing, whichever was asked for: a
+                # reader that grows the table ahead reports what one
+                # reading instance by instance would
+                raise InstanceExhaustedError(config, available, available)
+            return times[instance]
 
-        return runtime
+        return times, draw
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +337,7 @@ class SyntheticOracle:
     def __init__(self, distributions, seed: int):
         self.seed = int(seed)
         self._dists: list[RuntimeDistribution] = list(distributions)
-        self._streams: dict[int, UniformStream] = {}
+        self._tables: dict[int, tuple] = {}
 
     @property
     def n_configs(self) -> int:
@@ -325,20 +351,27 @@ class SyntheticOracle:
         return self._dists[config].label()
 
     def runtime_of(self, config: int):
-        """The true runtime of ``config`` as a function of the instance.  It
-        reads the stream's buffer, and asks the stream to draw only past its
-        end."""
-        stream = self._streams.get(config)
-        if stream is None:
-            stream = self._streams[config] = UniformStream(self.seed, RUNTIME_STREAM, config)
-        values = stream.values
-        draw = stream.value
-        to_runtime = self._dists[config].runtime_from_uniform
+        """``(times, draw)`` of ``config``, made on its first request.
 
-        def runtime(instance: int) -> float:
-            return to_runtime(values[instance] if instance < len(values) else draw(instance))
+        ``draw`` grows ``times``, an ``array('d')``, by the blocks in which
+        ``rng.UniformStream`` grows its buffer, each drawn from the
+        configuration's runtime stream and mapped to runtimes at once; the
+        uniforms are not kept."""
+        table = self._tables.get(config)
+        if table is None:
+            generator = stream_generator(self.seed, RUNTIME_STREAM, config)
+            to_runtimes = self._dists[config].runtimes_from_uniforms
+            times = array("d")
 
-        return runtime
+            def draw(instance: int) -> float:
+                size = len(times)
+                if instance >= size:
+                    uniforms = generator.random(grown_size(instance, size) - size)
+                    times.fromlist(to_runtimes(uniforms.tolist()))
+                return times[instance]
+
+            table = self._tables[config] = (times, draw)
+        return table
 
     def true_capped_utility(
         self, config: int, u: UtilityFunction, kappa: float

@@ -23,11 +23,12 @@ The rounds that pull one arm one after another form a streak, and
 *holds* it out of the heaps while the streak lasts: each round compares
 the arm's keys with the tops of the other survivors (its rivals), which no
 round of the streak changes and so are read once, at its start.  The arm's
-count, captime, sums, lists and latest bounds, its width at its captime,
-the ledger's total, run count and the arm's seconds, ``eps_min`` and the
-run's stop limits are locals too, and a round appends its trace row as a
-plain tuple.  A streak ends after a round that changes the selection,
-eliminates or meets a stop limit, or when the oracle runs out of
+count, captime, sums, utility list and latest bounds, its runtime table,
+the width table at its captime, the ledger's total, run count and the
+arm's seconds, ``eps_min`` and the run's stop limits are locals too; a
+round reads its runtime and its width from the two tables, and appends its
+trace row as a plain tuple.  A streak ends after a round that changes the
+selection, eliminates or meets a stop limit, or when the oracle runs out of
 instances; the locals are then written back, the arm's bounds as one
 ``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps hold
 every survivor whenever ``step`` is not running, and a streak touches the
@@ -43,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .arms import ArmState
-from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_at
+from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_table
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import (
     BudgetSeconds,
@@ -219,12 +220,15 @@ class OupRun:
         and elimination test compares the arm's ``(key, index)`` entries
         with them, so ties still break toward the lowest index.  The loop
         below keeps in locals everything a round reads or writes: the arm's
-        count, captime, sums, lists and bounds, its runtime function, its
-        width (``bounds.width_at`` at its captime), the rivals' tops, the
-        ledger's total, run count and the arm's seconds, and ``eps_min``.
-        A doubling hands the arm to ``ArmState.double_captime``, reads it
-        back and binds the width at the new captime.  The streak ends
-        after the round that changes the selection, eliminates, or meets
+        count, captime, sums, utility list and bounds, its runtime table
+        (``oracle.runtime_of``), the width table at its captime
+        (``bounds.width_table``), the rivals' tops, the ledger's total, run
+        count and the arm's seconds, and ``eps_min``.  A round reads its
+        runtime and its width from the tables, and calls ``draw`` or
+        ``more`` only past a table's end.  A doubling hands the arm to
+        ``ArmState.double_captime``, reads it back and binds the width
+        table at the new captime.  The streak ends after the round that
+        changes the selection, eliminates, or meets
         the stop limits (``run_until`` and ``run_phases`` set them; without
         them, one round is made), or when the oracle runs out of instances.
         Then the locals are written back: the arm gets one
@@ -245,12 +249,11 @@ class OupRun:
         ctx = self.ctx
         u = self.utility
         rule = self.doubling_rule
-        runtime = self.oracle.runtime_of(arm.config)
-        add_duration = arm.durations.append
+        times, draw = self.oracle.runtime_of(arm.config)
         add_utility = arm.utilities.append
         m = arm.m
         kappa = arm.kappa
-        width = width_at(ctx, kappa)
+        widths, more = width_table(ctx, kappa)
         usum = arm._utility_sum
         done = arm._completed_count
         # the bounds of the arm's latest pull, which the next pull reads
@@ -270,7 +273,7 @@ class OupRun:
             try:
                 while True:
                     m += 1
-                    a = width(m)
+                    a = widths[m] if m < len(widths) else more(m)
                     # u(kappa) of this pull: the last snapshot's, unless the
                     # captime doubles
                     u_now = u_k
@@ -280,20 +283,19 @@ class OupRun:
                         # the arm reruns its capped runs; the loop charges them
                         arm.m = m
                         arm._completed_count = done
-                        for d in arm.double_captime(runtime, u):
+                        for d in arm.double_captime(times, u):
                             total += d
                             spent += d
                             runs += 1
                         kappa = arm.kappa
                         usum = arm._utility_sum
                         done = arm._completed_count
-                        width = width_at(ctx, kappa)
-                        a = width(m)
+                        widths, more = width_table(ctx, kappa)
+                        a = widths[m] if m < len(widths) else more(m)
                         u_now = u(kappa)
-                    t = runtime(m - 1)
+                    t = times[m - 1] if m <= len(times) else draw(m - 1)
                     d = t if t < kappa else kappa
                     value = u(d)
-                    add_duration(d)
                     add_utility(value)
                     usum += value
                     if t < kappa:

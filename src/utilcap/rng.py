@@ -6,7 +6,10 @@ and the key is derived through ``SeedSequence``, so every stream is a pure
 function of its identifier.  Streams are materialized lazily in blocks,
 which makes the j-th draw independent of access order and of how many other
 streams exist: adding configurations never perturbs the runtimes of existing
-ones.
+ones.  ``UniformStream`` keeps the uniforms of a stream (the samplers and
+the dataset column order read them); a synthetic oracle draws the same
+blocks from ``stream_generator`` itself, sized by ``grown_size``, and keeps
+only the runtimes it maps them to.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ _BLOCK = 256
 def stream_generator(seed: int, purpose: int, index: int = 0) -> Generator:
     """Fresh generator positioned at the start of the identified stream."""
     return Generator(Philox(SeedSequence([int(seed), int(purpose), int(index)])))
+
+
+def grown_size(j: int, size: int) -> int:
+    """The length a buffer of ``size`` draws grows to so that it holds draw
+    ``j >= size``: whole blocks, and at least double, so a long stream draws
+    in amortized O(1) per value.  The draws do not depend on the chunking."""
+    return max(((j // _BLOCK) + 1) * _BLOCK, 2 * size)
 
 
 class UniformStream:
@@ -46,10 +56,7 @@ class UniformStream:
             raise IndexError(f"stream position must be nonnegative, got {j}")
         values = self.values
         if j >= len(values):
-            # at least double the buffer, so a long stream draws in amortized
-            # O(1) per value; draws do not depend on the chunking
-            size = max(((j // _BLOCK) + 1) * _BLOCK, 2 * len(values))
-            values += self._gen.random(size - len(values)).tolist()
+            values += self._gen.random(grown_size(j, len(values)) - len(values)).tolist()
         return values[j]
 
 

@@ -9,7 +9,10 @@ full pass over the survivors that the engine's bound index must agree with,
 and ``make_snapshot`` the from-scratch recomputation that an arm's running
 sums must agree with; it returns every bound quantity, of which an arm's
 snapshot keeps four.  ``CappedObservation`` spells a capped run out as the
-reference does: the engines keep only its duration.
+reference does: the engines keep only its utility.  ``true_runtimes`` reads
+a configuration's runtimes from the oracle's table as the engines read it,
+and ``durations`` gives an arm's stored runs as the capped durations it
+observed.
 """
 
 from __future__ import annotations
@@ -39,9 +42,26 @@ class CappedObservation(NamedTuple):
         return cls(captime, False)
 
 
+def true_runtimes(oracle, config: int, count: int) -> list[float]:
+    """The true runtimes of ``config`` at instances ``0 .. count - 1``, from
+    the table ``oracle.runtime_of`` returns: ``draw`` grows it past its end
+    (and raises past a matrix's last instance), then the table is read."""
+    times, draw = oracle.runtime_of(config)
+    if count > len(times):
+        draw(count - 1)
+    return list(times[:count])
+
+
+def durations(oracle, arm) -> list[float]:
+    """The capped duration of each run an arm stores, ``min(times[j], kappa)``:
+    every run that capped was rerun at each doubling, so each run was last
+    made at the arm's captime."""
+    return [min(t, arm.kappa) for t in true_runtimes(oracle, arm.config, len(arm.utilities))]
+
+
 def capped_run(oracle, config: int, instance: int, captime: float) -> CappedObservation:
     """The run of (config, instance) at ``captime``, capped as the engines cap it."""
-    return CappedObservation.observe(oracle.runtime_of(config)(instance), captime)
+    return CappedObservation.observe(true_runtimes(oracle, config, instance + 1)[instance], captime)
 
 # 10 arms, two-point and exponential, unique optimum exp(0.5)
 A2_DISTS = (
@@ -225,10 +245,10 @@ def scan(arms, indices) -> tuple[int, int, float]:
     return best_ucb, best_lcb, top_ucb - top_lcb
 
 
-def observations(arm) -> list[CappedObservation]:
+def observations(oracle, arm) -> list[CappedObservation]:
     """An arm's stored runs as observations: a run completed exactly when its
     duration is below the arm's captime."""
-    return [CappedObservation(d, d < arm.kappa) for d in arm.durations]
+    return [CappedObservation(d, d < arm.kappa) for d in durations(oracle, arm)]
 
 
 def empirical_cdf_at_cap(observations: list[CappedObservation]) -> float:

@@ -4,7 +4,7 @@ import pytest
 
 import utilcap as uc
 
-from helpers import UTILITY, a8_oracle, capped_run
+from helpers import UTILITY, a8_oracle, capped_run, true_runtimes
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
 
@@ -131,6 +131,37 @@ def test_naive_run_shape():
     assert result.epsilon == 0.4
     assert uc.TraceRow(*result.trace[-1]).eps_min == 0.4
     assert all(uc.TraceRow(*row).eps_min == 1.0 for row in result.trace[:-1])
+
+
+@pytest.mark.parametrize("target", [255, 256, 257, 513])
+def test_sampling_reads_every_planned_run_at_a_block_boundary(target):
+    # the runtime table is grown to the plan before the first run, and a
+    # synthetic table grows by blocks of 256: a plan one past a block reads
+    # the first runtime of the next one
+    oracle = small_oracle(9)
+    ledger = uc.CostLedger()
+    sums, counts = [0.0] * 3, [0] * 3
+    uc.baselines._sample_to(oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, [])
+    assert counts == [target, target, 0] and ledger.run_count == 2 * target
+    for config in (0, 1):
+        capped = [min(t, 4.0) for t in true_runtimes(oracle, config, target)]
+        assert ledger.per_config_seconds[config] == sum(capped)
+
+
+def test_naive_and_halving_report_the_first_missing_instance():
+    # both grow an arm's runtime table to its planned count before its first
+    # run; on a matrix too short for the plan, the error names the first
+    # instance missing, as a run reading instance by instance would
+    matrix = ((0.5,) * 5, (2.0,) * 5)
+    oracle = uc.MatrixOracle(matrix, ("a", "b"), tuple(range(5)))
+    _, m = uc.baselines.naive_plan(2, U60, 0.4, 0.1)
+    assert m > 5
+    with pytest.raises(uc.InstanceExhaustedError) as err:
+        uc.naive_run(oracle, U60, 0.4, 0.1)
+    assert (err.value.config, err.value.instance, err.value.available) == (0, 5, 5)
+    with pytest.raises(uc.InstanceExhaustedError) as err:
+        uc.successive_halving(oracle, U60, 64, 2, 1.0)
+    assert (err.value.config, err.value.instance, err.value.available) == (0, 5, 5)
 
 
 def test_naive_refuses_a_plan_it_cannot_finish(monkeypatch):

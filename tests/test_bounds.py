@@ -14,7 +14,7 @@ from utilcap import (
     doubling_old,
 )
 from utilcap.arms import ArmState
-from utilcap.bounds import width_at
+from utilcap.bounds import width_at, width_table
 
 from helpers import CappedObservation, empirical_cdf_at_cap, empirical_utility, make_snapshot
 
@@ -134,10 +134,42 @@ def test_width_at_equals_alpha_bit_for_bit(n, m, level, phase, delta):
     assert got == math.sqrt(log_arg / (2.0 * m))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 10**6),
+    level=st.integers(0, 1023),
+    phase=st.none() | st.integers(1, 10**4),
+    delta=st.sampled_from([0.1, 1e-300, 1e-320, 5e-324]) | st.floats(5e-324, 0.99),
+    requests=st.lists(st.integers(1, 3000), min_size=1, max_size=12),
+)
+@example(n=5, level=1, phase=None, delta=1e-320, requests=[7, 3, 9, 1])
+@example(n=10**6, level=1023, phase=10**4, delta=5e-324, requests=[2999, 5])
+def test_width_table_equals_width_at_bit_for_bit(n, level, phase, delta, requests):
+    # counts requested out of order, read below the table's end and added
+    # past it, as the round loop reads them; the examples take the overflow
+    # branch of the width
+    ctx = BoundContext(n=n, delta=delta, phase=phase)
+    kappa = 2.0**level
+    width = width_at(ctx, kappa)
+    table, more = width_table(ctx, kappa)
+    for m in requests:
+        if m < len(table):
+            assert table[m] == width(m)
+        else:
+            assert more(m) == width(m)
+            # more(m) extends the table exactly to m
+            assert len(table) == m + 1
+    assert all(table[m] == width(m) for m in range(1, len(table)))
+    # an equal context and captime share the table
+    assert width_table(BoundContext(n=n, delta=delta, phase=phase), kappa)[0] is table
+
+
 def test_width_at_rejects_a_captime_off_the_grid():
     for kappa in (0.5, 3.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="captime must be a power of two"):
             width_at(CTX10, kappa)
+        with pytest.raises(ValueError, match="captime must be a power of two"):
+            width_table(CTX10, kappa)
 
 
 def test_bound_context_validation():

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -321,6 +322,32 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         assert all(f"{c}/summary.csv" in files for c in cells)
 
 
+# a count far past MAX_PLANNED_RUNS: a list of that many seeds or trial specs
+# takes tens of gigabytes
+HUGE_COUNT = str(10**9)
+MEMORY_LIMIT_BYTES = 1 << 29
+CLI = "import sys; from utilcap.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def main_under_memory_limit(args, cwd):
+    """(exit code, stdout, stderr) of the CLI in a fresh interpreter whose
+    address space is capped at 512 MiB, so that a command that builds a huge
+    list dies of ``MemoryError`` instead of exhausting the machine."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+
+    # one OpenBLAS thread keeps the interpreter's address space small
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("UTILCAP_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI, *args], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=60, preexec_fn=limit,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize(
     "verb, procedure, stop, extra",
     [
@@ -362,6 +389,11 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         # seeds below 0, for run and sweep alike
         ("run", "oup", "epsilon:0.4", ("--seed", "-1")),
         ("sweep", "oup", "epsilon:0.4", ("--seeds=-3:-1",)),
+        # seed and trial counts past the cap on planned runs are refused before
+        # a list of them is built (these cases run under a memory limit)
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", f"0:{HUGE_COUNT}")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", f"5:{HUGE_COUNT}{HUGE_COUNT}")),
+        ("validate", "oup", "epsilon:0.4", ("--trials", HUGE_COUNT)),
         # a budget's schedule is checked at phase 1: eps underflows to 0 there
         ("run", "coup", "budget:100",
          ("--seed", "3", "--schedule", "custom:eps=e^-p/0.0000001,gamma=e^-p/3")),
@@ -440,6 +472,9 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         "custom_schedule_item_without_value",
         "seed_negative",
         "sweep_seeds_negative",
+        "sweep_seeds_too_many",
+        "sweep_seeds_past_any_index",
+        "validate_trials_too_many",
         "coup_budget_schedule_underflows",
         "coup_phases_gamma_subnormal",
         "coup_budget_gamma_subnormal",
@@ -474,13 +509,19 @@ def test_bad_spec_exits_two(
         # the error names the output file
         args = [verb, "--runs", str(tmp_path / "out"), *extra]
     else:
+        # validate writes no files and takes no --out
+        out_dir = () if verb == "validate" else ("--out", str(tmp_path / "out"))
         args = [
             verb, "--procedure", procedure, "--oracle", f"synthetic:{pool_path}",
-            "--stop", stop, "--delta", "0.1", "--out", str(tmp_path / "out"), *extra,
+            "--stop", stop, "--delta", "0.1", *out_dir, *extra,
         ]
-    with time_limit(10.0):
-        assert main(args) == 2
-    out, err = capsys.readouterr()
+    if any(HUGE_COUNT in arg for arg in extra):
+        code, out, err = main_under_memory_limit(args, tmp_path)
+        assert code == 2, err
+    else:
+        with time_limit(10.0):
+            assert main(args) == 2
+        out, err = capsys.readouterr()
     assert err.startswith("spec error:") and err.count("\n") == 1
     if verb == "curve":
         assert err.startswith(f"spec error: output file {extra[-1]!r}")
@@ -490,6 +531,28 @@ def test_bad_spec_exits_two(
     if stop.startswith("phases:") and len(stop) > 100:
         # a phase count too large for the schedule's arithmetic names itself
         assert "phases:N" in err and "lower the phase count" in err
+
+
+def test_seed_and_trial_counts_are_capped_at_the_planned_runs(pool_path, monkeypatch):
+    # the cap admits exactly its size and refuses one more; a range of seeds
+    # stays a range, so the admitted count builds no list either
+    cap = harness.MAX_PLANNED_RUNS
+    assert cli._parse_seeds(f"7:{7 + cap}") == range(7, 7 + cap)
+    with pytest.raises(harness.SpecError, match=f"name {cap + 1} seeds"):
+        cli._parse_seeds(f"7:{8 + cap}")
+
+    def no_trials(fn, items):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(harness, "map_in_workers", no_trials)
+    spec = harness.ExperimentSpec(
+        procedure="oup", oracle=f"synthetic:{pool_path}", utility="uniform:kappa0=60",
+        stop="epsilon:0.4", seed=0,
+    )
+    with pytest.raises(harness.SpecError, match=f"asks for {cap + 1} trials"):
+        harness.validate_guarantee(spec, cap + 1)
+    with pytest.raises(AssertionError, match="a trial started"):
+        harness.validate_guarantee(spec, 2)
 
 
 def test_validate_refuses_a_phase_count_before_any_trial(pool_path, monkeypatch, capsys):

@@ -9,11 +9,13 @@ from helpers import (
     UTILITY,
     NoElimination,
     a2_oracle,
+    durations,
     make_snapshot,
     observations,
     parametric_setup,
     phase_one_engine,
     trace_lines,
+    true_runtimes,
 )
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
@@ -133,16 +135,16 @@ def test_carryover_keeps_observations_and_widens_bounds():
     for _ in range(40):
         run.phase_step()
     kept = {
-        i: (list(a.durations), a.m, a.kappa, a.snapshot.ucb - a.snapshot.lcb)
+        i: (durations(run.oracle, a), a.m, a.kappa, a.snapshot.ucb - a.snapshot.lcb)
         for i, a in enumerate(run.arms)
         if a.m > 0
     }
     pool_before = len(run.arms)
     run.begin_phase()
     assert len(run.arms) >= pool_before  # pool only grows
-    for i, (durations, m, kappa, width) in kept.items():
+    for i, (observed, m, kappa, width) in kept.items():
         arm = run.arms[i]
-        assert arm.durations == durations
+        assert durations(run.oracle, arm) == observed
         assert (arm.m, arm.kappa) == (m, kappa)
         # same observations, larger phase log factor: width weakly increases
         assert arm.snapshot.ucb - arm.snapshot.lcb >= width - 1e-12
@@ -158,7 +160,7 @@ def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
     pulled = [arm for arm in run.arms if arm.m > 0]
     assert pulled and len(pulled) < len(run.arms)
     for arm in run.arms:
-        reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), UTILITY)
+        reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(run.oracle, arm), UTILITY)
         assert arm.snapshot == reference.engine()
 
 
@@ -352,7 +354,7 @@ def test_with_replacement_duplicates_share_runtimes():
     # any duplicated configuration replays the same runtime stream
     seen = {}
     for config in draws:
-        runs = [oracle.runtime_of(config)(j) for j in range(5)]
+        runs = true_runtimes(oracle, config, 5)
         if config in seen:
             assert runs == seen[config]
         seen[config] = runs

@@ -3,8 +3,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
+from scipy.special import ndtri
 
 from utilcap import (
     BoundContext,
@@ -24,8 +25,9 @@ from utilcap import (
     true_capped_utility,
 )
 from utilcap.baselines import _sample_to, halving_plan, naive_plan
+from utilcap.rng import RUNTIME_STREAM, UniformStream
 
-from helpers import capped_run
+from helpers import capped_run, durations, true_runtimes
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +44,7 @@ def never_double(alpha_value, u_at_kappa, f_hat):
 def observe(runtimes, kappa=1.0):
     """Pull one arm once per runtime at captime 1, and sample the same runs
     as naive does at ``kappa``; both must charge the same capped durations.
-    Returns the arm."""
+    Returns the arm and its durations."""
     n = len(runtimes)
     oracle = MatrixOracle((tuple(runtimes),), ("a",), tuple(range(n)))
     run = OupRun(oracle, U60, 0.1)
@@ -52,25 +54,26 @@ def observe(runtimes, kappa=1.0):
     arm = run.arms[0]
     sampled = CostLedger()
     _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [])
-    assert sampled.total_seconds == run.ledger.total_seconds == sum(arm.durations)
-    return arm
+    observed = durations(oracle, arm)
+    assert sampled.total_seconds == run.ledger.total_seconds == sum(observed)
+    return arm, observed
 
 
 def test_observe_capped_and_completed():
-    arm = observe([2.7, 0.4])
-    assert arm.durations == [1.0, 0.4]
+    arm, observed = observe([2.7, 0.4])
+    assert observed == [1.0, 0.4]
     assert arm.snapshot.f_hat == 0.5
 
 
 def test_observe_boundary_is_capped():
     # landing exactly on the captime counts as capped
-    arm = observe([1.0])
-    assert arm.durations == [1.0] and arm.snapshot.f_hat == 0.0
+    arm, observed = observe([1.0])
+    assert observed == [1.0] and arm.snapshot.f_hat == 0.0
 
 
 def test_observe_zero_runtime_allowed():
-    arm = observe([0.0])
-    assert arm.durations == [0.0] and arm.snapshot.f_hat == 1.0
+    arm, observed = observe([0.0])
+    assert observed == [0.0] and arm.snapshot.f_hat == 1.0
 
 
 def test_observe_rejects_bad_inputs():
@@ -102,8 +105,7 @@ def test_observe_rejects_bad_inputs():
 def test_synthetic_run_is_deterministic():
     a = SyntheticOracle([Exponential(2.0)], seed=4)
     b = SyntheticOracle([Exponential(2.0)], seed=4)
-    for j in range(10):
-        assert a.runtime_of(0)(j) == b.runtime_of(0)(j)
+    assert true_runtimes(a, 0, 10) == true_runtimes(b, 0, 10)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +115,7 @@ def three_families():
     )
     # the first lognormal draw imports scipy; make it before the first example,
     # so that the import is not charged to an example's deadline
-    oracle.runtime_of(1)(0)
+    true_runtimes(oracle, 1, 1)
     return oracle
 
 
@@ -133,11 +135,74 @@ def test_oracle_consistency_across_captimes(three_families, config, instance, l1
         assert hi.completed and hi.duration == lo.duration
 
 
+def scalar_runtime(dist, v: float) -> float:
+    """One runtime from one uniform, as the oracle computed it draw by draw
+    before it mapped a block at a time."""
+    if isinstance(dist, Exponential):
+        return -dist.mean * math.log1p(-v)
+    if isinstance(dist, LogNormal):
+        return math.exp(dist.mu + dist.sigma * ndtri(v)) if v > 0.0 else 0.0
+    return dist.t_fast if v < dist.p_fast else dist.t_slow
+
+
+DISTRIBUTIONS = st.one_of(
+    st.builds(Exponential, st.floats(1e-3, 1e6)),
+    st.builds(LogNormal, st.floats(-50.0, 50.0), st.floats(1e-3, 10.0)),
+    st.builds(TwoPoint, st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1.0)),
+)
+# the least and the largest uniform a stream can draw, and one subnormal
+EDGE_UNIFORMS = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=DISTRIBUTIONS,
+    vs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=300),
+)
+@example(dist=Exponential(3.0), vs=EDGE_UNIFORMS)
+@example(dist=LogNormal(1.0, 1.5), vs=EDGE_UNIFORMS)
+@example(dist=LogNormal(-50.0, 10.0), vs=EDGE_UNIFORMS)
+@example(dist=TwoPoint(0.5, 40.0, 0.6), vs=EDGE_UNIFORMS)
+@example(dist=TwoPoint(0.5, 40.0, 0.0), vs=EDGE_UNIFORMS)
+@example(dist=TwoPoint(0.5, 40.0, 1.0), vs=EDGE_UNIFORMS)
+def test_runtimes_from_uniforms_equal_the_scalar_formula_bit_for_bit(dist, vs):
+    got = dist.runtimes_from_uniforms(vs)
+    assert all(type(t) is float for t in got)
+    assert [t.hex() for t in got] == [scalar_runtime(dist, v).hex() for v in vs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.integers(0, 2),
+    requests=st.lists(st.integers(0, 3000), min_size=1, max_size=8),
+    added=st.integers(0, 3),
+)
+@example(config=1, requests=[2999, 0, 255, 256], added=2)
+def test_a_runtime_ignores_request_order_and_added_configs(config, requests, added):
+    # runtime j is the old pipeline's, the j-th uniform of the configuration's
+    # stream mapped on its own, whichever instances were asked for first and
+    # however many configurations were registered before
+    dists = [Exponential(3.0), LogNormal(1.0, 1.5), TwoPoint(0.5, 40.0, 0.6)]
+    stream = UniformStream(13, RUNTIME_STREAM, config)
+    oracle = SyntheticOracle(dists, seed=13)
+    for k in range(added):
+        oracle.add_config(Exponential(10.0 + k))
+    times, draw = oracle.runtime_of(config)
+    for j in requests:
+        assert draw(j).hex() == scalar_runtime(dists[config], stream.value(j)).hex()
+    # the same table on every request, grown in place
+    again = oracle.runtime_of(config)
+    assert again[0] is times and again[1] is draw
+    assert [t.hex() for t in times] == [
+        scalar_runtime(dists[config], stream.value(j)).hex() for j in range(len(times))
+    ]
+
+
 def test_adding_configs_does_not_perturb_existing_streams():
     a = SyntheticOracle([Exponential(1.0)], seed=6)
-    before = [a.runtime_of(0)(j) for j in range(20)]
+    before = true_runtimes(a, 0, 20)
     a.add_config(Exponential(50.0))
-    after = [a.runtime_of(0)(j) for j in range(20)]
+    after = true_runtimes(a, 0, 20)
     assert before == after
 
 
@@ -198,8 +263,7 @@ def test_monte_carlo_consistency(dist):
     u = LogLaplaceUtility(60.0)
     kappa = 8.0
     oracle = SyntheticOracle([dist], seed=123)
-    runtime = oracle.runtime_of(0)
-    runtimes = np.array([runtime(j) for j in range(10 ** 6)])
+    runtimes = np.array(true_runtimes(oracle, 0, 10 ** 6))
     capped = np.minimum(runtimes, kappa)
     values = np.array([u(t) for t in capped.tolist()])
     estimate = float(np.mean(values))
@@ -220,8 +284,11 @@ def test_load_small_matrix(tmp_path):
     path.write_text("a,1,2,3\nb,4,5,6\n")
     oracle = load_runtime_matrix(path, seed=0)
     assert oracle.names == ("a", "b")
-    assert oracle.runtimes == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
     assert sorted(oracle.instance_order) == [0, 1, 2]
+    # the rows as read, stored in instance order
+    assert oracle.times == tuple(
+        tuple(row[k] for k in oracle.instance_order) for row in ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+    )
 
 
 def test_load_permutation_depends_on_seed(tmp_path):
@@ -269,9 +336,10 @@ def test_matrix_oracle_replays_permuted_columns(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,1,2,3,4\nb,5,6,7,8\n")
     oracle = load_runtime_matrix(path, seed=3)
+    runtimes = true_runtimes(oracle, 0, 4)
     for j in range(4):
         col = oracle.instance_order[j]
-        assert oracle.runtime_of(0)(j) == oracle.runtimes[0][col]
+        assert runtimes[j] == (1.0, 2.0, 3.0, 4.0)[col]
 
 
 def test_matrix_oracle_instance_exhaustion(tmp_path):
@@ -279,7 +347,7 @@ def test_matrix_oracle_instance_exhaustion(tmp_path):
     path.write_text("a,1,2\n")
     oracle = load_runtime_matrix(path, seed=0)
     with pytest.raises(InstanceExhaustedError) as err:
-        oracle.runtime_of(0)(2)
+        true_runtimes(oracle, 0, 3)
     assert err.value.available == 2
 
 

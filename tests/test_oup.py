@@ -9,6 +9,7 @@ from helpers import (
     UTILITY,
     a2_oracle,
     a8_oracle,
+    durations,
     instrumented_oup,
     make_snapshot,
     observations,
@@ -76,14 +77,14 @@ def test_doubling_refreshes_only_capped_observations():
     always = lambda a, u_k, f: True
     run = one_arm_run(oracle, U60, never)
     arm = run.arms[0]
-    while arm.m < 3 or sum(d < arm.kappa for d in arm.durations) != 1:
+    while arm.m < 3 or sum(d < arm.kappa for d in durations(oracle, arm)) != 1:
         if arm.m >= 3:
             oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=oracle.seed + 1)
             run = one_arm_run(oracle, U60, never)
             arm = run.arms[0]
         run.step()
     kappa_before = arm.kappa
-    durations_before = list(arm.durations)
+    durations_before = durations(oracle, arm)
     runs_before = run.ledger.run_count
     run.doubling_rule = always
     run.step()
@@ -92,12 +93,12 @@ def test_doubling_refreshes_only_capped_observations():
     assert run.ledger.run_count - runs_before == 3  # 2 refreshed + 1 new
     # completed runs are reused verbatim; a refreshed capped run resolves
     # between the two captimes or sits exactly at the new one
-    for before, after in zip(durations_before, arm.durations):
+    for before, after in zip(durations_before, durations(oracle, arm)):
         if before < kappa_before:
             assert after == before
         else:
             assert kappa_before <= after <= arm.kappa
-    assert arm.snapshot.f_hat == sum(d < arm.kappa for d in arm.durations) / arm.m
+    assert arm.snapshot.f_hat == sum(d < arm.kappa for d in durations(oracle, arm)) / arm.m
 
 
 def test_doubling_condition_sees_incremented_count():
@@ -177,13 +178,13 @@ def test_eliminated_arm_state_never_changes():
     frozen = None
     while len(run.survivors) > 1:
         run.step()
-    frozen = (run.arms[1].m, run.arms[1].kappa, list(run.arms[1].durations), run.arms[1].snapshot)
+    frozen = (run.arms[1].m, run.arms[1].kappa, durations(oracle, run.arms[1]), run.arms[1].snapshot)
     for _ in range(200):
         run.step()
     assert (
         run.arms[1].m,
         run.arms[1].kappa,
-        list(run.arms[1].durations),
+        durations(oracle, run.arms[1]),
         run.arms[1].snapshot,
     ) == frozen
 
@@ -216,33 +217,74 @@ def test_running_sums_match_a_from_scratch_recomputation(engine, doubling):
     for _ in range(300):
         run.step()
         for arm in run.arms:
-            reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(arm), U60)
+            reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(oracle, arm), U60)
             assert arm.snapshot == reference.engine()
     assert any(uc.TraceRow(*row).doubled for row in run.trace)
 
 
-@pytest.mark.parametrize("doubling", ["old", "new"])
-def test_alpha_is_computed_once_per_pull_and_once_per_doubling(monkeypatch, doubling):
-    # a round calls the width it bound at the streak's start or at the doubling
-    calls = 0
+@pytest.fixture()
+def width_count(monkeypatch):
+    """A one-element list counting the widths computed while the test runs,
+    through ``bounds.width_at``; every width table is dropped before and
+    after, so none made with the counting width outlives the test."""
+    count = [0]
     width_at = uc.bounds.width_at
 
     def counted_width_at(ctx, kappa):
         width = width_at(ctx, kappa)
 
         def counted(m):
-            nonlocal calls
-            calls += 1
+            count[0] += 1
             return width(m)
 
         return counted
 
-    monkeypatch.setattr(uc.oup, "width_at", counted_width_at)
+    monkeypatch.setattr(uc.bounds, "width_at", counted_width_at)
+    uc.bounds.width_table.cache_clear()
+    yield count
+    uc.bounds.width_table.cache_clear()
+
+
+@pytest.mark.parametrize("doubling", ["old", "new"])
+def test_alpha_is_computed_once_per_pull_and_once_per_doubling(width_count, doubling):
+    # a round reads its width from the table of its captime, which computes
+    # a width only past its end.  So a first run computes at most one width
+    # per round and one per doubling, beside the counts below the one a
+    # doubling reads at a captime no arm has reached (a table holds every
+    # count from 1); a second run of the same spec computes none
     # the old rule first doubles after some hundreds of rounds on this pool
     result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
-    doublings = sum(uc.TraceRow(*row).doubled for row in result.trace)
+    rows = [uc.TraceRow(*row) for row in result.trace]
+    counts = {}
+    skipped = 0
+    for row in rows:
+        counts[row.selected] = counts.get(row.selected, 0) + 1
+        if row.doubled:
+            skipped += counts[row.selected] - 1
+    doublings = sum(row.doubled for row in rows)
     assert doublings > 0
-    assert calls == len(result.trace) + doublings
+    assert 0 < width_count[0] <= len(rows) + doublings + skipped
+    width_count[0] = 0
+    again = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    assert again.trace == result.trace and width_count[0] == 0
+
+
+def test_trials_of_one_context_compute_few_widths(width_count):
+    # the trials of a validation share one context, so their rounds read the
+    # same width tables: on a pool shaped as the benchmark's validate_trials
+    # pool (32 lognormal configurations, delta 0.1, the new rule, eps 0.2),
+    # 40 trials in one process compute widths for under 5% of their rounds
+    n = 32
+    dists = [
+        uc.LogNormal(1.0 + 3.0 * (k + 0.5) / n, 0.5 + 0.5 * ((7 * k) % n + 0.5) / n)
+        for k in range(n)
+    ]
+    rounds = 0
+    for seed in range(40):
+        oracle = uc.SyntheticOracle(dists, seed=seed)
+        result = uc.OupRun(oracle, U60, 0.1, doubling="new").run_until(uc.TargetEpsilon(0.2))
+        rounds += len(result.trace)
+    assert 0 < width_count[0] < 0.05 * rounds
 
 
 @pytest.mark.parametrize("doubling", ["old", "new"])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import utilcap as uc
 
-from helpers import UTILITY, a2_oracle
+from helpers import UTILITY, a2_oracle, durations
 
 DISTS = (
     uc.TwoPoint(0.5, 4.0, 0.8),
@@ -33,7 +33,7 @@ UNIFORM = uc.UniformUtility(4.0)
 def state(run):
     """Everything a round may change, arm by arm and in the ledger."""
     arms = [
-        (arm.config, arm.m, arm.kappa, arm.durations, arm.utilities, arm.snapshot,
+        (arm.config, arm.m, arm.kappa, durations(run.oracle, arm), arm.utilities, arm.snapshot,
          arm.eliminated, arm._utility_sum, arm._completed_count)
         for arm in run.arms
     ]
@@ -207,7 +207,7 @@ def test_exhaustion_in_the_middle_of_a_streak():
     assert state(run) == state(twin)
     # the failed pull counted the observation, and stored no duration
     arm = run.arms[0]
-    assert arm.m == len(arm.durations) + 1 == 13
+    assert arm.m == len(durations(run.oracle, arm)) + 1 == 13
 
 
 def test_a_first_run_that_fails_charges_nothing():
