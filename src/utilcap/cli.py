@@ -96,7 +96,20 @@ def _parse_seeds(text: str) -> range | list[int]:
     lowest = seeds.start if sep else min(seeds)
     if lowest < 0:
         raise SpecError(f"seeds must be integers >= 0, got {lowest} in {text!r}")
+    if not sep:
+        # two cells of one seed would write the same directory at once
+        _refuse_repeats("seed", seeds, text)
     return seeds
+
+
+def _refuse_repeats(name: str, items, text: str) -> None:
+    """Raise ``SpecError`` naming the first of ``items`` (parsed from
+    ``text``) that repeats an earlier one."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise SpecError(f"{name} {item!r} is named more than once in {text!r}")
+        seen.add(item)
 
 
 # one parser per TraceRow field; a trace line is the procedure, then the fields
@@ -158,8 +171,14 @@ def _sweep_cell(cell: tuple[ExperimentSpec, Path]):
     return summary["final_epsilon"], summary["total_seconds"]
 
 
+# procedures whose whole plan of runs is fixed by the spec; naive's is the
+# longest cell of a sweep, so these cells start first
+_FIXED_PLAN = ("naive", "sh")
+
+
 def cmd_sweep(args) -> int:
     procedures = args.procedure.split(",")
+    _refuse_repeats("procedure", procedures, args.procedure)
     seeds = _parse_seeds(args.seeds)
     # a spec depends on its seed only through the sign, checked above, and a
     # matrix's column order, which cannot fail: one parse per procedure
@@ -172,10 +191,16 @@ def cmd_sweep(args) -> int:
         for procedure in procedures
         for seed in seeds
     ]
-    # the cells run in workers, so a failed cell does not stop the others;
-    # the first failure in cell order is raised once every cell has run
+    # fixed-plan cells start first, so that the longest cell does not wait
+    # for a free worker; the results, keyed by the directory no two cells
+    # share, go back into cell order before any is printed.  The cells run
+    # in workers, so a failed cell does not stop the others; the first
+    # failure in cell order is raised once every cell has run
+    started = sorted(cells, key=lambda cell: cell[0].procedure not in _FIXED_PLAN)
+    results = dict(zip((outdir for _, outdir in started), map_in_workers(_sweep_cell, started)))
     failed = None
-    for (spec, _), result in zip(cells, map_in_workers(_sweep_cell, cells)):
+    for spec, outdir in cells:
+        result = results[outdir]
         if isinstance(result, Exception):
             failed = result if failed is None else failed
             continue

@@ -281,8 +281,8 @@ def _quoted_lines(rows: Iterable[tuple]) -> Iterator[str]:
 
 
 def trace_csv_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
-    """The lines of ``trace.csv``: one format per row, the text that
-    ``csv.writer`` and ``format_value`` would give.
+    """The lines of ``trace.csv``: the text that ``csv.writer`` and
+    ``format_value`` would give.
 
     Trace cells are numbers, booleans and a name from ``PROCEDURES``, so
     none ever needs quoting.  Any other name raises here, before a file is
@@ -292,11 +292,24 @@ def trace_csv_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
         raise ValueError(
             f"unknown procedure {procedure!r} in a trace; expected one of {PROCEDURES}"
         )
-    return (
-        f"{procedure},{round_},{seconds!r},{selected},"
-        f"{'true' if doubled else 'false'},{eps_raw!r},{eps_min!r},{survivors},{incumbent}\n"
-        for round_, seconds, selected, doubled, eps_raw, eps_min, survivors, incumbent in trace
-    )
+    return _trace_lines(procedure, trace)
+
+
+def _trace_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
+    # float repr is most of a row's cost, and a row's eps_min is almost
+    # always the very object of its eps_raw or of the previous row's eps_min,
+    # so its text is reused then.  Identity, not ==: 0.0 and -0.0 are ==
+    # yet print differently, and a NaN is == to nothing, itself included.
+    last_min, last_text = object(), ""
+    for round_, seconds, selected, doubled, eps_raw, eps_min, survivors, incumbent in trace:
+        raw = repr(eps_raw)
+        if eps_min is not last_min:
+            last_min = eps_min
+            last_text = raw if eps_min is eps_raw else repr(eps_min)
+        yield (
+            f"{procedure},{round_},{seconds!r},{selected},{'true' if doubled else 'false'},"
+            f"{raw},{last_text},{survivors},{incumbent}\n"
+        )
 
 
 SUMMARY_COLUMNS = (

@@ -322,6 +322,53 @@ def test_sweep_output_does_not_depend_on_cpus(tmp_path, monkeypatch, capsys, ora
         assert all(f"{c}/summary.csv" in files for c in cells)
 
 
+def recorded_sweep(monkeypatch, capsys, args, out, cpus):
+    """``sweep_output`` of one sweep command, and the cells in the order
+    they were handed to the workers, as ``procedure_seed`` names."""
+    started = []
+
+    def record(fn, cells):
+        started.extend(outdir.name for _, outdir in cells)
+        return harness.map_in_workers(fn, cells)
+
+    monkeypatch.setattr(cli, "map_in_workers", record)
+    return sweep_output(monkeypatch, capsys, args, out, cpus), started
+
+
+def test_sweep_starts_fixed_plan_cells_first(tmp_path, pool_path, monkeypatch, capsys):
+    args = ("--procedure", "oup,up,naive", "--oracle", f"synthetic:{pool_path}",
+            "--stop", "epsilon:0.4", "--delta", "0.1", "--seeds", "0:2")
+    (code, out, err, _), started = recorded_sweep(monkeypatch, capsys, args, tmp_path / "o", 1)
+    assert started == ["naive_seed0", "naive_seed1", "oup_seed0", "oup_seed1", "up_seed0",
+                       "up_seed1"]
+    # but the lines are printed in cell order
+    assert (code, err) == (0, "")
+    assert [line.partition(":")[0] for line in out.splitlines()] == [
+        f"{p} seed={s}" for p in ("oup", "up", "naive") for s in (0, 1)
+    ]
+
+
+def test_sweep_raises_the_first_failure_in_cell_order(tmp_path, monkeypatch, capsys):
+    # both cells run out of the matrix's two columns, naive's first; oup's is
+    # the one reported, with the eps it achieved (naive's plan achieves none)
+    (tmp_path / "m.csv").write_text("a,1,1\nb,2,2\n")
+    args = ("--procedure", "oup,naive", "--oracle", f"matrix:{tmp_path / 'm.csv'}",
+            "--stop", "epsilon:0.4", "--delta", "0.1", "--doubling", "new", "--seeds", "0")
+    with time_limit(30.0):
+        serial, started = recorded_sweep(monkeypatch, capsys, args, tmp_path / "serial", 1)
+        parallel, _ = recorded_sweep(monkeypatch, capsys, args, tmp_path / "parallel", 2)
+    assert started == ["naive_seed0", "oup_seed0"]
+    assert serial == parallel
+    code, out, err, files = serial
+    assert (code, out) == (3, "")
+    assert err == (
+        "instance exhaustion: configuration 0 has no instance 2: only 2 instances "
+        "available; achieved eps=1.0\n"
+    )
+    # an exhausted naive cell has no partial run to write
+    assert sorted(files) == ["oup_seed0/summary.csv", "oup_seed0/trace.csv"]
+
+
 # a count far past MAX_PLANNED_RUNS: a list of that many seeds or trial specs
 # takes tens of gigabytes
 HUGE_COUNT = str(10**9)
@@ -425,6 +472,9 @@ def main_under_memory_limit(args, cwd):
         ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-eta", "1")),
         ("sweep", "oup,sh", "budget:100", ("--seeds", "0:2", "--sh-kappa", "-1")),
         ("sweep", "oup,coup", "budget:50", ("--seeds", "0:2", "--without-replacement")),
+        # a repeated procedure or seed: its two cells would write one directory
+        ("sweep", "oup,up,oup", "epsilon:0.4", ("--seeds", "0:2")),
+        ("sweep", "oup", "epsilon:0.4", ("--seeds", "3,0,3")),
         # misspelt and repeated custom schedule names
         ("run", "coup", "phases:1",
          ("--seed", "3", "--schedule", "custom:eps=e^-p/6,gamma=e^-p/3,gama=e^-p/100")),
@@ -490,6 +540,8 @@ def main_under_memory_limit(args, cwd):
         "sweep_later_sh_eta_one",
         "sweep_later_sh_kappa_negative",
         "sweep_later_coup_pool_exhausted",
+        "sweep_procedure_repeated",
+        "sweep_seed_repeated",
         "custom_schedule_name_misspelt",
         "custom_schedule_name_repeated",
         "out_is_a_file",

@@ -330,6 +330,56 @@ def test_trace_lines_match_csv_writer(procedure, rows):
     assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
 
 
+def twin(value: float) -> float:
+    """Another float object equal to ``value`` (both NaN for a NaN), whose
+    text differs from it only for a zero: 0.0 and -0.0 are == but print apart."""
+    return -value if value == 0.0 else float(repr(value))
+
+
+@st.composite
+def shared_float_rows(draw):
+    """Trace rows whose eps_min is the very object of the row's eps_raw or
+    of the previous row's eps_min, an equal twin of one of them, or its own."""
+    rows = []
+    for row in draw(st.lists(TRACE_ROWS, max_size=6)):
+        carried = rows[-1].eps_min if rows else row.eps_raw
+        eps_min = {
+            "raw": row.eps_raw,
+            "carried": carried,
+            "raw_twin": twin(row.eps_raw),
+            "carried_twin": twin(carried),
+            "own": row.eps_min,
+        }[draw(st.sampled_from(["raw", "carried", "raw_twin", "carried_twin", "own"]))]
+        rows.append(row._replace(eps_min=eps_min))
+    return rows
+
+
+ZERO, NEG_ZERO, NAN = float("0.0"), float("-0.0"), float("nan")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=shared_float_rows())
+@example(
+    rows=[
+        TraceRow(1, 0.5, 0, False, ZERO, ZERO, 3, 0),
+        # equal to the previous eps_min, and to this eps_raw, but not them
+        TraceRow(2, 1.5, 0, False, ZERO, float("-0.0"), 3, 0),
+        TraceRow(3, 2.5, 0, False, NEG_ZERO, float("0.0"), 3, 0),
+        TraceRow(4, 3.5, 1, True, NAN, NAN, 2, 1),
+        TraceRow(5, 4.5, 1, False, float("nan"), NAN, 2, 1),
+        TraceRow(6, 5.5, 1, False, 1.0, float("nan"), 2, 1),
+    ]
+)
+def test_trace_lines_with_shared_floats_match_csv_writer(rows):
+    # the trace reuses eps_min's text by identity: every row still renders
+    # as csv.writer renders it through format_value
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow([format_value(v) for v in ("oup", *row)])
+    assert "".join(trace_csv_lines("oup", rows)) == buffer.getvalue()
+
+
 @pytest.mark.parametrize(
     "procedure, stop",
     [
