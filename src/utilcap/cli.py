@@ -171,11 +171,6 @@ def _sweep_cell(cell: tuple[ExperimentSpec, Path]):
     return summary["final_epsilon"], summary["total_seconds"]
 
 
-# procedures whose whole plan of runs is fixed by the spec; naive's is the
-# longest cell of a sweep, so these cells start first
-_FIXED_PLAN = ("naive", "sh")
-
-
 def cmd_sweep(args) -> int:
     procedures = args.procedure.split(",")
     _refuse_repeats("procedure", procedures, args.procedure)
@@ -191,21 +186,29 @@ def cmd_sweep(args) -> int:
         for procedure in procedures
         for seed in seeds
     ]
-    # fixed-plan cells start first, so that the longest cell does not wait
-    # for a free worker; the results, keyed by the directory no two cells
-    # share, go back into cell order before any is printed.  The cells run
-    # in workers, so a failed cell does not stop the others; the first
-    # failure in cell order is raised once every cell has run
-    started = sorted(cells, key=lambda cell: cell[0].procedure not in _FIXED_PLAN)
-    results = dict(zip((outdir for _, outdir in started), map_in_workers(_sweep_cell, started)))
+    # naive cells start first: naive runs its whole fixed plan, and in an
+    # oup,up,naive sweep it is the longest cell, which should not wait for a
+    # free worker.  A line is printed once every cell before it in cell
+    # order has its result; the results are keyed by the directory no two
+    # cells share.  A spec or exhaustion failure comes back as a value, so
+    # it does not stop the other cells, and the first such failure in cell
+    # order is raised once all have run.  Any other error propagates when
+    # its result is reached in start order, and stops the sweep there
+    started = sorted(cells, key=lambda cell: cell[0].procedure != "naive")
+    results = {}
+    printed = 0
     failed = None
-    for spec, outdir in cells:
-        result = results[outdir]
-        if isinstance(result, Exception):
-            failed = result if failed is None else failed
-            continue
-        epsilon, seconds = result
-        print(f"{spec.procedure} seed={spec.seed}: eps={epsilon} total_seconds={seconds}")
+    for (_, done), result in zip(started, map_in_workers(_sweep_cell, started)):
+        results[done] = result
+        while printed < len(cells) and cells[printed][1] in results:
+            spec, outdir = cells[printed]
+            printed += 1
+            result = results.pop(outdir)
+            if isinstance(result, Exception):
+                failed = result if failed is None else failed
+                continue
+            epsilon, seconds = result
+            print(f"{spec.procedure} seed={spec.seed}: eps={epsilon} total_seconds={seconds}")
     if failed is not None:
         raise failed
     return EXIT_OK

@@ -335,17 +335,51 @@ def recorded_sweep(monkeypatch, capsys, args, out, cpus):
     return sweep_output(monkeypatch, capsys, args, out, cpus), started
 
 
-def test_sweep_starts_fixed_plan_cells_first(tmp_path, pool_path, monkeypatch, capsys):
-    args = ("--procedure", "oup,up,naive", "--oracle", f"synthetic:{pool_path}",
-            "--stop", "epsilon:0.4", "--delta", "0.1", "--seeds", "0:2")
+@pytest.mark.parametrize(
+    "procedures, stop, order",
+    [
+        ("oup,up,naive", "epsilon:0.4", ("naive", "oup", "up")),
+        # sh stops at the budget of the cells beside it: it keeps its place
+        ("oup,sh", "budget:100", ("oup", "sh")),
+    ],
+    ids=["naive", "sh"],
+)
+def test_sweep_starts_naive_cells_first(
+    tmp_path, pool_path, monkeypatch, capsys, procedures, stop, order
+):
+    args = ("--procedure", procedures, "--oracle", f"synthetic:{pool_path}",
+            "--stop", stop, "--delta", "0.1", "--seeds", "0:2")
     (code, out, err, _), started = recorded_sweep(monkeypatch, capsys, args, tmp_path / "o", 1)
-    assert started == ["naive_seed0", "naive_seed1", "oup_seed0", "oup_seed1", "up_seed0",
-                       "up_seed1"]
+    assert started == [f"{p}_seed{s}" for p in order for s in (0, 1)]
     # but the lines are printed in cell order
     assert (code, err) == (0, "")
     assert [line.partition(":")[0] for line in out.splitlines()] == [
-        f"{p} seed={s}" for p in ("oup", "up", "naive") for s in (0, 1)
+        f"{p} seed={s}" for p in procedures.split(",") for s in (0, 1)
     ]
+
+
+def test_sweep_prints_a_line_once_the_cells_before_it_have_ended(
+    tmp_path, pool_path, monkeypatch, capsys
+):
+    # the results come in start order, naive, oup, up; up's raises an error
+    # that is neither a spec nor an exhaustion error.  oup's line is already
+    # out, naive's waits for up's, and the error stops the sweep
+    def up_fails(fn, cells):
+        for (spec, _), result in zip(cells, harness.map_in_workers(fn, cells)):
+            if spec.procedure == "up":
+                raise OSError("no space left on device")
+            yield result
+
+    monkeypatch.setattr(cli, "map_in_workers", up_fails)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    args = ["sweep", "--procedure", "oup,up,naive", "--oracle", f"synthetic:{pool_path}",
+            "--stop", "epsilon:0.4", "--delta", "0.1", "--seeds", "0",
+            "--out", str(tmp_path / "o")]
+    with pytest.raises(OSError, match="no space left"):
+        main(args)
+    out, err = capsys.readouterr()
+    assert [line.partition(":")[0] for line in out.splitlines()] == ["oup seed=0"]
+    assert err == ""
 
 
 def test_sweep_raises_the_first_failure_in_cell_order(tmp_path, monkeypatch, capsys):

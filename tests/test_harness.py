@@ -318,18 +318,6 @@ TRACE_ROWS = st.builds(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(procedure=st.sampled_from(PROCEDURES), rows=st.lists(TRACE_ROWS, max_size=4))
-def test_trace_lines_match_csv_writer(procedure, rows):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow([format_value(v) for v in (procedure, *row)])
-    rendered = "".join(trace_csv_lines(procedure, rows))
-    assert rendered == buffer.getvalue()
-    assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
-
-
 def twin(value: float) -> float:
     """Another float object equal to ``value`` (both NaN for a NaN), whose
     text differs from it only for a zero: 0.0 and -0.0 are == but print apart."""
@@ -358,8 +346,9 @@ ZERO, NEG_ZERO, NAN = float("0.0"), float("-0.0"), float("nan")
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=shared_float_rows())
+@given(procedure=st.sampled_from(PROCEDURES), rows=shared_float_rows())
 @example(
+    procedure="oup",
     rows=[
         TraceRow(1, 0.5, 0, False, ZERO, ZERO, 3, 0),
         # equal to the previous eps_min, and to this eps_raw, but not them
@@ -368,16 +357,18 @@ ZERO, NEG_ZERO, NAN = float("0.0"), float("-0.0"), float("nan")
         TraceRow(4, 3.5, 1, True, NAN, NAN, 2, 1),
         TraceRow(5, 4.5, 1, False, float("nan"), NAN, 2, 1),
         TraceRow(6, 5.5, 1, False, 1.0, float("nan"), 2, 1),
-    ]
+    ],
 )
-def test_trace_lines_with_shared_floats_match_csv_writer(rows):
+def test_trace_lines_match_csv_writer(procedure, rows):
     # the trace reuses eps_min's text by identity: every row still renders
     # as csv.writer renders it through format_value
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for row in rows:
-        writer.writerow([format_value(v) for v in ("oup", *row)])
-    assert "".join(trace_csv_lines("oup", rows)) == buffer.getvalue()
+        writer.writerow([format_value(v) for v in (procedure, *row)])
+    rendered = "".join(trace_csv_lines(procedure, rows))
+    assert rendered == buffer.getvalue()
+    assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
 
 
 @pytest.mark.parametrize(
