@@ -12,7 +12,14 @@ The grid covers all five procedures, two seeds and both doubling rules, a
 matrix oracle run to instance exhaustion (partial outputs), an oup run on
 lognormal runtimes (the scipy inverse CDF), a coup run whose budget is too
 small to certify (incumbent -1, eps nan), and coup runs under two more
-schedules and over a finite pool sampled with replacement.
+schedules and over a finite pool sampled with replacement.  Later cells pin
+engine paths that the first 26 leave open: the log-Laplace utility with
+``a`` other than 1 and the uniform utility, each on oup, naive and coup
+over a pool slow enough for runs to reach the pivot ``kappa0`` (there a
+utility computed another way changes bits that a value near 1 rounds
+away), an up run over a pool listed worst first, whose incumbent
+eliminates rivals from the low-UCB heap, and oup and up runs that stop by
+budget and by rounds.
 """
 
 from __future__ import annotations
@@ -31,6 +38,17 @@ PARAMETRIC = "family=parametric_exponential\nparams=0.1,10000\n"
 LOGNORMAL = "family=lognormal\nparams=0.0,1.0;1.5,0.8;2.5,1.2;3.5,0.5\n"
 # 3 configurations by 6 instances: oup runs out of columns before eps 0.01
 MATRIX = "a,0.5,3,0.25,8,1,2\nb,4,40,2,90,7,3\nc,20,1,60,300,5,150\n"
+# POOL listed worst first: up's sweep ends on the best arm, which eliminates
+# the others as rivals, not as the arm just pulled
+REVERSED = "family=exponential\nparams=200.0;60.0;20.0;5.0;1.0\nn_configs=5\n"
+# runtimes around the pivots below, for the cells of the other utilities
+SLOW = "family=exponential\nparams=30.0;45.0;60.0;90.0\n"
+# utilities beside loglaplace:kappa0=60,a=1, by the suffix of their cells
+UTILITIES = {
+    "a1.7": "loglaplace:kappa0=16,a=1.7",
+    "a0.5": "loglaplace:kappa0=16,a=0.5",
+    "uniform": "uniform:kappa0=60",
+}
 
 STOPS = {
     "oup": "epsilon:0.3",
@@ -97,6 +115,32 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
                 stop="phases:4", seed=1, delta=0.1, doubling=doubling, schedule=schedule,
             ),
         ))
+    for suffix, utility in UTILITIES.items():
+        for procedure in ("oup", "naive", "coup"):
+            cells.append((
+                f"{procedure}_{suffix}",
+                uc.ExperimentSpec(
+                    procedure=procedure, oracle="synthetic:slow.txt", utility=utility,
+                    stop=STOPS[procedure], seed=1, delta=0.1, doubling="new",
+                ),
+            ))
+    cells.append((
+        "up_rival_eliminated",
+        uc.ExperimentSpec(
+            procedure="up", oracle="synthetic:reversed.txt", utility="loglaplace:kappa0=60,a=1",
+            stop="epsilon:0.3", seed=1, delta=0.1, doubling="new",
+        ),
+    ))
+    for procedure in ("oup", "up"):
+        for stop in ("budget:5000", "rounds:500"):
+            cells.append((
+                f"{procedure}_{stop.partition(':')[0]}",
+                uc.ExperimentSpec(
+                    procedure=procedure, oracle="synthetic:pool.txt",
+                    utility="loglaplace:kappa0=60,a=1", stop=stop, seed=1, delta=0.1,
+                    doubling="new",
+                ),
+            ))
     return cells
 
 
@@ -106,6 +150,8 @@ def digests(workdir: Path) -> dict[str, dict[str, str]]:
     (workdir / "parametric.txt").write_text(PARAMETRIC)
     (workdir / "lognormal.txt").write_text(LOGNORMAL)
     (workdir / "m.csv").write_text(MATRIX)
+    (workdir / "reversed.txt").write_text(REVERSED)
+    (workdir / "slow.txt").write_text(SLOW)
     out = {}
     for name, spec in grid():
         outdir = Path(name)
@@ -233,6 +279,66 @@ EXPECTED: dict[str, dict[str, str]] = {
     'up_old_seed2': {
         'summary.csv': 'bda173b90435371dfb93ce1e0ba0d4d5fa9dd0a51f6f75f08fe2b117c31ab99a',
         'trace.csv': '8530bac40859ff0a4d0a935cba49451f0693793ac8eb2c7ba8b6eb97a59af7b2',
+    },
+    # cells added after the first 26
+    'coup_a0.5': {
+        'certificates.csv': 'a1b342084ad63fe7fff707ec96176d95ebd6df1a92090225a462d003955dd2e1',
+        'summary.csv': '2a492ca507dc08d9381a52220b25c5a6b9b1584d779b6ba195a282435bb0ef86',
+        'trace.csv': 'ea746ada25a6c468164a062562f7bbf2c03fb17ce3fd7816c6b196b1e6dcffd6',
+    },
+    'coup_a1.7': {
+        'certificates.csv': '5b1f4132e37541560c7b8d29abaae1007920bb898e870ac64a99633ca6c7e9de',
+        'summary.csv': 'c8be019417d15e92b100719b1aeddb4a977c199f1955b200fade08746ff3ccd6',
+        'trace.csv': '3681e3232da074c2b3bca1fccedcde8762dde1d47e49cbbb9cf47a8850144fcd',
+    },
+    'coup_uniform': {
+        'certificates.csv': 'aaeea22f88ab91d2833767fa47c3bee922576ffa422e81a3f04c83c8ba116728',
+        'summary.csv': '3ac00830a700a1435405726e207f6da7ae5f8a7fc66fa032703ad7f6bedb2e5d',
+        'trace.csv': '2e3bf5f6392894bcde669b61f87a5516c7d1ea4c938abdd59c67ce4854d16609',
+    },
+    'naive_a0.5': {
+        'summary.csv': 'dbf58e1f87502646c2dae805338a683411d1a5992e4d6a824613f86c9544c986',
+        'trace.csv': '77394948f06c9faff9d5bd05dfb82939d0a06eb2de59fd249fc460d66df6fd1c',
+    },
+    'naive_a1.7': {
+        'summary.csv': '8a57a5564f9c497dc41293c92f9fb4ac65a5e002f580268489c3f223a8a35895',
+        'trace.csv': '00fd31ee2b4d302394538d411860c2f2d4803a4b90d49c3cd52a8fc156c8c36b',
+    },
+    'naive_uniform': {
+        'summary.csv': 'a31e4800e0d6164548ca30ccf446e5aa18c3cce431a9a647533e151993ff96d5',
+        'trace.csv': '77394948f06c9faff9d5bd05dfb82939d0a06eb2de59fd249fc460d66df6fd1c',
+    },
+    'oup_a0.5': {
+        'summary.csv': 'a92d084dec40eb691cb4abfe1bdbaecb1da4797140bedd7c5ac2a919959199c8',
+        'trace.csv': '5566532b117be3a3f0b1fedcd2ed5cc9fd942ff2de3ec42e07d2f6b2998098a7',
+    },
+    'oup_a1.7': {
+        'summary.csv': '1e4554301553cd930ba839bd5353287634b4f8dccd083d6b43ebb28eef18e7f5',
+        'trace.csv': '7624cf8d7b039959f4890c4967490f8929022cf9568afe7c0e36413b68c4ce66',
+    },
+    'oup_budget': {
+        'summary.csv': '8e41bd7b44135ccf3c35da498800fa9afced8dbb8a4bb4fc96c1c261178ad2b7',
+        'trace.csv': '0d4816c1ca2c303794f9d02be33ae6c4f70f021161e713f2dbf1ea71ad46f078',
+    },
+    'oup_rounds': {
+        'summary.csv': '36a448641aaabfbb8ca7365ee78f6343b06f44754911a7980d8e1cb3132965c3',
+        'trace.csv': '48ce9f142273d033643e95f71cfbdf07e8ef891bba179efd0f1a00daf7282ec9',
+    },
+    'oup_uniform': {
+        'summary.csv': 'e0538014718109d82cbd6194cefd19e9c0047ee58e00916e39a209dde6095874',
+        'trace.csv': '5da0fa4f8ed14747be640717e520376c4e67d10f815e167fb6275517c5c6bc98',
+    },
+    'up_budget': {
+        'summary.csv': '64b9ffa32b1b813b76351e89c85171a51aa7053f7d6e1f2d112f142196118356',
+        'trace.csv': '665f1c64407bb95e43f66a2b1cd1a9e6a9a729e0f792749ec4e8ff1fac430fcb',
+    },
+    'up_rival_eliminated': {
+        'summary.csv': '7b3d4507cfd2af3efc7aad6822743e03d9ab7084334fa3ec7bec3f08b320c9a9',
+        'trace.csv': 'a8d5ebfa901b33f0ee2cf8f6c58ba5ec53d02e0dc9be80bdeede5110fbb20386',
+    },
+    'up_rounds': {
+        'summary.csv': '3e75ebe76aa0918b5147489e35b1af2dfafbc927f7a9dadafb37e166f84213b3',
+        'trace.csv': '7a792212917c9b9d0a397bd039aebfae42d601513a1d19dc629173ea7b4b3686',
     },
 }
 
