@@ -9,7 +9,8 @@ round loop of ``OupRun.step``:
    ``m`` and the completion fraction from the arm's previous snapshot;
 3. if it fires, double the captime once and rerun only the observations that
    had capped (``ArmState.double_captime``: completed runs already reveal
-   their true runtime and are reused verbatim);
+   their true runtime and are reused verbatim), then recompute the utility
+   sum over every earlier run from the runtime table;
 4. run instance ``m`` at the current captime: the true runtime ``t`` from
    the oracle's table of the configuration, observed as ``min(t, kappa)``
    and completed when ``t < kappa``;
@@ -23,8 +24,9 @@ simply fires again on the next selection of the same arm.
 A pull changes the bounds of only the arm it pulled, so a round changes
 nothing but that arm; the engine relies on that.  While the same arm is
 pulled again and again (a streak), the round loop holds it out of the bound
-index, compares it with the other arms' heap tops read once at the streak's
-start instead of rescanning the pool, and keeps the arm's fields in locals.
+index, compares its bounds as floats with the other arms' heap tops, read
+once at the streak's start, instead of rescanning the pool, and keeps the
+arm's fields in locals.
 When the streak ends, it writes them back, with one ``BoundSnapshot``, and
 pushes the arm's keys into the index again.  Between streaks an arm's
 fields and snapshot are exact.
@@ -39,24 +41,23 @@ from .utility import UtilityFunction
 class ArmState:
     """Mutable state for one configuration inside a run.
 
-    Observations are stored per instance as their utilities only:
-    ``utilities[j]`` is the utility of run j at the captime it was last run
-    with.  Its capped duration is ``min(times[j], kappa)`` for the oracle's
+    An arm keeps no list of its runs, only their count and running sums.
+    Run j's capped duration is ``min(times[j], kappa)`` for the oracle's
     runtime table ``times`` of the configuration, since every capped run is
     rerun at each doubling, and it completed exactly when ``times[j] <
     kappa``.  The running sums used to rebuild snapshots are maintained
-    append-only, and rebuilt left to right after a doubling's reruns, so they
-    equal a left-to-right recomputation bit for bit (tests compare them
-    against a from-scratch reference).  Every arm starts at
-    captime 1 with the shared sentinel snapshot ``FRESH``, which it keeps
-    until its first pull: snapshots are immutable, so sharing one is safe.
+    append-only, and recomputed left to right from the table after a
+    doubling's reruns, so they equal a left-to-right recomputation bit for
+    bit (tests compare them against a from-scratch reference).  Every arm
+    starts at captime 1 with the shared sentinel snapshot ``FRESH``, which
+    it keeps until its first pull: snapshots are immutable, so sharing one
+    is safe.
     """
 
     __slots__ = (
         "config",
         "m",
         "kappa",
-        "utilities",
         "snapshot",
         "eliminated",
         "_utility_sum",
@@ -67,7 +68,6 @@ class ArmState:
         self.config = config
         self.m = 0
         self.kappa = 1.0
-        self.utilities: list[float] = []
         self.snapshot = FRESH
         self.eliminated = False
         self._utility_sum = 0.0
@@ -78,25 +78,24 @@ class ArmState:
         that had capped: of the first ``m - 1`` runs, as ``m`` already counts
         the pull under way, those with ``times[j]`` at or above the old
         captime.  Completed runs are reused, never rerun.  ``times`` is the
-        configuration's runtime table, which holds every run made.  Returns
-        the reruns' durations in run order, for the caller to charge."""
+        configuration's runtime table, which holds every run made.  The
+        utility sum is recomputed from it, ``u(min(times[j], kappa))`` for
+        each earlier run in run order.  Returns the reruns' durations in run
+        order, for the caller to charge."""
         capped = self.kappa
         kappa = self.kappa = 2.0 * capped
-        utilities = self.utilities
         charged = []
-        for j in range(self.m - 1):
-            t = times[j]
+        usum = 0.0
+        for t in times[: self.m - 1]:
             if t < capped:
+                usum += u(t)
                 continue
             d = t if t < kappa else kappa
-            utilities[j] = u(d)
+            usum += u(d)
             if t < kappa:
                 self._completed_count += 1
             charged.append(d)
-        # the reruns break the append-only sum order; rebuild left to right
-        self._utility_sum = 0.0
-        for value in utilities:
-            self._utility_sum += value
+        self._utility_sum = usum
         return charged
 
     def recompute_snapshot(self, a: float, u_k: float) -> None:

@@ -78,7 +78,7 @@ def _sample_to(
     def rank(i: int) -> tuple[float, int]:
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
 
-    per_config = ledger.per_config_seconds
+    u = utility.__call__
     add_row = trace.append
     rows = len(trace)
     survivors = len(alive)
@@ -87,33 +87,33 @@ def _sample_to(
         if count >= target:
             continue
         # no other arm changes while ``a`` is sampled: rank the others once
-        # (below every rank when there are none), and keep the arm's and the
+        # (below every mean when there are none), and keep the arm's and the
         # ledger's sums in locals until it is done
-        others = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
+        top, other = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
+        other = -other
         # the plan is known, so the runtime table is grown to it at once
         times, draw = oracle.runtime_of(a)
         if target > len(times):
             draw(target - 1)
         total = ledger.total_seconds
-        spent = per_config.get(a, 0.0)
         sum_a = sums[a]
         runs = ledger.run_count
         while count < target:
             t = times[count]
             d = t if t < kappa else kappa
             total += d
-            spent += d
             runs += 1
-            sum_a += utility(d)
+            sum_a += u(d)
             count += 1
             rows += 1
-            best = a if (sum_a / count, -a) > others else -others[1]
+            # (mean, -a) > (top, -other), as floats; no mean is nan
+            mean = sum_a / count
+            best = a if mean > top or (mean == top and a < other) else other
             add_row((rows, total, a, False, 1.0, 1.0, survivors, best))
         sums[a] = sum_a
         counts[a] = count
         ledger.total_seconds = total
         ledger.run_count = runs
-        per_config[a] = spent
 
 
 # the most runs a naive or successive-halving plan may make: at one trace row

@@ -22,14 +22,14 @@ The rounds that pull one arm one after another form a streak, and
 ``OupRun.step`` makes one streak.  It selects the arm from the index and
 *holds* it out of the heaps while the streak lasts: each round compares
 the arm's keys with the tops of the other survivors (its rivals), which no
-round of the streak changes and so are read once, at its start.  The arm's
-count, captime, sums, utility list and latest bounds, its runtime table,
-the width table at its captime, the ledger's total, run count and the
-arm's seconds, ``eps_min`` and the run's stop limits are locals too; a
-round reads its runtime and its width from the two tables, and appends its
-trace row as a plain tuple.  A streak ends after a round that changes the
-selection, eliminates or meets a stop limit, or when the oracle runs out of
-instances; the locals are then written back, the arm's bounds as one
+round of the streak changes and so are read once, at its start, and
+unpacked into float bounds and positions.  The arm's count, captime, sums
+and latest bounds, its runtime table, the width table at its captime, the
+ledger's total, the count of doubling reruns, ``eps_min`` and the run's
+stop limits are locals too; a round reads its runtime and its width from
+the two tables, and builds no tuple but its trace row.  A streak ends
+after a round that changes the selection, eliminates or meets a stop
+limit, or when the oracle runs out of instances; the locals are then written back, the arm's bounds as one
 ``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps hold
 every survivor whenever ``step`` is not running, and a streak touches the
 heaps only at its two ends: select, incumbent and eps cost O(log n)
@@ -71,8 +71,8 @@ def _ucb(snapshot) -> float:
     return snapshot.ucb
 
 
-# the rivals' top while the held arm is the only survivor: every key of the
-# held arm's entries is below it
+# the rivals' top while the held arm is the only survivor: an infinite key
+# at an infinite position, above every key and position of the held arm
 _NO_RIVAL = (math.inf, math.inf)
 
 
@@ -212,28 +212,32 @@ class OupRun:
         A round selects an arm, pulls it (doubling its captime when the
         rule fires), reads the leaders, eliminates if the engine does, and
         appends the round's row: a plain tuple laid out as ``TraceRow``,
-        which allocates one object and calls nothing.
+        which allocates one object and calls nothing, and the only tuple
+        the round builds.
 
         A streak is the rounds that pull the same arm one after another.
         The selected arm is held out of the heaps while it lasts, and the
-        tops of the other survivors' entries are read once; every leader
-        and elimination test compares the arm's ``(key, index)`` entries
-        with them, so ties still break toward the lowest index.  The loop
-        below keeps in locals everything a round reads or writes: the arm's
-        count, captime, sums, utility list and bounds, its runtime table
-        (``oracle.runtime_of``), the width table at its captime
-        (``bounds.width_table``), the rivals' tops, the ledger's total, run
-        count and the arm's seconds, and ``eps_min``.  A round reads its
-        runtime and its width from the tables, and calls ``draw`` or
-        ``more`` only past a table's end.  A doubling hands the arm to
-        ``ArmState.double_captime``, reads it back and binds the width
-        table at the new captime.  The streak ends after the round that
-        changes the selection, eliminates, or meets
-        the stop limits (``run_until`` and ``run_phases`` set them; without
-        them, one round is made), or when the oracle runs out of instances.
-        Then the locals are written back: the arm gets one
-        ``BoundSnapshot``, the ledger and ``eps_min`` their values, and the
-        heaps the arm's keys, unless it was eliminated.
+        tops of the other survivors' entries are read once, as a float
+        bound (the entry's key negated back) and a position each.  Every
+        leader and elimination test compares the arm's UCB and LCB with them
+        as floats, and breaks an exact tie by position as the ``(key,
+        index)`` entries order it, toward the lowest index; no bound is
+        nan, so the two orders agree.  The loop below keeps in locals everything a round reads or
+        writes: the arm's count, captime, sums and bounds, its runtime
+        table (``oracle.runtime_of``), the width table at its captime
+        (``bounds.width_table``), the rivals' tops, the ledger's total, the
+        count of doubling reruns, ``eps_min`` and the utility's bound
+        ``__call__``.  A round reads its runtime and its width from the
+        tables, and calls ``draw`` or ``more`` only past a table's end.  A
+        doubling hands the arm to ``ArmState.double_captime``, reads it back
+        and binds the width table at the new captime.  The streak ends after
+        the round that changes the selection, eliminates, or meets the stop
+        limits (``run_until`` and ``run_phases`` set them; without them, one
+        round is made), or when the oracle runs out of instances.  Then the
+        locals are written back: the arm gets one ``BoundSnapshot``, the
+        ledger its total and its run count (one run per round made, plus
+        the reruns), ``eps_min`` its value, and the heaps the arm's keys,
+        unless it was eliminated.
         """
         trace = self.trace
         rounds = len(trace)
@@ -241,16 +245,20 @@ class OupRun:
         i = self._held = self.select_arm()
         eliminates = self._eliminates()
         reselects = self._reselects_leader()
-        rival_ucb = self._top(self._by_ucb, _neg_ucb)
-        rival_lcb = self._top(self._by_lcb, _neg_lcb)
-        rival_low = self._top(self._low_ucb, _ucb) if eliminates else None
+        # the rivals' tops, unpacked: each bound (a key negated back, which
+        # is exact), and the position that breaks an exact tie with the held
+        # arm's bound as the entries' order does
+        rival_ucb, rival_u = self._top(self._by_ucb, _neg_ucb)
+        rival_lcb, rival_l = self._top(self._by_lcb, _neg_lcb)
+        rival_ucb = -rival_ucb
+        rival_lcb = -rival_lcb
+        rival_low = self._top(self._low_ucb, _ucb)[0] if eliminates else None
 
         arm = self.arms[i]
         ctx = self.ctx
-        u = self.utility
+        u = self.utility.__call__
         rule = self.doubling_rule
         times, draw = self.oracle.runtime_of(arm.config)
-        add_utility = arm.utilities.append
         m = arm.m
         kappa = arm.kappa
         widths, more = width_table(ctx, kappa)
@@ -262,8 +270,8 @@ class OupRun:
             u_k = u(kappa)
         ledger = self.ledger
         total = ledger.total_seconds
-        runs = runs_before = ledger.run_count
-        spent = ledger.per_config_seconds.get(i, 0.0)
+        # a round makes one run; a doubling's reruns are counted apart
+        reruns = 0
         eps_min = self.eps_min
         survivors = len(self.survivors)
         rounds_before = rounds
@@ -285,8 +293,7 @@ class OupRun:
                         arm._completed_count = done
                         for d in arm.double_captime(times, u):
                             total += d
-                            spent += d
-                            runs += 1
+                            reruns += 1
                         kappa = arm.kappa
                         usum = arm._utility_sum
                         done = arm._completed_count
@@ -295,28 +302,26 @@ class OupRun:
                         u_now = u(kappa)
                     t = times[m - 1] if m <= len(times) else draw(m - 1)
                     d = t if t < kappa else kappa
-                    value = u(d)
-                    add_utility(value)
-                    usum += value
+                    usum += u(d)
                     if t < kappa:
                         done += 1
                     total += d
-                    spent += d
-                    runs += 1
                     # the bounds as ArmState.recompute_snapshot computes them
                     u_k = u_now
                     f_hat = done / m
                     u_hat = usum / m
                     ucb = u_hat + (1.0 - u_k) * a
                     lcb = u_hat - a - u_k * (1.0 - f_hat)
-                    own = (-ucb, i)
-                    top_ucb = rival_ucb if rival_ucb < own else own
-                    top_lcb = (-lcb, i)
-                    if rival_lcb < top_lcb:
+                    # the held arm's bounds against the rivals' tops, ties to
+                    # the lower position; no bound is nan
+                    leads = ucb > rival_ucb or (ucb == rival_ucb and i < rival_u)
+                    if rival_lcb > lcb or (rival_lcb == lcb and rival_l < i):
                         top_lcb = rival_lcb
-                    star = top_lcb[1]
-                    # keys are negated bounds, and negation is exact
-                    eps_raw = top_lcb[0] - top_ucb[0]
+                        star = rival_l
+                    else:
+                        top_lcb = lcb
+                        star = i
+                    eps_raw = (ucb if leads else rival_ucb) - top_lcb
                     if eps_raw < eps_min:
                         eps_min = eps_raw
                     rounds += 1
@@ -324,15 +329,12 @@ class OupRun:
                     # UCB is below the incumbent's LCB, which is below the
                     # incumbent's UCB because a width is always positive.  So
                     # the leaders read before it serve both.
-                    if eliminates:
-                        threshold = -top_lcb[0]
-                        low = (ucb, i)
-                        if (rival_low if rival_low < low else low)[0] < threshold:
-                            self._eliminate(low, threshold)
-                            survivors = len(self.survivors)
-                            reselects = False
+                    if eliminates and (rival_low if rival_low < ucb else ucb) < top_lcb:
+                        self._eliminate((ucb, i), top_lcb)
+                        survivors = len(self.survivors)
+                        reselects = False
                     add_row((rounds, total, i, doubled, eps_raw, eps_min, survivors, star))
-                    if not (reselects and top_ucb is own) or (
+                    if not (reselects and leads) or (
                         rounds >= last_round or total >= budget or eps_min <= target
                     ):
                         break
@@ -343,9 +345,7 @@ class OupRun:
                 if rounds > rounds_before:
                     arm.snapshot = BoundSnapshot(f_hat, u_k, ucb, lcb)
                 ledger.total_seconds = total
-                ledger.run_count = runs
-                if runs > runs_before:
-                    ledger.per_config_seconds[i] = spent
+                ledger.run_count += reruns + rounds - rounds_before
                 self.eps_min = eps_min
                 self._held = None
                 if not arm.eliminated:

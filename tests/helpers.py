@@ -9,9 +9,9 @@ full pass over the survivors that the engine's bound index must agree with,
 and ``make_snapshot`` the from-scratch recomputation that an arm's running
 sums must agree with; it returns every bound quantity, of which an arm's
 snapshot keeps four.  ``CappedObservation`` spells a capped run out as the
-reference does: the engines keep only its utility.  ``true_runtimes`` reads
-a configuration's runtimes from the oracle's table as the engines read it,
-and ``durations`` gives an arm's stored runs as the capped durations it
+reference does: the engines keep only the running sums.  ``true_runtimes``
+reads a configuration's runtimes from the oracle's table as the engines
+read it, and ``durations`` gives an arm's runs as the capped durations it
 observed.
 """
 
@@ -53,10 +53,27 @@ def true_runtimes(oracle, config: int, count: int) -> list[float]:
 
 
 def durations(oracle, arm) -> list[float]:
-    """The capped duration of each run an arm stores, ``min(times[j], kappa)``:
+    """The capped duration of each run an arm made, ``min(times[j], kappa)``:
     every run that capped was rerun at each doubling, so each run was last
-    made at the arm's captime."""
-    return [min(t, arm.kappa) for t in true_runtimes(oracle, arm.config, len(arm.utilities))]
+    made at the arm's captime.  The arm made ``arm.m`` runs, less a pull
+    that an exhausted oracle failed: that pull counts in ``m``, but its
+    instance is past the end of the table, which holds every run made."""
+    times, _ = oracle.runtime_of(arm.config)
+    runs = min(arm.m, len(times))
+    return [min(t, arm.kappa) for t in times[:runs]]
+
+
+def seconds_by_arm(rows) -> dict[int, float]:
+    """Each selected arm's seconds, as the sum of its rows' steps in
+    ``ledger_seconds``.  A difference of running totals is not bit-equal to
+    the sum of the arm's own charges, so this serves to order arms only."""
+    seconds: dict[int, float] = {}
+    before = 0.0
+    for row in rows:
+        row = uc.TraceRow(*row)
+        seconds[row.selected] = seconds.get(row.selected, 0.0) + row.ledger_seconds - before
+        before = row.ledger_seconds
+    return seconds
 
 
 def capped_run(oracle, config: int, instance: int, captime: float) -> CappedObservation:

@@ -127,7 +127,12 @@ def test_naive_run_shape():
     durations = [[capped_run(oracle, i, j, kappa).duration for j in range(m)] for i in range(3)]
     means = [sum(U60(d) for d in row) / m for row in durations]
     assert result.incumbent == max(range(3), key=lambda i: means[i])
-    assert result.ledger.per_config_seconds == {i: sum(row) for i, row in enumerate(durations)}
+    # the ledger charges the runs in the order of the rows, arm by arm
+    total = 0.0
+    for row in durations:
+        for d in row:
+            total += d
+    assert result.ledger.total_seconds == total
     assert result.epsilon == 0.4
     assert uc.TraceRow(*result.trace[-1]).eps_min == 0.4
     assert all(uc.TraceRow(*row).eps_min == 1.0 for row in result.trace[:-1])
@@ -141,11 +146,33 @@ def test_sampling_reads_every_planned_run_at_a_block_boundary(target):
     oracle = small_oracle(9)
     ledger = uc.CostLedger()
     sums, counts = [0.0] * 3, [0] * 3
-    uc.baselines._sample_to(oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, [])
+    trace = []
+    uc.baselines._sample_to(oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, trace)
     assert counts == [target, target, 0] and ledger.run_count == 2 * target
+    assert [uc.TraceRow(*row).selected for row in trace] == [0] * target + [1] * target
+    total = 0.0
     for config in (0, 1):
         capped = [min(t, 4.0) for t in true_runtimes(oracle, config, target)]
-        assert ledger.per_config_seconds[config] == sum(capped)
+        assert sums[config] == sum(U60(d) for d in capped)
+        for d in capped:
+            total += d
+    assert ledger.total_seconds == total
+
+
+def test_sampling_breaks_exact_mean_ties_toward_the_lowest_position():
+    # configurations 0 and 2 run alike, so their means tie exactly: the
+    # incumbent is the lower position, both when that is another arm (while
+    # 2 is sampled) and when it is the arm being sampled (0, in the second
+    # call, against 2's mean)
+    matrix = ((1.0,) * 6, (5.0,) * 6, (1.0,) * 6)
+    oracle = uc.MatrixOracle(matrix, ("a", "b", "c"), tuple(range(6)))
+    ledger, trace = uc.CostLedger(), []
+    sums, counts = [0.0] * 3, [0] * 3
+    uc.baselines._sample_to(oracle, U60, 8.0, [0, 1, 2], 3, sums, counts, ledger, trace)
+    uc.baselines._sample_to(oracle, U60, 8.0, [0, 2], 6, sums, counts, ledger, trace)
+    rows = [uc.TraceRow(*row) for row in trace]
+    assert [row.selected for row in rows] == [0] * 3 + [1] * 3 + [2] * 3 + [0] * 3 + [2] * 3
+    assert [row.incumbent for row in rows] == [0] * 15
 
 
 def test_naive_and_halving_report_the_first_missing_instance():
@@ -239,7 +266,9 @@ def test_halving_ledger_charges_capped_durations():
     # 9 runs buy 3 passes over round costs (2, 1): arm 0 runs 3 times before
     # it is dropped, arm 1 runs 6.  Runtimes cap at 8, so arm 0 charges 8 per
     # run and arm 1 charges 3
-    assert result.ledger.per_config_seconds == {0: 8.0 * 3, 1: 3.0 * 6}
+    selected = [uc.TraceRow(*row).selected for row in result.trace]
+    assert (selected.count(0), selected.count(1)) == (3, 6)
+    assert (result.ledger.total_seconds, result.ledger.run_count) == (8.0 * 3 + 3.0 * 6, 9)
 
 
 # ---------------------------------------------------------------------------

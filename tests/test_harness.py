@@ -23,7 +23,7 @@ from utilcap.harness import (
 )
 from utilcap.records import TraceRow, format_value
 
-from helpers import UTILITY, trace_lines
+from helpers import UTILITY, seconds_by_arm, trace_lines
 
 
 def write_pool(tmp_path, body, name="pool.txt") -> str:
@@ -541,14 +541,16 @@ def test_greedy_concentrates_time_on_the_good_arm():
     run = uc.OupRun(oracle, uc.UniformUtility(4.0), 0.25, doubling="new")
     result = run.run_until(uc.TargetEpsilon(0.25))
     assert run.arms[1].m * 4 < run.arms[0].m
-    assert result.ledger.per_config_seconds[1] < result.ledger.per_config_seconds[0]
+    seconds = seconds_by_arm(result.trace)
+    assert seconds[1] < seconds[0]
 
 
 def test_round_robin_spends_evenly_on_identical_arms():
     oracle = uc.SyntheticOracle([uc.TwoPoint(2.0, 2.0, 1.0)] * 4, seed=0)
     run = uc.UpRun(oracle, UTILITY, 0.1, doubling="new")
     run.run_until(uc.MaxRounds(41))
-    spent = [run.ledger.per_config_seconds[i] for i in range(4)]
+    spent = list(seconds_by_arm(run.trace).values())
+    assert len(spent) == 4
     assert max(spent) - min(spent) <= 2.0 + 1e-12  # one run's cost
 
 

@@ -190,34 +190,68 @@ def test_eliminated_arm_state_never_changes():
 
 
 def test_ledger_matches_step_reports():
-    run = uc.OupRun(a2_oracle(3), U60, 0.1, doubling="new")
-    spent = 0.0
-    runs = 0
+    # the charges replayed from the rows and the runtime tables, summed left
+    # to right in charge order: a doubling reruns the arm's capped runs in
+    # run order, then the round makes its own run
+    oracle = a2_oracle(3)
+    run = uc.OupRun(oracle, U60, 0.1, doubling="new")
     for _ in range(200):
-        seconds_before, runs_before = run.ledger.total_seconds, run.ledger.run_count
         run.step()
-        spent += run.ledger.total_seconds - seconds_before
-        runs += run.ledger.run_count - runs_before
-    assert run.ledger.total_seconds == pytest.approx(spent, rel=1e-12)
-    assert run.ledger.run_count == runs
-    assert run.ledger.total_seconds == pytest.approx(
-        sum(run.ledger.per_config_seconds.values()), rel=1e-12
-    )
+    rows = [uc.TraceRow(*row) for row in run.trace]
+    pulls = [0] * len(run.arms)
+    kappa = [1.0] * len(run.arms)
+    total = 0.0
+    runs = 0
+    for row in rows:
+        i = row.selected
+        times, _ = oracle.runtime_of(run.arms[i].config)
+        pulls[i] += 1
+        if row.doubled:
+            for t in times[: pulls[i] - 1]:
+                if t >= kappa[i]:
+                    total += min(t, 2.0 * kappa[i])
+                    runs += 1
+            kappa[i] *= 2.0
+        total += min(times[pulls[i] - 1], kappa[i])
+        runs += 1
+        assert row.ledger_seconds == total
+    assert any(row.doubled for row in rows)
+    assert (run.ledger.total_seconds, run.ledger.run_count) == (total, runs)
+    assert [arm.m for arm in run.arms] == pulls
 
 
-@pytest.mark.parametrize("doubling", ["old", "new"])
-@pytest.mark.parametrize("engine", [uc.OupRun, uc.UpRun])
-def test_running_sums_match_a_from_scratch_recomputation(engine, doubling):
+# U60 and, by the suffix of their test ids, utilities where ``**`` is not the
+# identity
+SUM_UTILITIES = {
+    "": U60,
+    "-a1.7": uc.LogLaplaceUtility(60.0, 1.7),
+    "-a0.5": uc.LogLaplaceUtility(60.0, 0.5),
+    "-uniform": uc.UniformUtility(60.0),
+}
+
+
+@pytest.mark.parametrize(
+    "engine, doubling, utility",
+    [
+        pytest.param(engine, doubling, utility, id=f"{engine.__name__}-{doubling}{suffix}")
+        for engine in (uc.OupRun, uc.UpRun)
+        for doubling in ("new", "old")
+        for suffix, utility in SUM_UTILITIES.items()
+    ],
+)
+def test_running_sums_match_a_from_scratch_recomputation(engine, doubling, utility):
     # the running sums, and the completions the oracle counted, must equal a
-    # recomputation from the stored durations alone, bit for bit; every arm
-    # of this pool caps often at captime 1, so both rules double within 300
-    # rounds
+    # recomputation from the runs' durations alone, bit for bit, also after
+    # a doubling recomputes the utility sum; every arm of this pool caps
+    # often at captime 1, so both rules double within 300 rounds
     oracle = uc.SyntheticOracle([uc.Exponential(m) for m in (3.0, 8.0, 30.0)], seed=5)
-    run = engine(oracle, U60, 0.1, doubling=doubling)
+    run = engine(oracle, utility, 0.1, doubling=doubling)
     for _ in range(300):
         run.step()
         for arm in run.arms:
-            reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(oracle, arm), U60)
+            reference = make_snapshot(
+                run.ctx, arm.m, arm.kappa, observations(oracle, arm), utility
+            )
             assert arm.snapshot == reference.engine()
     assert any(uc.TraceRow(*row).doubled for row in run.trace)
 
@@ -296,12 +330,20 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
         calls += 1
         return U60(t)
 
-    # every run is valued once; later pulls read u(kappa) off the snapshot
+    # a round values its own run, and a doubling every earlier run of the
+    # arm, for its new utility sum; later pulls read u(kappa) off the
+    # snapshot, so it is computed on a first pull and after a doubling
     result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
-    doublings = sum(uc.TraceRow(*row).doubled for row in result.trace)
-    pulled = len({uc.TraceRow(*row).selected for row in result.trace})
+    rows = [uc.TraceRow(*row) for row in result.trace]
+    pulls = {}
+    revalued = 0
+    for row in rows:
+        pulls[row.selected] = pulls.get(row.selected, 0) + 1
+        if row.doubled:
+            revalued += pulls[row.selected] - 1
+    doublings = sum(row.doubled for row in rows)
     assert doublings > 0
-    assert calls == result.ledger.run_count + pulled + doublings
+    assert calls == len(rows) + revalued + len(pulls) + doublings
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,12 @@ UNIFORM = uc.UniformUtility(4.0)
 def state(run):
     """Everything a round may change, arm by arm and in the ledger."""
     arms = [
-        (arm.config, arm.m, arm.kappa, durations(run.oracle, arm), arm.utilities, arm.snapshot,
+        (arm.config, arm.m, arm.kappa, durations(run.oracle, arm), arm.snapshot,
          arm.eliminated, arm._utility_sum, arm._completed_count)
         for arm in run.arms
     ]
     ledger = run.ledger
-    return (
-        arms, run.survivors, run.eps_min, run.trace,
-        ledger.total_seconds, ledger.run_count, list(ledger.per_config_seconds.items()),
-    )
+    return arms, run.survivors, run.eps_min, run.trace, ledger.total_seconds, ledger.run_count
 
 
 def result_fields(result):
@@ -205,17 +202,17 @@ def test_exhaustion_in_the_middle_of_a_streak():
     _, want = exhausted(twin, lambda run: stepped_until(run, uc.TargetEpsilon(0.01)))
     assert got == want
     assert state(run) == state(twin)
-    # the failed pull counted the observation, and stored no duration
+    # the failed pull counted the observation, and made no run
     arm = run.arms[0]
     assert arm.m == len(durations(run.oracle, arm)) + 1 == 13
 
 
 def test_a_first_run_that_fails_charges_nothing():
     # an oracle without instances fails the first pull of the first arm: the
-    # arm counts the observation, and the ledger holds no run and no key
+    # arm counts the observation, and the ledger holds no run and no seconds
     oracle = uc.MatrixOracle(((), ()), ("a", "b"), ())
     run = uc.OupRun(oracle, UTILITY, 0.1)
     err, _ = exhausted(run, lambda run: run.run_until(uc.MaxRounds(5)))
     assert (err.config, err.instance, err.partial.trace) == (0, 0, [])
     assert run.arms[0].m == 1 and run.arms[0].snapshot is uc.FRESH
-    assert (run.ledger.run_count, run.ledger.per_config_seconds) == (0, {})
+    assert (run.ledger.run_count, run.ledger.total_seconds) == (0, 0.0)
