@@ -21,19 +21,20 @@ surfaces.
 The rounds that pull one arm one after another form a streak, and
 ``OupRun.step`` makes one streak.  It selects the arm from the index and
 *holds* it out of the heaps while the streak lasts: each round compares
-the arm's keys with the tops of the other survivors (its rivals), which no
-round of the streak changes and so are read once, at its start, and
+the arm's bounds with the tops of the other survivors (its rivals), which
+no round of the streak changes and so are read once, at its start, and
 unpacked into float bounds and positions.  The arm's count, captime, sums
 and latest bounds, its runtime table, the width table at its captime, the
 ledger's total, the count of doubling reruns, ``eps_min`` and the run's
 stop limits are locals too; a round reads its runtime and its width from
 the two tables, and builds no tuple but its trace row.  A streak ends
 after a round that changes the selection, eliminates or meets a stop
-limit, or when the oracle runs out of instances; the locals are then written back, the arm's bounds as one
-``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps hold
-every survivor whenever ``step`` is not running, and a streak touches the
-heaps only at its two ends: select, incumbent and eps cost O(log n)
-amortized per streak rather than O(n) per round.  Called alone, ``step``
+limit, or when the oracle runs out of instances; the locals are then
+written back, the arm's bounds as one ``BoundSnapshot``, and the arm's keys
+are pushed again.  So the heaps hold every survivor whenever ``step`` is
+not running, and a streak touches the heaps only at its two ends: select,
+incumbent and eps cost O(log n) amortized per streak rather than O(n) per
+round.  Called alone, ``step``
 makes one round.
 """
 
@@ -222,8 +223,8 @@ class OupRun:
         leader and elimination test compares the arm's UCB and LCB with them
         as floats, and breaks an exact tie by position as the ``(key,
         index)`` entries order it, toward the lowest index; no bound is
-        nan, so the two orders agree.  The loop below keeps in locals everything a round reads or
-        writes: the arm's count, captime, sums and bounds, its runtime
+        nan, so the two orders agree.  The loop below keeps in locals
+        everything a round reads or writes: the arm's count, captime, sums and bounds, its runtime
         table (``oracle.runtime_of``), the width table at its captime
         (``bounds.width_table``), the rivals' tops, the ledger's total, the
         count of doubling reruns, ``eps_min`` and the utility's bound
