@@ -87,14 +87,13 @@ class ArmState:
         charged = []
         usum = 0.0
         for t in times[: self.m - 1]:
-            if t < capped:
-                usum += u(t)
-                continue
             d = t if t < kappa else kappa
             usum += u(d)
-            if t < kappa:
-                self._completed_count += 1
-            charged.append(d)
+            if t >= capped:
+                # it had capped, so it is rerun
+                if t < kappa:
+                    self._completed_count += 1
+                charged.append(d)
         self._utility_sum = usum
         return charged
 
