@@ -18,8 +18,10 @@ engine paths that the first 26 leave open: the log-Laplace utility with
 over a pool slow enough for runs to reach the pivot ``kappa0`` (there a
 utility computed another way changes bits that a value near 1 rounds
 away), an up run over a pool listed worst first, whose incumbent
-eliminates rivals from the low-UCB heap, and oup and up runs that stop by
-budget and by rounds.
+eliminates rivals from the low-UCB heap, oup and up runs that stop by
+budget and by rounds, an up run that stops with a single survivor, an oup
+run on the two-point family, and a coup run over a finite pool sampled
+without replacement.
 """
 
 from __future__ import annotations
@@ -43,6 +45,13 @@ MATRIX = "a,0.5,3,0.25,8,1,2\nb,4,40,2,90,7,3\nc,20,1,60,300,5,150\n"
 REVERSED = "family=exponential\nparams=200.0;60.0;20.0;5.0;1.0\nn_configs=5\n"
 # runtimes around the pivots below, for the cells of the other utilities
 SLOW = "family=exponential\nparams=30.0;45.0;60.0;90.0\n"
+# far apart, so up eliminates down to one survivor in about 1,300 rounds
+SPREAD = "family=exponential\nparams=0.5;30.0;100.0;400.0\n"
+# ten two-point configurations: enough for two coup phases without replacement
+TWOPOINT = "family=twopoint\nparams=" + ";".join((
+    "0.5,40.0,0.9", "1.0,80.0,0.6", "2.0,30.0,0.5", "0.25,120.0,0.8", "4.0,20.0,0.7",
+    "0.1,200.0,0.75", "3.0,60.0,0.85", "1.5,10.0,0.4", "0.75,90.0,0.65", "6.0,15.0,0.95",
+)) + "\n"
 # utilities beside loglaplace:kappa0=60,a=1, by the suffix of their cells
 UTILITIES = {
     "a1.7": "loglaplace:kappa0=16,a=1.7",
@@ -141,6 +150,19 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
                     doubling="new",
                 ),
             ))
+    for name, procedure, oracle, stop, without_replacement in (
+        ("up_single_survivor", "up", "synthetic:spread.txt", "single_survivor", False),
+        ("oup_twopoint", "oup", "synthetic:twopoint.txt", "epsilon:0.3", False),
+        ("coup_without_replacement", "coup", "synthetic:twopoint.txt", "phases:2", True),
+    ):
+        cells.append((
+            name,
+            uc.ExperimentSpec(
+                procedure=procedure, oracle=oracle, utility="loglaplace:kappa0=60,a=1",
+                stop=stop, seed=1, delta=0.1, doubling="new",
+                without_replacement=without_replacement,
+            ),
+        ))
     return cells
 
 
@@ -152,6 +174,8 @@ def digests(workdir: Path) -> dict[str, dict[str, str]]:
     (workdir / "m.csv").write_text(MATRIX)
     (workdir / "reversed.txt").write_text(REVERSED)
     (workdir / "slow.txt").write_text(SLOW)
+    (workdir / "spread.txt").write_text(SPREAD)
+    (workdir / "twopoint.txt").write_text(TWOPOINT)
     out = {}
     for name, spec in grid():
         outdir = Path(name)
@@ -339,6 +363,20 @@ EXPECTED: dict[str, dict[str, str]] = {
     'up_rounds': {
         'summary.csv': '3e75ebe76aa0918b5147489e35b1af2dfafbc927f7a9dadafb37e166f84213b3',
         'trace.csv': '7a792212917c9b9d0a397bd039aebfae42d601513a1d19dc629173ea7b4b3686',
+    },
+    # cells added after the first 40
+    'coup_without_replacement': {
+        'certificates.csv': '2493ab534e70a09924a81baf8eb4577e25e0e42754386f90ebbece89931e5653',
+        'summary.csv': 'a4b9cfbe123de0661ce280d2aaaf0a3b5f245b618859106f1712425777a1257c',
+        'trace.csv': '04f21e7ac1c6987d13aa5617e6bfc8ba3461c207bc21ee1420bd9bf54d60b683',
+    },
+    'oup_twopoint': {
+        'summary.csv': '917f105648ed7822d7383010d8db517a2614b7f0998f2ad3fc60c1bc5213dd42',
+        'trace.csv': '4f2bf92f3cd73861913daf6f1cec02f705349ff179d6d42df88055bc1ec13784',
+    },
+    'up_single_survivor': {
+        'summary.csv': 'db7f9d2f46fcb1fc2d6f5cc71e227a4b054c9148221dc80650209121e78f50b1',
+        'trace.csv': '79037289a2d853ae004751dd92ebc7a8ac465f469cccd514b3058e7115e5135b',
     },
 }
 
