@@ -64,23 +64,24 @@ def _sample_to(
     sums: list[float],
     counts: list[int],
     ledger: CostLedger,
-    trace: list[tuple],
-) -> None:
+    trace,
+    rounds: int,
+) -> int:
     """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
-    the sampling loop of both naive and successive halving.
+    the sampling loop of both naive and successive halving.  Returns the
+    run's round count, ``rounds`` before the call.
 
     Arms are configuration ids; run j of an arm is instance j, read from
     the oracle's runtime table, which is grown to ``target`` before the
-    arm's first run.  Appends one trace row per run, with eps 1.0 and the
-    best empirical mean among ``alive`` as the incumbent (ties to the
-    lowest position).
+    arm's first run.  Each run is a round: it appends one trace row, with
+    eps 1.0 and the best empirical mean among ``alive`` as the incumbent
+    (ties to the lowest position).
     """
     def rank(i: int) -> tuple[float, int]:
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
 
     u = utility.__call__
     add_row = trace.append
-    rows = len(trace)
     survivors = len(alive)
     for a in alive:
         count = counts[a]
@@ -105,15 +106,16 @@ def _sample_to(
             runs += 1
             sum_a += u(d)
             count += 1
-            rows += 1
+            rounds += 1
             # (mean, -a) > (top, -other), as floats; no mean is nan
             mean = sum_a / count
             best = a if mean > top or (mean == top and a < other) else other
-            add_row((rows, total, a, False, 1.0, 1.0, survivors, best))
+            add_row((rounds, total, a, False, 1.0, 1.0, survivors, best))
         sums[a] = sum_a
         counts[a] = count
         ledger.total_seconds = total
         ledger.run_count = runs
+    return rounds
 
 
 # the most runs a naive or successive-halving plan may make: at one trace row
@@ -157,14 +159,19 @@ def naive_run(
     utility: UtilityFunction,
     epsilon: float,
     delta: float,
+    trace=None,
 ) -> RunResult:
+    """A naive run; its rows go to ``trace``, a new list unless one is
+    given, as in ``OupRun``."""
     n = oracle.n_configs
     kappa_bar, m = naive_plan(n, utility, epsilon, delta)
     ledger = CostLedger()
-    trace: list[tuple] = []
+    trace = [] if trace is None else trace
     sums = [0.0] * n
     counts = [0] * n
-    _sample_to(oracle, utility, kappa_bar, list(range(n)), m, sums, counts, ledger, trace)
+    rounds = _sample_to(
+        oracle, utility, kappa_bar, list(range(n)), m, sums, counts, ledger, trace, 0
+    )
     # the certificate holds only once every configuration has all m samples:
     # it is the last row's eps_raw and eps_min
     last = trace[-1]
@@ -177,6 +184,7 @@ def naive_run(
         incumbent_name=oracle.name(best),
         epsilon=epsilon,
         trace=trace,
+        rounds=rounds,
         ledger=ledger,
         stop_reason="completed",
     )
@@ -234,8 +242,11 @@ def successive_halving(
     sums = [0.0] * n
     counts = [0] * n
     alive = list(range(n))
+    rounds = 0
     for k in range(len(sizes)):
-        _sample_to(oracle, utility, kappa, alive, rate * eta ** k, sums, counts, ledger, trace)
+        rounds = _sample_to(
+            oracle, utility, kappa, alive, rate * eta ** k, sums, counts, ledger, trace, rounds
+        )
         if k + 1 < len(sizes):
             keep = sizes[k + 1]
             alive = sorted(
@@ -250,6 +261,7 @@ def successive_halving(
         incumbent_name=oracle.name(winner),
         epsilon=math.nan,
         trace=trace,
+        rounds=rounds,
         ledger=ledger,
         stop_reason="completed",
     )

@@ -279,6 +279,7 @@ class CoupRun(OupRun):
         schedule: Schedule,
         *,
         doubling: str = "old",
+        trace=None,
     ):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -297,7 +298,8 @@ class CoupRun(OupRun):
         self.gamma_p = math.nan
         self.ctx: BoundContext | None = None
         self.ledger = CostLedger()
-        self.trace: list[tuple] = []
+        self.trace = [] if trace is None else trace
+        self.rounds = 0
         self.certificates: list[PhaseCertificate] = []
         self.eps_min = math.nan
         self.rebuild_index()
@@ -372,6 +374,7 @@ class CoupRun(OupRun):
             incumbent_name=last.incumbent_name if last else "",
             epsilon=last.epsilon if last else math.nan,
             trace=self.trace,
+            rounds=self.rounds,
             ledger=self.ledger,
             stop_reason=stop_reason,
             certificates=list(self.certificates),

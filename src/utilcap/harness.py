@@ -8,10 +8,12 @@ every output byte.  All outputs are CSV with ``repr`` float formatting.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
 import sys
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -296,19 +298,24 @@ def trace_csv_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
 
 
 def _trace_lines(procedure: str, trace: Iterable[tuple]) -> Iterator[str]:
-    # float repr is most of a row's cost, and a row's eps_min is almost
-    # always the very object of its eps_raw or of the previous row's eps_min,
-    # so its text is reused then.  Identity, not ==: 0.0 and -0.0 are ==
-    # yet print differently, and a NaN is == to nothing, itself included.
-    last_min, last_text = object(), ""
+    # float repr is most of a row's cost.  A row's eps_raw is often the very
+    # object of the previous row's (naive's 1.0 on every row but the last),
+    # and its eps_min almost always that of its eps_raw or of the previous
+    # row's eps_min, so their text is reused then.  Identity, not ==: 0.0 and
+    # -0.0 are == yet print differently, and a NaN is == to nothing, itself
+    # included.
+    last_raw, raw_text = object(), ""
+    last_min, min_text = object(), ""
     for round_, seconds, selected, doubled, eps_raw, eps_min, survivors, incumbent in trace:
-        raw = repr(eps_raw)
+        if eps_raw is not last_raw:
+            last_raw = eps_raw
+            raw_text = repr(eps_raw)
         if eps_min is not last_min:
             last_min = eps_min
-            last_text = raw if eps_min is eps_raw else repr(eps_min)
+            min_text = raw_text if eps_min is eps_raw else repr(eps_min)
         yield (
             f"{procedure},{round_},{seconds!r},{selected},{'true' if doubled else 'false'},"
-            f"{raw},{last_text},{survivors},{incumbent}\n"
+            f"{raw_text},{min_text},{survivors},{incumbent}\n"
         )
 
 
@@ -418,15 +425,21 @@ def parse_spec(spec: ExperimentSpec):
     return utility, stop, schedule, oracle, make
 
 
-def execute(spec: ExperimentSpec):
-    """Run the procedure of a spec in memory; returns the engine result."""
-    utility, stop, schedule, oracle, make = parse_spec(spec)
+def execute(spec: ExperimentSpec, parsed: tuple | None = None, trace=None):
+    """Run the procedure of a spec in memory; returns the engine result.
+
+    ``parsed`` is what ``parse_spec`` gives for the spec, which is parsed
+    here when it is omitted.  The run appends its trace rows to ``trace``,
+    a new list when it is omitted (``sh`` always keeps a list)."""
+    utility, stop, schedule, oracle, make = parsed or parse_spec(spec)
     if spec.procedure == "oup":
-        return OupRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
+        run = OupRun(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
+        return run.run_until(stop)
     if spec.procedure == "up":
-        return UpRun(oracle, utility, spec.delta, doubling=spec.doubling).run_until(stop)
+        run = UpRun(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
+        return run.run_until(stop)
     if spec.procedure == "naive":
-        return naive_run(oracle, utility, stop.epsilon, spec.delta)
+        return naive_run(oracle, utility, stop.epsilon, spec.delta, trace)
     if spec.procedure == "sh":
         budget = int(stop.seconds)
         return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
@@ -434,7 +447,9 @@ def execute(spec: ExperimentSpec):
         sampler = ParametricSampler(oracle, spec.seed, make)
     else:
         sampler = FinitePoolSampler(oracle, spec.seed, replace=not spec.without_replacement)
-    run = CoupRun(sampler, oracle, utility, spec.delta, schedule, doubling=spec.doubling)
+    run = CoupRun(
+        sampler, oracle, utility, spec.delta, schedule, doubling=spec.doubling, trace=trace
+    )
     try:
         result = run.run_phases(stop)
     except SamplerExhaustedError as err:
@@ -460,7 +475,7 @@ def _summary_row(spec: ExperimentSpec, result) -> tuple:
         result.epsilon,
         result.ledger.total_seconds,
         result.ledger.run_count,
-        len(result.trace),
+        result.rounds,
         result.stop_reason,
     )
 
@@ -575,18 +590,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _trial(spec: ExperimentSpec):
-    """The evidence of one validation trial, a pure function of its spec.
+def _trial(template: ExperimentSpec, parsed: tuple, seed: int):
+    """The evidence of one validation trial, a pure function of its seed.
 
-    ``(incumbent_config, epsilon)`` for a finite pool.  For ``coup``, one
-    ``(phase, truth, threshold, violated)`` per certificate: the truths are
-    computed where the run is, so a worker returns plain numbers, never a
-    sampler or a trace.
+    The trial runs ``template`` at ``seed``.  ``parsed`` is what
+    ``parse_spec`` gave for the template, so only the seed's oracle is
+    built here, over the parsed pool, and the run keeps only its last trace
+    row.  Returns ``(incumbent_config, epsilon)`` for a finite pool.  For
+    ``coup``, one ``(phase, truth, threshold, violated)`` per certificate:
+    the truths are computed where the run is, so a worker returns plain
+    numbers, never a sampler or a trace.
     """
-    result = execute(spec)
+    utility, stop, schedule, oracle, make = parsed
+    spec = replace(template, seed=seed)
+    parsed = (utility, stop, schedule, oracle.reseeded(seed), make)
+    result = execute(spec, parsed, deque(maxlen=1))
     if spec.procedure != "coup":
         return result.incumbent_config, result.epsilon
-    utility = parse_utility(spec.utility)
     sampler = result.extra["sampler"]
     arm_configs = result.extra["arm_configs"]
     evidence = []
@@ -598,32 +618,55 @@ def _trial(spec: ExperimentSpec):
     return evidence
 
 
-def map_in_workers(fn, items: list) -> Iterator:
-    """``fn`` of each item, in the order of ``items``.
+# the function and items of the map in progress: forked workers inherit
+# them, so only an item's index and its result cross a process
+_work: tuple | None = None
+
+
+def _call_at(k: int):
+    fn, items = _work
+    return fn(items[k])
+
+
+def map_in_workers(fn, items) -> Iterator:
+    """``fn`` of each item, in the order of ``items``, a sequence.
 
     The calls run in one forked worker process per usable CPU, but in no
     more workers than items.  With one worker, or off Linux, they run in
     this process, because ``fork`` is unsafe on macOS and missing on
-    Windows.  A call that raises raises when its result is reached, so the
+    Windows.  A worker inherits ``fn`` and ``items`` from this process and
+    is sent only item indices, so neither needs to pickle: a validation
+    trial's ``fn`` holds the parsed template, lambdas included.  Only the
+    results are pickled.  A serial run calls the same ``_call_at`` as a
+    worker.  A call that raises raises when its result is reached, so the
     first failure in item order is the one raised, as in a serial run.
     ``validate`` trials and ``sweep`` cells both run through here.
     """
+    global _work
     jobs = min(usable_cpus(), len(items))
-    if jobs <= 1 or not sys.platform.startswith("linux"):
-        yield from map(fn, items)
-        return
-    # imported only here: they take about 40 ms, and a serial run needs neither
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, so the workers inherit the loaded modules and the cached ground
-    # truth.  The only other threads are OpenBLAS's, which registers fork
-    # handlers, and neither a trial nor a sweep cell makes a BLAS call.
-    pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+    # restored at the end, so a map inside ``fn`` leaves this one's in place
+    outer, _work = _work, (fn, items)
     try:
-        yield from pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs)))
+        if jobs <= 1 or not sys.platform.startswith("linux"):
+            yield from map(_call_at, range(len(items)))
+            return
+        # imported only here: they take about 40 ms, and a serial run needs neither
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, so the workers inherit the loaded modules, the cached ground
+        # truth and ``_work``; a fork pool starts its workers at the first
+        # submit, after ``_work`` is set.  The only other threads are
+        # OpenBLAS's, which registers fork handlers, and neither a trial nor
+        # a sweep cell makes a BLAS call.
+        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
+        try:
+            chunksize = max(1, len(items) // (4 * jobs))
+            yield from pool.map(_call_at, range(len(items)), chunksize=chunksize)
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _work = outer
 
 
 def validate_guarantee(
@@ -643,7 +686,7 @@ def validate_guarantee(
     """
     if trials < 1:
         raise SpecError(f"trials must be positive, got {trials}")
-    # every trial is a run, and has a spec in the list below
+    # every trial is a run
     if trials > MAX_PLANNED_RUNS:
         raise SpecError(
             f"validation asks for {trials} trials, more than the {MAX_PLANNED_RUNS} "
@@ -651,7 +694,9 @@ def validate_guarantee(
         )
     if not template.oracle.startswith("synthetic:"):
         raise SpecError("guarantee validation needs a synthetic oracle with ground truth")
-    utility, _, _, oracle, make = parse_spec(template)
+    # the template is parsed once; each trial builds only its seed's oracle
+    parsed = parse_spec(template)
+    utility, _, _, oracle, make = parsed
     if template.procedure == "sh":
         raise SpecError("sh certifies no guarantee, so there is nothing to validate")
     if make is None:
@@ -664,9 +709,9 @@ def validate_guarantee(
     details = []
     phase_failures: dict[int, int] = {}
     phase_counts: dict[int, int] = {}
-    specs = [replace(template, seed=base_seed + k) for k in range(trials)]
-    results = map_in_workers(_trial, specs)
-    for seed, evidence in enumerate(results, start=base_seed):
+    seeds = range(base_seed, base_seed + trials)
+    results = map_in_workers(functools.partial(_trial, template, parsed), seeds)
+    for seed, evidence in zip(seeds, results):
         if template.procedure == "coup":
             violated = False
             for phase, truth, threshold, bad in evidence:

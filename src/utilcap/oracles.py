@@ -61,10 +61,12 @@ class InstanceExhaustedError(RuntimeError):
 # Runtime distributions with closed-form ground truth
 # ---------------------------------------------------------------------------
 
-# Each distribution maps a block of uniforms to runtimes with
-# ``runtimes_from_uniforms``, element by element in ``math``, as one draw at
-# a time would: numpy's log1p, exp and log round differently from ``math``
-# on some inputs, so they are not used.
+# Each distribution maps a block of uniforms, a numpy array, to a list of
+# runtimes with ``runtimes_from_uniforms``, with the bits that one draw at a
+# time in ``math`` would give.  numpy's log1p, exp and log round differently
+# from ``math`` on some inputs, so every such call stays in ``math``, element
+# by element; only IEEE-exact ``+`` and ``*`` run in numpy, on the whole
+# block (the lognormal's ``mu + sigma * z``).
 #
 # scipy takes most of the start-up time and only lognormal draws and ground
 # truth use it, so it is imported on first use.  The stand-in below rebinds
@@ -87,10 +89,10 @@ class Exponential:
         if not 0 < self.mean < math.inf:
             raise ValueError(f"exponential mean must be positive and finite, got {self.mean}")
 
-    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+    def runtimes_from_uniforms(self, vs) -> list[float]:
         scale = -self.mean
         log1p = math.log1p
-        return [scale * log1p(-v) for v in vs]
+        return [scale * log1p(-v) for v in vs.tolist()]
 
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa); the distribution is continuous so ties have no mass."""
@@ -116,12 +118,9 @@ class LogNormal:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"lognormal sigma must be positive and finite, got {self.sigma}")
 
-    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+    def runtimes_from_uniforms(self, vs) -> list[float]:
         # ndtri(0) is -inf, and exp(-inf) is 0.0
-        mu = self.mu
-        sigma = self.sigma
-        exp = math.exp
-        return [exp(mu + sigma * z) for z in ndtri(vs).tolist()]
+        return list(map(math.exp, (self.mu + self.sigma * ndtri(vs)).tolist()))
 
     def completion_probability(self, kappa: float) -> float:
         if math.isinf(kappa):
@@ -158,9 +157,9 @@ class TwoPoint:
         if not 0.0 <= self.p_fast <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {self.p_fast}")
 
-    def runtimes_from_uniforms(self, vs: list[float]) -> list[float]:
+    def runtimes_from_uniforms(self, vs) -> list[float]:
         fast, slow, p = self.t_fast, self.t_slow, self.p_fast
-        return [fast if v < p else slow for v in vs]
+        return [fast if v < p else slow for v in vs.tolist()]
 
     def completion_probability(self, kappa: float) -> float:
         """P(t < kappa), strict, matching the completion flag of capped runs."""
@@ -343,6 +342,12 @@ class SyntheticOracle:
     def n_configs(self) -> int:
         return len(self._dists)
 
+    def reseeded(self, seed: int) -> "SyntheticOracle":
+        """A fresh oracle over this one's configurations that draws from
+        ``seed``'s streams: the oracle that the same pool file gives at
+        ``seed``, as long as no configuration was added to this one."""
+        return SyntheticOracle(self._dists, seed)
+
     def add_config(self, dist: RuntimeDistribution) -> int:
         self._dists.append(dist)
         return len(self._dists) - 1
@@ -366,8 +371,7 @@ class SyntheticOracle:
             def draw(instance: int) -> float:
                 size = len(times)
                 if instance >= size:
-                    uniforms = generator.random(grown_size(instance, size) - size)
-                    times.fromlist(to_runtimes(uniforms.tolist()))
+                    times.fromlist(to_runtimes(generator.random(grown_size(instance) - size)))
                 return times[instance]
 
             table = self._tables[config] = (times, draw)

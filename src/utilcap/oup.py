@@ -114,6 +114,10 @@ class OupRun:
 
     Code that changes snapshots or survivors other than through ``step``
     must call ``rebuild_index`` afterwards.
+
+    The run appends one row per round to ``trace``, a new list unless one
+    is given, and counts its rounds in ``rounds`` itself, so a
+    ``collections.deque(maxlen=1)`` keeps only the last row.
     """
 
     procedure = "oup"
@@ -131,6 +135,7 @@ class OupRun:
         *,
         doubling: str = "old",
         pool: list[int] | None = None,
+        trace=None,
     ):
         if pool is None:
             pool = list(range(oracle.n_configs))
@@ -144,7 +149,8 @@ class OupRun:
         self.survivors = list(range(len(self.arms)))
         self.rebuild_index()
         self.ledger = CostLedger()
-        self.trace: list[tuple] = []
+        self.trace = [] if trace is None else trace
+        self.rounds = 0
         self.eps_min = self.guaranteed_epsilon()
 
     def rebuild_index(self) -> None:
@@ -240,8 +246,7 @@ class OupRun:
         the reruns), ``eps_min`` its value, and the heaps the arm's keys,
         unless it was eliminated.
         """
-        trace = self.trace
-        rounds = len(trace)
+        rounds = self.rounds
         limits = self._limits or _Limits(rounds=rounds + 1)
         i = self._held = self.select_arm()
         eliminates = self._eliminates()
@@ -276,7 +281,7 @@ class OupRun:
         eps_min = self.eps_min
         survivors = len(self.survivors)
         rounds_before = rounds
-        add_row = trace.append
+        add_row = self.trace.append
         last_round, budget, target, _ = limits
         try:
             try:
@@ -347,6 +352,7 @@ class OupRun:
                     arm.snapshot = BoundSnapshot(f_hat, u_k, ucb, lcb)
                 ledger.total_seconds = total
                 ledger.run_count += reruns + rounds - rounds_before
+                self.rounds = rounds
                 self.eps_min = eps_min
                 self._held = None
                 if not arm.eliminated:
@@ -389,7 +395,7 @@ class OupRun:
         self._limits = limits
         try:
             while not (
-                len(self.trace) >= limits.rounds
+                self.rounds >= limits.rounds
                 or self.ledger.total_seconds >= limits.seconds
                 or self.eps_min <= limits.epsilon
                 or len(self.survivors) <= limits.survivors
@@ -408,6 +414,7 @@ class OupRun:
             incumbent_name=self.oracle.name(self.arms[star].config),
             epsilon=self.eps_min,
             trace=self.trace,
+            rounds=self.rounds,
             ledger=self.ledger,
             stop_reason=stop_reason,
         )

@@ -111,10 +111,12 @@ class RunResult:
     ``epsilon`` the guarantee certified for it: the running minimum for
     ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
-    and nan for ``sh``, which certifies nothing.  A run makes one ``trace``
-    row per round, a tuple laid out as ``TraceRow``, so its round count is
-    ``len(trace)``.  ``extra`` holds what validation reads of a ``coup``
-    run: ``arm_configs`` and ``sampler``.
+    and nan for ``sh``, which certifies nothing.  A run makes ``rounds``
+    rounds and appends one row per round to ``trace``, a tuple laid out as
+    ``TraceRow``.  ``trace`` is the list the rows went to, unless the run
+    was handed another sink: a validation trial keeps only the last row, in
+    a ``collections.deque(maxlen=1)``.  ``extra`` holds what validation
+    reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
     """
 
     procedure: str
@@ -123,6 +125,7 @@ class RunResult:
     incumbent_name: str
     epsilon: float
     trace: list[tuple]
+    rounds: int
     ledger: CostLedger
     stop_reason: str
     certificates: list = field(default_factory=list)

@@ -6,10 +6,12 @@ and the key is derived through ``SeedSequence``, so every stream is a pure
 function of its identifier.  Streams are materialized lazily in blocks,
 which makes the j-th draw independent of access order and of how many other
 streams exist: adding configurations never perturbs the runtimes of existing
-ones.  ``UniformStream`` keeps the uniforms of a stream (the samplers and
-the dataset column order read them); a synthetic oracle draws the same
-blocks from ``stream_generator`` itself, sized by ``grown_size``, and keeps
-only the runtimes it maps them to.
+ones.  A stream grows one whole block at a time, to the block that holds the
+draw asked for, so it holds at most a block beyond the last draw read.
+``UniformStream`` keeps the uniforms of a stream (the samplers and the
+dataset column order read them); a synthetic oracle draws the same blocks
+from ``stream_generator`` itself, sized by ``grown_size``, and keeps only
+the runtimes it maps them to.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ RUNTIME_STREAM = 0      # per-configuration runtime draws, one uniform per insta
 PERMUTATION_STREAM = 1  # dataset column order
 SAMPLER_STREAM = 2      # configuration sampling draws
 
-_BLOCK = 256
+_BLOCK = 128
 
 
 def stream_generator(seed: int, purpose: int, index: int = 0) -> Generator:
@@ -29,11 +31,13 @@ def stream_generator(seed: int, purpose: int, index: int = 0) -> Generator:
     return Generator(Philox(SeedSequence([int(seed), int(purpose), int(index)])))
 
 
-def grown_size(j: int, size: int) -> int:
-    """The length a buffer of ``size`` draws grows to so that it holds draw
-    ``j >= size``: whole blocks, and at least double, so a long stream draws
-    in amortized O(1) per value.  The draws do not depend on the chunking."""
-    return max(((j // _BLOCK) + 1) * _BLOCK, 2 * size)
+def grown_size(j: int) -> int:
+    """The length a buffer of draws grows to so that it holds draw ``j``:
+    the end of the block of 128 that holds ``j``, so a buffer never holds
+    more than 127 draws past the last one read.  The draws do not depend on
+    the chunking, so a buffer grown block by block holds the values of one
+    large draw."""
+    return ((j // _BLOCK) + 1) * _BLOCK
 
 
 class UniformStream:
@@ -56,7 +60,7 @@ class UniformStream:
             raise IndexError(f"stream position must be nonnegative, got {j}")
         values = self.values
         if j >= len(values):
-            values += self._gen.random(grown_size(j, len(values)) - len(values)).tolist()
+            values += self._gen.random(grown_size(j) - len(values)).tolist()
         return values[j]
 
 

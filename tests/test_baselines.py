@@ -141,13 +141,16 @@ def test_naive_run_shape():
 @pytest.mark.parametrize("target", [255, 256, 257, 513])
 def test_sampling_reads_every_planned_run_at_a_block_boundary(target):
     # the runtime table is grown to the plan before the first run, and a
-    # synthetic table grows by blocks of 256: a plan one past a block reads
+    # synthetic table grows by blocks of 128: a plan one past a block reads
     # the first runtime of the next one
     oracle = small_oracle(9)
     ledger = uc.CostLedger()
     sums, counts = [0.0] * 3, [0] * 3
     trace = []
-    uc.baselines._sample_to(oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, trace)
+    rounds = uc.baselines._sample_to(
+        oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, trace, 0
+    )
+    assert rounds == len(trace) == 2 * target
     assert counts == [target, target, 0] and ledger.run_count == 2 * target
     assert [uc.TraceRow(*row).selected for row in trace] == [0] * target + [1] * target
     total = 0.0
@@ -168,8 +171,9 @@ def test_sampling_breaks_exact_mean_ties_toward_the_lowest_position():
     oracle = uc.MatrixOracle(matrix, ("a", "b", "c"), tuple(range(6)))
     ledger, trace = uc.CostLedger(), []
     sums, counts = [0.0] * 3, [0] * 3
-    uc.baselines._sample_to(oracle, U60, 8.0, [0, 1, 2], 3, sums, counts, ledger, trace)
-    uc.baselines._sample_to(oracle, U60, 8.0, [0, 2], 6, sums, counts, ledger, trace)
+    sample = uc.baselines._sample_to
+    rounds = sample(oracle, U60, 8.0, [0, 1, 2], 3, sums, counts, ledger, trace, 0)
+    sample(oracle, U60, 8.0, [0, 2], 6, sums, counts, ledger, trace, rounds)
     rows = [uc.TraceRow(*row) for row in trace]
     assert [row.selected for row in rows] == [0] * 3 + [1] * 3 + [2] * 3 + [0] * 3 + [2] * 3
     assert [row.incumbent for row in rows] == [0] * 15

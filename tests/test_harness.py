@@ -390,6 +390,26 @@ def test_engines_append_plain_tuple_rows(tmp_path, procedure, stop):
     assert {len(row) for row in result.trace} == {len(TraceRow._fields)}
 
 
+@pytest.mark.parametrize(
+    "procedure, stop",
+    [
+        ("oup", "epsilon:0.4"),
+        ("up", "epsilon:0.4"),
+        ("coup", "phases:2"),
+        ("naive", "epsilon:0.5"),
+        ("sh", "budget:100"),
+    ],
+)
+def test_summary_rounds_count_the_trace_rows(tmp_path, procedure, stop):
+    # the engines count their rounds themselves; the count is the rows'
+    spec = spec_for(tmp_path, procedure=procedure, stop=stop, delta=0.05)
+    result = uc.harness.execute(spec)
+    assert result.rounds == len(result.trace) > 0
+    summary = uc.run_experiment(spec, tmp_path / "out")
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert summary["rounds"] == result.rounds == len(lines) - 1
+
+
 @pytest.mark.parametrize("procedure", ["bandit", "oup,x", 'o"up', ""])
 def test_trace_writer_refuses_unknown_procedure(tmp_path, monkeypatch, procedure):
     row = TraceRow(1, 0.5, 0, False, 1.0, 1.0, 3, 0)
@@ -597,10 +617,10 @@ def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
 
     monkeypatch.setattr(oracles, "expected_capped_utility", counted)
     oracles.true_capped_utility.cache_clear()
-    harness._trial(dataclasses.replace(spec, seed=0))
+    harness._trial(spec, harness.parse_spec(spec), 0)
     assert quantiles <= set(computed)
     computed.clear()
-    harness._trial(dataclasses.replace(spec, seed=1))
+    harness._trial(spec, harness.parse_spec(spec), 1)
     assert computed and not quantiles & set(computed)
 
 
@@ -623,10 +643,10 @@ def test_finite_pool_truths_are_computed_once_per_process(tmp_path, monkeypatch)
     monkeypatch.setattr(oracles, "expected_capped_utility", counted)
     oracles.true_capped_utility.cache_clear()
     assert oracles.true_capped_utility.cache_info().maxsize is None
-    assert len({cert[0] for cert in harness._trial(dataclasses.replace(spec, seed=0))}) == 3
+    assert len({cert[0] for cert in harness._trial(spec, harness.parse_spec(spec), 0)}) == 3
     assert sorted(dist.mean for dist, _ in computed) == means
     computed.clear()
-    harness._trial(dataclasses.replace(spec, seed=1))
+    harness._trial(spec, harness.parse_spec(spec), 1)
     assert computed == []
 
 
@@ -655,6 +675,54 @@ def test_validate_computes_finite_pool_truths_before_the_fork(tmp_path, monkeypa
     oracles.true_capped_utility.cache_clear()
     assert uc.validate_guarantee(spec, trials=2).trials == 2
     assert missed == [0]
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_validate_reads_the_pool_file_once(tmp_path, monkeypatch, trials):
+    # the template is parsed once; a trial builds only its seed's oracle
+    harness = uc.harness
+    load = harness.load_synthetic_spec
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "load_synthetic_spec", counted)
+    report = uc.validate_guarantee(spec_for(tmp_path), trials=trials)
+    assert report.trials == trials and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "procedure, stop",
+    [("oup", "epsilon:0.4"), ("up", "epsilon:0.4"), ("naive", "epsilon:0.5"), ("coup", "phases:2")],
+)
+def test_a_validation_trial_keeps_only_its_last_row(tmp_path, monkeypatch, procedure, stop):
+    # a trial reads no rows, so its run keeps only the last one; naive's
+    # rewrite of its last row still reaches it
+    harness = uc.harness
+    execute = harness.execute
+    results = []
+
+    def kept(*args):
+        results.append(execute(*args))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "execute", kept)
+    spec = spec_for(tmp_path, procedure=procedure, stop=stop, delta=0.05)
+    if procedure == "coup":
+        space = "family=parametric_exponential\nparams=0.1,10000\n"
+        spec = dataclasses.replace(spec, oracle=write_pool(tmp_path, space, name="space.txt"))
+    uc.validate_guarantee(spec, trials=3)
+    assert len(results) == 3
+    for seed, result in enumerate(results):
+        assert len(result.trace) == 1 and result.rounds > 1
+        last = TraceRow(*result.trace[-1])
+        # the very row a run that keeps every row ends with
+        full = execute(dataclasses.replace(spec, seed=seed))
+        assert last == TraceRow(*full.trace[-1]) and last.round == result.rounds
 
 
 def test_validate_guarantee_requires_synthetic(tmp_path):

@@ -24,8 +24,9 @@ from utilcap import (
     load_runtime_matrix,
     true_capped_utility,
 )
-from utilcap.baselines import _sample_to, halving_plan, naive_plan
-from utilcap.rng import RUNTIME_STREAM, UniformStream
+from utilcap.baselines import _sample_to, halving_plan, naive_plan, naive_run
+from utilcap.records import TargetEpsilon
+from utilcap.rng import RUNTIME_STREAM, UniformStream, stream_generator
 
 from helpers import capped_run, durations, true_runtimes
 
@@ -53,7 +54,7 @@ def observe(runtimes, kappa=1.0):
         run.step()
     arm = run.arms[0]
     sampled = CostLedger()
-    _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [])
+    _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [], 0)
     observed = durations(oracle, arm)
     assert sampled.total_seconds == run.ledger.total_seconds == sum(observed)
     return arm, observed
@@ -83,7 +84,7 @@ def test_observe_rejects_bad_inputs():
         observe([0.5, -1.0])
     negative = MatrixOracle(((-1.0,),), ("a",), (0,))
     with pytest.raises(ValueError, match="nonnegative"):
-        _sample_to(negative, U60, 1.0, [0], 1, [0.0], [0], CostLedger(), [])
+        _sample_to(negative, U60, 1.0, [0], 1, [0.0], [0], CostLedger(), [], 0)
     # a captime: every pull's width looks the arm's up on the doubling grid,
     # naive's is a power of two, and sh's is checked by its plan
     ctx = BoundContext(n=1, delta=0.1)
@@ -166,7 +167,8 @@ EDGE_UNIFORMS = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]
 @example(dist=TwoPoint(0.5, 40.0, 0.0), vs=EDGE_UNIFORMS)
 @example(dist=TwoPoint(0.5, 40.0, 1.0), vs=EDGE_UNIFORMS)
 def test_runtimes_from_uniforms_equal_the_scalar_formula_bit_for_bit(dist, vs):
-    got = dist.runtimes_from_uniforms(vs)
+    # a block of uniforms as the oracle draws it, a float64 array
+    got = dist.runtimes_from_uniforms(np.array(vs))
     assert all(type(t) is float for t in got)
     assert [t.hex() for t in got] == [scalar_runtime(dist, v).hex() for v in vs]
 
@@ -196,6 +198,27 @@ def test_a_runtime_ignores_request_order_and_added_configs(config, requests, add
     assert [t.hex() for t in times] == [
         scalar_runtime(dists[config], stream.value(j)).hex() for j in range(len(times))
     ]
+
+
+@pytest.mark.parametrize("procedure", ["oup", "naive"])
+def test_a_run_draws_less_than_a_block_past_each_arms_last_run(procedure):
+    # tables grow by whole blocks of 128, with no doubling, and a table
+    # grown block by block holds the runtimes of one large draw
+    dists = [LogNormal(1.0 + 0.3 * k, 0.5 + 0.1 * k) for k in range(6)]
+    oracle = SyntheticOracle(dists, seed=21)
+    u = LogLaplaceUtility(60.0)
+    if procedure == "oup":
+        run = OupRun(oracle, u, 0.1, doubling="new")
+        run.run_until(TargetEpsilon(0.2))
+        counts = [arm.m for arm in run.arms]
+    else:
+        counts = [naive_plan(len(dists), u, 0.5, 0.1)[1]] * len(dists)
+        naive_run(oracle, u, 0.5, 0.1)
+    for config, count in enumerate(counts):
+        times = oracle.runtime_of(config)[0]
+        assert count <= len(times) < count + 128 and len(times) % 128 == 0
+        block = stream_generator(21, RUNTIME_STREAM, config).random(len(times))
+        assert times.tolist() == dists[config].runtimes_from_uniforms(block)
 
 
 def test_adding_configs_does_not_perturb_existing_streams():
