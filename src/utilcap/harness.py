@@ -644,8 +644,7 @@ def map_in_workers(fn, items) -> Iterator:
     """
     global _work
     jobs = min(usable_cpus(), len(items))
-    # restored at the end, so a map inside ``fn`` leaves this one's in place
-    outer, _work = _work, (fn, items)
+    _work = (fn, items)
     try:
         if jobs <= 1 or not sys.platform.startswith("linux"):
             yield from map(_call_at, range(len(items)))
@@ -666,7 +665,7 @@ def map_in_workers(fn, items) -> Iterator:
         finally:
             pool.shutdown(cancel_futures=True)
     finally:
-        _work = outer
+        _work = None
 
 
 def validate_guarantee(

@@ -10,6 +10,7 @@ gives the same text.
 
 from __future__ import annotations
 
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -124,7 +125,7 @@ class RunResult:
     incumbent_config: int | None
     incumbent_name: str
     epsilon: float
-    trace: list[tuple]
+    trace: MutableSequence[tuple]
     rounds: int
     ledger: CostLedger
     stop_reason: str
