@@ -371,16 +371,17 @@ def test_trace_lines_match_csv_writer(procedure, rows):
     assert rendered.splitlines() == trace_lines((procedure, *row) for row in rows)
 
 
-@pytest.mark.parametrize(
-    "procedure, stop",
-    [
-        ("oup", "epsilon:0.4"),
-        ("up", "epsilon:0.4"),
-        ("coup", "phases:2"),
-        ("naive", "epsilon:0.5"),
-        ("sh", "budget:100"),
-    ],
-)
+# a stop rule for each procedure that ends a run on EXP_POOL quickly
+ENGINE_STOPS = [
+    ("oup", "epsilon:0.4"),
+    ("up", "epsilon:0.4"),
+    ("coup", "phases:2"),
+    ("naive", "epsilon:0.5"),
+    ("sh", "budget:100"),
+]
+
+
+@pytest.mark.parametrize("procedure, stop", ENGINE_STOPS)
 def test_engines_append_plain_tuple_rows(tmp_path, procedure, stop):
     # a row is laid out as TraceRow but built as a plain tuple, naive's
     # rewritten last row included
@@ -390,16 +391,7 @@ def test_engines_append_plain_tuple_rows(tmp_path, procedure, stop):
     assert {len(row) for row in result.trace} == {len(TraceRow._fields)}
 
 
-@pytest.mark.parametrize(
-    "procedure, stop",
-    [
-        ("oup", "epsilon:0.4"),
-        ("up", "epsilon:0.4"),
-        ("coup", "phases:2"),
-        ("naive", "epsilon:0.5"),
-        ("sh", "budget:100"),
-    ],
-)
+@pytest.mark.parametrize("procedure, stop", ENGINE_STOPS)
 def test_summary_rounds_count_the_trace_rows(tmp_path, procedure, stop):
     # the engines count their rounds themselves; the count is the rows'
     spec = spec_for(tmp_path, procedure=procedure, stop=stop, delta=0.05)
