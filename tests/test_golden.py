@@ -20,8 +20,9 @@ utility computed another way changes bits that a value near 1 rounds
 away), an up run over a pool listed worst first, whose incumbent
 eliminates rivals from the low-UCB heap, oup and up runs that stop by
 budget and by rounds, an up run that stops with a single survivor, an oup
-run on the two-point family, and a coup run over a finite pool sampled
-without replacement.
+run on the two-point family, a coup run over a finite pool sampled
+without replacement, and coup runs whose budget runs out exactly where
+phase 1 ends and inside phase 2.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ STOPS = {
 }
 
 FILES = ("trace.csv", "summary.csv", "certificates.csv")
+
+# what coup's phase 1 costs on PARAMETRIC at seed 1, delta 0.1, doubling new
+PHASE_ONE_SECONDS = "27.979850092166956"
 
 
 def grid() -> list[tuple[str, uc.ExperimentSpec]]:
@@ -154,6 +158,11 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
         ("up_single_survivor", "up", "synthetic:spread.txt", "single_survivor", False),
         ("oup_twopoint", "oup", "synthetic:twopoint.txt", "epsilon:0.3", False),
         ("coup_without_replacement", "coup", "synthetic:twopoint.txt", "phases:2", True),
+        # the total_seconds of phases:1 on this space and seed, and a budget
+        # that runs out in phase 2
+        ("coup_budget_at_phase_boundary", "coup", "synthetic:parametric.txt",
+         f"budget:{PHASE_ONE_SECONDS}", False),
+        ("coup_budget_mid_phase2", "coup", "synthetic:parametric.txt", "budget:45.0", False),
     ):
         cells.append((
             name,
@@ -378,6 +387,17 @@ EXPECTED: dict[str, dict[str, str]] = {
         'summary.csv': 'db7f9d2f46fcb1fc2d6f5cc71e227a4b054c9148221dc80650209121e78f50b1',
         'trace.csv': '79037289a2d853ae004751dd92ebc7a8ac465f469cccd514b3058e7115e5135b',
     },
+    # cells added after the first 43
+    'coup_budget_at_phase_boundary': {
+        'certificates.csv': '4dc712b990e67c5973511ff2e5d0ad0d6bacf4d8fd0cd85cb0e9e39b80d2dd02',
+        'summary.csv': '3d708934be2b6cb2b29f3837929a08ca8a1309566ae7917ea9ceffbda13672b3',
+        'trace.csv': '4f0c79b754c762b06fa61b9e7dd334714c7e78db4d4956373fe8e6bee2e0f144',
+    },
+    'coup_budget_mid_phase2': {
+        'certificates.csv': '4dc712b990e67c5973511ff2e5d0ad0d6bacf4d8fd0cd85cb0e9e39b80d2dd02',
+        'summary.csv': '1f4b9d2bce6d9e9c92b0dfcac688a14b1c599ddadb83c5dd64cdd9d408dc3931',
+        'trace.csv': '524c7e75e4abf49a9ed95b1d797221e15b3e0fba70a86dc9c249077265711d88',
+    },
 }
 
 
@@ -394,6 +414,10 @@ def test_golden_digests(tmp_path, monkeypatch):
     with open("coup_budget_uncertified/summary.csv", newline="") as handle:
         row = dict(zip(*csv.reader(handle)))
     assert (row["incumbent"], row["final_epsilon"]) == ("-1", "nan")
+    # the boundary cell's budget is spent by the round that certifies phase 1
+    with open("coup_budget_at_phase_boundary/certificates.csv", newline="") as handle:
+        (certificate,) = csv.DictReader(handle)
+    assert certificate["ledger_seconds"] == PHASE_ONE_SECONDS
 
 
 if __name__ == "__main__":
