@@ -41,16 +41,7 @@ from .oracles import (
     true_capped_utility,
 )
 from .oup import OupRun
-from .records import (
-    BudgetSeconds,
-    CostLedger,
-    MaxPhases,
-    MaxRounds,
-    RunResult,
-    SingleSurvivor,
-    TargetEpsilon,
-    TraceRow,
-)
+from .records import CostLedger, RunResult, StopRule, TraceRow
 from .utility import LogLaplaceUtility, UniformUtility, parse_utility
 
 __version__ = "0.1.0"

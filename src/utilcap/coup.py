@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from .arms import ArmState, refresh_snapshots
 from .bounds import DOUBLING_RULES, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
-from .oup import OupRun, _Limits
-from .records import BudgetSeconds, CostLedger, MaxPhases, PhasedStopRule, RunResult
+from .oup import OupRun
+from .records import CostLedger, RunResult, StopRule
 from .rng import SAMPLER_STREAM, UniformStream
 from .utility import UtilityFunction
 
@@ -254,6 +254,7 @@ class PhaseCertificate:
     gamma: float
     n: int
     incumbent: int
+    incumbent_config: int
     incumbent_name: str
     incumbent_lcb: float
     ledger_seconds: float
@@ -320,57 +321,54 @@ class CoupRun(OupRun):
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
 
+    # coup's streaks run under this name, which the benchmark's per-layer
+    # tracer times apart from oup's
     phase_step = OupRun.step
+
+    def step(self) -> None:
+        self.phase_step()
 
     def _certify(self) -> PhaseCertificate:
         star = self.incumbent()
+        arm = self.arms[star]
         certificate = PhaseCertificate(
             phase=self.p,
             epsilon=self.eps_p,
             gamma=self.gamma_p,
             n=self.ctx.n,
             incumbent=star,
-            incumbent_name=self.oracle.name(self.arms[star].config),
-            incumbent_lcb=self.arms[star].snapshot.lcb,
+            incumbent_config=arm.config,
+            incumbent_name=self.oracle.name(arm.config),
+            incumbent_lcb=arm.snapshot.lcb,
             ledger_seconds=self.ledger.total_seconds,
         )
         self.certificates.append(certificate)
         return certificate
 
-    def run_phases(self, stop: PhasedStopRule) -> RunResult:
-        if not isinstance(stop, (BudgetSeconds, MaxPhases)):
-            raise TypeError(f"unsupported stop rule {stop!r}")
-        budget = stop.seconds if isinstance(stop, BudgetSeconds) else math.inf
-        max_phases = stop.phases if isinstance(stop, MaxPhases) else math.inf
-        try:
-            while True:
-                if self.p >= max_phases:
-                    return self._result("max_phases")
-                if self.ledger.total_seconds >= budget:
-                    return self._result("budget_exhausted")
-                self.begin_phase()
-                # The phase ends once the eps of begin_phase or of its last
-                # round is below eps_p.  No eps before it was, so that eps is
-                # the phase's eps_min, and the test is eps_min <= the float
-                # just below eps_p: a limit of the round loop.
-                phase_end = math.nextafter(self.eps_p, -math.inf)
-                self._limits = _Limits(seconds=budget, epsilon=phase_end)
-                while not self.eps_min <= phase_end:
-                    if self.ledger.total_seconds >= budget:
-                        # unfinished phase: no certificate; the previous phase's
-                        # certificate remains the standing recommendation
-                        return self._result("budget_exhausted")
-                    self.phase_step()
-                self._certify()
-        finally:
-            self._limits = None
+    def run_phases(self, stop: StopRule) -> RunResult:
+        """Run phases until ``stop.phases`` are certified or the ledger
+        holds ``stop.seconds``, certifying each phase that ends first."""
+        while self.p < stop.phases and self.ledger.total_seconds < stop.seconds:
+            self.begin_phase()
+            # The phase ends once the eps of begin_phase or of its last round
+            # is below eps_p.  No eps before it was, so that eps is the
+            # phase's eps_min, and the test is eps_min <= the float just
+            # below eps_p: a limit of the round loop.
+            phase_end = math.nextafter(self.eps_p, -math.inf)
+            self._advance(stop._replace(epsilon=phase_end))
+            if not self.eps_min <= phase_end:
+                # the budget ran out: no certificate; the previous phase's
+                # certificate remains the standing recommendation
+                break
+            self._certify()
+        return self._result(stop.stop_reason)
 
     def _result(self, stop_reason: str) -> RunResult:
         last = self.certificates[-1] if self.certificates else None
         return RunResult(
             procedure=self.procedure,
             incumbent=last.incumbent if last else None,
-            incumbent_config=self.arms[last.incumbent].config if last else None,
+            incumbent_config=last.incumbent_config if last else None,
             incumbent_name=last.incumbent_name if last else "",
             epsilon=last.epsilon if last else math.nan,
             trace=self.trace,
@@ -378,5 +376,4 @@ class CoupRun(OupRun):
             ledger=self.ledger,
             stop_reason=stop_reason,
             certificates=list(self.certificates),
-            extra={"arm_configs": tuple(arm.config for arm in self.arms)},
         )

@@ -44,15 +44,7 @@ from .oracles import (
     load_runtime_matrix,
 )
 from .oup import OupRun
-from .records import (
-    BudgetSeconds,
-    MaxPhases,
-    MaxRounds,
-    SingleSurvivor,
-    TargetEpsilon,
-    TraceRow,
-    format_value,
-)
+from .records import StopRule, TraceRow, format_value
 from .utility import parse_utility
 
 OUTPUT_DIR_ENV = "UTILCAP_OUT"
@@ -92,20 +84,20 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _budget(value: str) -> BudgetSeconds:
+def _budget(value: str) -> StopRule:
     # nan or inf would never be reached and a negative budget spends nothing
     seconds = float(value)
     if not 0.0 <= seconds < math.inf:
         raise SpecError(f"budget must be a finite number >= 0, got {value.strip()!r}")
-    return BudgetSeconds(seconds)
+    return StopRule(seconds=seconds, stop_reason="budget_exhausted")
 
 
-def _epsilon(value: str) -> TargetEpsilon:
+def _epsilon(value: str) -> StopRule:
     # eps stays above 0 and is never <= nan, so such a target is never reached
     epsilon = float(value)
     if not 0.0 < epsilon < math.inf:
         raise SpecError(f"target epsilon must be a finite number > 0, got {value.strip()!r}")
-    return TargetEpsilon(epsilon)
+    return StopRule(epsilon=epsilon, stop_reason="target_epsilon")
 
 
 def _count(name: str, value: str) -> int:
@@ -120,13 +112,14 @@ def _count(name: str, value: str) -> int:
     return count
 
 
-def parse_stop(text: str, procedure: str):
+def parse_stop(text: str, procedure: str) -> StopRule:
+    """The stop rule of ``--stop`` for a procedure: one limit, and its reason."""
     name, _, value = text.partition(":")
     name = name.strip()
     try:
         if procedure == "coup":
             if name == "phases" and int(value) >= 1:
-                return MaxPhases(_count("phases", value))
+                return StopRule(phases=_count("phases", value), stop_reason="max_phases")
             if name == "budget":
                 return _budget(value)
             raise SpecError(
@@ -138,9 +131,9 @@ def parse_stop(text: str, procedure: str):
             if name == "budget":
                 return _budget(value)
             if name == "single_survivor":
-                return SingleSurvivor()
+                return StopRule(survivors=1, stop_reason="single_survivor")
             if name == "rounds" and int(value) >= 1:
-                return MaxRounds(_count("rounds", value))
+                return StopRule(rounds=_count("rounds", value), stop_reason="max_rounds")
             raise SpecError(
                 f"stop rule for {procedure} must be epsilon:X, budget:SECONDS, "
                 f"single_survivor or rounds:N (N >= 1), got {text!r}"
@@ -410,7 +403,7 @@ def parse_spec(spec: ExperimentSpec):
             # known in advance (N of phases:N, 1 of a budget) has the largest
             # pool and the first value outside (0, 1); parse_stop caps N, so
             # p^3 stays far inside a float
-            last = stop.phases if isinstance(stop, MaxPhases) else 1
+            last = 1 if stop.phases == math.inf else stop.phases
             gamma = schedule.at(last)[1]
             size = phase_size(last, gamma, spec.delta)
             if size > MAX_POOL_CONFIGS:
@@ -608,12 +601,10 @@ def _trial(template: ExperimentSpec, parsed: tuple, seed: int):
     if spec.procedure != "coup":
         return result.incumbent_config, result.epsilon
     sampler = result.extra["sampler"]
-    arm_configs = result.extra["arm_configs"]
     evidence = []
     for cert in result.certificates:
         threshold = sampler.optimum_quantile(utility, cert.gamma) - cert.epsilon
-        # certificates name arms by pool position; map back to the oracle
-        truth = sampler.oracle.true_utility(arm_configs[cert.incumbent], utility)
+        truth = sampler.oracle.true_utility(cert.incumbent_config, utility)
         evidence.append((cert.phase, truth, threshold, truth < threshold - _TOL))
     return evidence
 

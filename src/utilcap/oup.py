@@ -25,8 +25,8 @@ the arm's bounds with the tops of the other survivors (its rivals), which
 no round of the streak changes and so are read once, at its start, and
 unpacked into float bounds and positions.  The arm's count, captime, sums
 and latest bounds, its runtime table, the width table at its captime, the
-ledger's total, the count of doubling reruns, ``eps_min`` and the run's
-stop limits are locals too; a round reads its runtime and its width from
+ledger's total, the count of doubling reruns, ``eps_min`` and the limits
+of the run's ``StopRule`` are locals too; a round reads its runtime and its width from
 the two tables, and builds no tuple but its trace row.  A streak ends
 after a round that changes the selection, eliminates or meets a stop
 limit, or when the oracle runs out of instances; the locals are then
@@ -42,20 +42,11 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
 
 from .arms import ArmState
 from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_table
 from .oracles import InstanceExhaustedError, RuntimeOracle
-from .records import (
-    BudgetSeconds,
-    CostLedger,
-    MaxRounds,
-    RunResult,
-    SingleSurvivor,
-    StopRule,
-    TargetEpsilon,
-)
+from .records import CostLedger, RunResult, StopRule
 from .utility import UtilityFunction
 
 
@@ -77,32 +68,6 @@ def _ucb(snapshot) -> float:
 _NO_RIVAL = (math.inf, math.inf)
 
 
-class _Limits(NamedTuple):
-    """A stop rule as the limits a run stops at: ``rounds`` rounds,
-    ``seconds`` ledger seconds, ``eps_min <= epsilon``, or at most
-    ``survivors`` survivors.  ``step`` tests the first three after every
-    round; only elimination changes the survivors, and it ends a streak, so
-    the last is tested between streaks."""
-
-    rounds: float = math.inf
-    seconds: float = math.inf
-    epsilon: float = -math.inf
-    survivors: int = 0
-
-
-def _limits_of(stop: StopRule) -> tuple[_Limits, str]:
-    """The limits of a stop rule, and the stop reason it reports."""
-    if isinstance(stop, TargetEpsilon):
-        return _Limits(epsilon=stop.epsilon), "target_epsilon"
-    if isinstance(stop, BudgetSeconds):
-        return _Limits(seconds=stop.seconds), "budget_exhausted"
-    if isinstance(stop, SingleSurvivor):
-        return _Limits(survivors=1), "single_survivor"
-    if isinstance(stop, MaxRounds):
-        return _Limits(rounds=stop.rounds), "max_rounds"
-    raise TypeError(f"unsupported stop rule {stop!r}")
-
-
 class OupRun:
     """One sequential run over a fixed pool, and the round every engine shares.
 
@@ -122,8 +87,8 @@ class OupRun:
 
     procedure = "oup"
     eliminate = True
-    # the stop limits of the run in progress; None makes ``step`` one round
-    _limits: _Limits | None = None
+    # the stop rule of the run in progress; None makes ``step`` one round
+    _limits: StopRule | None = None
     # the arm of the streak in progress, which the heaps leave out
     _held: int | None = None
 
@@ -238,8 +203,8 @@ class OupRun:
         tables, and calls ``draw`` or ``more`` only past a table's end.  A
         doubling hands the arm to ``ArmState.double_captime``, reads it back
         and binds the width table at the new captime.  The streak ends after
-        the round that changes the selection, eliminates, or meets the stop
-        limits (``run_until`` and ``run_phases`` set them; without them, one
+        the round that changes the selection, eliminates, or meets a limit
+        of the ``StopRule`` that ``run_until`` hands it (without one, one
         round is made), or when the oracle runs out of instances.  Then the
         locals are written back: the arm gets one ``BoundSnapshot``, the
         ledger its total and its run count (one run per round made, plus
@@ -247,7 +212,7 @@ class OupRun:
         unless it was eliminated.
         """
         rounds = self.rounds
-        limits = self._limits or _Limits(rounds=rounds + 1)
+        limits = self._limits or StopRule(rounds=rounds + 1)
         i = self._held = self.select_arm()
         eliminates = self._eliminates()
         reselects = self._reselects_leader()
@@ -282,7 +247,7 @@ class OupRun:
         survivors = len(self.survivors)
         rounds_before = rounds
         add_row = self.trace.append
-        last_round, budget, target, _ = limits
+        last_round, budget, target, _, _, _ = limits
         try:
             try:
                 while True:
@@ -391,19 +356,23 @@ class OupRun:
         self.survivors = [j for j in self.survivors if not self.arms[j].eliminated]
 
     def run_until(self, stop: StopRule) -> RunResult:
-        limits, reason = _limits_of(stop)
-        self._limits = limits
+        self._advance(stop)
+        return self._result(stop.stop_reason)
+
+    def _advance(self, stop: StopRule) -> None:
+        """Make streaks until the run meets a limit of ``stop``, which
+        ``step`` reads as the limits of its rounds."""
+        self._limits = stop
         try:
             while not (
-                self.rounds >= limits.rounds
-                or self.ledger.total_seconds >= limits.seconds
-                or self.eps_min <= limits.epsilon
-                or len(self.survivors) <= limits.survivors
+                self.rounds >= stop.rounds
+                or self.ledger.total_seconds >= stop.seconds
+                or self.eps_min <= stop.epsilon
+                or len(self.survivors) <= stop.survivors
             ):
                 self.step()
         finally:
             self._limits = None
-        return self._result(reason)
 
     def _result(self, stop_reason: str) -> RunResult:
         star = self.incumbent()

@@ -1,4 +1,4 @@
-"""Run records: cost ledger, per-round trace rows, stop rules, run results.
+"""Run records: cost ledger, per-round trace rows, the stop rule, run results.
 
 A round's trace row is its only record: a plain tuple laid out as the
 fields of ``TraceRow``.  Every output value is written as ``format_value``
@@ -6,10 +6,14 @@ gives it: floats with ``repr``, the shortest round-tripping form, so
 engines making the same decisions write byte-identical files.  The trace
 writer unpacks a whole row by position and renders it with one format that
 gives the same text.
+
+Every procedure's stop rule is one ``StopRule``: the limits a run stops
+at, and the reason it reports there.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -67,41 +71,29 @@ def format_value(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Stop rules
+# Stop rule
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TargetEpsilon:
-    """Stop once the running-minimum guarantee reaches the target."""
+class StopRule(NamedTuple):
+    """A stop rule: the limits a run stops at, and the stop reason it reports.
 
-    epsilon: float
+    A run stops once it has made ``rounds`` rounds, its ledger holds
+    ``seconds`` seconds, its ``eps_min`` is at most ``epsilon``, at most
+    ``survivors`` configurations survive, or, for ``coup``, it has finished
+    ``phases`` phases.  A limit left at its default is never met, and
+    ``harness.parse_stop`` sets one limit per rule.  ``OupRun.step`` tests
+    the first three after every round.  Only elimination changes the
+    survivors, and it ends a streak, so ``run_until`` tests them between
+    streaks; ``CoupRun.run_phases`` tests the phases between phases.
+    """
 
-
-@dataclass(frozen=True)
-class BudgetSeconds:
-    """Stop once total simulated time reaches the budget."""
-
-    seconds: float
-
-
-@dataclass(frozen=True)
-class SingleSurvivor:
-    """Stop once elimination leaves a single configuration."""
-
-
-@dataclass(frozen=True)
-class MaxRounds:
-    rounds: int
-
-
-@dataclass(frozen=True)
-class MaxPhases:
-    phases: int
-
-
-StopRule = TargetEpsilon | BudgetSeconds | SingleSurvivor | MaxRounds
-PhasedStopRule = MaxPhases | BudgetSeconds
+    rounds: float = math.inf
+    seconds: float = math.inf
+    epsilon: float = -math.inf
+    survivors: int = 0
+    phases: float = math.inf
+    stop_reason: str = ""
 
 
 @dataclass
@@ -117,7 +109,7 @@ class RunResult:
     ``TraceRow``.  ``trace`` is the list the rows went to, unless the run
     was handed another sink: a validation trial keeps only the last row, in
     a ``collections.deque(maxlen=1)``.  ``extra`` holds what validation
-    reads of a ``coup`` run: ``arm_configs`` and ``sampler``.
+    reads of a ``coup`` run besides its certificates: its ``sampler``.
     """
 
     procedure: str

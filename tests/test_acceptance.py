@@ -56,10 +56,10 @@ def a3_suite():
     rows = []
     for seed in range(50):
         oup = uc.OupRun(a3_oracle(seed), UTILITY, 0.1, doubling="new").run_until(
-            uc.TargetEpsilon(0.2)
+            uc.StopRule(epsilon=0.2)
         )
         up = uc.UpRun(a3_oracle(seed), UTILITY, 0.1, doubling="new").run_until(
-            uc.TargetEpsilon(0.2)
+            uc.StopRule(epsilon=0.2)
         )
         naive = uc.naive_run(a3_oracle(seed), UTILITY, 0.2, 0.1)
         rows.append((oup, up, naive))
@@ -74,7 +74,7 @@ def a5_suite():
         run = uc.CoupRun(
             sampler, oracle, UTILITY, 0.05, uc.Schedule.from_spec("default"), doubling="new"
         )
-        result = run.run_phases(uc.MaxPhases(4))
+        result = run.run_phases(uc.StopRule(phases=4))
         runs.append((sampler, result))
     return runs
 
@@ -86,7 +86,7 @@ def a8_suite():
         for procedure, engine in (("oup", uc.OupRun), ("up", uc.UpRun)):
             for rule in ("old", "new"):
                 result = engine(a8_oracle(seed), UTILITY, 0.1, doubling=rule).run_until(
-                    uc.TargetEpsilon(0.1)
+                    uc.StopRule(epsilon=0.1)
                 )
                 cells[(procedure, rule)].append(result.ledger.total_seconds)
     return cells

@@ -68,17 +68,17 @@ def test_up_runs_bad_arm_at_least_as_much_as_greedy():
     )
     utility = uc.UniformUtility(4.0)
     greedy = uc.OupRun(oracle(), utility, 0.25, doubling="new")
-    greedy.run_until(uc.TargetEpsilon(0.3))
+    greedy.run_until(uc.StopRule(epsilon=0.3))
     rr = uc.UpRun(oracle(), utility, 0.25, doubling="new")
-    rr.run_until(uc.TargetEpsilon(0.3))
+    rr.run_until(uc.StopRule(epsilon=0.3))
     assert rr.arms[1].m >= greedy.arms[1].m
 
 
 def test_up_stop_rules_and_determinism():
-    result = uc.UpRun(small_oracle(), U60, 0.1).run_until(uc.BudgetSeconds(0.0))
+    result = uc.UpRun(small_oracle(), U60, 0.1).run_until(uc.StopRule(seconds=0.0))
     assert result.trace == [] and result.epsilon == 1.0
-    a = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
-    b = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.MaxRounds(120))
+    a = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.StopRule(rounds=120))
+    b = uc.UpRun(small_oracle(3), U60, 0.1, doubling="new").run_until(uc.StopRule(rounds=120))
     assert a.trace == b.trace
 
 
@@ -285,7 +285,7 @@ def test_new_doubling_not_slower_smoke():
         by_rule = {}
         for rule in ("old", "new"):
             result = uc.OupRun(a8_oracle(seed), UTILITY, 0.1, doubling=rule).run_until(
-                uc.TargetEpsilon(0.2)
+                uc.StopRule(epsilon=0.2)
             )
             by_rule[rule] = result.ledger.total_seconds
         assert by_rule["new"] <= by_rule["old"]

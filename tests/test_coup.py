@@ -170,10 +170,10 @@ def test_shrinking_requirement_keeps_pool():
     pairs = [(0.5, 0.05), (0.5, 0.9)]
     schedule = uc.Schedule(lambda p: pairs[p - 1], "explicit")
     run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling="new")
-    run.run_phases(uc.MaxPhases(1))
+    run.run_phases(uc.StopRule(phases=1))
     n_1 = len(run.arms)
     assert n_1 == uc.phase_size(1, 0.05, 0.1) == 70
-    result = run.run_phases(uc.MaxPhases(2))
+    result = run.run_phases(uc.StopRule(phases=2))
     assert len(run.arms) == n_1  # nothing added, nothing removed
     assert uc.phase_size(2, 0.9, 0.1) < n_1
     # the union bound counts the pool searched, not the phase requirement
@@ -221,7 +221,7 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
 
     monkeypatch.setattr(uc.OupRun, "rebuild_index", counting_rebuild)
     run = make_run(seed=4)
-    result = run.run_phases(uc.MaxPhases(3))
+    result = run.run_phases(uc.StopRule(phases=3))
     assert result.trace and len(result.certificates) == 3
     assert compacting == [False] * (1 + run.p)
     # a streak pushes the pulled arm's keys once, at its end, so a step call
@@ -238,7 +238,7 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
         growth.append([b - a for a, b in zip(before, heap_sizes(run))])
 
     run.step = sized_step
-    run.run_until(uc.MaxRounds(1000))
+    run.run_until(uc.StopRule(rounds=1000))
     assert len(run.trace) == 1000
     assert all(grown <= 1 for sizes in growth for grown in sizes)
     assert len(growth) < 200  # 102: after the ten fresh arms, mostly one leader
@@ -252,7 +252,7 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
 
 def test_zero_budget_yields_no_certificates():
     run = make_run(seed=4)
-    result = run.run_phases(uc.BudgetSeconds(0.0))
+    result = run.run_phases(uc.StopRule(seconds=0.0, stop_reason="budget_exhausted"))
     assert result.certificates == []
     assert result.trace == []
     assert result.incumbent is None
@@ -261,7 +261,7 @@ def test_zero_budget_yields_no_certificates():
 
 def test_max_phases_gives_one_certificate_per_phase():
     run = make_run(seed=4)
-    result = run.run_phases(uc.MaxPhases(3))
+    result = run.run_phases(uc.StopRule(phases=3))
     assert [c.phase for c in result.certificates] == [1, 2, 3]
     for c in result.certificates:
         eps_p, gamma_p = uc.Schedule.from_spec("default").at(c.phase)
@@ -270,11 +270,17 @@ def test_max_phases_gives_one_certificate_per_phase():
     assert result.incumbent == result.certificates[-1].incumbent
 
 
-def test_budget_exhaustion_mid_phase_keeps_previous_certificate():
-    probe = make_run(seed=4).run_phases(uc.MaxPhases(1))
-    first_phase_cost = probe.ledger.total_seconds
+@pytest.mark.parametrize("into_phase_two", [0.0, 0.5], ids=["phase_boundary", "mid_phase_two"])
+def test_budget_exhaustion_mid_phase_keeps_previous_certificate(into_phase_two):
+    # a budget of exactly phase 1's cost stops at the phase boundary; one
+    # halfway to phase 2's total runs out inside phase 2
+    first, second = (
+        make_run(seed=4).run_phases(uc.StopRule(phases=p)).ledger.total_seconds for p in (1, 2)
+    )
+    budget = first + into_phase_two * (second - first)
     run = make_run(seed=4)
-    result = run.run_phases(uc.BudgetSeconds(first_phase_cost))
+    result = run.run_phases(uc.StopRule(seconds=budget, stop_reason="budget_exhausted"))
+    assert run.p == (1 if into_phase_two == 0.0 else 2)
     assert len(result.certificates) == 1
     assert result.incumbent == result.certificates[0].incumbent
     assert result.stop_reason == "budget_exhausted"
@@ -285,7 +291,7 @@ def test_monotone_pool_and_observation_retention():
     sizes = []
     totals = []
     for p in range(1, 4):
-        run.run_phases(uc.MaxPhases(p))
+        run.run_phases(uc.StopRule(phases=p))
         sizes.append(len(run.arms))
         totals.append(sum(a.m for a in run.arms))
     assert sizes == sorted(sizes)
@@ -310,8 +316,8 @@ def test_phases_never_eliminate():
 
 
 def test_runs_are_deterministic():
-    a = make_run(seed=9).run_phases(uc.MaxPhases(2))
-    b = make_run(seed=9).run_phases(uc.MaxPhases(2))
+    a = make_run(seed=9).run_phases(uc.StopRule(phases=2))
+    b = make_run(seed=9).run_phases(uc.StopRule(phases=2))
     assert trace_lines(a.trace) == trace_lines(b.trace)
     assert [dataclasses.astuple(c) for c in a.certificates] == [
         dataclasses.astuple(c) for c in b.certificates
@@ -404,21 +410,24 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
     run = uc.CoupRun(
         sampler, oracle, UTILITY, 0.1, uc.Schedule.from_spec("default"), doubling="new"
     )
-    result = run.run_phases(uc.MaxPhases(2))
+    result = run.run_phases(uc.StopRule(phases=2))
     schedule = uc.Schedule.from_spec("default")
     for cert in result.certificates:
         _, gamma_p = schedule.at(cert.phase)
         assert cert.n == uc.phase_size(cert.phase, gamma_p, 0.1)
-    assert len(result.extra["arm_configs"]) == result.certificates[-1].n
+    assert len(run.arms) == result.certificates[-1].n
     # duplicated rows are distinct arms sharing one runtime row
-    configs = result.extra["arm_configs"]
+    configs = [arm.config for arm in run.arms]
     assert len(set(configs)) < len(configs)
+    # a certificate names its incumbent's configuration
+    for cert in result.certificates:
+        assert cert.incumbent_config == run.arms[cert.incumbent].config
 
 
 def test_mid_phase_selection_ignores_sampling_phase():
     # a carried-over arm with the top bound is selected ahead of newer arms
     run = make_run(seed=5)
-    run.run_phases(uc.MaxPhases(1))
+    run.run_phases(uc.StopRule(phases=1))
     run.begin_phase()
     boosted = 0  # sampled in phase 1
     for i, arm in enumerate(run.arms):
@@ -432,7 +441,7 @@ def test_mid_phase_selection_ignores_sampling_phase():
 def test_every_preset_schedule_runs():
     for name in ("default", "gamma_focus", "epsilon_focus", "balanced", "gamma_then_epsilon"):
         run = make_run(seed=3, schedule=name)
-        result = run.run_phases(uc.MaxPhases(2))
+        result = run.run_phases(uc.StopRule(phases=2))
         assert len(result.certificates) == 2
         schedule = uc.Schedule.from_spec(name)
         assert result.certificates[1].epsilon == schedule.at(2)[0]
@@ -447,13 +456,13 @@ def test_phase_cost_within_factor_three_of_direct_search():
     )
     ledgers = {}
     for p in range(1, 7):
-        run.run_phases(uc.MaxPhases(p))
+        run.run_phases(uc.StopRule(phases=p))
         ledgers[p] = run.ledger.total_seconds
     for cert in run.certificates:
         pool = [sampler.make_distribution(t) for t in sampler.thetas[: cert.n]]
         direct = uc.OupRun(
             uc.SyntheticOracle(pool, seed=0), UTILITY, 0.01, doubling="new"
-        ).run_until(uc.TargetEpsilon(cert.epsilon))
+        ).run_until(uc.StopRule(epsilon=cert.epsilon))
         assert ledgers[cert.phase] <= 3.0 * direct.ledger.total_seconds
 
 

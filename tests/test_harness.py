@@ -108,16 +108,16 @@ def test_build_oracle_kinds(tmp_path):
 
 
 def test_parse_stop_rules():
-    assert parse_stop("epsilon:0.2", "oup") == uc.TargetEpsilon(0.2)
-    assert parse_stop("budget:100", "up") == uc.BudgetSeconds(100.0)
-    assert parse_stop("single_survivor", "oup") == uc.SingleSurvivor()
-    assert parse_stop("rounds:50", "up") == uc.MaxRounds(50)
+    assert parse_stop("epsilon:0.2", "oup") == uc.StopRule(epsilon=0.2, stop_reason="target_epsilon")
+    assert parse_stop("budget:100", "up") == uc.StopRule(seconds=100.0, stop_reason="budget_exhausted")
+    assert parse_stop("single_survivor", "oup") == uc.StopRule(survivors=1, stop_reason="single_survivor")
+    assert parse_stop("rounds:50", "up") == uc.StopRule(rounds=50, stop_reason="max_rounds")
     # every round makes a run, so the round cap is the plan cap of naive and sh
-    assert parse_stop("rounds:100000000", "oup") == uc.MaxRounds(10**8)
-    assert parse_stop("phases:3", "coup") == uc.MaxPhases(3)
+    assert parse_stop("rounds:100000000", "oup") == uc.StopRule(rounds=10**8, stop_reason="max_rounds")
+    assert parse_stop("phases:3", "coup") == uc.StopRule(phases=3, stop_reason="max_phases")
     # every phase writes a certificate row, so phases share the round cap
-    assert parse_stop("phases:100000000", "coup") == uc.MaxPhases(10**8)
-    assert parse_stop("budget:1e6", "coup") == uc.BudgetSeconds(1e6)
+    assert parse_stop("phases:100000000", "coup") == uc.StopRule(phases=10**8, stop_reason="max_phases")
+    assert parse_stop("budget:1e6", "coup") == uc.StopRule(seconds=1e6, stop_reason="budget_exhausted")
     for text, procedure in [
         ("phases:3", "oup"),
         ("epsilon:0.2", "coup"),
@@ -551,7 +551,7 @@ def test_greedy_concentrates_time_on_the_good_arm():
         [uc.TwoPoint(0.1, 5.0, 0.9), uc.TwoPoint(0.1, 5.0, 0.05)], seed=1
     )
     run = uc.OupRun(oracle, uc.UniformUtility(4.0), 0.25, doubling="new")
-    result = run.run_until(uc.TargetEpsilon(0.25))
+    result = run.run_until(uc.StopRule(epsilon=0.25))
     assert run.arms[1].m * 4 < run.arms[0].m
     seconds = seconds_by_arm(result.trace)
     assert seconds[1] < seconds[0]
@@ -560,7 +560,7 @@ def test_greedy_concentrates_time_on_the_good_arm():
 def test_round_robin_spends_evenly_on_identical_arms():
     oracle = uc.SyntheticOracle([uc.TwoPoint(2.0, 2.0, 1.0)] * 4, seed=0)
     run = uc.UpRun(oracle, UTILITY, 0.1, doubling="new")
-    run.run_until(uc.MaxRounds(41))
+    run.run_until(uc.StopRule(rounds=41))
     spent = list(seconds_by_arm(run.trace).values())
     assert len(spent) == 4
     assert max(spent) - min(spent) <= 2.0 + 1e-12  # one run's cost

@@ -170,7 +170,7 @@ def test_pulled_arms_are_a_prefix_of_a_fixed_pool(engine, pool, doubling):
                      doubling=doubling)
         check_prefix(run)
         checked(run, "step", fresh_seen)
-        run.run_until(uc.TargetEpsilon(0.2))
+        run.run_until(uc.StopRule(epsilon=0.2))
     assert any(fresh_seen)
 
 
@@ -189,6 +189,6 @@ def test_pulled_arms_are_a_prefix_of_a_coup_pool(space, doubling):
                          doubling=doubling)
         checked(run, "begin_phase", fresh_seen)
         checked(run, "phase_step", fresh_seen)
-        run.run_phases(uc.MaxPhases(4))
+        run.run_phases(uc.StopRule(phases=4))
         assert len(run.certificates) == 4
     assert any(fresh_seen)

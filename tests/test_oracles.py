@@ -25,7 +25,7 @@ from utilcap import (
     true_capped_utility,
 )
 from utilcap.baselines import _sample_to, halving_plan, naive_plan, naive_run
-from utilcap.records import TargetEpsilon
+from utilcap.records import StopRule
 from utilcap.rng import RUNTIME_STREAM, UniformStream, stream_generator
 
 from helpers import capped_run, durations, true_runtimes
@@ -209,7 +209,7 @@ def test_a_run_draws_less_than_a_block_past_each_arms_last_run(procedure):
     u = LogLaplaceUtility(60.0)
     if procedure == "oup":
         run = OupRun(oracle, u, 0.1, doubling="new")
-        run.run_until(TargetEpsilon(0.2))
+        run.run_until(StopRule(epsilon=0.2))
         counts = [arm.m for arm in run.arms]
     else:
         counts = [naive_plan(len(dists), u, 0.5, 0.1)[1]] * len(dists)

@@ -143,7 +143,7 @@ def test_elimination_removes_provably_bad_arm():
         [uc.TwoPoint(0.1, 5.0, 0.9), uc.TwoPoint(0.1, 5.0, 0.05)], seed=0
     )
     run = uc.OupRun(oracle, uc.UniformUtility(4.0), 0.25, doubling="new")
-    result = run.run_until(uc.SingleSurvivor())
+    result = run.run_until(uc.StopRule(survivors=1))
     assert run.survivors == [0]
     assert result.incumbent == 0
     assert run.arms[1].eliminated
@@ -287,7 +287,7 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(width_count, doub
     # doubling reads at a captime no arm has reached (a table holds every
     # count from 1); a second run of the same spec computes none
     # the old rule first doubles after some hundreds of rounds on this pool
-    result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
     rows = [uc.TraceRow(*row) for row in result.trace]
     counts = {}
     skipped = 0
@@ -299,7 +299,7 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(width_count, doub
     assert doublings > 0
     assert 0 < width_count[0] <= len(rows) + doublings + skipped
     width_count[0] = 0
-    again = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    again = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
     assert again.trace == result.trace and width_count[0] == 0
 
 
@@ -316,7 +316,7 @@ def test_trials_of_one_context_compute_few_widths(width_count):
     rounds = 0
     for seed in range(40):
         oracle = uc.SyntheticOracle(dists, seed=seed)
-        result = uc.OupRun(oracle, U60, 0.1, doubling="new").run_until(uc.TargetEpsilon(0.2))
+        result = uc.OupRun(oracle, U60, 0.1, doubling="new").run_until(uc.StopRule(epsilon=0.2))
         rounds += len(result.trace)
     assert 0 < width_count[0] < 0.05 * rounds
 
@@ -333,7 +333,7 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
     # a round values its own run, and a doubling every earlier run of the
     # arm, for its new utility sum; later pulls read u(kappa) off the
     # snapshot, so it is computed on a first pull and after a doubling
-    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.MaxRounds(2000))
+    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
     rows = [uc.TraceRow(*row) for row in result.trace]
     pulls = {}
     revalued = 0
@@ -373,7 +373,7 @@ def test_eps_min_is_running_minimum_with_round():
 
 def test_guarantee_driven_by_best_arm_after_others_stop():
     run = uc.OupRun(two_arm_oracle(), uc.UniformUtility(60.0), 0.1, doubling="new")
-    result = run.run_until(uc.TargetEpsilon(0.3))
+    result = run.run_until(uc.StopRule(epsilon=0.3))
     star = result.incumbent
     snaps = [a.snapshot for a in run.arms]
     assert snaps[star].ucb == max(s.ucb for i, s in enumerate(snaps) if i in run.survivors)
@@ -387,7 +387,7 @@ def test_guarantee_driven_by_best_arm_after_others_stop():
 
 def test_zero_budget_returns_immediately():
     run = uc.OupRun(a2_oracle(0), U60, 0.1)
-    result = run.run_until(uc.BudgetSeconds(0.0))
+    result = run.run_until(uc.StopRule(seconds=0.0, stop_reason="budget_exhausted"))
     assert result.incumbent == 0
     assert result.epsilon == 1.0
     assert result.trace == []
@@ -396,7 +396,7 @@ def test_zero_budget_returns_immediately():
 
 def test_max_rounds_stop():
     run = uc.OupRun(a2_oracle(0), U60, 0.1, doubling="new")
-    result = run.run_until(uc.MaxRounds(25))
+    result = run.run_until(uc.StopRule(rounds=25))
     assert len(result.trace) == 25
 
 
@@ -414,7 +414,7 @@ def test_target_epsilon_single_arm_round_count_matches_formula():
             break
     assert m_star is not None
     run = uc.OupRun(oracle, utility, delta)
-    result = run.run_until(uc.TargetEpsilon(0.1))
+    result = run.run_until(uc.StopRule(epsilon=0.1))
     assert len(result.trace) == m_star
     assert result.epsilon == pytest.approx(2 * alpha(run.ctx, m_star, 1.0), rel=1e-12)
     assert not any(uc.TraceRow(*row).doubled for row in run.trace)
@@ -426,7 +426,7 @@ def test_instance_exhaustion_carries_diagnostics(tmp_path):
     oracle = uc.load_runtime_matrix(path, seed=0)
     run = uc.OupRun(oracle, U60, 0.1, doubling="new")
     with pytest.raises(uc.InstanceExhaustedError) as err:
-        run.run_until(uc.TargetEpsilon(0.01))
+        run.run_until(uc.StopRule(epsilon=0.01))
     assert err.value.achieved_epsilon is not None
     assert err.value.partial is not None
     assert err.value.partial.stop_reason == "instance_exhausted"
@@ -439,8 +439,8 @@ def test_instance_exhaustion_carries_diagnostics(tmp_path):
 
 
 def test_identical_seeds_give_bit_identical_traces():
-    first = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.MaxRounds(300))
-    second = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.MaxRounds(300))
+    first = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.StopRule(rounds=300))
+    second = uc.OupRun(a2_oracle(7), U60, 0.1, doubling="new").run_until(uc.StopRule(rounds=300))
     assert trace_lines(first.trace) == trace_lines(second.trace)
 
 
@@ -459,9 +459,9 @@ def test_paired_dominance_smoke():
     # a pool with large gaps: greedy selection beats round-robin on spent time
     for seed in range(3):
         oup = uc.OupRun(a2_oracle(seed), UTILITY, 0.1, doubling="new").run_until(
-            uc.TargetEpsilon(0.2)
+            uc.StopRule(epsilon=0.2)
         )
         up = uc.UpRun(a2_oracle(seed), UTILITY, 0.1, doubling="new").run_until(
-            uc.TargetEpsilon(0.2)
+            uc.StopRule(epsilon=0.2)
         )
         assert oup.ledger.total_seconds <= up.ledger.total_seconds

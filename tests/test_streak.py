@@ -50,22 +50,23 @@ def result_fields(result):
 
 
 def stepped_until(run, stop):
-    """``run_until``, made one ``step()`` at a time, with the stop rule's
-    test spelt out here."""
-    while True:
-        if isinstance(stop, uc.MaxRounds) and len(run.trace) >= stop.rounds:
-            return run._result("max_rounds")
-        if isinstance(stop, uc.BudgetSeconds) and run.ledger.total_seconds >= stop.seconds:
-            return run._result("budget_exhausted")
-        if isinstance(stop, uc.TargetEpsilon) and run.eps_min <= stop.epsilon:
-            return run._result("target_epsilon")
+    """``run_until``, made one ``step()`` at a time, with the test of the
+    stop rule's limits spelt out here."""
+    while not (
+        len(run.trace) >= stop.rounds
+        or run.ledger.total_seconds >= stop.seconds
+        or run.eps_min <= stop.epsilon
+        or len(run.survivors) <= stop.survivors
+    ):
         rounds = len(run.trace)
         run.step()
         assert len(run.trace) == rounds + 1
+    return run._result(stop.stop_reason)
 
 
 def stepped_phases(run, phases):
-    """``run_phases(MaxPhases(phases))``, made one ``phase_step()`` at a time."""
+    """``run_phases(StopRule(phases=phases))``, made one ``phase_step()`` at a
+    time."""
     while run.p < phases:
         run.begin_phase()
         eps = run.eps_min
@@ -89,9 +90,9 @@ def engine(procedure, oracle, pool, doubling, utility=UTILITY):
     doubling=st.sampled_from(["old", "new"]),
     utility=st.sampled_from([UTILITY, UNIFORM]),
     stop=st.one_of(
-        st.builds(uc.MaxRounds, st.integers(1, 600)),
-        st.builds(uc.BudgetSeconds, st.floats(0.0, 400.0)),
-        st.builds(uc.TargetEpsilon, st.floats(0.45, 0.9)),
+        st.builds(uc.StopRule, rounds=st.integers(1, 600)),
+        st.builds(uc.StopRule, seconds=st.floats(0.0, 400.0)),
+        st.builds(uc.StopRule, epsilon=st.floats(0.45, 0.9)),
     ),
 )
 def test_run_until_equals_single_rounds(procedure, pool, seed, doubling, utility, stop):
@@ -121,8 +122,8 @@ def test_eliminations_in_the_middle_of_a_streak():
         return run
 
     streaked, stepped = make(), make()
-    result = streaked.run_until(uc.MaxRounds(400))
-    assert result_fields(result) == result_fields(stepped_until(stepped, uc.MaxRounds(400)))
+    result = streaked.run_until(uc.StopRule(rounds=400))
+    assert result_fields(result) == result_fields(stepped_until(stepped, uc.StopRule(rounds=400)))
     assert state(streaked) == state(stepped)
     trace = [uc.TraceRow(*row) for row in result.trace]
     falls = [k for k in range(1, len(trace)) if trace[k].survivors < trace[k - 1].survivors]
@@ -150,7 +151,7 @@ def test_run_phases_equals_single_rounds(finite, seed, doubling, phases):
         return uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling=doubling)
 
     streaked, stepped = make(), make()
-    result = streaked.run_phases(uc.MaxPhases(phases))
+    result = streaked.run_phases(uc.StopRule(phases=phases, stop_reason="max_phases"))
     assert result_fields(result) == result_fields(stepped_phases(stepped, phases))
     assert len(result.certificates) == phases
     assert state(streaked) == state(stepped)
@@ -181,7 +182,7 @@ def test_exhaustion_equals_single_rounds(procedure, rows, instances, doubling):
         return engine(procedure, oracle, None, doubling)
 
     # no run of at most 30 instances per configuration reaches eps 0.01
-    stop = uc.TargetEpsilon(0.01)
+    stop = uc.StopRule(epsilon=0.01)
     streaked, stepped = make(), make()
     _, got = exhausted(streaked, lambda run: run.run_until(stop))
     _, want = exhausted(stepped, lambda run: stepped_until(run, stop))
@@ -195,11 +196,11 @@ def test_exhaustion_in_the_middle_of_a_streak():
     matrix = ((0.1,) * 12, (50.0,) * 12, (9.0, 0.2) * 6)
     oracle = uc.MatrixOracle(matrix, ("fast", "slow", "mixed"), tuple(range(12)))
     run = uc.OupRun(oracle, UTILITY, 0.1)
-    err, got = exhausted(run, lambda run: run.run_until(uc.TargetEpsilon(0.01)))
+    err, got = exhausted(run, lambda run: run.run_until(uc.StopRule(epsilon=0.01)))
     trace = [uc.TraceRow(*row) for row in err.partial.trace]
     assert err.config == 0 and trace[-1].selected == trace[-2].selected == 0
     twin = uc.OupRun(uc.MatrixOracle(matrix, oracle.names, oracle.instance_order), UTILITY, 0.1)
-    _, want = exhausted(twin, lambda run: stepped_until(run, uc.TargetEpsilon(0.01)))
+    _, want = exhausted(twin, lambda run: stepped_until(run, uc.StopRule(epsilon=0.01)))
     assert got == want
     assert state(run) == state(twin)
     # the failed pull counted the observation, and made no run
@@ -212,7 +213,7 @@ def test_a_first_run_that_fails_charges_nothing():
     # arm counts the observation, and the ledger holds no run and no seconds
     oracle = uc.MatrixOracle(((), ()), ("a", "b"), ())
     run = uc.OupRun(oracle, UTILITY, 0.1)
-    err, _ = exhausted(run, lambda run: run.run_until(uc.MaxRounds(5)))
+    err, _ = exhausted(run, lambda run: run.run_until(uc.StopRule(rounds=5)))
     assert (err.config, err.instance, err.partial.trace) == (0, 0, [])
     assert run.arms[0].m == 1 and run.arms[0].snapshot is uc.FRESH
     assert (run.ledger.run_count, run.ledger.total_seconds) == (0, 0.0)
