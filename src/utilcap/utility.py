@@ -66,8 +66,11 @@ def parse_utility(text: str) -> UtilityFunction:
             key, sep, value = item.partition("=")
             if not sep:
                 raise ValueError(f"bad utility parameter {item!r} in {text!r}")
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"utility parameter {key!r} given twice in {text!r}")
             try:
-                params[key.strip()] = float(value)
+                params[key] = float(value)
             except ValueError:
                 raise ValueError(f"bad utility parameter value {value!r} in {text!r}") from None
     name = name.strip().lower()

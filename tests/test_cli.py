@@ -455,6 +455,9 @@ def main_under_memory_limit(args, cwd):
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:kappa0=60,a=nan")),
         ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "uniform:kappa0=inf")),
         ("run", "sh", "budget:64", ("--seed", "3", "--sh-kappa", "nan")),
+        # a utility parameter given twice
+        ("run", "oup", "epsilon:0.4",
+         ("--seed", "3", "--utility", "loglaplace:kappa0=60,kappa0=30")),
         # plans of about 10^19 and 10^18 runs
         ("run", "naive", "epsilon:1e-9", ("--seed", "3")),
         ("run", "sh", "budget:1e18", ("--seed", "3")),
@@ -546,6 +549,7 @@ def main_under_memory_limit(args, cwd):
         "utility_decay_nan",
         "utility_kappa0_infinite",
         "sh_kappa_nan",
+        "utility_parameter_repeated",
         "naive_plan_too_large",
         "sh_plan_too_large",
         "oup_rounds_too_large",

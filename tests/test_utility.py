@@ -62,7 +62,11 @@ def test_parse_utility_round_trip():
 
 
 def test_parse_utility_rejects_garbage():
-    for bad in ("loglaplace", "loglaplace:kappa0", "gauss:kappa0=1", "uniform:k=1"):
+    for bad in (
+        "loglaplace", "loglaplace:kappa0", "gauss:kappa0=1", "uniform:k=1",
+        # a parameter given twice, which would otherwise keep the last value
+        "loglaplace:kappa0=60,kappa0=30", "uniform:kappa0=60, kappa0=30",
+    ):
         with pytest.raises(ValueError):
             parse_utility(bad)
 
