@@ -26,16 +26,20 @@ no round of the streak changes and so are read once, at its start, and
 unpacked into float bounds and positions.  The arm's count, captime, sums
 and latest bounds, its runtime table, the width table at its captime, the
 ledger's total, the count of doubling reruns, ``eps_min`` and the limits
-of the run's ``StopRule`` are locals too; a round reads its runtime and its width from
-the two tables, and builds no tuple but its trace row.  A streak ends
-after a round that changes the selection, eliminates or meets a stop
-limit, or when the oracle runs out of instances; the locals are then
+of the run's ``StopRule`` are locals too; a round reads its runtime and
+its width from the two tables, and builds no tuple but its trace row.  A
+streak ends after a round that changes the selection, eliminates or meets
+a limit, or when the oracle runs out of instances; the locals are then
 written back, the arm's bounds as one ``BoundSnapshot``, and the arm's keys
 are pushed again.  So the heaps hold every survivor whenever ``step`` is
 not running, and a streak touches the heaps only at its two ends: select,
 incumbent and eps cost O(log n) amortized per streak rather than O(n) per
-round.  Called alone, ``step``
-makes one round.
+round.  Called alone, ``step`` makes one round.
+
+Every stop is one ``records.StopRule``, the limits a run stops at.
+``run_until`` hands it to ``step`` and tests it between streaks, and
+``CoupRun.run_phases`` runs each phase through the same loop, with the
+phase's end as the ``epsilon`` limit.
 """
 
 from __future__ import annotations
