@@ -108,16 +108,19 @@ def test_build_oracle_kinds(tmp_path):
 
 
 def test_parse_stop_rules():
-    assert parse_stop("epsilon:0.2", "oup") == uc.StopRule(epsilon=0.2, stop_reason="target_epsilon")
-    assert parse_stop("budget:100", "up") == uc.StopRule(seconds=100.0, stop_reason="budget_exhausted")
-    assert parse_stop("single_survivor", "oup") == uc.StopRule(survivors=1, stop_reason="single_survivor")
-    assert parse_stop("rounds:50", "up") == uc.StopRule(rounds=50, stop_reason="max_rounds")
-    # every round makes a run, so the round cap is the plan cap of naive and sh
-    assert parse_stop("rounds:100000000", "oup") == uc.StopRule(rounds=10**8, stop_reason="max_rounds")
-    assert parse_stop("phases:3", "coup") == uc.StopRule(phases=3, stop_reason="max_phases")
-    # every phase writes a certificate row, so phases share the round cap
-    assert parse_stop("phases:100000000", "coup") == uc.StopRule(phases=10**8, stop_reason="max_phases")
-    assert parse_stop("budget:1e6", "coup") == uc.StopRule(seconds=1e6, stop_reason="budget_exhausted")
+    for text, procedure, want in [
+        ("epsilon:0.2", "oup", uc.StopRule(epsilon=0.2, stop_reason="target_epsilon")),
+        ("budget:100", "up", uc.StopRule(seconds=100.0, stop_reason="budget_exhausted")),
+        ("single_survivor", "oup", uc.StopRule(survivors=1, stop_reason="single_survivor")),
+        ("rounds:50", "up", uc.StopRule(rounds=50, stop_reason="max_rounds")),
+        # every round makes a run, so the round cap is the plan cap of naive and sh
+        ("rounds:100000000", "oup", uc.StopRule(rounds=10**8, stop_reason="max_rounds")),
+        ("phases:3", "coup", uc.StopRule(phases=3, stop_reason="max_phases")),
+        # every phase writes a certificate row, so phases share the round cap
+        ("phases:100000000", "coup", uc.StopRule(phases=10**8, stop_reason="max_phases")),
+        ("budget:1e6", "coup", uc.StopRule(seconds=1e6, stop_reason="budget_exhausted")),
+    ]:
+        assert parse_stop(text, procedure) == want
     for text, procedure in [
         ("phases:3", "oup"),
         ("epsilon:0.2", "coup"),

@@ -287,7 +287,9 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(width_count, doub
     # doubling reads at a captime no arm has reached (a table holds every
     # count from 1); a second run of the same spec computes none
     # the old rule first doubles after some hundreds of rounds on this pool
-    result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
+    result = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(
+        uc.StopRule(rounds=2000)
+    )
     rows = [uc.TraceRow(*row) for row in result.trace]
     counts = {}
     skipped = 0
@@ -299,7 +301,9 @@ def test_alpha_is_computed_once_per_pull_and_once_per_doubling(width_count, doub
     assert doublings > 0
     assert 0 < width_count[0] <= len(rows) + doublings + skipped
     width_count[0] = 0
-    again = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
+    again = uc.OupRun(a8_oracle(5), U60, 0.1, doubling=doubling).run_until(
+        uc.StopRule(rounds=2000)
+    )
     assert again.trace == result.trace and width_count[0] == 0
 
 
@@ -333,7 +337,9 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
     # a round values its own run, and a doubling every earlier run of the
     # arm, for its new utility sum; later pulls read u(kappa) off the
     # snapshot, so it is computed on a first pull and after a doubling
-    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(uc.StopRule(rounds=2000))
+    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(
+        uc.StopRule(rounds=2000)
+    )
     rows = [uc.TraceRow(*row) for row in result.trace]
     pulls = {}
     revalued = 0
