@@ -51,71 +51,87 @@ class UpRun(OupRun):
 
 
 # ---------------------------------------------------------------------------
-# Naive fixed-sample procedure
+# Fixed plans: naive and successive halving
 # ---------------------------------------------------------------------------
 
 
-def _sample_to(
+def run_plan(
+    procedure: str,
     oracle: RuntimeOracle,
     utility: UtilityFunction,
     kappa: float,
-    alive: list[int],
-    target: int,
-    sums: list[float],
-    counts: list[int],
-    ledger: CostLedger,
-    trace,
-    rounds: int,
-) -> int:
-    """Top each arm in ``alive`` up to ``target`` runs at captime ``kappa``;
-    the sampling loop of both naive and successive halving.  Returns the
-    run's round count, ``rounds`` before the call.
+    stages: list[tuple[int, int]],
+    epsilon: float,
+    trace=None,
+) -> RunResult:
+    """A run of a fixed plan at captime ``kappa``, the run of both naive and
+    successive halving; its rows go to ``trace``, a new list unless one is
+    given, as in ``OupRun``.
 
-    Arms are configuration ids; run j of an arm is instance j, read from
-    the oracle's runtime table, which is grown to ``target`` before the
-    arm's first run.  Each run is a round: it appends one trace row, with
-    eps 1.0 and the best empirical mean among ``alive`` as the incumbent
-    (ties to the lowest position).
+    Each ``(target, keep)`` stage tops every surviving arm up to ``target``
+    runs, in position order, then keeps the ``keep`` best by mean (ties to
+    the lowest position); the incumbent heads the last stage's ranking.
+    Arms are configuration ids; run j of an arm is instance j, read from the
+    oracle's runtime table, which is grown to ``target`` before the arm's
+    first run.  Each run is a round: it appends one trace row, with eps 1.0
+    and the best empirical mean among the survivors as the incumbent.
     """
+    n = oracle.n_configs
+    trace = [] if trace is None else trace
+    sums = [0.0] * n
+    counts = [0] * n
+
     def rank(i: int) -> tuple[float, int]:
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
 
     u = utility.__call__
     add_row = trace.append
-    survivors = len(alive)
-    for a in alive:
-        count = counts[a]
-        if count >= target:
-            continue
-        # no other arm changes while ``a`` is sampled: rank the others once
-        # (below every mean when there are none), and keep the arm's and the
-        # ledger's sums in locals until it is done
-        top, other = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
-        other = -other
-        # the plan is known, so the runtime table is grown to it at once
-        times, draw = oracle.runtime_of(a)
-        if target > len(times):
-            draw(target - 1)
-        total = ledger.total_seconds
-        sum_a = sums[a]
-        runs = ledger.run_count
-        while count < target:
-            t = times[count]
-            d = t if t < kappa else kappa
-            total += d
-            runs += 1
-            sum_a += u(d)
-            count += 1
-            rounds += 1
-            # (mean, -a) > (top, -other), as floats; no mean is nan
-            mean = sum_a / count
-            best = a if mean > top or (mean == top and a < other) else other
-            add_row((rounds, total, a, False, 1.0, 1.0, survivors, best))
-        sums[a] = sum_a
-        counts[a] = count
-        ledger.total_seconds = total
-        ledger.run_count = runs
-    return rounds
+    total = 0.0
+    rounds = 0
+    alive = list(range(n))
+    for target, keep in stages:
+        survivors = len(alive)
+        for a in alive:
+            # no other arm changes while ``a`` is sampled: rank the others once
+            # (below every mean when there are none), and keep the arm's sums
+            # in locals until it is done
+            top, other = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
+            other = -other
+            # the plan is known, so the runtime table is grown to it at once
+            times, draw = oracle.runtime_of(a)
+            if target > len(times):
+                draw(target - 1)
+            count, sum_a = counts[a], sums[a]
+            while count < target:
+                t = times[count]
+                d = t if t < kappa else kappa
+                total += d
+                sum_a += u(d)
+                count += 1
+                rounds += 1
+                # (mean, -a) > (top, -other), as floats; no mean is nan
+                mean = sum_a / count
+                best = a if mean > top or (mean == top and a < other) else other
+                add_row((rounds, total, a, False, 1.0, 1.0, survivors, best))
+            counts[a], sums[a] = count, sum_a
+        ranked = sorted(alive, key=rank, reverse=True)
+        alive = sorted(ranked[:keep])
+    ledger = CostLedger()
+    ledger.total_seconds = total
+    # a fixed plan makes one run per round and reruns nothing
+    ledger.run_count = rounds
+    best = ranked[0]
+    return RunResult(
+        procedure=procedure,
+        incumbent=best,
+        incumbent_config=best,
+        incumbent_name=oracle.name(best),
+        epsilon=epsilon,
+        trace=trace,
+        rounds=rounds,
+        ledger=ledger,
+        stop_reason="completed",
+    )
 
 
 # the most runs a naive or successive-halving plan may make: at one trace row
@@ -155,39 +171,17 @@ def naive_plan(n: int, u: UtilityFunction, epsilon: float, delta: float) -> tupl
 
 
 def naive_run(
-    oracle: RuntimeOracle,
-    utility: UtilityFunction,
-    epsilon: float,
-    delta: float,
-    trace=None,
+    oracle: RuntimeOracle, utility: UtilityFunction, epsilon: float, delta: float, trace=None
 ) -> RunResult:
-    """A naive run; its rows go to ``trace``, a new list unless one is
-    given, as in ``OupRun``."""
+    """A naive run: every configuration's plan is one stage."""
     n = oracle.n_configs
     kappa_bar, m = naive_plan(n, utility, epsilon, delta)
-    ledger = CostLedger()
-    trace = [] if trace is None else trace
-    sums = [0.0] * n
-    counts = [0] * n
-    rounds = _sample_to(
-        oracle, utility, kappa_bar, list(range(n)), m, sums, counts, ledger, trace, 0
-    )
+    result = run_plan("naive", oracle, utility, kappa_bar, [(m, n)], epsilon, trace)
     # the certificate holds only once every configuration has all m samples:
     # it is the last row's eps_raw and eps_min
-    last = trace[-1]
-    trace[-1] = last[:4] + (epsilon, epsilon) + last[6:]
-    best = last[7]
-    return RunResult(
-        procedure="naive",
-        incumbent=best,
-        incumbent_config=best,
-        incumbent_name=oracle.name(best),
-        epsilon=epsilon,
-        trace=trace,
-        rounds=rounds,
-        ledger=ledger,
-        stop_reason="completed",
-    )
+    trace = result.trace
+    trace[-1] = trace[-1][:4] + (epsilon, epsilon) + trace[-1][6:]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -234,34 +228,10 @@ def successive_halving(
     budget: int,
     eta: int,
     kappa: float,
+    trace=None,
 ) -> RunResult:
-    n = oracle.n_configs
-    sizes, rate = halving_plan(n, budget, eta, kappa)
-    ledger = CostLedger()
-    trace: list[tuple] = []
-    sums = [0.0] * n
-    counts = [0] * n
-    alive = list(range(n))
-    rounds = 0
-    for k in range(len(sizes)):
-        rounds = _sample_to(
-            oracle, utility, kappa, alive, rate * eta ** k, sums, counts, ledger, trace, rounds
-        )
-        if k + 1 < len(sizes):
-            keep = sizes[k + 1]
-            alive = sorted(
-                sorted(alive), key=lambda i: (-(sums[i] / counts[i]), i)
-            )[:keep]
-            alive.sort()
-    winner = alive[0]
-    return RunResult(
-        procedure="sh",
-        incumbent=winner,
-        incumbent_config=winner,
-        incumbent_name=oracle.name(winner),
-        epsilon=math.nan,
-        trace=trace,
-        rounds=rounds,
-        ledger=ledger,
-        stop_reason="completed",
-    )
+    """A successive-halving run: stage k tops the survivors up to
+    ``rate * eta^k`` runs and keeps as many as the next stage has."""
+    sizes, rate = halving_plan(oracle.n_configs, budget, eta, kappa)
+    stages = [(rate * eta ** k, keep) for k, keep in enumerate(sizes[1:] + [1])]
+    return run_plan("sh", oracle, utility, kappa, stages, math.nan, trace)

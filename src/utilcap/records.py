@@ -106,9 +106,10 @@ class RunResult:
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
     and nan for ``sh``, which certifies nothing.  A run makes ``rounds``
     rounds and appends one row per round to ``trace``, a tuple laid out as
-    ``TraceRow``.  ``trace`` is the list the rows went to, unless the run
-    was handed another sink: a validation trial keeps only the last row, in
-    a ``collections.deque(maxlen=1)``.  ``extra`` holds what validation
+    ``TraceRow``.  Every procedure takes a trace sink: ``trace`` is the list
+    the rows went to, unless the run was handed another one, as a
+    validation trial keeps only the last row in a
+    ``collections.deque(maxlen=1)``.  ``extra`` holds what validation
     reads of a ``coup`` run besides its certificates: its ``sampler``.
     """
 

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -144,39 +145,57 @@ def test_sampling_reads_every_planned_run_at_a_block_boundary(target):
     # synthetic table grows by blocks of 128: a plan one past a block reads
     # the first runtime of the next one
     oracle = small_oracle(9)
-    ledger = uc.CostLedger()
-    sums, counts = [0.0] * 3, [0] * 3
-    trace = []
-    rounds = uc.baselines._sample_to(
-        oracle, U60, 4.0, [0, 1], target, sums, counts, ledger, trace, 0
-    )
-    assert rounds == len(trace) == 2 * target
-    assert counts == [target, target, 0] and ledger.run_count == 2 * target
-    assert [uc.TraceRow(*row).selected for row in trace] == [0] * target + [1] * target
+    result = uc.baselines.run_plan("naive", oracle, U60, 4.0, [(target, 3)], 0.4)
+    trace = result.trace
+    assert result.rounds == len(trace) == result.ledger.run_count == 3 * target
+    selected = [uc.TraceRow(*row).selected for row in trace]
+    assert selected == [0] * target + [1] * target + [2] * target
+    capped = [[min(t, 4.0) for t in true_runtimes(oracle, c, target)] for c in range(3)]
+    means = [sum(U60(d) for d in row) / target for row in capped]
+    assert result.incumbent == max(range(3), key=lambda i: (means[i], -i))
     total = 0.0
-    for config in (0, 1):
-        capped = [min(t, 4.0) for t in true_runtimes(oracle, config, target)]
-        assert sums[config] == sum(U60(d) for d in capped)
-        for d in capped:
+    for row in capped:
+        for d in row:
             total += d
-    assert ledger.total_seconds == total
+    assert result.ledger.total_seconds == total
 
 
 def test_sampling_breaks_exact_mean_ties_toward_the_lowest_position():
     # configurations 0 and 2 run alike, so their means tie exactly: the
     # incumbent is the lower position, both when that is another arm (while
     # 2 is sampled) and when it is the arm being sampled (0, in the second
-    # call, against 2's mean)
+    # stage, against 2's mean); the ranking that keeps two arms, and the one
+    # that names the winner, break the tie the same way
     matrix = ((1.0,) * 6, (5.0,) * 6, (1.0,) * 6)
     oracle = uc.MatrixOracle(matrix, ("a", "b", "c"), tuple(range(6)))
-    ledger, trace = uc.CostLedger(), []
-    sums, counts = [0.0] * 3, [0] * 3
-    sample = uc.baselines._sample_to
-    rounds = sample(oracle, U60, 8.0, [0, 1, 2], 3, sums, counts, ledger, trace, 0)
-    sample(oracle, U60, 8.0, [0, 2], 6, sums, counts, ledger, trace, rounds)
-    rows = [uc.TraceRow(*row) for row in trace]
+    result = uc.baselines.run_plan("sh", oracle, U60, 8.0, [(3, 2), (6, 1)], math.nan)
+    rows = [uc.TraceRow(*row) for row in result.trace]
     assert [row.selected for row in rows] == [0] * 3 + [1] * 3 + [2] * 3 + [0] * 3 + [2] * 3
     assert [row.incumbent for row in rows] == [0] * 15
+    assert [row.survivors for row in rows] == [3] * 9 + [2] * 6
+    assert result.incumbent == 0
+
+
+@pytest.mark.parametrize("procedure", ["naive", "sh"])
+def test_fixed_plans_fill_a_bounded_sink_as_a_list(procedure):
+    # a validation trial hands the run a deque that keeps only the last row
+    def run(trace):
+        if procedure == "naive":
+            return uc.naive_run(small_oracle(4), U60, 0.5, 0.1, trace)
+        return uc.successive_halving(small_oracle(4), U60, 64, 2, 8.0, trace)
+
+    full = run(None)
+    last = run(collections.deque(maxlen=1))
+    assert isinstance(full.trace, list) and list(last.trace) == full.trace[-1:]
+    assert last.trace[-1][4] == (0.5 if procedure == "naive" else 1.0)
+
+    def fields(result):
+        ledger = result.ledger
+        return (result.procedure, result.incumbent, result.incumbent_config,
+                result.incumbent_name, repr(result.epsilon), result.rounds,
+                ledger.total_seconds, ledger.run_count, result.stop_reason)
+
+    assert fields(last) == fields(full)
 
 
 def test_naive_and_halving_report_the_first_missing_instance():

@@ -9,7 +9,6 @@ from scipy.special import ndtri
 
 from utilcap import (
     BoundContext,
-    CostLedger,
     Exponential,
     InstanceExhaustedError,
     LogLaplaceUtility,
@@ -24,7 +23,7 @@ from utilcap import (
     load_runtime_matrix,
     true_capped_utility,
 )
-from utilcap.baselines import _sample_to, halving_plan, naive_plan, naive_run
+from utilcap.baselines import halving_plan, naive_plan, naive_run, run_plan
 from utilcap.records import StopRule
 from utilcap.rng import RUNTIME_STREAM, UniformStream, stream_generator
 
@@ -53,8 +52,7 @@ def observe(runtimes, kappa=1.0):
     for _ in range(n):
         run.step()
     arm = run.arms[0]
-    sampled = CostLedger()
-    _sample_to(oracle, U60, kappa, [0], n, [0.0], [0], sampled, [], 0)
+    sampled = run_plan("naive", oracle, U60, kappa, [(n, 1)], math.nan).ledger
     observed = durations(oracle, arm)
     assert sampled.total_seconds == run.ledger.total_seconds == sum(observed)
     return arm, observed
@@ -84,7 +82,7 @@ def test_observe_rejects_bad_inputs():
         observe([0.5, -1.0])
     negative = MatrixOracle(((-1.0,),), ("a",), (0,))
     with pytest.raises(ValueError, match="nonnegative"):
-        _sample_to(negative, U60, 1.0, [0], 1, [0.0], [0], CostLedger(), [], 0)
+        run_plan("naive", negative, U60, 1.0, [(1, 1)], math.nan)
     # a captime: every pull's width looks the arm's up on the doubling grid,
     # naive's is a power of two, and sh's is checked by its plan
     ctx = BoundContext(n=1, delta=0.1)
