@@ -23,8 +23,9 @@ from .harness import (
     GuaranteeViolation,
     InstanceExhaustedError,
     SpecError,
+    _quoted_lines,
+    _write_csv,
     epsilon_vs_time_curve,
-    format_value,
     map_in_workers,
     output_directory,
     parse_spec,
@@ -37,6 +38,8 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_EXHAUSTED = 3
 EXIT_VALIDATION = 4
+
+CURVE_COLUMNS = ("procedure", "ledger_seconds", "eps_min")
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = True) -> None:
@@ -251,15 +254,12 @@ def cmd_curve(args) -> int:
     out = _output_file(args.out) if args.out else None
     runs = [_read_run_dir(Path(p)) for p in args.runs]
     rows = epsilon_vs_time_curve(runs)
-    lines = ["procedure,ledger_seconds,eps_min"]
-    for procedure, seconds, eps in rows:
-        lines.append(f"{procedure},{format_value(seconds)},{format_value(eps)}")
-    text = "\n".join(lines) + "\n"
     if out is not None:
-        out.write_text(text, encoding="utf-8")
+        _write_csv(out, CURVE_COLUMNS, _quoted_lines(rows))
         print(f"wrote {len(rows)} curve points to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(",".join(CURVE_COLUMNS) + "\n")
+        sys.stdout.writelines(_quoted_lines(rows))
     return EXIT_OK
 
 

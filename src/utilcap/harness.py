@@ -114,7 +114,7 @@ def _count(name: str, value: str) -> int:
 
 def parse_stop(text: str, procedure: str) -> StopRule:
     """The stop rule of ``--stop`` for a procedure: one limit, and its reason."""
-    name, _, value = text.partition(":")
+    name, colon, value = text.partition(":")
     name = name.strip()
     try:
         if procedure == "coup":
@@ -130,7 +130,7 @@ def parse_stop(text: str, procedure: str) -> StopRule:
                 return _epsilon(value)
             if name == "budget":
                 return _budget(value)
-            if name == "single_survivor":
+            if name == "single_survivor" and not colon:
                 return StopRule(survivors=1, stop_reason="single_survivor")
             if name == "rounds" and int(value) >= 1:
                 return StopRule(rounds=_count("rounds", value), stop_reason="max_rounds")
@@ -423,7 +423,7 @@ def execute(spec: ExperimentSpec, parsed: tuple | None = None, trace=None):
 
     ``parsed`` is what ``parse_spec`` gives for the spec, which is parsed
     here when it is omitted.  The run appends its trace rows to ``trace``,
-    a new list when it is omitted (``sh`` always keeps a list)."""
+    a new list when it is omitted."""
     utility, stop, schedule, oracle, make = parsed or parse_spec(spec)
     if spec.procedure == "oup":
         run = OupRun(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
@@ -435,7 +435,7 @@ def execute(spec: ExperimentSpec, parsed: tuple | None = None, trace=None):
         return naive_run(oracle, utility, stop.epsilon, spec.delta, trace)
     if spec.procedure == "sh":
         budget = int(stop.seconds)
-        return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa)
+        return successive_halving(oracle, utility, budget, spec.sh_eta, spec.sh_kappa, trace)
     if make is not None:
         sampler = ParametricSampler(oracle, spec.seed, make)
     else:

@@ -15,7 +15,7 @@ clearly apart from the confidence width alpha used elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,14 @@ def parse_utility(text: str) -> UtilityFunction:
             except ValueError:
                 raise ValueError(f"bad utility parameter value {value!r} in {text!r}") from None
     name = name.strip().lower()
-    try:
-        if name == "loglaplace":
-            return LogLaplaceUtility(**params)
-        if name == "uniform":
-            return UniformUtility(**params)
-    except TypeError:
-        raise ValueError(f"unknown parameters for utility {name!r}: {sorted(params)}") from None
-    raise ValueError(f"unknown utility shape {name!r} (expected loglaplace or uniform)")
+    shape = {"loglaplace": LogLaplaceUtility, "uniform": UniformUtility}.get(name)
+    if shape is None:
+        raise ValueError(f"unknown utility shape {name!r} (expected loglaplace or uniform)")
+    defaults = {f.name: f.default for f in fields(shape)}
+    unknown = sorted(params.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"unknown parameters for utility {name!r}: {unknown}")
+    missing = [k for k, default in defaults.items() if default is MISSING and k not in params]
+    if missing:
+        raise ValueError(f"missing parameters for utility {name!r}: {missing}")
+    return shape(**params)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 import os
 import resource
@@ -124,6 +125,28 @@ def test_sweep_and_curve_round_trip(tmp_path, pool_path, capsys):
     # mixing seeds is a spec error
     bad = ["curve", "--runs", str(tmp_path / "grid" / "oup_seed3"), str(tmp_path / "grid" / "up_seed4")]
     assert main(bad) == 2
+
+
+def test_curve_writes_through_the_csv_writer(tmp_path, pool_path, capsys):
+    # a real procedure name gives the trace's own number text, unquoted; a
+    # procedure cell with a comma comes out quoted, one cell, as in every
+    # other CSV the tool writes
+    run = tmp_path / "run"
+    assert main(run_args(pool_path, run)) == 0
+    trace = list(csv.reader((run / "trace.csv").read_text().splitlines()))[1:]
+    summary = run / "summary.csv"
+    for procedure, cell in (("oup", "oup"), ("oup,x", '"oup,x"')):
+        header, row = csv.reader(summary.read_text().splitlines())
+        with summary.open("w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([header, [procedure] + row[1:]])
+        capsys.readouterr()
+        assert main(["curve", "--runs", str(run)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "procedure,ledger_seconds,eps_min\n" + "".join(
+            f"{cell},{fields[2]},{fields[6]}\n" for fields in trace
+        )
+        assert main(["curve", "--runs", str(run), "--out", str(tmp_path / "curve.csv")]) == 0
+        assert (tmp_path / "curve.csv").read_text() == printed
 
 
 def _drop_seed_column(lines):
@@ -458,6 +481,9 @@ def main_under_memory_limit(args, cwd):
         # a utility parameter given twice
         ("run", "oup", "epsilon:0.4",
          ("--seed", "3", "--utility", "loglaplace:kappa0=60,kappa0=30")),
+        # a utility without its required parameter, and a valueless stop given a value
+        ("run", "oup", "epsilon:0.4", ("--seed", "3", "--utility", "loglaplace:a=2")),
+        ("run", "up", "single_survivor:junk", ("--seed", "3")),
         # plans of about 10^19 and 10^18 runs
         ("run", "naive", "epsilon:1e-9", ("--seed", "3")),
         ("run", "sh", "budget:1e18", ("--seed", "3")),
@@ -550,6 +576,8 @@ def main_under_memory_limit(args, cwd):
         "utility_kappa0_infinite",
         "sh_kappa_nan",
         "utility_parameter_repeated",
+        "utility_parameter_missing",
+        "up_single_survivor_with_a_value",
         "naive_plan_too_large",
         "sh_plan_too_large",
         "oup_rounds_too_large",

@@ -130,6 +130,9 @@ def test_parse_stop_rules():
         ("epsilon:0.2", "hyperband"),
         ("rounds:100000001", "oup"),
         ("phases:100000001", "coup"),
+        # single_survivor takes no value
+        ("single_survivor:junk", "up"),
+        ("single_survivor:", "oup"),
     ]:
         with pytest.raises(SpecError):
             parse_stop(text, procedure)

@@ -71,6 +71,19 @@ def test_parse_utility_rejects_garbage():
             parse_utility(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("loglaplace:a=2", "missing parameters for utility 'loglaplace': ['kappa0']"),
+        ("loglaplace:kappa0=60,b=1", "unknown parameters for utility 'loglaplace': ['b']"),
+    ],
+)
+def test_parse_utility_names_the_wrong_parameter(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_utility(text)
+    assert str(err.value) == message
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         LogLaplaceUtility(0.0, 1.0)
