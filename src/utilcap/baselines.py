@@ -120,12 +120,12 @@ def run_plan(
     ledger.total_seconds = total
     # a fixed plan makes one run per round and reruns nothing
     ledger.run_count = rounds
-    best = ranked[0]
+    winner = ranked[0]
     return RunResult(
         procedure=procedure,
-        incumbent=best,
-        incumbent_config=best,
-        incumbent_name=oracle.name(best),
+        incumbent=winner,
+        incumbent_config=winner,
+        incumbent_name=oracle.name(winner),
         epsilon=epsilon,
         trace=trace,
         rounds=rounds,
@@ -173,7 +173,8 @@ def naive_plan(n: int, u: UtilityFunction, epsilon: float, delta: float) -> tupl
 def naive_run(
     oracle: RuntimeOracle, utility: UtilityFunction, epsilon: float, delta: float, trace=None
 ) -> RunResult:
-    """A naive run: every configuration's plan is one stage."""
+    """A naive run: one stage that runs every configuration ``m`` times at
+    the captime ``naive_plan`` gives."""
     n = oracle.n_configs
     kappa_bar, m = naive_plan(n, utility, epsilon, delta)
     result = run_plan("naive", oracle, utility, kappa_bar, [(m, n)], epsilon, trace)
