@@ -21,8 +21,10 @@ away), an up run over a pool listed worst first, whose incumbent
 eliminates rivals from the low-UCB heap, oup and up runs that stop by
 budget and by rounds, an up run that stops with a single survivor, an oup
 run on the two-point family, a coup run over a finite pool sampled
-without replacement, and coup runs whose budget runs out exactly where
-phase 1 ends and inside phase 2.
+without replacement, coup runs whose budget runs out exactly where phase
+1 ends and inside phase 2, an oup run over one configuration, whose heaps
+hold no rival while it is held, and an up run whose held arm ranks below
+the best rival on the low-UCB heap yet is not eliminated.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ REVERSED = "family=exponential\nparams=200.0;60.0;20.0;5.0;1.0\nn_configs=5\n"
 SLOW = "family=exponential\nparams=30.0;45.0;60.0;90.0\n"
 # far apart, so up eliminates down to one survivor in about 1,300 rounds
 SPREAD = "family=exponential\nparams=0.5;30.0;100.0;400.0\n"
+# one configuration: with it held, the heaps hold no rival
+ONE = "family=exponential\nparams=3.0\n"
+# at seed 40, up's held arm ranks below the best rival on the low-UCB heap
+# yet stays at or above the incumbent's LCB
+CLOSE = "family=exponential\nparams=3.09;11.56;72.19;154.72;179.79\n"
 # ten two-point configurations: enough for two coup phases without replacement
 TWOPOINT = "family=twopoint\nparams=" + ";".join((
     "0.5,40.0,0.9", "1.0,80.0,0.6", "2.0,30.0,0.5", "0.25,120.0,0.8", "4.0,20.0,0.7",
@@ -172,6 +179,20 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
                 without_replacement=without_replacement,
             ),
         ))
+    cells.append((
+        "oup_one_config",
+        uc.ExperimentSpec(
+            procedure="oup", oracle="synthetic:one.txt", utility="loglaplace:kappa0=60,a=1",
+            stop="rounds:20", seed=1, delta=0.1,
+        ),
+    ))
+    cells.append((
+        "up_held_arm_kept",
+        uc.ExperimentSpec(
+            procedure="up", oracle="synthetic:close.txt", utility="loglaplace:kappa0=60,a=1",
+            stop="epsilon:0.3", seed=40, delta=0.1, doubling="new",
+        ),
+    ))
     return cells
 
 
@@ -185,6 +206,8 @@ def digests(workdir: Path) -> dict[str, dict[str, str]]:
     (workdir / "slow.txt").write_text(SLOW)
     (workdir / "spread.txt").write_text(SPREAD)
     (workdir / "twopoint.txt").write_text(TWOPOINT)
+    (workdir / "one.txt").write_text(ONE)
+    (workdir / "close.txt").write_text(CLOSE)
     out = {}
     for name, spec in grid():
         outdir = Path(name)
@@ -397,6 +420,15 @@ EXPECTED: dict[str, dict[str, str]] = {
         'certificates.csv': '4dc712b990e67c5973511ff2e5d0ad0d6bacf4d8fd0cd85cb0e9e39b80d2dd02',
         'summary.csv': '1f4b9d2bce6d9e9c92b0dfcac688a14b1c599ddadb83c5dd64cdd9d408dc3931',
         'trace.csv': '524c7e75e4abf49a9ed95b1d797221e15b3e0fba70a86dc9c249077265711d88',
+    },
+    # cells added after the first 45
+    'oup_one_config': {
+        'summary.csv': '856c4db0558bf225c34fb286aada68a8d5c2bcb9d25689489552b4729212211b',
+        'trace.csv': '60b89a9a9e63edabb16d86cecbc31cf7f5271fa959a9fb24820c2970540e159e',
+    },
+    'up_held_arm_kept': {
+        'summary.csv': '4f6e4e195636721e4283026afc9a7cf12a07515062a3a96db811b40b20bed89f',
+        'trace.csv': '366a6400abb065e55fd352805fa7fc539e1a117c68d669ea29e95edc91ee8a12',
     },
 }
 

@@ -121,21 +121,41 @@ def test_parse_stop_rules():
         ("budget:1e6", "coup", uc.StopRule(seconds=1e6, stop_reason="budget_exhausted")),
     ]:
         assert parse_stop(text, procedure) == want
-    for text, procedure in [
-        ("phases:3", "oup"),
-        ("epsilon:0.2", "coup"),
-        ("budget:10", "naive"),
-        ("epsilon:0.2", "sh"),
-        ("epsilon:abc", "oup"),
-        ("epsilon:0.2", "hyperband"),
-        ("rounds:100000001", "oup"),
-        ("phases:100000001", "coup"),
+    pool_usage = "epsilon:X, budget:SECONDS, single_survivor or rounds:N (N >= 1)"
+    for text, procedure, message in [
+        ("phases:3", "oup", f"stop rule for oup must be {pool_usage}, got 'phases:3'"),
+        ("epsilon:0.2", "coup",
+         "stop rule for coup must be phases:N (N >= 1) or budget:SECONDS, got 'epsilon:0.2'"),
+        ("budget:10", "naive", "stop rule for naive must be epsilon:X, got 'budget:10'"),
+        ("epsilon:0.2", "sh", "stop rule for sh must be budget:RUNS, got 'epsilon:0.2'"),
+        ("rounds:0", "up", f"stop rule for up must be {pool_usage}, got 'rounds:0'"),
+        ("phases:0", "coup",
+         "stop rule for coup must be phases:N (N >= 1) or budget:SECONDS, got 'phases:0'"),
+        ("epsilon:abc", "oup",
+         "bad stop rule value in 'epsilon:abc': could not convert string to float: 'abc'"),
+        # a rule that takes a value, given none
+        ("epsilon", "naive",
+         "bad stop rule value in 'epsilon': could not convert string to float: ''"),
+        ("rounds", "oup",
+         "bad stop rule value in 'rounds': invalid literal for int() with base 10: ''"),
+        ("budget:nan", "sh", "budget must be a finite number >= 0, got 'nan'"),
+        ("epsilon:0.2", "hyperband",
+         "unknown procedure 'hyperband'; expected one of ('oup', 'coup', 'up', 'naive', 'sh')"),
+        ("rounds:100000001", "oup",
+         "rounds:N asks for 100000001 rounds, more than the 100000000 a run can finish; "
+         "lower the round count"),
+        ("phases:100000001", "coup",
+         "phases:N asks for 100000001 phases, more than the 100000000 a run can finish; "
+         "lower the phase count"),
         # single_survivor takes no value
-        ("single_survivor:junk", "up"),
-        ("single_survivor:", "oup"),
+        ("single_survivor:junk", "up",
+         f"stop rule for up must be {pool_usage}, got 'single_survivor:junk'"),
+        ("single_survivor:", "oup",
+         f"stop rule for oup must be {pool_usage}, got 'single_survivor:'"),
     ]:
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError) as refused:
             parse_stop(text, procedure)
+        assert str(refused.value) == message
 
 
 def test_run_experiment_parses_each_part_once(tmp_path, monkeypatch):
@@ -595,6 +615,34 @@ def test_validate_guarantee_coup_per_phase(tmp_path):
     report = uc.validate_guarantee(spec, trials=10)
     assert set(report.per_phase_rates) == {1, 2}
     assert report.failure_rate <= report.bound
+
+
+def test_validation_details_are_pinned(tmp_path):
+    # the per-trial evidence, values and types, that a validation reports:
+    # (seed, gap, epsilon, violated) for a finite pool, and for coup one
+    # (seed, phase, truth, threshold, violated) per certificate
+    close = write_pool(tmp_path, "family=exponential\nparams=30.0;31.0;33.0\n", name="close.txt")
+    report = uc.validate_guarantee(spec_for(tmp_path, oracle=close, stop="epsilon:0.3"), trials=3)
+    assert report.details == [
+        (0, 0.0, 0.29990379899508224, False),
+        (1, 0.0065257836430907545, 0.29987610306366064, False),
+        (2, 0.019255366827409692, 0.29995867971097734, False),
+    ]
+    assert [tuple(map(type, entry)) for entry in report.details] == [(int, float, float, bool)] * 3
+    space = "family=parametric_exponential\nparams=0.1,10000\n"
+    space = write_pool(tmp_path, space, name="space.txt")
+    spec = spec_for(tmp_path, procedure="coup", oracle=space, stop="phases:2", delta=0.05)
+    report = uc.validate_guarantee(spec, trials=2)
+    assert report.details == [
+        (0, 1, 0.9984281821605305, -0.286060884628765, False),
+        (0, 2, 0.9984281821605305, 0.18929152922791848, False),
+        (1, 1, 0.9868378568674758, -0.286060884628765, False),
+        (1, 2, 0.9868378568674758, 0.18929152922791848, False),
+    ]
+    assert [tuple(map(type, entry)) for entry in report.details] == [
+        (int, int, float, float, bool)
+    ] * 4
+    assert report.per_phase_rates == {1: 0.0, 2: 0.0} and report.failures == 0
 
 
 def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
