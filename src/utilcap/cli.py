@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .baselines import MAX_PLANNED_RUNS
@@ -51,32 +52,25 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = Tr
         help="utility spec, e.g. loglaplace:kappa0=60,a=1 or uniform:kappa0=60",
     )
     parser.add_argument("--stop", required=require_stop, help="stop rule, e.g. epsilon:0.2")
-    parser.add_argument("--delta", type=float, default=0.01, help="failure probability")
-    parser.add_argument("--doubling", default="old", help="captime doubling rule: old or new")
-    parser.add_argument("--schedule", default="default", help="phase schedule (coup)")
+    # the spec's own defaults stand for the options below that are not given
+    parser.add_argument("--delta", type=float, help="failure probability")
+    parser.add_argument("--doubling", help="captime doubling rule: old or new")
+    parser.add_argument("--schedule", help="phase schedule (coup)")
     parser.add_argument(
         "--without-replacement",
         action="store_true",
         help="sample dataset configurations without replacement (coup)",
     )
-    parser.add_argument("--sh-eta", type=int, default=2, help="elimination factor (sh)")
-    parser.add_argument("--sh-kappa", type=float, default=1.0, help="fixed captime (sh)")
+    parser.add_argument("--sh-eta", type=int, help="elimination factor (sh)")
+    parser.add_argument("--sh-kappa", type=float, help="fixed captime (sh)")
 
 
 def _spec_from_args(args, procedure: str, seed: int) -> ExperimentSpec:
-    return ExperimentSpec(
-        procedure=procedure,
-        oracle=args.oracle,
-        utility=args.utility,
-        stop=args.stop,
-        seed=seed,
-        delta=args.delta,
-        doubling=args.doubling,
-        schedule=args.schedule,
-        without_replacement=args.without_replacement,
-        sh_eta=args.sh_eta,
-        sh_kappa=args.sh_kappa,
-    )
+    # every other field is the option of its name; one left out (None)
+    # takes the field's default
+    given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentSpec)}
+    given.update(procedure=procedure, seed=seed)
+    return ExperimentSpec(**{name: value for name, value in given.items() if value is not None})
 
 
 def _parse_seeds(text: str) -> range | list[int]:

@@ -49,8 +49,6 @@ from .utility import parse_utility
 
 OUTPUT_DIR_ENV = "UTILCAP_OUT"
 
-PROCEDURES = ("oup", "coup", "up", "naive", "sh")
-
 _TOL = 1e-12
 
 
@@ -84,7 +82,12 @@ class ExperimentSpec:
 # ---------------------------------------------------------------------------
 
 
-def _budget(value: str) -> StopRule:
+# A stop rule's parser takes the text after the rule's colon, and is called
+# with no argument when the text has none.  It returns None for a value
+# outside the rule's form, which ``parse_stop`` refuses with the usage text.
+
+
+def _budget(value: str = "") -> StopRule:
     # nan or inf would never be reached and a negative budget spends nothing
     seconds = float(value)
     if not 0.0 <= seconds < math.inf:
@@ -92,7 +95,13 @@ def _budget(value: str) -> StopRule:
     return StopRule(seconds=seconds, stop_reason="budget_exhausted")
 
 
-def _epsilon(value: str) -> StopRule:
+def _runs(value: str = "") -> StopRule | None:
+    # sh plans whole runs, so a fraction of one would be dropped unsaid
+    rule = _budget(value)
+    return rule if rule.seconds.is_integer() else None
+
+
+def _epsilon(value: str = "") -> StopRule:
     # eps stays above 0 and is never <= nan, so such a target is never reached
     epsilon = float(value)
     if not 0.0 < epsilon < math.inf:
@@ -100,57 +109,67 @@ def _epsilon(value: str) -> StopRule:
     return StopRule(epsilon=epsilon, stop_reason="target_epsilon")
 
 
-def _count(name: str, value: str) -> int:
+def _single_survivor(value: str | None = None) -> StopRule | None:
+    # the rule takes no value, not even an empty one
+    return StopRule(survivors=1, stop_reason="single_survivor") if value is None else None
+
+
+def _count(name: str, value: str) -> StopRule | None:
     # every round makes at least one run and every phase writes a certificate
     # row, so a count past the cap on planned runs would never finish either
     count = int(value)
+    if count < 1:
+        return None
     if count > MAX_PLANNED_RUNS:
         raise SpecError(
             f"{name}:N asks for {count} {name}, more than the {MAX_PLANNED_RUNS} "
             f"a run can finish; lower the {name[:-1]} count"
         )
-    return count
+    return StopRule(**{name: count}, stop_reason=f"max_{name}")
+
+
+def _rounds(value: str = "") -> StopRule | None:
+    return _count("rounds", value)
+
+
+def _phases(value: str = "") -> StopRule | None:
+    return _count("phases", value)
+
+
+_POOL_STOPS = (
+    "epsilon:X, budget:SECONDS, single_survivor or rounds:N (N >= 1)",
+    {"epsilon": _epsilon, "budget": _budget, "single_survivor": _single_survivor,
+     "rounds": _rounds},
+)
+
+# each procedure's usage text and its stop rules, by name
+STOP_RULES = {
+    "oup": _POOL_STOPS,
+    "coup": ("phases:N (N >= 1) or budget:SECONDS", {"phases": _phases, "budget": _budget}),
+    "up": _POOL_STOPS,
+    "naive": ("epsilon:X", {"epsilon": _epsilon}),
+    "sh": ("budget:RUNS", {"budget": _runs}),
+}
+
+PROCEDURES = tuple(STOP_RULES)
 
 
 def parse_stop(text: str, procedure: str) -> StopRule:
     """The stop rule of ``--stop`` for a procedure: one limit, and its reason."""
+    if procedure not in STOP_RULES:
+        raise SpecError(f"unknown procedure {procedure!r}; expected one of {PROCEDURES}")
+    usage, rules = STOP_RULES[procedure]
     name, colon, value = text.partition(":")
-    name = name.strip()
+    parse = rules.get(name.strip())
     try:
-        if procedure == "coup":
-            if name == "phases" and int(value) >= 1:
-                return StopRule(phases=_count("phases", value), stop_reason="max_phases")
-            if name == "budget":
-                return _budget(value)
-            raise SpecError(
-                f"stop rule for coup must be phases:N (N >= 1) or budget:SECONDS, got {text!r}"
-            )
-        if procedure in ("oup", "up"):
-            if name == "epsilon":
-                return _epsilon(value)
-            if name == "budget":
-                return _budget(value)
-            if name == "single_survivor" and not colon:
-                return StopRule(survivors=1, stop_reason="single_survivor")
-            if name == "rounds" and int(value) >= 1:
-                return StopRule(rounds=_count("rounds", value), stop_reason="max_rounds")
-            raise SpecError(
-                f"stop rule for {procedure} must be epsilon:X, budget:SECONDS, "
-                f"single_survivor or rounds:N (N >= 1), got {text!r}"
-            )
-        if procedure == "naive":
-            if name == "epsilon":
-                return _epsilon(value)
-            raise SpecError(f"stop rule for naive must be epsilon:X, got {text!r}")
-        if procedure == "sh":
-            if name == "budget":
-                return _budget(value)
-            raise SpecError(f"stop rule for sh must be budget:RUNS, got {text!r}")
+        rule = parse and (parse(value) if colon else parse())
     except ValueError as err:
         if isinstance(err, SpecError):
             raise
         raise SpecError(f"bad stop rule value in {text!r}: {err}") from None
-    raise SpecError(f"unknown procedure {procedure!r}; expected one of {PROCEDURES}")
+    if rule is None:
+        raise SpecError(f"stop rule for {procedure} must be {usage}, got {text!r}")
+    return rule
 
 
 # each family's runtime distribution (for the parametric space, the map from
@@ -425,11 +444,9 @@ def execute(spec: ExperimentSpec, parsed: tuple | None = None, trace=None):
     here when it is omitted.  The run appends its trace rows to ``trace``,
     a new list when it is omitted."""
     utility, stop, schedule, oracle, make = parsed or parse_spec(spec)
-    if spec.procedure == "oup":
-        run = OupRun(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
-        return run.run_until(stop)
-    if spec.procedure == "up":
-        run = UpRun(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
+    engine = {"oup": OupRun, "up": UpRun}.get(spec.procedure)
+    if engine is not None:
+        run = engine(oracle, utility, spec.delta, doubling=spec.doubling, trace=trace)
         return run.run_until(stop)
     if spec.procedure == "naive":
         return naive_run(oracle, utility, stop.epsilon, spec.delta, trace)
@@ -460,7 +477,7 @@ def _summary_row(spec: ExperimentSpec, result) -> tuple:
         spec.utility,
         spec.delta,
         spec.doubling,
-        spec.schedule if spec.procedure == "coup" else "",
+        "" if result.certificates is None else spec.schedule,
         spec.stop,
         spec.seed,
         -1 if result.incumbent is None else result.incumbent,
@@ -500,7 +517,7 @@ def run_experiment(spec: ExperimentSpec, outdir: str | Path) -> dict:
     )
     row = _summary_row(spec, result)
     _write_csv(outdir / "summary.csv", SUMMARY_COLUMNS, _quoted_lines([row]))
-    if spec.procedure == "coup":
+    if result.certificates is not None:
         rows = [
             (
                 c.phase,
@@ -583,23 +600,28 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _trial(template: ExperimentSpec, parsed: tuple, seed: int):
+def _trial(template: ExperimentSpec, parsed: tuple, seed: int, truths: tuple | None = None):
     """The evidence of one validation trial, a pure function of its seed.
 
     The trial runs ``template`` at ``seed``.  ``parsed`` is what
     ``parse_spec`` gave for the template, so only the seed's oracle is
     built here, over the parsed pool, and the run keeps only its last trace
-    row.  Returns ``(incumbent_config, epsilon)`` for a finite pool.  For
-    ``coup``, one ``(phase, truth, threshold, violated)`` per certificate:
-    the truths are computed where the run is, so a worker returns plain
-    numbers, never a sampler or a trace.
+    row.  Returns the trial's rows, each ending in whether it is violated.
+    A run that certifies no phases gives one ``(gap, epsilon, violated)``,
+    its incumbent's true gap read off ``truths``: a finite pool's best true
+    utility and the list of its true utilities.  A ``coup`` run gives one
+    ``(phase, truth, threshold, violated)`` per certificate, its truths
+    computed where the run is, so a worker returns plain numbers, never a
+    sampler or a trace.
     """
     utility, stop, schedule, oracle, make = parsed
     spec = replace(template, seed=seed)
     parsed = (utility, stop, schedule, oracle.reseeded(seed), make)
     result = execute(spec, parsed, deque(maxlen=1))
-    if spec.procedure != "coup":
-        return result.incumbent_config, result.epsilon
+    if result.certificates is None:
+        best, true_utilities = truths
+        gap = best - true_utilities[result.incumbent_config]
+        return [(gap, result.epsilon, gap > result.epsilon + _TOL)]
     sampler = result.extra["sampler"]
     evidence = []
     for cert in result.certificates:
@@ -689,39 +711,28 @@ def validate_guarantee(
     utility, _, _, oracle, make = parsed
     if template.procedure == "sh":
         raise SpecError("sh certifies no guarantee, so there is nothing to validate")
+    truths = None
     if make is None:
         # a finite synthetic pool's true utilities do not depend on the seed;
         # they are computed once, before any worker starts, and the workers
-        # inherit them in the cache of true_capped_utility
+        # inherit them: as the trials' truths, and for coup's quantiles in
+        # the cache of true_capped_utility
         true_utilities = oracle.true_utilities(utility)
-        best = max(true_utilities)
+        truths = (max(true_utilities), true_utilities)
     failures = 0
     details = []
-    phase_failures: dict[int, int] = {}
-    phase_counts: dict[int, int] = {}
+    phases: dict[int, list[bool]] = {}
     seeds = range(base_seed, base_seed + trials)
-    results = map_in_workers(functools.partial(_trial, template, parsed), seeds)
-    for seed, evidence in zip(seeds, results):
-        if template.procedure == "coup":
-            violated = False
-            for phase, truth, threshold, bad in evidence:
-                phase_counts[phase] = phase_counts.get(phase, 0) + 1
-                if bad:
-                    phase_failures[phase] = phase_failures.get(phase, 0) + 1
-                    violated = True
-                details.append((seed, phase, truth, threshold, bad))
-            failures += int(violated)
-        else:
-            config, epsilon = evidence
-            gap = best - true_utilities[config]
-            bad = gap > epsilon + _TOL
-            failures += int(bad)
-            details.append((seed, gap, epsilon, bad))
+    results = map_in_workers(functools.partial(_trial, template, parsed, truths=truths), seeds)
+    for seed, rows in zip(seeds, results):
+        failures += any(row[-1] for row in rows)
+        for row in rows:
+            details.append((seed, *row))
+            if template.procedure == "coup":
+                phases.setdefault(row[0], []).append(row[-1])
     rate = failures / trials
     bound = template.delta + 3.0 * math.sqrt(template.delta * (1.0 - template.delta) / trials)
-    per_phase = {
-        p: phase_failures.get(p, 0) / phase_counts[p] for p in sorted(phase_counts)
-    }
+    per_phase = {p: sum(bad) / len(bad) for p, bad in sorted(phases.items())}
     return ValidationReport(
         procedure=template.procedure,
         trials=trials,

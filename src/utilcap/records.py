@@ -109,7 +109,9 @@ class RunResult:
     ``TraceRow``.  Every procedure takes a trace sink: ``trace`` is the list
     the rows went to, unless the run was handed another one, as a
     validation trial keeps only the last row in a
-    ``collections.deque(maxlen=1)``.  ``extra`` holds what validation
+    ``collections.deque(maxlen=1)``.  ``certificates`` is ``None`` unless
+    the run certifies phases, as ``coup`` does: then it is the list of its
+    certificates, empty before the first.  ``extra`` holds what validation
     reads of a ``coup`` run besides its certificates: its ``sampler``.
     """
 
@@ -122,5 +124,5 @@ class RunResult:
     rounds: int
     ledger: CostLedger
     stop_reason: str
-    certificates: list = field(default_factory=list)
+    certificates: list | None = None
     extra: dict = field(default_factory=dict)

@@ -463,6 +463,8 @@ def main_under_memory_limit(args, cwd):
         ("run", "oup", "rounds:-5", ("--seed", "3")),
         ("run", "coup", "phases:-1", ("--seed", "3")),
         ("run", "sh", "budget:inf", ("--seed", "3")),
+        # sh plans whole runs, and would drop the fraction
+        ("run", "sh", "budget:64.9", ("--seed", "3")),
         # stop rules that never fire (nan, inf, eps <= 0) or fire before any run
         ("run", "oup", "budget:nan", ("--seed", "3")),
         ("run", "oup", "budget:inf", ("--seed", "3")),
@@ -562,6 +564,7 @@ def main_under_memory_limit(args, cwd):
         "rounds_negative",
         "phases_negative",
         "sh_budget_infinite",
+        "sh_budget_fractional",
         "oup_budget_nan",
         "oup_budget_infinite",
         "oup_budget_negative",

@@ -119,6 +119,7 @@ def test_parse_stop_rules():
         # every phase writes a certificate row, so phases share the round cap
         ("phases:100000000", "coup", uc.StopRule(phases=10**8, stop_reason="max_phases")),
         ("budget:1e6", "coup", uc.StopRule(seconds=1e6, stop_reason="budget_exhausted")),
+        ("budget:64", "sh", uc.StopRule(seconds=64.0, stop_reason="budget_exhausted")),
     ]:
         assert parse_stop(text, procedure) == want
     pool_usage = "epsilon:X, budget:SECONDS, single_survivor or rounds:N (N >= 1)"
@@ -139,6 +140,8 @@ def test_parse_stop_rules():
         ("rounds", "oup",
          "bad stop rule value in 'rounds': invalid literal for int() with base 10: ''"),
         ("budget:nan", "sh", "budget must be a finite number >= 0, got 'nan'"),
+        # sh plans whole runs
+        ("budget:64.9", "sh", "stop rule for sh must be budget:RUNS, got 'budget:64.9'"),
         ("epsilon:0.2", "hyperband",
          "unknown procedure 'hyperband'; expected one of ('oup', 'coup', 'up', 'naive', 'sh')"),
         ("rounds:100000001", "oup",

@@ -3,8 +3,8 @@
 A fresh interpreter runs a set of CLI commands in-process under
 ``sys.setprofile`` and reports every function of the package that was
 called.  The commands cover each procedure, both oracle kinds, the four
-synthetic families, every verb, both utilities, both doubling rules, custom
-schedules and the exit 2, 3 and 4 paths.  A function that none of them
+synthetic families, every verb, both utilities, both doubling rules, every
+stop rule, custom schedules and the exit 2, 3 and 4 paths.  A function that none of them
 reaches only serves its own unit test; this test fails until it is deleted
 or a command reaches it.
 """
@@ -49,6 +49,7 @@ COMMANDS = [
     (_command("run", "up", EXP, "rounds:40", "--seed", "1", "--out", "up"), 0),
     # a sweep boundary near round 890 eliminates one of the three arms
     (_command("run", "up", EXP, "epsilon:0.3", "--seed", "1", "--out", "up_eliminates"), 0),
+    (_command("run", "up", EXP, "single_survivor", "--seed", "1", "--out", "up_single"), 0),
     (_command("run", "naive", EXP, "epsilon:0.9", "--utility", "uniform:kappa0=60",
               "--seed", "1", "--out", "naive"), 0),
     (_command("run", "sh", EXP, "budget:64", "--sh-kappa", "8", "--seed", "1",
