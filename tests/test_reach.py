@@ -4,9 +4,9 @@ A fresh interpreter runs a set of CLI commands in-process under
 ``sys.setprofile`` and reports every function of the package that was
 called.  The commands cover each procedure, both oracle kinds, the four
 synthetic families, every verb, both utilities, both doubling rules, every
-stop rule, custom schedules and the exit 2, 3 and 4 paths.  A function that none of them
-reaches only serves its own unit test; this test fails until it is deleted
-or a command reaches it.
+stop rule, custom schedules and the exit 2, 3 and 4 paths.  A function that
+none of them reaches only serves its own unit test; this test fails until
+it is deleted or a command reaches it.
 """
 
 import ast
