@@ -52,7 +52,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = Tr
         help="utility spec, e.g. loglaplace:kappa0=60,a=1 or uniform:kappa0=60",
     )
     parser.add_argument("--stop", required=require_stop, help="stop rule, e.g. epsilon:0.2")
-    # the spec's own defaults stand for the options below that are not given
+    # no defaults below: ExperimentSpec declares them
     parser.add_argument("--delta", type=float, help="failure probability")
     parser.add_argument("--doubling", help="captime doubling rule: old or new")
     parser.add_argument("--schedule", help="phase schedule (coup)")
@@ -66,8 +66,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = Tr
 
 
 def _spec_from_args(args, procedure: str, seed: int) -> ExperimentSpec:
-    # every other field is the option of its name; one left out (None)
-    # takes the field's default
+    # every other field is the option of its name; an option not given
+    # (None) takes the field's default
     given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentSpec)}
     given.update(procedure=procedure, seed=seed)
     return ExperimentSpec(**{name: value for name, value in given.items() if value is not None})
