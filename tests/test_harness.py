@@ -646,6 +646,21 @@ def test_validation_details_are_pinned(tmp_path):
         (int, int, float, float, bool)
     ] * 4
     assert report.per_phase_rates == {1: 0.0, 2: 0.0} and report.failures == 0
+    # a coup run on a finite pool reads its quantile off the pool's truths
+    finite = "family=exponential\nparams=1.0;2.0;3.0;5.0;8.0;13.0;21.0;34.0\n"
+    finite = write_pool(tmp_path, finite, name="finite.txt")
+    spec = spec_for(tmp_path, procedure="coup", oracle=finite, stop="phases:3", delta=0.05)
+    report = uc.validate_guarantee(spec, trials=3)
+    thresholds = [0.045479694393367076, 0.21680921871556502, 0.36846934029187095]
+    truths = [0.7396051030727416, 0.828707386351018, 0.828707386351018]
+    truths += [0.9750000000045044] * 3 + [0.9583333678850998] * 3
+    assert report.details == [
+        (k // 3, k % 3 + 1, truth, thresholds[k % 3], False) for k, truth in enumerate(truths)
+    ]
+    assert [tuple(map(type, entry)) for entry in report.details] == [
+        (int, int, float, float, bool)
+    ] * 9
+    assert report.per_phase_rates == {1: 0.0, 2: 0.0, 3: 0.0} and report.failures == 0
 
 
 def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
