@@ -43,7 +43,7 @@ EXIT_VALIDATION = 4
 CURVE_COLUMNS = ("procedure", "ledger_seconds", "eps_min")
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = True) -> None:
+def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--procedure", required=True, help="oup, coup, up, naive or sh")
     parser.add_argument("--oracle", required=True, help="matrix:PATH or synthetic:PATH")
     parser.add_argument(
@@ -51,7 +51,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, require_stop: bool = Tr
         default="loglaplace:kappa0=60,a=1",
         help="utility spec, e.g. loglaplace:kappa0=60,a=1 or uniform:kappa0=60",
     )
-    parser.add_argument("--stop", required=require_stop, help="stop rule, e.g. epsilon:0.2")
+    parser.add_argument("--stop", required=True, help="stop rule, e.g. epsilon:0.2")
     # no defaults below: ExperimentSpec declares them
     parser.add_argument("--delta", type=float, help="failure probability")
     parser.add_argument("--doubling", help="captime doubling rule: old or new")

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 from .arms import ArmState, refresh_snapshots
 from .bounds import DOUBLING_RULES, BoundContext
-from .oracles import Exponential, RuntimeOracle, SyntheticOracle, true_capped_utility
+from .oracles import Exponential, RuntimeOracle, SyntheticOracle
 from .oup import OupRun
 from .records import CostLedger, RunResult, StopRule
-from .rng import SAMPLER_STREAM, UniformStream
+from .rng import SAMPLER_STREAM, stream_generator
 from .utility import UtilityFunction
 
 # ---------------------------------------------------------------------------
@@ -162,31 +162,21 @@ class FinitePoolSampler:
     def __init__(self, oracle: RuntimeOracle, seed: int, replace: bool = True):
         self.oracle = oracle
         self.replace = replace
-        self._stream = UniformStream(seed, SAMPLER_STREAM)
-        self._draws = 0
+        self._generator = stream_generator(seed, SAMPLER_STREAM)
         if not replace:
-            self._queue = sorted(
-                range(oracle.n_configs),
-                key=lambda c: (self._stream.value(c), c),
-            )
+            keys = self._generator.random(oracle.n_configs).tolist()
+            self._queue = sorted(range(oracle.n_configs), key=lambda c: (keys[c], c))
+            self._taken = 0
 
     def sample(self, k: int) -> list[int]:
         if self.replace:
             n = self.oracle.n_configs
-            out = []
-            for _ in range(k):
-                v = self._stream.value(self._draws)
-                self._draws += 1
-                out.append(int(v * n))
-            return out
-        if self._draws + k > len(self._queue):
-            raise SamplerExhaustedError(self._draws + k, len(self._queue))
-        out = self._queue[self._draws : self._draws + k]
-        self._draws += k
+            return [int(v * n) for v in self._generator.random(k).tolist()]
+        if self._taken + k > len(self._queue):
+            raise SamplerExhaustedError(self._taken + k, len(self._queue))
+        out = self._queue[self._taken : self._taken + k]
+        self._taken += k
         return out
-
-    def optimum_quantile(self, u: UtilityFunction, gamma: float) -> float:
-        return finite_population_quantile(self.oracle.true_utilities(u), gamma)
 
 
 class ParametricSampler:
@@ -196,26 +186,11 @@ class ParametricSampler:
     def __init__(self, oracle: SyntheticOracle, seed: int, make_distribution):
         self.oracle = oracle
         self.make_distribution = make_distribution
-        self._stream = UniformStream(seed, SAMPLER_STREAM)
-        self._draws = 0
-        self.thetas: list[float] = []
+        self._generator = stream_generator(seed, SAMPLER_STREAM)
 
     def sample(self, k: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            theta = self._stream.value(self._draws)
-            self._draws += 1
-            self.thetas.append(theta)
-            out.append(self.oracle.add_config(self.make_distribution(theta)))
-        return out
-
-    def utility_at(self, theta: float, u: UtilityFunction) -> float:
-        return true_capped_utility(self.make_distribution(theta), u, math.inf)[0]
-
-    def optimum_quantile(self, u: UtilityFunction, gamma: float) -> float:
-        """Closed-form quantile for a utility map strictly decreasing in theta:
-        excluding the top gamma fraction leaves theta = gamma as the best."""
-        return self.utility_at(gamma, u)
+        make, add = self.make_distribution, self.oracle.add_config
+        return [add(make(theta)) for theta in self._generator.random(k).tolist()]
 
 
 def exponential_mean_map(scale: float, growth: float):
@@ -325,8 +300,8 @@ class CoupRun(OupRun):
     # tracer times apart from oup's
     phase_step = OupRun.step
 
-    def step(self) -> None:
-        self.phase_step()
+    def step(self, stop: StopRule | None = None) -> None:
+        self.phase_step(stop)
 
     def _certify(self) -> PhaseCertificate:
         star = self.incumbent()

@@ -33,6 +33,7 @@ from .coup import (
     SamplerExhaustedError,
     Schedule,
     exponential_mean_map,
+    finite_population_quantile,
     phase_size,
 )
 from .oracles import (
@@ -42,6 +43,7 @@ from .oracles import (
     SyntheticOracle,
     TwoPoint,
     load_runtime_matrix,
+    true_capped_utility,
 )
 from .oup import OupRun
 from .records import StopRule, TraceRow, format_value
@@ -461,13 +463,11 @@ def execute(spec: ExperimentSpec, parsed: tuple | None = None, trace=None):
         sampler, oracle, utility, spec.delta, schedule, doubling=spec.doubling, trace=trace
     )
     try:
-        result = run.run_phases(stop)
+        return run.run_phases(stop)
     except SamplerExhaustedError as err:
         # a budget run that outgrew a population without replacement after
         # phase 1: how many phases a budget buys is known only once it is spent
         raise SpecError(str(err)) from None
-    result.extra["sampler"] = sampler
-    return result
 
 
 def _summary_row(spec: ExperimentSpec, result) -> tuple:
@@ -607,26 +607,32 @@ def _trial(template: ExperimentSpec, parsed: tuple, seed: int, truths: tuple | N
     ``parse_spec`` gave for the template, so only the seed's oracle is
     built here, over the parsed pool, and the run keeps only its last trace
     row.  Returns the trial's rows, each ending in whether it is violated.
-    A run that certifies no phases gives one ``(gap, epsilon, violated)``,
-    its incumbent's true gap read off ``truths``: a finite pool's best true
-    utility and the list of its true utilities.  A ``coup`` run gives one
-    ``(phase, truth, threshold, violated)`` per certificate, its truths
-    computed where the run is, so a worker returns plain numbers, never a
-    sampler or a trace.
+    ``truths`` is a finite pool's best true utility and the list of its
+    true utilities.  A run that certifies no phases gives one ``(gap,
+    epsilon, violated)``, its incumbent's true gap read off ``truths``.  A
+    ``coup`` run gives one ``(phase, truth, threshold, violated)`` per
+    certificate: the truth of its incumbent, read from the trial's oracle,
+    against the (1 - gamma)-quantile of the space, less eps.  A finite
+    pool's quantile is read off ``truths``; a parametric space's is the
+    utility of ``make(gamma)``, since its utility falls as theta grows.  So
+    a worker returns plain numbers, never a run or a trace.
     """
     utility, stop, schedule, oracle, make = parsed
     spec = replace(template, seed=seed)
-    parsed = (utility, stop, schedule, oracle.reseeded(seed), make)
-    result = execute(spec, parsed, deque(maxlen=1))
+    oracle = oracle.reseeded(seed)
+    result = execute(spec, (utility, stop, schedule, oracle, make), deque(maxlen=1))
     if result.certificates is None:
         best, true_utilities = truths
         gap = best - true_utilities[result.incumbent_config]
         return [(gap, result.epsilon, gap > result.epsilon + _TOL)]
-    sampler = result.extra["sampler"]
     evidence = []
     for cert in result.certificates:
-        threshold = sampler.optimum_quantile(utility, cert.gamma) - cert.epsilon
-        truth = sampler.oracle.true_utility(cert.incumbent_config, utility)
+        if make is None:
+            quantile = finite_population_quantile(truths[1], cert.gamma)
+        else:
+            quantile = true_capped_utility(make(cert.gamma), utility, math.inf)[0]
+        threshold = quantile - cert.epsilon
+        truth = oracle.true_utility(cert.incumbent_config, utility)
         evidence.append((cert.phase, truth, threshold, truth < threshold - _TOL))
     return evidence
 
@@ -715,8 +721,8 @@ def validate_guarantee(
     if make is None:
         # a finite synthetic pool's true utilities do not depend on the seed;
         # they are computed once, before any worker starts, and the workers
-        # inherit them: as the trials' truths, and for coup's quantiles in
-        # the cache of true_capped_utility
+        # inherit them: as the trials' truths and coup's quantiles, and in
+        # the cache of true_capped_utility for a coup incumbent's truth
         true_utilities = oracle.true_utilities(utility)
         truths = (max(true_utilities), true_utilities)
     failures = 0

@@ -358,10 +358,10 @@ class SyntheticOracle:
     def runtime_of(self, config: int):
         """``(times, draw)`` of ``config``, made on its first request.
 
-        ``draw`` grows ``times``, an ``array('d')``, by the blocks in which
-        ``rng.UniformStream`` grows its buffer, each drawn from the
-        configuration's runtime stream and mapped to runtimes at once; the
-        uniforms are not kept."""
+        ``draw`` grows ``times``, an ``array('d')``, by whole blocks of
+        ``rng.grown_size``, each drawn in order from the configuration's
+        runtime stream and mapped to runtimes at once; the uniforms are not
+        kept."""
         table = self._tables.get(config)
         if table is None:
             generator = stream_generator(self.seed, RUNTIME_STREAM, config)

@@ -91,8 +91,6 @@ class OupRun:
 
     procedure = "oup"
     eliminate = True
-    # the stop rule of the run in progress; None makes ``step`` one round
-    _limits: StopRule | None = None
     # the arm of the streak in progress, which the heaps leave out
     _held: int | None = None
 
@@ -182,7 +180,7 @@ class OupRun:
         on UCB, so that a streak may go on: always, for greedy selection."""
         return True
 
-    def step(self) -> None:
+    def step(self, stop: StopRule | None = None) -> None:
         """Make one round, then go on while the streak lasts.
 
         A round selects an arm, pulls it (doubling its captime when the
@@ -208,15 +206,15 @@ class OupRun:
         doubling hands the arm to ``ArmState.double_captime``, reads it back
         and binds the width table at the new captime.  The streak ends after
         the round that changes the selection, eliminates, or meets a limit
-        of the ``StopRule`` that ``run_until`` hands it (without one, one
-        round is made), or when the oracle runs out of instances.  Then the
+        of ``stop`` (without one, one round is made), or when the oracle
+        runs out of instances.  Then the
         locals are written back: the arm gets one ``BoundSnapshot``, the
         ledger its total and its run count (one run per round made, plus
         the reruns), ``eps_min`` its value, and the heaps the arm's keys,
         unless it was eliminated.
         """
         rounds = self.rounds
-        limits = self._limits or StopRule(rounds=rounds + 1)
+        limits = stop or StopRule(rounds=rounds + 1)
         i = self._held = self.select_arm()
         eliminates = self._eliminates()
         reselects = self._reselects_leader()
@@ -365,18 +363,14 @@ class OupRun:
 
     def _advance(self, stop: StopRule) -> None:
         """Make streaks until the run meets a limit of ``stop``, which
-        ``step`` reads as the limits of its rounds."""
-        self._limits = stop
-        try:
-            while not (
-                self.rounds >= stop.rounds
-                or self.ledger.total_seconds >= stop.seconds
-                or self.eps_min <= stop.epsilon
-                or len(self.survivors) <= stop.survivors
-            ):
-                self.step()
-        finally:
-            self._limits = None
+        ``step`` takes as the limits of its rounds."""
+        while not (
+            self.rounds >= stop.rounds
+            or self.ledger.total_seconds >= stop.seconds
+            or self.eps_min <= stop.epsilon
+            or len(self.survivors) <= stop.survivors
+        ):
+            self.step(stop)
 
     def _result(self, stop_reason: str) -> RunResult:
         star = self.incumbent()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import MutableSequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -111,8 +111,7 @@ class RunResult:
     validation trial keeps only the last row in a
     ``collections.deque(maxlen=1)``.  ``certificates`` is ``None`` unless
     the run certifies phases, as ``coup`` does: then it is the list of its
-    certificates, empty before the first.  ``extra`` holds what validation
-    reads of a ``coup`` run besides its certificates: its ``sampler``.
+    certificates, empty before the first.
     """
 
     procedure: str
@@ -125,4 +124,3 @@ class RunResult:
     ledger: CostLedger
     stop_reason: str
     certificates: list | None = None
-    extra: dict = field(default_factory=dict)

@@ -3,15 +3,15 @@
 All simulated randomness flows through keyed Philox streams.  A logical
 stream is identified by ``(seed, purpose, index)``; Philox is counter-based
 and the key is derived through ``SeedSequence``, so every stream is a pure
-function of its identifier.  Streams are materialized lazily in blocks,
-which makes the j-th draw independent of access order and of how many other
-streams exist: adding configurations never perturbs the runtimes of existing
-ones.  A stream grows one whole block at a time, to the block that holds the
-draw asked for, so it holds at most a block beyond the last draw read.
-``UniformStream`` keeps the uniforms of a stream (the samplers and the
-dataset column order read them); a synthetic oracle draws the same blocks
-from ``stream_generator`` itself, sized by ``grown_size``, and keeps only
-the runtimes it maps them to.
+function of its identifier, and its draws do not depend on how they are
+chunked: k draws and then m give the values of one draw of k + m.  Every
+reader takes a ``stream_generator`` and draws from it in order.  The
+samplers draw a whole phase's uniforms in one call, and the dataset column
+order draws its uniforms in one call.  A synthetic oracle grows each
+configuration's runtime table one block at a time, to the block that holds
+the instance asked for (``grown_size``), and keeps only the runtimes it
+maps the uniforms to; adding configurations never perturbs the runtimes of
+existing ones.
 """
 
 from __future__ import annotations
@@ -40,31 +40,7 @@ def grown_size(j: int) -> int:
     return ((j // _BLOCK) + 1) * _BLOCK
 
 
-class UniformStream:
-    """Lazily materialized stream of uniform doubles on [0, 1).
-
-    ``value(j)`` returns the j-th double of the stream regardless of which
-    draws were requested before it.  The buffer ``values`` holds the draws
-    made so far and only ever grows, in place, at its end, so a reader may
-    keep it and index it directly below its length.  It is a list of Python
-    floats, the same doubles the generator drew, so a draw is read without
-    converting a numpy scalar.
-    """
-
-    def __init__(self, seed: int, purpose: int, index: int = 0):
-        self._gen = stream_generator(seed, purpose, index)
-        self.values: list[float] = []
-
-    def value(self, j: int) -> float:
-        if j < 0:
-            raise IndexError(f"stream position must be nonnegative, got {j}")
-        values = self.values
-        if j >= len(values):
-            values += self._gen.random(grown_size(j) - len(values)).tolist()
-        return values[j]
-
-
-def seeded_permutation(n: int, seed: int, index: int = 0) -> tuple[int, ...]:
+def seeded_permutation(n: int, seed: int) -> tuple[int, ...]:
     """Fisher-Yates permutation of range(n) driven by a keyed stream.
 
     Implemented directly over uniform doubles rather than a library shuffle
@@ -72,10 +48,8 @@ def seeded_permutation(n: int, seed: int, index: int = 0) -> tuple[int, ...]:
     library's shuffle implementation.
     """
     order = list(range(n))
-    stream = UniformStream(seed, PERMUTATION_STREAM, index)
-    draw = 0
-    for i in range(n - 1, 0, -1):
-        j = int(stream.value(draw) * (i + 1))
-        draw += 1
+    uniforms = stream_generator(seed, PERMUTATION_STREAM).random(n - 1).tolist()
+    for i, v in zip(range(n - 1, 0, -1), uniforms):
+        j = int(v * (i + 1))
         order[i], order[j] = order[j], order[i]
     return tuple(order)

@@ -133,11 +133,10 @@ class NoElimination(uc.OupRun):
 
 def phase_one_engine(sampler, seed: int, delta: float, n_1: int) -> NoElimination:
     """The greedy engine over the arms a coup run sampled for its first phase,
-    under that phase's bound context.  Fresh arms carry sentinel bounds that
-    do not depend on the context, so setting it before the first step is
-    enough."""
-    oracle = uc.SyntheticOracle([sampler.make_distribution(t) for t in sampler.thetas], seed=seed)
-    run = NoElimination(oracle, UTILITY, delta, doubling="new")
+    the configurations its sampler registered, in a fresh oracle under that
+    phase's bound context.  Fresh arms carry sentinel bounds that do not
+    depend on the context, so setting it before the first step is enough."""
+    run = NoElimination(sampler.oracle.reseeded(seed), UTILITY, delta, doubling="new")
     run.ctx = uc.BoundContext(n=n_1, delta=delta, phase=1)
     return run
 

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 import utilcap as uc
 from utilcap.bounds import BoundContext
 from utilcap.cli import main
-from utilcap.rng import UniformStream
+from utilcap.rng import stream_generator
 
 from helpers import (
     UTILITY,
@@ -99,19 +99,20 @@ def a8_suite():
 
 def test_a1_exact_width_identity():
     utility = uc.LogLaplaceUtility(60.0, 1.0)
-    draws = UniformStream(2024, 3)
     ctx = BoundContext(n=7, delta=0.05)
     worst = 0.0
     start = time.perf_counter()
+    # the stream's uniforms, read in order: a snapshot reads at most 2 + 40
+    draws = stream_generator(2024, 3).random(10_000 * 42).tolist()
     position = 0
     for _ in range(10_000):
-        m = 1 + int(draws.value(position) * 40)
-        level = int(draws.value(position + 1) * 11)
+        m = 1 + int(draws[position] * 40)
+        level = int(draws[position + 1] * 11)
         kappa = 2.0 ** level
         position += 2
         observations = []
         for _ in range(m):
-            t = draws.value(position) * kappa * 1.25
+            t = draws[position] * kappa * 1.25
             position += 1
             observations.append(
                 CappedObservation.observe(t, kappa)
@@ -213,13 +214,19 @@ def test_a4_stop_selection_exact(a2_suite):
 # ---------------------------------------------------------------------------
 
 
+def top_quantile(sampler, gamma: float) -> float:
+    """The (1 - gamma)-quantile of the space's utility: the utility at
+    theta = gamma, since the utility falls as theta grows."""
+    return uc.true_capped_utility(sampler.make_distribution(gamma), UTILITY, math.inf)[0]
+
+
 def test_a5_phase_certificates(a5_suite):
     failures = {p: 0 for p in (1, 2, 3, 4)}
     counts = {p: 0 for p in (1, 2, 3, 4)}
     for sampler, result in a5_suite:
         for cert in result.certificates:
-            threshold = sampler.optimum_quantile(UTILITY, cert.gamma) - cert.epsilon
-            truth = sampler.utility_at(sampler.thetas[cert.incumbent], UTILITY)
+            threshold = top_quantile(sampler, cert.gamma) - cert.epsilon
+            truth = sampler.oracle.true_utility(cert.incumbent_config, UTILITY)
             counts[cert.phase] += 1
             failures[cert.phase] += truth < threshold - 1e-12
     bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / 200)
@@ -238,11 +245,11 @@ def test_a5_characteristic_sampling_invariant(a5_suite):
     phases = 0
     for sampler, result in a5_suite:
         for cert in result.certificates:
-            threshold = sampler.optimum_quantile(UTILITY, cert.gamma)
-            pool_thetas = sampler.thetas[: cert.n]
+            threshold = top_quantile(sampler, cert.gamma)
             phases += 1
+            # the phase's pool is the oracle's first cert.n configurations
             characteristic += any(
-                sampler.utility_at(t, UTILITY) >= threshold for t in pool_thetas
+                sampler.oracle.true_utility(c, UTILITY) >= threshold for c in range(cert.n)
             )
     rate = characteristic / phases
     report(

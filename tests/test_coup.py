@@ -4,8 +4,11 @@ import math
 import pytest
 
 import utilcap as uc
+from utilcap.rng import SAMPLER_STREAM, stream_generator
 
 from helpers import (
+    PARAMETRIC_GROWTH,
+    PARAMETRIC_SCALE,
     UTILITY,
     NoElimination,
     a2_oracle,
@@ -19,6 +22,7 @@ from helpers import (
 )
 
 U60 = uc.LogLaplaceUtility(60.0, 1.0)
+PARAMETRIC = f"{PARAMETRIC_SCALE},{PARAMETRIC_GROWTH}"
 
 
 def finite_setup(seed=0, replace=True):
@@ -232,9 +236,9 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
     step = run.step
     growth = []
 
-    def sized_step():
+    def sized_step(*args):
         before = heap_sizes(run)
-        step()
+        step(*args)
         growth.append([b - a for a, b in zip(before, heap_sizes(run))])
 
     run.step = sized_step
@@ -336,20 +340,61 @@ def test_finite_quantile_examples():
     assert uc.finite_population_quantile(grid, 0.25) == 0.75
 
 
-def test_opt_gamma_parametric_matches_direct_quantile():
+def coup_trial(tmp_path, pool: str, seed: int):
+    """The spec, parse and rows of a phases:3 coup validation trial on a
+    synthetic pool file, handed the truths that validate_guarantee hands a
+    finite pool's trials."""
+    path = tmp_path / "pool.txt"
+    path.write_text(pool)
+    spec = uc.ExperimentSpec(
+        procedure="coup", oracle=f"synthetic:{path}", utility="loglaplace:kappa0=60,a=1",
+        stop="phases:3", seed=seed, delta=0.05, doubling="new",
+    )
+    parsed = uc.harness.parse_spec(spec)
+    utility, _, _, oracle, make = parsed
+    truths = None
+    if make is None:
+        values = oracle.true_utilities(utility)
+        truths = (max(values), values)
+    return spec, parsed, uc.harness._trial(spec, parsed, seed, truths)
+
+
+def test_opt_gamma_parametric_matches_direct_quantile(tmp_path):
+    # a parametric trial checks each certificate against the utility at
+    # theta = gamma, less eps
+    spec, parsed, rows = coup_trial(
+        tmp_path, f"family=parametric_exponential\nparams={PARAMETRIC}\n", seed=0
+    )
+    make = parsed[4]
+    schedule = uc.Schedule.from_spec(spec.schedule)
     oracle, sampler = parametric_setup(0)
-    gamma = 0.3
-    threshold = sampler.optimum_quantile(UTILITY, gamma)
-    assert threshold == pytest.approx(sampler.utility_at(gamma, UTILITY), rel=1e-12)
-    # the map is strictly decreasing, so exactly the top gamma of thetas beat it
-    assert sampler.utility_at(gamma - 0.01, UTILITY) > threshold
-    assert sampler.utility_at(gamma + 0.01, UTILITY) < threshold
+    sampler.sample(40)
+    # configuration j is the j-th draw of the sampler's stream
+    thetas = stream_generator(0, SAMPLER_STREAM).random(40).tolist()
+    assert [phase for phase, *_ in rows] == [1, 2, 3]
+    for phase, _, threshold, _ in rows:
+        eps, gamma = schedule.at(phase)
+        quantile = uc.true_capped_utility(make(gamma), UTILITY, math.inf)[0]
+        assert threshold == quantile - eps
+        # the map is strictly decreasing, so exactly the thetas below gamma beat it
+        assert [oracle.true_utility(c, UTILITY) > quantile for c in range(40)] == [
+            theta < gamma for theta in thetas
+        ]
 
 
-def test_opt_gamma_finite_sampler():
-    oracle, sampler = finite_setup()
-    values = oracle.true_utilities(UTILITY)
-    assert sampler.optimum_quantile(UTILITY, 0.19) == uc.finite_population_quantile(values, 0.19)
+def test_opt_gamma_finite_sampler(tmp_path):
+    # a finite-pool trial checks each certificate against the best truth
+    # left after removing the top gamma fraction of the pool, less eps
+    means = ";".join(map(str, (1.0, 5.0, 20.0, 80.0, 200.0, 3.0, 9.0, 40.0)))
+    spec, parsed, rows = coup_trial(tmp_path, f"family=exponential\nparams={means}\n", seed=2)
+    utility, _, schedule, oracle, _ = parsed
+    values = oracle.true_utilities(utility)
+    assert [phase for phase, *_ in rows] == [1, 2, 3]
+    for phase, _, threshold, _ in rows:
+        eps, gamma = schedule.at(phase)
+        quantile = uc.finite_population_quantile(values, gamma)
+        assert threshold == quantile - eps
+        assert quantile in values and sum(v > quantile for v in values) <= gamma * len(values)
 
 
 def test_with_replacement_duplicates_share_runtimes():
@@ -459,9 +504,10 @@ def test_phase_cost_within_factor_three_of_direct_search():
         run.run_phases(uc.StopRule(phases=p))
         ledgers[p] = run.ledger.total_seconds
     for cert in run.certificates:
-        pool = [sampler.make_distribution(t) for t in sampler.thetas[: cert.n]]
+        # the phase's pool is the oracle's first cert.n configurations
+        pool = list(range(cert.n))
         direct = uc.OupRun(
-            uc.SyntheticOracle(pool, seed=0), UTILITY, 0.01, doubling="new"
+            oracle.reseeded(0), UTILITY, 0.01, doubling="new", pool=pool
         ).run_until(uc.StopRule(epsilon=cert.epsilon))
         assert ledgers[cert.phase] <= 3.0 * direct.ledger.total_seconds
 

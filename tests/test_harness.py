@@ -689,8 +689,9 @@ def test_ground_truth_is_cached_across_trials(tmp_path, monkeypatch):
 
 
 def test_finite_pool_truths_are_computed_once_per_process(tmp_path, monkeypatch):
-    # every certificate scans the whole pool's truths for its quantile, so a
-    # bounded cache smaller than the pool would recompute them per certificate
+    # a trial is handed the pool's truths, as validate_guarantee computes
+    # them, and reads every certificate's quantile and truth without
+    # computing a truth again
     from utilcap import harness, oracles
 
     means = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0]
@@ -707,10 +708,14 @@ def test_finite_pool_truths_are_computed_once_per_process(tmp_path, monkeypatch)
     monkeypatch.setattr(oracles, "expected_capped_utility", counted)
     oracles.true_capped_utility.cache_clear()
     assert oracles.true_capped_utility.cache_info().maxsize is None
-    assert len({cert[0] for cert in harness._trial(spec, harness.parse_spec(spec), 0)}) == 3
+    parsed = harness.parse_spec(spec)
+    utility, _, _, pool_oracle, _ = parsed
+    true_utilities = pool_oracle.true_utilities(utility)
+    truths = (max(true_utilities), true_utilities)
     assert sorted(dist.mean for dist, _ in computed) == means
     computed.clear()
-    harness._trial(spec, harness.parse_spec(spec), 1)
+    assert len({cert[0] for cert in harness._trial(spec, parsed, 0, truths)}) == 3
+    harness._trial(spec, parsed, 1, truths)
     assert computed == []
 
 

@@ -145,8 +145,8 @@ def checked(run, name, fresh_seen: list):
     ``name``, and record whether a fresh arm was left."""
     method = getattr(run, name)
 
-    def call():
-        method()
+    def call(*args):
+        method(*args)
         fresh_seen.append(check_prefix(run) < len(run.arms))
 
     setattr(run, name, call)

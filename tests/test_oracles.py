@@ -25,7 +25,7 @@ from utilcap import (
 )
 from utilcap.baselines import halving_plan, naive_plan, naive_run, run_plan
 from utilcap.records import StopRule
-from utilcap.rng import RUNTIME_STREAM, UniformStream, stream_generator
+from utilcap.rng import RUNTIME_STREAM, stream_generator
 
 from helpers import capped_run, durations, true_runtimes
 
@@ -183,18 +183,20 @@ def test_a_runtime_ignores_request_order_and_added_configs(config, requests, add
     # stream mapped on its own, whichever instances were asked for first and
     # however many configurations were registered before
     dists = [Exponential(3.0), LogNormal(1.0, 1.5), TwoPoint(0.5, 40.0, 0.6)]
-    stream = UniformStream(13, RUNTIME_STREAM, config)
+    # one block that covers every table a request can grow: instances up
+    # to 3000 fill whole blocks of 128, up to 3,072 draws
+    uniforms = stream_generator(13, RUNTIME_STREAM, config).random(3072).tolist()
     oracle = SyntheticOracle(dists, seed=13)
     for k in range(added):
         oracle.add_config(Exponential(10.0 + k))
     times, draw = oracle.runtime_of(config)
     for j in requests:
-        assert draw(j).hex() == scalar_runtime(dists[config], stream.value(j)).hex()
+        assert draw(j).hex() == scalar_runtime(dists[config], uniforms[j]).hex()
     # the same table on every request, grown in place
     again = oracle.runtime_of(config)
     assert again[0] is times and again[1] is draw
     assert [t.hex() for t in times] == [
-        scalar_runtime(dists[config], stream.value(j)).hex() for j in range(len(times))
+        scalar_runtime(dists[config], uniforms[j]).hex() for j in range(len(times))
     ]
 
 

@@ -1,41 +1,57 @@
+import utilcap as uc
 from utilcap.rng import (
     PERMUTATION_STREAM,
     RUNTIME_STREAM,
-    UniformStream,
+    SAMPLER_STREAM,
     seeded_permutation,
     stream_generator,
 )
 
 
+def first8(seed, purpose, index):
+    return stream_generator(seed, purpose, index).random(8).tolist()
+
+
 def test_stream_is_pure_function_of_key():
-    a = UniformStream(7, RUNTIME_STREAM, 3)
-    b = UniformStream(7, RUNTIME_STREAM, 3)
-    assert [a.value(j) for j in range(20)] == [b.value(j) for j in range(20)]
-
-
-def test_access_order_does_not_matter():
-    a = UniformStream(7, RUNTIME_STREAM, 3)
-    b = UniformStream(7, RUNTIME_STREAM, 3)
-    forward = [a.value(j) for j in range(600)]
-    scattered = [b.value(j) for j in (599, 3, 0, 17, 255, 256)]
-    assert scattered == [forward[j] for j in (599, 3, 0, 17, 255, 256)]
+    assert first8(7, RUNTIME_STREAM, 3) == first8(7, RUNTIME_STREAM, 3)
 
 
 def test_streams_split_by_every_key_component():
-    def first8(seed, purpose, index):
-        s = UniformStream(seed, purpose, index)
-        return [s.value(j) for j in range(8)]
-
     base = first8(1, RUNTIME_STREAM, 0)
     assert base != first8(2, RUNTIME_STREAM, 0)
     assert base != first8(1, PERMUTATION_STREAM, 0)
     assert base != first8(1, RUNTIME_STREAM, 1)
 
 
-def test_generator_matches_stream():
-    gen = stream_generator(5, RUNTIME_STREAM, 2)
-    s = UniformStream(5, RUNTIME_STREAM, 2)
-    assert list(gen.random(10)) == [s.value(j) for j in range(10)]
+def test_samplers_read_their_stream_in_order():
+    # a sampler's draws do not depend on how they are chunked into phases:
+    # sample(a) then sample(b) gives what one sample(a + b) gives
+    make = uc.exponential_mean_map(0.1, 10000.0)
+    pool = [uc.Exponential(float(m)) for m in range(1, 41)]
+
+    def samplers(seed):
+        return {
+            "with replacement": uc.FinitePoolSampler(uc.SyntheticOracle(pool, seed), seed),
+            "without replacement": uc.FinitePoolSampler(
+                uc.SyntheticOracle(pool, seed), seed, replace=False
+            ),
+            "parametric": uc.ParametricSampler(uc.SyntheticOracle([], seed), seed, make),
+        }
+
+    for seed in (0, 5):
+        for a, b in ((1, 1), (3, 17), (6, 0), (0, 9)):
+            chunked, whole = samplers(seed), samplers(seed)
+            for mode, sampler in chunked.items():
+                drawn = sampler.sample(a) + sampler.sample(b)
+                assert drawn == whole[mode].sample(a + b), (mode, seed, a, b)
+    # the parametric sampler registers make(v_j) for the j-th uniform of its
+    # stream, as configurations 0, 1, ... of its oracle
+    oracle = uc.SyntheticOracle([], 5)
+    sampler = uc.ParametricSampler(oracle, 5, make)
+    assert sampler.sample(4) + sampler.sample(6) == list(range(10))
+    uniforms = stream_generator(5, SAMPLER_STREAM).random(10).tolist()
+    assert [oracle.name(c) for c in range(10)] == [make(v).label() for v in uniforms]
+    assert oracle.n_configs == 10
 
 
 def test_seeded_permutation_is_bijection_and_stable():
