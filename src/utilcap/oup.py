@@ -207,11 +207,10 @@ class OupRun:
         and binds the width table at the new captime.  The streak ends after
         the round that changes the selection, eliminates, or meets a limit
         of ``stop`` (without one, one round is made), or when the oracle
-        runs out of instances.  Then the
-        locals are written back: the arm gets one ``BoundSnapshot``, the
-        ledger its total and its run count (one run per round made, plus
-        the reruns), ``eps_min`` its value, and the heaps the arm's keys,
-        unless it was eliminated.
+        runs out of instances.  Then the locals are written back: the arm
+        gets one ``BoundSnapshot``, the ledger its total and its run count
+        (one run per round made, plus the reruns), ``eps_min`` its value,
+        and the heaps the arm's keys, unless it was eliminated.
         """
         rounds = self.rounds
         limits = stop or StopRule(rounds=rounds + 1)
