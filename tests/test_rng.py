@@ -25,9 +25,14 @@ def test_streams_split_by_every_key_component():
 
 def test_samplers_read_their_stream_in_order():
     # a sampler's draws do not depend on how they are chunked into phases:
-    # sample(a) then sample(b) gives what one sample(a + b) gives
+    # sample(a) then sample(b) gives what one sample(a + b) gives.  Draws
+    # are compared by the names of the configurations they give, which
+    # tell the pool's distinct means and the space's thetas apart.
     make = uc.exponential_mean_map(0.1, 10000.0)
     pool = [uc.Exponential(float(m)) for m in range(1, 41)]
+
+    def drawn(sampler, *sizes):
+        return [sampler.oracle.name(c) for k in sizes for c in sampler.sample(k)]
 
     def samplers(seed):
         return {
@@ -42,8 +47,7 @@ def test_samplers_read_their_stream_in_order():
         for a, b in ((1, 1), (3, 17), (6, 0), (0, 9)):
             chunked, whole = samplers(seed), samplers(seed)
             for mode, sampler in chunked.items():
-                drawn = sampler.sample(a) + sampler.sample(b)
-                assert drawn == whole[mode].sample(a + b), (mode, seed, a, b)
+                assert drawn(sampler, a, b) == drawn(whole[mode], a + b), (mode, seed, a, b)
     # the parametric sampler registers make(v_j) for the j-th uniform of its
     # stream, as configurations 0, 1, ... of its oracle
     oracle = uc.SyntheticOracle([], 5)
