@@ -23,8 +23,10 @@ budget and by rounds, an up run that stops with a single survivor, an oup
 run on the two-point family, a coup run over a finite pool sampled
 without replacement, coup runs whose budget runs out exactly where phase
 1 ends and inside phase 2, an oup run over one configuration, whose heaps
-hold no rival while it is held, and an up run whose held arm ranks below
-the best rival on the low-UCB heap yet is not eliminated.
+hold no rival while it is held, an up run whose held arm ranks below
+the best rival on the low-UCB heap yet is not eliminated, and a coup run
+over a finite pool, sampled with replacement, whose phases pull every arm
+they sample, so each phase's draws are pinned in order.
 """
 
 from __future__ import annotations
@@ -191,6 +193,15 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
         uc.ExperimentSpec(
             procedure="up", oracle="synthetic:close.txt", utility="loglaplace:kappa0=60,a=1",
             stop="epsilon:0.3", seed=40, delta=0.1, doubling="new",
+        ),
+    ))
+    # at seed 2 each of the 16 arms that phases 1-3 sample is pulled, so the
+    # trace pins every draw in its place (phase 1 draws [1, 1, 1, 0, 0])
+    cells.append((
+        "coup_finite_slow",
+        uc.ExperimentSpec(
+            procedure="coup", oracle="synthetic:slow.txt", utility="loglaplace:kappa0=60,a=1",
+            stop="phases:3", seed=2, delta=0.1, doubling="new",
         ),
     ))
     return cells
@@ -429,6 +440,12 @@ EXPECTED: dict[str, dict[str, str]] = {
     'up_held_arm_kept': {
         'summary.csv': '4f6e4e195636721e4283026afc9a7cf12a07515062a3a96db811b40b20bed89f',
         'trace.csv': '366a6400abb065e55fd352805fa7fc539e1a117c68d669ea29e95edc91ee8a12',
+    },
+    # cells added after the first 47
+    'coup_finite_slow': {
+        'certificates.csv': 'e6aaeaaeb20f41acad847eb081dbf37aecfa8516cfe40cd2c68d7af5bdc8e3ee',
+        'summary.csv': '2477b346e08d692eea53120bbd2f01cb8574d3fc0bc6d7980fc3819ce0aefbea',
+        'trace.csv': '93b6cf40559b441e0cd2338053a8ab6385e8a0dd52294d349b0a45ef43821160',
     },
 }
 
