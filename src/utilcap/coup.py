@@ -19,6 +19,17 @@ probability 1 - delta its true utility is within eps_p of the top
 (1 - gamma_p)-quantile of the configuration distribution, in every phase
 simultaneously.  State carries across phases; entering a new phase only
 refreshes the bounds of existing arms under the new width, without any runs.
+
+Most of a large pool is never pulled, and a configuration costs nothing
+until its first pull.  The pulled configurations are always a prefix
+[0, k) of the pool, and every other one carries the same fresh bounds (UCB
+1, LCB 0), so they tie, and a tie goes to the lowest position.  So the run
+keeps one fresh arm, the frontier at position k, which stands for the whole
+fresh rest of the pool.  Selecting it draws the configuration of position
+k + 1, the next in the sampler's order, and makes that the frontier.  Draws
+in order are the draws a whole phase would make at once, so every
+configuration, runtime and trace row is the same as if the pool were drawn
+in full.
 """
 
 from __future__ import annotations
@@ -26,9 +37,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from heapq import heappush
 
 from .arms import ArmState, refresh_snapshots
-from .bounds import DOUBLING_RULES, BoundContext
+from .bounds import DOUBLING_RULES, FRESH, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle
 from .oup import OupRun
 from .records import CostLedger, RunResult, StopRule
@@ -151,17 +163,20 @@ class SamplerExhaustedError(RuntimeError):
 
 class FinitePoolSampler:
     """Uniform draws from a finite configuration population, the oracle's
-    ids ``0 .. n_configs - 1``.
+    ids ``0 .. n_configs - 1``, in order: ``sample(k)`` gives the next
+    ``k`` draws, whether asked for at once or one at a time.
 
     With replacement (the default) draws are independent, and a repeated
     configuration becomes a distinct arm sharing the same runtime source.
     Without replacement the population is consumed in a seeded shuffle order
-    and exhaustion is an error.
+    and exhaustion is an error.  ``population`` is how many draws the
+    sampler can make: infinite with replacement.
     """
 
     def __init__(self, oracle: RuntimeOracle, seed: int, replace: bool = True):
         self.oracle = oracle
         self.replace = replace
+        self.population = math.inf if replace else oracle.n_configs
         self._generator = stream_generator(seed, SAMPLER_STREAM)
         if not replace:
             keys = self._generator.random(oracle.n_configs).tolist()
@@ -181,7 +196,11 @@ class FinitePoolSampler:
 
 class ParametricSampler:
     """Continuous configuration space: theta ~ Uniform[0, 1] mapped to a runtime
-    distribution, registered with a synthetic oracle on first draw."""
+    distribution, registered with a synthetic oracle when drawn.  Draws come
+    in order, as ``FinitePoolSampler``'s do, so the j-th configuration drawn
+    is the oracle's configuration j."""
+
+    population = math.inf
 
     def __init__(self, oracle: SyntheticOracle, seed: int, make_distribution):
         self.oracle = oracle
@@ -236,11 +255,16 @@ class PhaseCertificate:
 
 
 class CoupRun(OupRun):
-    """Phased run holding a growing arm store shared across phases.
+    """Phased run over a pool that grows across phases.
 
     Each round is the greedy engine's round over the whole pool, with no
     elimination; this class only keeps the phases: it grows the pool, swaps
     the bound context, and certifies each phase's incumbent.
+
+    Every position of the pool survives: ``survivors`` is ``range(ctx.n)``.
+    ``arms`` holds the pulled prefix ``[0, k)`` and, while ``k < ctx.n``,
+    the never-pulled frontier arm at ``k``; the positions past it are not
+    drawn yet (see the module docstring).
     """
 
     procedure = "coup"
@@ -268,7 +292,7 @@ class CoupRun(OupRun):
         self.schedule = schedule
         self.doubling_rule = DOUBLING_RULES[doubling]
         self.arms: list[ArmState] = []
-        self.survivors: list[int] = []
+        self.survivors = range(0)
         self.p = 0
         self.eps_p = math.nan
         self.gamma_p = math.nan
@@ -281,20 +305,39 @@ class CoupRun(OupRun):
         self.rebuild_index()
 
     def begin_phase(self) -> None:
-        """Enter the next phase: top up the pool, refresh bounds, no runs."""
+        """Enter the next phase: grow the pool, refresh bounds, no runs.
+
+        The pool grows by count alone, and a frontier arm is made only if
+        every arm has been pulled, so a phase start touches the pulled arms
+        and the frontier, not the pool.  A without-replacement sampler
+        refuses here a pool larger than its population."""
         self.p += 1
         self.eps_p, self.gamma_p = self.schedule.at(self.p)
-        needed = phase_size(self.p, self.gamma_p, self.delta) - len(self.arms)
-        if needed > 0:
-            self.arms.extend(ArmState(config) for config in self.sampler.sample(needed))
-            self.survivors = list(range(len(self.arms)))
         # the union bound counts the pool searched, which exceeds n_p when
         # an earlier phase needed more configurations
-        self.ctx = BoundContext(n=len(self.arms), delta=self.delta, phase=self.p)
+        n = max(phase_size(self.p, self.gamma_p, self.delta), len(self.survivors))
+        if n > self.sampler.population:
+            raise SamplerExhaustedError(n, self.sampler.population)
+        self.survivors = range(n)
+        if len(self.arms) < n and (not self.arms or self.arms[-1].m):
+            self.arms.append(ArmState(self.sampler.sample(1)[0]))
+        self.ctx = BoundContext(n=n, delta=self.delta, phase=self.p)
         refresh_snapshots(self.arms, self.ctx, self.utility)
         self.rebuild_index()
         # the per-phase guarantee restarts with the refreshed bounds
         self.eps_min = self.guaranteed_epsilon()
+
+    def select_arm(self) -> int:
+        """The greedy selection.  Selecting the frontier arm makes the next
+        position's arm the frontier, whose fresh keys go into the heaps
+        before the streak reads its rivals."""
+        i = super().select_arm()
+        arms = self.arms
+        if i == len(arms) - 1 and len(arms) < len(self.survivors):
+            arms.append(ArmState(self.sampler.sample(1)[0]))
+            heappush(self._by_ucb, (-FRESH.ucb, i + 1))
+            heappush(self._by_lcb, (-FRESH.lcb, i + 1))
+        return i
 
     # coup's streaks run under this name, which the benchmark's per-layer
     # tracer times apart from oup's

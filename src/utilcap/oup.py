@@ -127,8 +127,12 @@ class OupRun:
         the lowest index.  Max-heaps on UCB and LCB answer the leaders; a
         min-heap on UCB, kept only by an engine that eliminates, finds the
         arms to eliminate.
+
+        Survivors past the last arm, which only a ``coup`` pool has, are
+        fresh positions not drawn yet; the last arm stands for them.
         """
-        snapshots = [(i, self.arms[i].snapshot) for i in self.survivors]
+        arms = self.arms
+        snapshots = [(i, arms[i].snapshot) for i in self.survivors[: len(arms)]]
         self._by_ucb = [(-s.ucb, i) for i, s in snapshots]
         self._by_lcb = [(-s.lcb, i) for i, s in snapshots]
         self._low_ucb = [(s.ucb, i) for i, s in snapshots] if self.eliminate else []

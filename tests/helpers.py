@@ -131,12 +131,21 @@ class NoElimination(uc.OupRun):
     eliminate = False
 
 
-def phase_one_engine(sampler, seed: int, delta: float, n_1: int) -> NoElimination:
-    """The greedy engine over the arms a coup run sampled for its first phase,
-    the configurations its sampler registered, in a fresh oracle under that
-    phase's bound context.  Fresh arms carry sentinel bounds that do not
-    depend on the context, so setting it before the first step is enough."""
-    run = NoElimination(sampler.oracle.reseeded(seed), UTILITY, delta, doubling="new")
+def drawn_pool(seed: int, n: int) -> uc.SyntheticOracle:
+    """The pool of ``n`` configurations that a coup run on
+    ``parametric_setup(seed)`` searches, drawn in full: an oracle with the
+    first ``n`` draws of a second sampler on the same seed registered."""
+    oracle, sampler = parametric_setup(seed)
+    sampler.sample(n)
+    return oracle
+
+
+def phase_one_engine(seed: int, delta: float, n_1: int) -> NoElimination:
+    """The greedy engine over every arm of a coup run's first-phase pool,
+    ``drawn_pool(seed, n_1)``, under that phase's bound context.  Fresh arms
+    carry sentinel bounds that do not depend on the context, so setting it
+    before the first step is enough."""
+    run = NoElimination(drawn_pool(seed, n_1), UTILITY, delta, doubling="new")
     run.ctx = uc.BoundContext(n=n_1, delta=delta, phase=1)
     return run
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import utilcap as uc
+from utilcap.arms import ArmState
 from utilcap.rng import SAMPLER_STREAM, stream_generator
 
 from helpers import (
@@ -12,6 +13,7 @@ from helpers import (
     UTILITY,
     NoElimination,
     a2_oracle,
+    drawn_pool,
     durations,
     make_snapshot,
     observations,
@@ -41,6 +43,12 @@ def make_run(seed=0, schedule="default", delta=0.05, parametric=True, **kwargs):
     return uc.CoupRun(
         sampler, oracle, UTILITY, delta, uc.Schedule.from_spec(schedule), doubling="new", **kwargs
     )
+
+
+def draw_whole_pool(run):
+    """Give every position of the run's pool an arm: its sampler draws the
+    configurations past the frontier, in the order the run would."""
+    run.arms.extend(ArmState(c) for c in run.sampler.sample(run.ctx.n - len(run.arms)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +129,12 @@ def test_first_phase_initializes_fresh_arms():
     run = make_run(seed=1)
     run.begin_phase()
     assert run.p == 1
-    assert len(run.arms) == uc.phase_size(1, run.gamma_p, 0.05)
-    for arm in run.arms:
-        assert arm.m == 0 and arm.snapshot is uc.FRESH
+    assert run.ctx.n == len(run.survivors) == uc.phase_size(1, run.gamma_p, 0.05)
+    # every position is fresh: the frontier arm at 0 stands for them all,
+    # and it is the only configuration drawn
+    (frontier,) = run.arms
+    assert frontier.m == 0 and frontier.snapshot is uc.FRESH
+    assert run.oracle.n_configs == 1
 
 
 def test_phase_step_selects_lowest_index_on_fresh_pool():
@@ -175,19 +186,20 @@ def test_shrinking_requirement_keeps_pool():
     schedule = uc.Schedule(lambda p: pairs[p - 1], "explicit")
     run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling="new")
     run.run_phases(uc.StopRule(phases=1))
-    n_1 = len(run.arms)
+    n_1 = run.ctx.n
     assert n_1 == uc.phase_size(1, 0.05, 0.1) == 70
     result = run.run_phases(uc.StopRule(phases=2))
-    assert len(run.arms) == n_1  # nothing added, nothing removed
+    assert len(run.survivors) == n_1  # nothing added, nothing removed
     assert uc.phase_size(2, 0.9, 0.1) < n_1
     # the union bound counts the pool searched, not the phase requirement
-    assert run.ctx.n == len(run.arms)
+    assert run.ctx.n == n_1
     assert [c.n for c in result.certificates] == [70, 70]
 
 
 def test_phase_done_uses_both_maxima():
     run = make_run(seed=1)
     run.begin_phase()
+    draw_whole_pool(run)
     run.eps_p = 0.1
     snap = run.arms[0].snapshot
     run.arms[0].snapshot = snap._replace(ucb=0.9, lcb=0.1)
@@ -254,6 +266,41 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def test_phase_start_touches_only_the_pulled_arms():
+    # the benchmark's large-pool space: phase 15 searches 1,426 positions,
+    # and the run keeps arms for those it pulled and the frontier alone
+    oracle, sampler = parametric_setup(0)
+    run = uc.CoupRun(
+        sampler, oracle, UTILITY, 0.05, uc.Schedule.from_spec("default"), doubling="new"
+    )
+    result = run.run_phases(uc.StopRule(phases=15))
+    pulled = sum(arm.m > 0 for arm in run.arms)
+    assert len(run.arms) == oracle.n_configs == pulled + 1
+    assert run.ctx.n == len(run.survivors) == 1426
+    assert run.arms[-1].snapshot is uc.FRESH
+    # a fresh position is an incumbent while no pulled arm's LCB beats 0, and
+    # the frontier names it
+    assert max(uc.TraceRow(*row).incumbent for row in result.trace) == pulled
+
+
+def test_without_replacement_frontier_takes_the_queue_in_order():
+    # each arm takes the next configuration of the queue, one at a time, and
+    # the positions never reached take none
+    oracle = uc.SyntheticOracle([uc.Exponential(30.0 + 2 * i) for i in range(30)], seed=1)
+    sampler = uc.FinitePoolSampler(oracle, seed=1, replace=False)
+    asked = []
+    draw = sampler.sample
+    sampler.sample = lambda k: asked.append(k) or draw(k)
+    run = uc.CoupRun(
+        sampler, oracle, UTILITY, 0.1, uc.Schedule.from_spec("default"), doubling="new"
+    )
+    run.run_phases(uc.StopRule(phases=3))
+    assert run.ctx.n == 16 and 3 < len(run.arms) < 16
+    assert asked == [1] * len(run.arms)
+    queue = uc.FinitePoolSampler(oracle, seed=1, replace=False).sample(30)
+    assert [arm.config for arm in run.arms] == queue[: len(run.arms)]
+
+
 def test_zero_budget_yields_no_certificates():
     run = make_run(seed=4)
     result = run.run_phases(uc.StopRule(seconds=0.0, stop_reason="budget_exhausted"))
@@ -307,6 +354,7 @@ def test_phases_never_eliminate():
     # below the incumbent's LCB stays in the pool
     run = make_run(seed=1)
     run.begin_phase()
+    draw_whole_pool(run)
     snap = run.arms[0].snapshot
     run.arms[0].snapshot = snap._replace(ucb=2.0, lcb=0.0)
     run.arms[1].snapshot = snap._replace(ucb=0.95, lcb=0.9)
@@ -316,7 +364,7 @@ def test_phases_never_eliminate():
     run.phase_step()
     assert uc.TraceRow(*run.trace[-1]).incumbent == 1
     assert not any(arm.eliminated for arm in run.arms)
-    assert uc.TraceRow(*run.trace[-1]).survivors == len(run.survivors) == len(run.arms)
+    assert uc.TraceRow(*run.trace[-1]).survivors == len(run.survivors) == run.ctx.n
 
 
 def test_runs_are_deterministic():
@@ -460,13 +508,16 @@ def test_dataset_backed_phases_match_size_formula(tmp_path):
     for cert in result.certificates:
         _, gamma_p = schedule.at(cert.phase)
         assert cert.n == uc.phase_size(cert.phase, gamma_p, 0.1)
-    assert len(run.arms) == result.certificates[-1].n
+    assert run.ctx.n == result.certificates[-1].n
+    # the pool's configurations, as a second sampler on the seed draws them;
+    # the run drew them in the same order, as far as it got
+    configs = uc.FinitePoolSampler(oracle, seed=2, replace=True).sample(run.ctx.n)
+    assert [arm.config for arm in run.arms] == configs[: len(run.arms)]
     # duplicated rows are distinct arms sharing one runtime row
-    configs = [arm.config for arm in run.arms]
     assert len(set(configs)) < len(configs)
     # a certificate names its incumbent's configuration
     for cert in result.certificates:
-        assert cert.incumbent_config == run.arms[cert.incumbent].config
+        assert cert.incumbent_config == configs[cert.incumbent]
 
 
 def test_mid_phase_selection_ignores_sampling_phase():
@@ -503,11 +554,13 @@ def test_phase_cost_within_factor_three_of_direct_search():
     for p in range(1, 7):
         run.run_phases(uc.StopRule(phases=p))
         ledgers[p] = run.ledger.total_seconds
+    # the run drew only the configurations it pulled; the pools drawn in full
+    drawn = drawn_pool(0, run.ctx.n)
     for cert in run.certificates:
-        # the phase's pool is the oracle's first cert.n configurations
+        # the phase's pool is the first cert.n configurations
         pool = list(range(cert.n))
         direct = uc.OupRun(
-            oracle.reseeded(0), UTILITY, 0.01, doubling="new", pool=pool
+            drawn, UTILITY, 0.01, doubling="new", pool=pool
         ).run_until(uc.StopRule(epsilon=cert.epsilon))
         assert ledgers[cert.phase] <= 3.0 * direct.ledger.total_seconds
 
@@ -524,11 +577,12 @@ def test_single_phase_matches_greedy_engine_trace():
             sampler, oracle_c, UTILITY, 0.05, uc.Schedule.from_spec("default"), doubling="new"
         )
         coup.begin_phase()
-        n_1 = len(coup.arms)
+        n_1 = coup.ctx.n
         for _ in range(120):
             coup.phase_step()
 
-        oup = phase_one_engine(sampler, seed, 0.05, n_1)
+        # the engine holds all n_1 arms, the coup run only those it pulled
+        oup = phase_one_engine(seed, 0.05, n_1)
         for _ in range(120):
             oup.step()
         assert trace_lines(coup.trace) == trace_lines(oup.trace)

@@ -9,6 +9,9 @@ heaps; the queries (``select_arm``, ``leaders``, ``incumbent``,
 ``guaranteed_epsilon``) are checked at the end of each segment.  Pools
 repeat configurations, so pulled arms tie exactly as well as fresh ones
 (UCB 1.0, LCB 0.0), and runs are long enough for the heaps to be compacted.
+A ``coup`` run holds arms only up to its frontier, so its scans read the
+whole pool: its own arms, then fresh arms with the configurations that a
+second sampler on its seed draws.
 
 The pulled arms of every engine are a prefix ``[0, k)`` of its pool, and
 every arm never pulled shares the sentinel snapshot ``FRESH``; the prefix
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import utilcap as uc
+from utilcap.arms import ArmState
 
 from helpers import UTILITY, parametric_setup, scan
 
@@ -30,40 +34,54 @@ DISTS = (
 )
 
 
-def step_and_check(run):
+def pool_arms(run, drawn=None):
+    """The arms of every position of the run's pool.  A coup run's arms are
+    the first of ``drawn``'s configurations, in order, and the positions
+    past them are fresh."""
+    if drawn is None:
+        return run.arms
+    assert [arm.config for arm in run.arms] == drawn[: len(run.arms)]
+    return run.arms + [ArmState(c) for c in drawn[len(run.arms) : len(run.survivors)]]
+
+
+def step_and_check(run, drawn=None):
     """Make one round; it must select, read the leaders and eliminate as
     scans of the snapshots before and after it would."""
     before = list(run.survivors)
-    selected = scan(run.arms, before)[0]
+    selected = scan(pool_arms(run, drawn), before)[0]
     run.step()
+    arms = pool_arms(run, drawn)
     row = uc.TraceRow(*run.trace[-1])
     if not isinstance(run, uc.UpRun):  # up selects round-robin
         assert row.selected == selected
-    _, star, eps = scan(run.arms, before)
+    _, star, eps = scan(arms, before)
     assert (row.incumbent, row.eps_raw) == (star, eps)
     expected = before
     if run._eliminates():
-        threshold = run.arms[star].snapshot.lcb
-        expected = [j for j in before if run.arms[j].snapshot.ucb >= threshold]
-    assert run.survivors == expected
-    assert all(run.arms[j].eliminated for j in set(before) - set(expected))
+        threshold = arms[star].snapshot.lcb
+        expected = [j for j in before if arms[j].snapshot.ucb >= threshold]
+    assert list(run.survivors) == expected
+    assert all(arms[j].eliminated for j in set(before) - set(expected))
     check_heaps_hold_survivors(run)
 
 
 def check_heaps_hold_survivors(run):
-    """Between steps no arm is held: each survivor's current ``(-ucb, i)``
-    and ``(-lcb, i)`` entries, and ``(ucb, i)`` if the engine eliminates,
-    are in the heaps."""
+    """Between steps no arm is held: each surviving arm's current ``(-ucb,
+    i)`` and ``(-lcb, i)`` entries, and ``(ucb, i)`` if the engine
+    eliminates, are in the heaps.  A coup run's positions past its arms
+    have none: its last arm, fresh, stands for them."""
     heaps = [(set(run._by_ucb), lambda s: -s.ucb), (set(run._by_lcb), lambda s: -s.lcb)]
     if run.eliminate:
         heaps.append((set(run._low_ucb), lambda s: s.ucb))
-    for j in run.survivors:
+    for j in run.survivors[: len(run.arms)]:
         for entries, key in heaps:
             assert (key(run.arms[j].snapshot), j) in entries
+    if len(run.arms) < len(run.survivors):
+        assert run.arms[-1].snapshot is uc.FRESH
 
 
-def check_index(run):
-    reference = scan(run.arms, run.survivors)
+def check_index(run, drawn=None):
+    reference = scan(pool_arms(run, drawn), run.survivors)
     if not isinstance(run, uc.UpRun):
         assert run.select_arm() == reference[0]
     assert run.leaders() == reference
@@ -81,11 +99,14 @@ def check_index(run):
 )
 def test_index_matches_full_scan(procedure, pool, seed, doubling, segments):
     oracle = uc.SyntheticOracle(list(DISTS), seed=seed)
+    drawn = None
     if procedure == "coup":
         # coup samples its pool, with replacement, instead of taking ``pool``
         sampler = uc.FinitePoolSampler(oracle, seed=seed)
         schedule = uc.Schedule.from_spec("default")
         run = uc.CoupRun(sampler, oracle, UTILITY, 0.1, schedule, doubling=doubling)
+        second = uc.FinitePoolSampler(oracle, seed=seed)
+        drawn = []
     else:
         engine = uc.OupRun if procedure == "oup" else uc.UpRun
         run = engine(oracle, UTILITY, 0.1, doubling=doubling, pool=pool)
@@ -94,10 +115,11 @@ def test_index_matches_full_scan(procedure, pool, seed, doubling, segments):
     for rounds in segments:
         if procedure == "coup":
             run.begin_phase()
-            check_index(run)
+            drawn += second.sample(len(run.survivors) - len(drawn))
+            check_index(run, drawn)
         for _ in range(rounds):
-            step_and_check(run)
-        check_index(run)
+            step_and_check(run, drawn)
+        check_index(run, drawn)
 
 
 def test_held_arm_eliminated_at_a_sweep_boundary():
