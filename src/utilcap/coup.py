@@ -187,8 +187,8 @@ class FinitePoolSampler:
         if self.replace:
             n = self.oracle.n_configs
             return [int(v * n) for v in self._generator.random(k).tolist()]
-        if self._taken + k > len(self._queue):
-            raise SamplerExhaustedError(self._taken + k, len(self._queue))
+        if self._taken + k > self.population:
+            raise SamplerExhaustedError(self._taken + k, self.population)
         out = self._queue[self._taken : self._taken + k]
         self._taken += k
         return out

@@ -5,9 +5,10 @@ stream is identified by ``(seed, purpose, index)``; Philox is counter-based
 and the key is derived through ``SeedSequence``, so every stream is a pure
 function of its identifier, and its draws do not depend on how they are
 chunked: k draws and then m give the values of one draw of k + m.  Every
-reader takes a ``stream_generator`` and draws from it in order.  The
-samplers draw a whole phase's uniforms in one call, and the dataset column
-order draws its uniforms in one call.  A synthetic oracle grows each
+reader takes a ``stream_generator`` and draws from it in order.  A
+sampler draws the uniforms of the configurations it is asked for in one
+call, and ``coup`` asks for one at a time, as its run reaches each; the
+dataset column order draws its uniforms in one call.  A synthetic oracle grows each
 configuration's runtime table one block at a time, to the block that holds
 the instance asked for (``grown_size``), and keeps only the runtimes it
 maps the uniforms to; adding configurations never perturbs the runtimes of

@@ -252,7 +252,7 @@ def test_a5_characteristic_sampling_invariant(a5_suite):
         for cert in result.certificates:
             threshold = top_quantile(sampler, cert.gamma)
             phases += 1
-            # the phase's pool is the pool's first cert.n configurations
+            # the phase searched the first cert.n of them
             characteristic += any(
                 pool.true_utility(c, UTILITY) >= threshold for c in range(cert.n)
             )
