@@ -13,7 +13,8 @@ round loop of ``OupRun.step``:
    sum over every earlier run from the runtime table;
 4. run instance ``m`` at the current captime: the true runtime ``t`` from
    the oracle's table of the configuration, observed as ``min(t, kappa)``
-   and completed when ``t < kappa``;
+   and completed when ``t < kappa``; a capped run's utility is the
+   ``u(kappa)`` of step 5, which the round already holds;
 5. recompute the bounds (``f_hat``, ``u(kappa)``, UCB, LCB) from the arm's
    running sums, reusing the width and ``u(kappa)`` of step 2 (or, after a
    doubling, of the new captime).
@@ -73,29 +74,34 @@ class ArmState:
         self._utility_sum = 0.0
         self._completed_count = 0
 
-    def double_captime(self, times, u: UtilityFunction) -> list[float]:
+    def double_captime(self, times, u: UtilityFunction) -> tuple[list[float], float]:
         """Double the captime and rerun, at the new one, every earlier run
         that had capped: of the first ``m - 1`` runs, as ``m`` already counts
         the pull under way, those with ``times[j]`` at or above the old
         captime.  Completed runs are reused, never rerun.  ``times`` is the
         configuration's runtime table, which holds every run made.  The
         utility sum is recomputed from it, ``u(min(times[j], kappa))`` for
-        each earlier run in run order.  Returns the reruns' durations in run
-        order, for the caller to charge."""
+        each earlier run in run order, with ``u(kappa)`` computed once for
+        the runs that cap again.  Returns the reruns' durations in run
+        order, for the caller to charge, and ``u(kappa)``."""
         capped = self.kappa
         kappa = self.kappa = 2.0 * capped
+        u_kappa = u(kappa)
         charged = []
         usum = 0.0
         for t in times[: self.m - 1]:
-            d = t if t < kappa else kappa
-            usum += u(d)
-            if t >= capped:
-                # it had capped, so it is rerun
-                if t < kappa:
+            if t < kappa:
+                usum += u(t)
+                if t >= capped:
+                    # it had capped, and completes when rerun
                     self._completed_count += 1
-                charged.append(d)
+                    charged.append(t)
+            else:
+                # it caps again, at the new captime
+                usum += u_kappa
+                charged.append(kappa)
         self._utility_sum = usum
-        return charged
+        return charged, u_kappa
 
     def recompute_snapshot(self, a: float, u_k: float) -> None:
         """Rebuild the snapshot of a pulled arm (``m >= 1``) from the running

@@ -25,7 +25,7 @@ import math
 
 from .oracles import RuntimeOracle
 from .oup import OupRun
-from .records import CostLedger, RunResult
+from .records import NO_TRACE, CostLedger, RunResult
 from .utility import UtilityFunction
 
 
@@ -66,15 +66,17 @@ def run_plan(
 ) -> RunResult:
     """A run of a fixed plan at captime ``kappa``, the run of both naive and
     successive halving; its rows go to ``trace``, a new list unless one is
-    given, as in ``OupRun``.
+    given, or none for ``NO_TRACE``, as in ``OupRun``.
 
     Each ``(target, keep)`` stage tops every surviving arm up to ``target``
     runs, in position order, then keeps the ``keep`` best by mean (ties to
     the lowest position); the incumbent heads the last stage's ranking.
     Arms are configuration ids; run j of an arm is instance j, read from the
     oracle's runtime table, which is grown to ``target`` before the arm's
-    first run.  Each run is a round: it appends one trace row, with eps 1.0
-    and the best empirical mean among the survivors as the incumbent.
+    first run.  A capped run's utility is ``u(kappa)``, computed once.  Each
+    run is a round: it appends one trace row, with eps 1.0 and the best
+    empirical mean among the survivors as the incumbent, unless the run
+    keeps no rows.
     """
     n = oracle.n_configs
     trace = [] if trace is None else trace
@@ -85,7 +87,8 @@ def run_plan(
         return (sums[i] / counts[i] if counts[i] else -math.inf, -i)
 
     u = utility.__call__
-    add_row = trace.append
+    u_kappa = u(kappa)
+    add_row = None if trace is NO_TRACE else trace.append
     total = 0.0
     rounds = 0
     alive = list(range(n))
@@ -93,10 +96,11 @@ def run_plan(
         survivors = len(alive)
         for a in alive:
             # no other arm changes while ``a`` is sampled: rank the others once
-            # (below every mean when there are none), and keep the arm's sums
-            # in locals until it is done
-            top, other = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
-            other = -other
+            # (below every mean when there are none) for the rows, and keep the
+            # arm's sums in locals until it is done
+            if add_row is not None:
+                top, other = max((rank(i) for i in alive if i != a), default=(-math.inf, 1))
+                other = -other
             # the plan is known, so the runtime table is grown to it at once
             times, draw = oracle.runtime_of(a)
             if target > len(times):
@@ -104,15 +108,19 @@ def run_plan(
             count, sum_a = counts[a], sums[a]
             while count < target:
                 t = times[count]
-                d = t if t < kappa else kappa
-                total += d
-                sum_a += u(d)
+                if t < kappa:
+                    total += t
+                    sum_a += u(t)
+                else:
+                    total += kappa
+                    sum_a += u_kappa
                 count += 1
                 rounds += 1
-                # (mean, -a) > (top, -other), as floats; no mean is nan
-                mean = sum_a / count
-                best = a if mean > top or (mean == top and a < other) else other
-                add_row((rounds, total, a, False, 1.0, 1.0, survivors, best))
+                if add_row is not None:
+                    # (mean, -a) > (top, -other), as floats; no mean is nan
+                    mean = sum_a / count
+                    best = a if mean > top or (mean == top and a < other) else other
+                    add_row((rounds, total, a, False, 1.0, 1.0, survivors, best))
             counts[a], sums[a] = count, sum_a
         ranked = sorted(alive, key=rank, reverse=True)
         alive = sorted(ranked[:keep])
@@ -181,7 +189,8 @@ def naive_run(
     # the certificate holds only once every configuration has all m samples:
     # it is the last row's eps_raw and eps_min
     trace = result.trace
-    trace[-1] = trace[-1][:4] + (epsilon, epsilon) + trace[-1][6:]
+    if trace is not NO_TRACE:
+        trace[-1] = trace[-1][:4] + (epsilon, epsilon) + trace[-1][6:]
     return result
 
 

@@ -13,7 +13,6 @@ import io
 import math
 import os
 import sys
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +45,7 @@ from .oracles import (
     true_capped_utility,
 )
 from .oup import OupRun
-from .records import StopRule, TraceRow, format_value
+from .records import NO_TRACE, StopRule, TraceRow, format_value
 from .utility import parse_utility
 
 OUTPUT_DIR_ENV = "UTILCAP_OUT"
@@ -605,9 +604,9 @@ def _trial(template: ExperimentSpec, parsed: tuple, seed: int, truths: tuple | N
 
     The trial runs ``template`` at ``seed``.  ``parsed`` is what
     ``parse_spec`` gave for the template, so only the seed's oracle is
-    built here, over the parsed pool, and the run keeps only its last trace
-    row.  Returns the trial's rows, each ending in whether it is violated.
-    ``truths`` is a finite pool's best true utility and the list of its
+    built here, over the parsed pool, and the run keeps no trace rows
+    (``NO_TRACE``).  Returns the trial's rows, each ending in whether it is
+    violated.  ``truths`` is a finite pool's best true utility and the list of its
     true utilities.  A run that certifies no phases gives one ``(gap,
     epsilon, violated)``, its incumbent's true gap read off ``truths``.  A
     ``coup`` run gives one ``(phase, truth, threshold, violated)`` per
@@ -620,7 +619,7 @@ def _trial(template: ExperimentSpec, parsed: tuple, seed: int, truths: tuple | N
     utility, stop, schedule, oracle, make = parsed
     spec = replace(template, seed=seed)
     oracle = oracle.reseeded(seed)
-    result = execute(spec, (utility, stop, schedule, oracle, make), deque(maxlen=1))
+    result = execute(spec, (utility, stop, schedule, oracle, make), NO_TRACE)
     if result.certificates is None:
         best, true_utilities = truths
         gap = best - true_utilities[result.incumbent_config]

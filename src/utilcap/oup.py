@@ -27,14 +27,14 @@ unpacked into float bounds and positions.  The arm's count, captime, sums
 and latest bounds, its runtime table, the width table at its captime, the
 ledger's total, the count of doubling reruns, ``eps_min`` and the limits
 of the run's ``StopRule`` are locals too; a round reads its runtime and
-its width from the two tables, and builds no tuple but its trace row.  A
-streak ends after a round that changes the selection, eliminates or meets
-a limit, or when the oracle runs out of instances; the locals are then
-written back, the arm's bounds as one ``BoundSnapshot``, and the arm's keys
-are pushed again.  So the heaps hold every survivor whenever ``step`` is
-not running, and a streak touches the heaps only at its two ends: select,
-incumbent and eps cost O(log n) amortized per streak rather than O(n) per
-round.  Called alone, ``step`` makes one round.
+its width from the two tables, and builds no tuple but its trace row (and
+none in a run that keeps no rows).  A streak ends after a round that
+changes the selection, eliminates or meets a limit, or when the oracle runs
+out of instances; the locals are then written back, the arm's bounds as
+one ``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps
+hold every survivor whenever ``step`` is not running, and a streak touches
+the heaps only at its two ends: select, incumbent and eps cost O(log n)
+amortized per streak rather than O(n) per round.  Called alone, ``step`` makes one round.
 
 Every stop is one ``records.StopRule``, the limits a run stops at.
 ``run_until`` hands it to ``step`` and tests it between streaks, and
@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 from .arms import ArmState
 from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_table
 from .oracles import InstanceExhaustedError, RuntimeOracle
-from .records import CostLedger, RunResult, StopRule
+from .records import NO_TRACE, CostLedger, RunResult, StopRule
 from .utility import UtilityFunction
 
 
@@ -85,8 +85,8 @@ class OupRun:
     must call ``rebuild_index`` afterwards.
 
     The run appends one row per round to ``trace``, a new list unless one
-    is given, and counts its rounds in ``rounds`` itself, so a
-    ``collections.deque(maxlen=1)`` keeps only the last row.
+    is given, and counts its rounds in ``rounds`` itself.  Handed
+    ``records.NO_TRACE``, as a validation trial's run is, it builds no rows.
     """
 
     procedure = "oup"
@@ -191,7 +191,8 @@ class OupRun:
         rule fires), reads the leaders, eliminates if the engine does, and
         appends the round's row: a plain tuple laid out as ``TraceRow``,
         which allocates one object and calls nothing, and the only tuple
-        the round builds.
+        the round builds.  A run that keeps no rows (``NO_TRACE``) builds
+        none.
 
         A streak is the rounds that pull the same arm one after another.
         The selected arm is held out of the heaps while it lasts, and the
@@ -206,15 +207,19 @@ class OupRun:
         (``bounds.width_table``), the rivals' tops, the ledger's total, the
         count of doubling reruns, ``eps_min`` and the utility's bound
         ``__call__``.  A round reads its runtime and its width from the
-        tables, and calls ``draw`` or ``more`` only past a table's end.  A
-        doubling hands the arm to ``ArmState.double_captime``, reads it back
-        and binds the width table at the new captime.  The streak ends after
-        the round that changes the selection, eliminates, or meets a limit
-        of ``stop`` (without one, one round is made), or when the oracle
-        runs out of instances.  Then the locals are written back: the arm
-        gets one ``BoundSnapshot``, the ledger its total and its run count
-        (one run per round made, plus the reruns), ``eps_min`` its value,
-        and the heaps the arm's keys, unless it was eliminated.
+        tables, whose lengths it keeps in locals too, and calls ``draw`` or
+        ``more`` only past a table's end.  It calls the utility only for a
+        completed run: a capped run's utility is ``u(kappa)``, which the
+        round already holds.  A doubling hands the arm to
+        ``ArmState.double_captime``, which returns ``u(kappa)`` at the new
+        captime, reads the arm back and binds the width table at the new
+        captime.  The streak ends after the round that changes the
+        selection, eliminates, or meets a limit of ``stop`` (without one,
+        one round is made), or when the oracle runs out of instances.  Then
+        the locals are written back: the arm gets one ``BoundSnapshot``, the
+        ledger its total and its run count (one run per round made, plus the
+        reruns), ``eps_min`` its value, and the heaps the arm's keys, unless
+        it was eliminated.
         """
         rounds = self.rounds
         limits = stop or StopRule(rounds=rounds + 1)
@@ -240,6 +245,9 @@ class OupRun:
         widths, more = width_table(ctx, kappa)
         usum = arm._utility_sum
         done = arm._completed_count
+        # the tables' lengths, read again only when a table grows or changes
+        n_times = len(times)
+        n_widths = len(widths)
         # the bounds of the arm's latest pull, which the next pull reads
         f_hat, u_k, ucb, lcb = arm.snapshot
         if not m:
@@ -251,13 +259,17 @@ class OupRun:
         eps_min = self.eps_min
         survivors = len(self.survivors)
         rounds_before = rounds
-        add_row = self.trace.append
+        add_row = None if self.trace is NO_TRACE else self.trace.append
         last_round, budget, target, _, _, _ = limits
         try:
             try:
                 while True:
                     m += 1
-                    a = widths[m] if m < len(widths) else more(m)
+                    if m < n_widths:
+                        a = widths[m]
+                    else:
+                        a = more(m)
+                        n_widths = len(widths)
                     # u(kappa) of this pull: the last snapshot's, unless the
                     # captime doubles
                     u_now = u_k
@@ -267,7 +279,8 @@ class OupRun:
                         # the arm reruns its capped runs; the loop charges them
                         arm.m = m
                         arm._completed_count = done
-                        for d in arm.double_captime(times, u):
+                        charged, u_now = arm.double_captime(times, u)
+                        for d in charged:
                             total += d
                             reruns += 1
                         kappa = arm.kappa
@@ -275,13 +288,20 @@ class OupRun:
                         done = arm._completed_count
                         widths, more = width_table(ctx, kappa)
                         a = widths[m] if m < len(widths) else more(m)
-                        u_now = u(kappa)
-                    t = times[m - 1] if m <= len(times) else draw(m - 1)
-                    d = t if t < kappa else kappa
-                    usum += u(d)
+                        n_widths = len(widths)
+                    if m <= n_times:
+                        t = times[m - 1]
+                    else:
+                        t = draw(m - 1)
+                        n_times = len(times)
+                    # a capped run's utility is u(kappa), which the round holds
                     if t < kappa:
+                        usum += u(t)
                         done += 1
-                    total += d
+                        total += t
+                    else:
+                        usum += u_now
+                        total += kappa
                     # the bounds as ArmState.recompute_snapshot computes them
                     u_k = u_now
                     f_hat = done / m
@@ -309,7 +329,8 @@ class OupRun:
                         self._eliminate((ucb, i), top_lcb)
                         survivors = len(self.survivors)
                         reselects = False
-                    add_row((rounds, total, i, doubled, eps_raw, eps_min, survivors, star))
+                    if add_row is not None:
+                        add_row((rounds, total, i, doubled, eps_raw, eps_min, survivors, star))
                     if not (reselects and leads) or (
                         rounds >= last_round or total >= budget or eps_min <= target
                     ):

@@ -14,7 +14,7 @@ at, and the reason it reports there.
 from __future__ import annotations
 
 import math
-from collections.abc import MutableSequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,6 +62,11 @@ class TraceRow(NamedTuple):
     incumbent: int
 
 
+# the trace sink of a run that keeps no rows, as a validation trial's: the
+# engines build no row for it, and its length, 0, counts none
+NO_TRACE = ()
+
+
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -107,11 +112,11 @@ class RunResult:
     and nan for ``sh``, which certifies nothing.  A run makes ``rounds``
     rounds and appends one row per round to ``trace``, a tuple laid out as
     ``TraceRow``.  Every procedure takes a trace sink: ``trace`` is the list
-    the rows went to, unless the run was handed another one, as a
-    validation trial keeps only the last row in a
-    ``collections.deque(maxlen=1)``.  ``certificates`` is ``None`` unless
-    the run certifies phases, as ``coup`` does: then it is the list of its
-    certificates, empty before the first.
+    the rows went to, unless the run was handed another one, or
+    ``NO_TRACE`` when it keeps no rows, as a validation trial's run does.
+    ``certificates`` is ``None`` unless the run certifies phases, as
+    ``coup`` does: then it is the list of its certificates, empty before the
+    first.
     """
 
     procedure: str
@@ -119,7 +124,7 @@ class RunResult:
     incumbent_config: int | None
     incumbent_name: str
     epsilon: float
-    trace: MutableSequence[tuple]
+    trace: Sequence[tuple]
     rounds: int
     ledger: CostLedger
     stop_reason: str

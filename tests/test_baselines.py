@@ -4,6 +4,7 @@ import math
 import pytest
 
 import utilcap as uc
+from utilcap.records import NO_TRACE
 
 from helpers import UTILITY, a8_oracle, capped_run, true_runtimes
 
@@ -158,6 +159,41 @@ def test_sampling_reads_every_planned_run_at_a_block_boundary(target):
         for d in row:
             total += d
     assert result.ledger.total_seconds == total
+
+
+@pytest.mark.parametrize("procedure, stages", [("naive", [(40, 3)]), ("sh", [(8, 2), (24, 1)])])
+def test_a_fixed_plan_computes_u_at_kappa_once(procedure, stages):
+    # a capped run's utility is u(kappa), computed once per plan; a completed
+    # run is valued at its runtime.  A run that keeps no rows makes the same
+    # calls and ends the same
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return U60(t)
+
+    kappa = 8.0
+    oracle = small_oracle(2)
+    result = uc.baselines.run_plan(procedure, oracle, counted, kappa, stages, math.nan)
+    pulls = {}
+    completed = capped = 0
+    for row in map(uc.TraceRow._make, result.trace):
+        j = pulls[row.selected] = pulls.get(row.selected, 0) + 1
+        if oracle.runtime_of(row.selected)[0][j - 1] < kappa:
+            completed += 1
+        else:
+            capped += 1
+    assert completed > 0 and capped > 0
+    assert calls == 1 + completed
+    calls = 0
+    none = uc.baselines.run_plan(
+        procedure, small_oracle(2), counted, kappa, stages, math.nan, NO_TRACE
+    )
+    assert calls == 1 + completed and none.trace is NO_TRACE
+    assert (none.incumbent, none.rounds, none.ledger.total_seconds) == (
+        result.incumbent, result.rounds, result.ledger.total_seconds
+    )
 
 
 def test_sampling_breaks_exact_mean_ties_toward_the_lowest_position():

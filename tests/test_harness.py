@@ -21,7 +21,7 @@ from utilcap.harness import (
     parse_stop,
     trace_csv_lines,
 )
-from utilcap.records import TraceRow, format_value
+from utilcap.records import NO_TRACE, TraceRow, format_value
 
 from helpers import UTILITY, seconds_by_arm, trace_lines
 
@@ -767,9 +767,9 @@ def test_validate_reads_the_pool_file_once(tmp_path, monkeypatch, trials):
     "procedure, stop",
     [("oup", "epsilon:0.4"), ("up", "epsilon:0.4"), ("naive", "epsilon:0.5"), ("coup", "phases:2")],
 )
-def test_a_validation_trial_keeps_only_its_last_row(tmp_path, monkeypatch, procedure, stop):
-    # a trial reads no rows, so its run keeps only the last one; naive's
-    # rewrite of its last row still reaches it
+def test_a_validation_trial_keeps_no_rows(tmp_path, monkeypatch, procedure, stop):
+    # a trial reads no rows, so its run builds none; what it reads of the run
+    # is what a run of the same seed that keeps every row ends with
     harness = uc.harness
     execute = harness.execute
     results = []
@@ -787,11 +787,23 @@ def test_a_validation_trial_keeps_only_its_last_row(tmp_path, monkeypatch, proce
     uc.validate_guarantee(spec, trials=3)
     assert len(results) == 3
     for seed, result in enumerate(results):
-        assert len(result.trace) == 1 and result.rounds > 1
-        last = TraceRow(*result.trace[-1])
-        # the very row a run that keeps every row ends with
+        assert result.trace is NO_TRACE and len(result.trace) == 0 and result.rounds > 1
         full = execute(dataclasses.replace(spec, seed=seed))
-        assert last == TraceRow(*full.trace[-1]) and last.round == result.rounds
+        last = TraceRow(*full.trace[-1])
+        assert last.round == full.rounds == result.rounds
+        assert last.ledger_seconds == full.ledger.total_seconds == result.ledger.total_seconds
+        assert full.ledger.run_count == result.ledger.run_count
+        # repr, so that equal nans compare equal
+        assert repr(result.epsilon) == repr(full.epsilon)
+        if procedure != "coup":
+            assert last.eps_min == result.epsilon and last.incumbent == result.incumbent
+        assert (result.incumbent, result.incumbent_config, result.incumbent_name) == (
+            full.incumbent, full.incumbent_config, full.incumbent_name
+        )
+        assert result.stop_reason == full.stop_reason
+        assert result.certificates == full.certificates
+        if procedure == "coup":
+            assert len(result.certificates) == 2
 
 
 def test_validate_guarantee_requires_synthetic(tmp_path):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import utilcap as uc
+from utilcap.arms import ArmState
 from utilcap.bounds import alpha
 
 from helpers import (
@@ -334,22 +335,59 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
         calls += 1
         return U60(t)
 
-    # a round values its own run, and a doubling every earlier run of the
-    # arm, for its new utility sum; later pulls read u(kappa) off the
-    # snapshot, so it is computed on a first pull and after a doubling
-    result = uc.OupRun(a8_oracle(5), counted, 0.1, doubling=doubling).run_until(
+    # a round values its own run only if it completed: a capped run's
+    # utility is u(kappa), which the round holds.  u(kappa) is computed on
+    # an arm's first pull and once per doubling, which also values every
+    # earlier run of the arm that completes at the new captime.  On this slow
+    # pool both rules double, and runs cap, doubling rounds' runs among them
+    oracle = uc.SyntheticOracle([uc.Exponential(mean) for mean in (30.0, 45.0, 60.0, 90.0)], 5)
+    result = uc.OupRun(oracle, counted, 0.1, doubling=doubling).run_until(
         uc.StopRule(rounds=2000)
     )
     rows = [uc.TraceRow(*row) for row in result.trace]
     pulls = {}
-    revalued = 0
+    kappas = {}
+    expected = capped_doublings = 0
     for row in rows:
-        pulls[row.selected] = pulls.get(row.selected, 0) + 1
+        # the pool is every configuration, so a position is a configuration
+        times = oracle.runtime_of(row.selected)[0]
+        m = pulls[row.selected] = pulls.get(row.selected, 0) + 1
+        kappa = kappas.setdefault(row.selected, 1.0)
+        if m == 1:
+            expected += 1
         if row.doubled:
-            revalued += pulls[row.selected] - 1
-    doublings = sum(row.doubled for row in rows)
-    assert doublings > 0
-    assert calls == len(rows) + revalued + len(pulls) + doublings
+            kappa = kappas[row.selected] = 2.0 * kappa
+            expected += 1 + sum(t < kappa for t in times[: m - 1])
+        if times[m - 1] < kappa:
+            expected += 1
+        else:
+            capped_doublings += row.doubled
+    assert capped_doublings > 0
+    assert calls == expected
+
+
+def test_a_doubling_computes_u_at_kappa_once():
+    calls = 0
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        return U60(t)
+
+    # the pull under way is the seventh; of the six earlier runs at captime
+    # 2, the second and fifth complete at 4, the fourth and sixth cap again
+    times = [0.5, 3.0, 1.5, 5.0, 2.5, 7.0, 9.0]
+    arm = ArmState(0)
+    arm.m, arm.kappa, arm._completed_count = 7, 2.0, 2
+    charged, u_kappa = arm.double_captime(times, counted)
+    assert arm.kappa == 4.0 and arm._completed_count == 4
+    assert charged == [3.0, 4.0, 2.5, 4.0] and u_kappa == U60(4.0)
+    usum = 0.0
+    for t in times[:6]:
+        usum += U60(min(t, 4.0))
+    assert arm._utility_sum == usum
+    # u(4) once for both runs that cap again, and one call per completed run
+    assert calls == 1 + 4
 
 
 # ---------------------------------------------------------------------------
