@@ -15,9 +15,10 @@ union bound behind the width is indexed by ``l = log2(kappa) + 1``.
 Within a run (or a phase) only ``m`` and ``kappa`` vary, so
 ``width_at(ctx, kappa)`` binds the rest and returns the width as a function
 of ``m``.  The round loop reads the width from ``width_table(ctx, kappa)``
-instead: a table of those widths by ``m``, shared by every run of the
-process with the same context, so a width is computed once however many
-arms, rounds and trials read it.
+instead: a memo of the widths read so far, keyed by ``m`` and shared by
+every run of the process with the same context, so a width is computed
+once however many arms, rounds and trials read it, and a count no one
+reads is never computed.
 
 Upper and lower utility bounds for empirical mean utility ``u_hat`` and
 completion fraction ``f_hat`` at captime ``kappa`` are
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,7 +71,7 @@ def width_at(ctx: BoundContext, kappa: float):
     Checks the captime and binds what no count at it changes: the lead
     constant times ``n``, ``delta`` and the squared grid level.  Each call
     computes only the terms in ``m``, in the same order as ``alpha``, which
-    returns ``width_at(ctx, kappa)(m)``; ``width_table`` fills its table
+    returns ``width_at(ctx, kappa)(m)``; ``width_table`` fills its memo
     with it.
     """
     level = _GRID_LEVELS.get(kappa)
@@ -98,6 +98,20 @@ def width_at(ctx: BoundContext, kappa: float):
     return width
 
 
+class WidthTable(dict):
+    """The widths at one captime read so far, by count: ``table[m]`` is
+    ``width(m)``, computed and stored on the first read of ``m``."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width):
+        self.width = width
+
+    def __missing__(self, m: int) -> float:
+        value = self[m] = self.width(m)
+        return value
+
+
 # the most width tables kept at once.  A run reads the tables of its context,
 # one per captime it reaches (at most 1024), and a validation's trials share
 # one context; a phased run switches context every phase, so old phases'
@@ -106,33 +120,16 @@ _WIDTH_TABLES = 256
 
 
 @functools.lru_cache(maxsize=_WIDTH_TABLES)
-def width_table(ctx: BoundContext, kappa: float):
-    """The widths at captime kappa as a table ``(table, more)``.
-
-    ``table`` is an ``array('d')`` with ``table[m] == width_at(ctx, kappa)(m)``
-    for ``1 <= m < len(table)`` (``table[0]`` is nan), and it only grows, at
-    its end; ``more(m)``, for ``m >= len(table)``, extends it exactly to
-    ``m`` and returns ``table[m]``.  So a reader indexes the table below its
-    length and calls ``more`` past it.  Tables are cached by value of the
-    context and captime, so every run of a process with the same ones,
-    such as the trials of a validation, shares them; a width is a pure
-    function of the context, captime and count, so sharing changes no
-    result.
+def width_table(ctx: BoundContext, kappa: float) -> WidthTable:
+    """The widths at captime kappa, as a ``WidthTable`` over
+    ``width_at(ctx, kappa)``: reading ``table[m]``, for ``m >= 1``, returns
+    ``width_at(ctx, kappa)(m)`` and computes it only on the first read.
+    Tables are cached by value of the context and captime, so every run of
+    a process with the same ones, such as the trials of a validation,
+    shares them; a width is a pure function of the context, captime and
+    count, so sharing changes no result.
     """
-    width = width_at(ctx, kappa)
-    table = array("d", [math.nan])
-
-    def more(m: int) -> float:
-        size = len(table)
-        if m == size:
-            # the next count, as every round of a streak at the end asks
-            value = width(m)
-            table.append(value)
-            return value
-        table.extend([width(k) for k in range(size, m + 1)])
-        return table[m]
-
-    return table, more
+    return WidthTable(width_at(ctx, kappa))
 
 
 def alpha(ctx: BoundContext, m: int, kappa: float) -> float:

@@ -383,8 +383,9 @@ def output_directory(requested: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-# a sampled configuration takes about 800 bytes with its arm state, oracle
-# entry and index heap entries, so a pool of this many takes about 0.8 GB
+# the most configurations a run may hold.  A configuration costs nothing
+# until its first pull; the cap stays until the trace's memory is bounded
+# (ROADMAP item 13)
 MAX_POOL_CONFIGS = 10**6
 
 

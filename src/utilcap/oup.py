@@ -207,11 +207,12 @@ class OupRun:
         (``bounds.width_table``), the rivals' tops, the ledger's total, the
         count of doubling reruns, ``eps_min`` and the utility's bound
         ``__call__``.  A round reads its runtime and its width from the
-        tables, whose lengths it keeps in locals too, and calls ``draw`` or
-        ``more`` only past a table's end.  It calls the utility only for a
-        completed run: a capped run's utility is ``u(kappa)``, which the
-        round already holds.  A doubling hands the arm to
-        ``ArmState.double_captime``, which returns ``u(kappa)`` at the new
+        tables: it keeps the runtime table's length in a local too and
+        calls ``draw`` only past its end, and the width table is a memo
+        that computes a width only on the first read of its count.  It
+        calls the utility only for a completed run: a capped run's utility
+        is ``u(kappa)``, which the round already holds.  A doubling hands
+        the arm to ``ArmState.double_captime``, which returns ``u(kappa)`` at the new
         captime, reads the arm back and binds the width table at the new
         captime.  The streak ends after the round that changes the
         selection, eliminates, or meets a limit of ``stop`` (without one,
@@ -242,12 +243,11 @@ class OupRun:
         times, draw = self.oracle.runtime_of(arm.config)
         m = arm.m
         kappa = arm.kappa
-        widths, more = width_table(ctx, kappa)
+        widths = width_table(ctx, kappa)
         usum = arm._utility_sum
         done = arm._completed_count
-        # the tables' lengths, read again only when a table grows or changes
+        # the runtime table's length, read again only when the table grows
         n_times = len(times)
-        n_widths = len(widths)
         # the bounds of the arm's latest pull, which the next pull reads
         f_hat, u_k, ucb, lcb = arm.snapshot
         if not m:
@@ -265,11 +265,7 @@ class OupRun:
             try:
                 while True:
                     m += 1
-                    if m < n_widths:
-                        a = widths[m]
-                    else:
-                        a = more(m)
-                        n_widths = len(widths)
+                    a = widths[m]
                     # u(kappa) of this pull: the last snapshot's, unless the
                     # captime doubles
                     u_now = u_k
@@ -286,9 +282,8 @@ class OupRun:
                         kappa = arm.kappa
                         usum = arm._utility_sum
                         done = arm._completed_count
-                        widths, more = width_table(ctx, kappa)
-                        a = widths[m] if m < len(widths) else more(m)
-                        n_widths = len(widths)
+                        widths = width_table(ctx, kappa)
+                        a = widths[m]
                     if m <= n_times:
                         t = times[m - 1]
                     else:

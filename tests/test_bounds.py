@@ -145,23 +145,27 @@ def test_width_at_equals_alpha_bit_for_bit(n, m, level, phase, delta):
 @example(n=5, level=1, phase=None, delta=1e-320, requests=[7, 3, 9, 1])
 @example(n=10**6, level=1023, phase=10**4, delta=5e-324, requests=[2999, 5])
 def test_width_table_equals_width_at_bit_for_bit(n, level, phase, delta, requests):
-    # counts requested out of order, read below the table's end and added
-    # past it, as the round loop reads them; the examples take the overflow
-    # branch of the width
+    # counts read out of order and read again, as the round loop and the
+    # runs sharing a table read them; the examples take the overflow branch
+    # of the width
+    width_table.cache_clear()
     ctx = BoundContext(n=n, delta=delta, phase=phase)
     kappa = 2.0**level
     width = width_at(ctx, kappa)
-    table, more = width_table(ctx, kappa)
-    for m in requests:
-        if m < len(table):
-            assert table[m] == width(m)
-        else:
-            assert more(m) == width(m)
-            # more(m) extends the table exactly to m
-            assert len(table) == m + 1
-    assert all(table[m] == width(m) for m in range(1, len(table)))
-    # an equal context and captime share the table
-    assert width_table(BoundContext(n=n, delta=delta, phase=phase), kappa)[0] is table
+    table = width_table(ctx, kappa)
+    read = [table[m] for m in requests]
+    assert read == [width(m) for m in requests]
+    # the table holds exactly the counts read, each computed on its first
+    # read and returned as stored on every later one
+    assert table.keys() == set(requests)
+    assert all(table[m] is value for m, value in zip(requests, read))
+    # an equal context and captime share the table; another pool size at the
+    # same captime reads its own widths
+    assert width_table(BoundContext(n=n, delta=delta, phase=phase), kappa) is table
+    other = BoundContext(n=n + 1, delta=delta, phase=phase)
+    assert [width_table(other, kappa)[m] for m in requests] == [
+        width_at(other, kappa)(m) for m in requests
+    ]
 
 
 def test_width_at_rejects_a_captime_off_the_grid():

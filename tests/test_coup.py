@@ -4,6 +4,7 @@ import math
 import pytest
 
 import utilcap as uc
+from utilcap import bounds
 from utilcap.arms import ArmState
 from utilcap.rng import SAMPLER_STREAM, stream_generator
 
@@ -281,6 +282,48 @@ def test_phase_start_touches_only_the_pulled_arms():
     # a fresh position is an incumbent while no pulled arm's LCB beats 0, and
     # the frontier names it
     assert max(uc.TraceRow(*row).incumbent for row in result.trace) == pulled
+
+
+def test_a_run_computes_only_the_widths_it_reads(tmp_path, monkeypatch):
+    # command 0 of the benchmark's coup_large_pool workload, seed 5: each
+    # width computed is read by a round, by a doubling at its new captime or
+    # by a phase start's refresh of a pulled arm, however high the count
+    path = tmp_path / "space.txt"
+    path.write_text(f"family=parametric_exponential\nparams={PARAMETRIC}\n")
+    spec = uc.ExperimentSpec(
+        procedure="coup", oracle=f"synthetic:{path}", utility="loglaplace:kappa0=60,a=1",
+        stop="phases:15", seed=500000, delta=0.05, doubling="new", schedule="default",
+    )
+    computed = []
+    width_at = bounds.width_at
+
+    def counted_width_at(ctx, kappa):
+        width = width_at(ctx, kappa)
+
+        def counted(m):
+            computed.append(m)
+            return width(m)
+
+        return counted
+
+    refreshed = []
+    begin_phase = uc.CoupRun.begin_phase
+
+    def counted_begin_phase(run):
+        refreshed.append(sum(arm.m > 0 for arm in run.arms))
+        begin_phase(run)
+
+    monkeypatch.setattr(bounds, "width_at", counted_width_at)
+    monkeypatch.setattr(uc.CoupRun, "begin_phase", counted_begin_phase)
+    bounds.width_table.cache_clear()
+    try:
+        result = uc.harness.execute(spec)
+    finally:
+        # the cached tables compute through the counter
+        bounds.width_table.cache_clear()
+    doublings = sum(uc.TraceRow(*row).doubled for row in result.trace)
+    assert len(refreshed) == 15 and doublings > 0 and sum(refreshed) > 0
+    assert len(computed) <= result.rounds + doublings + sum(refreshed)
 
 
 def test_without_replacement_frontier_takes_the_queue_in_order():
