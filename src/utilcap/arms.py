@@ -1,36 +1,8 @@
 """Per-configuration bandit state and the captime doubling.
 
-Every engine that runs configurations one pull at a time (greedy selection,
-round-robin, or phased) advances an arm through the same sequence, in the
-round loop of ``OupRun.step``:
-
-1. increment the arm's observation count ``m``;
-2. check the captime-doubling condition using the width at the incremented
-   ``m`` and the completion fraction from the arm's previous snapshot;
-3. if it fires, double the captime once and rerun only the observations that
-   had capped (``ArmState.double_captime``: completed runs already reveal
-   their true runtime and are reused verbatim), then recompute the utility
-   sum over every earlier run from the runtime table;
-4. run instance ``m`` at the current captime: the true runtime ``t`` from
-   the oracle's table of the configuration, observed as ``min(t, kappa)``
-   and completed when ``t < kappa``; a capped run's utility is the
-   ``u(kappa)`` of step 5, which the round already holds;
-5. recompute the bounds (``f_hat``, ``u(kappa)``, UCB, LCB) from the arm's
-   running sums, reusing the width and ``u(kappa)`` of step 2 (or, after a
-   doubling, of the new captime).
-
-At most one doubling happens per pull; if more were warranted the condition
-simply fires again on the next selection of the same arm.
-
-A pull changes the bounds of only the arm it pulled, so a round changes
-nothing but that arm; the engine relies on that.  While the same arm is
-pulled again and again (a streak), the round loop holds it out of the bound
-index, compares its bounds as floats with the other arms' heap tops, read
-once at the streak's start, instead of rescanning the pool, and keeps the
-arm's fields in locals.
-When the streak ends, it writes them back, with one ``BoundSnapshot``, and
-pushes the arm's keys into the index again.  Between streaks an arm's
-fields and snapshot are exact.
+Every engine that pulls configurations one at a time (greedy selection,
+round-robin, or phased) advances an arm in the round of ``OupRun.step``.
+The fields of an arm are exact whenever ``step`` is not running.
 """
 
 from __future__ import annotations

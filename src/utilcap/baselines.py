@@ -33,13 +33,14 @@ class UpRun(OupRun):
     """Round-robin sweeps with sweep-boundary elimination."""
 
     procedure = "up"
-    # the arms left in the current sweep; empty starts the next sweep
+    # the arms left in the current sweep, last to be selected first, so a
+    # selection pops the end and shifts nothing; empty starts the next sweep
     _sweep = ()
 
     def select_arm(self) -> int:
         if not self._sweep:
-            self._sweep = list(self.survivors)
-        return self._sweep.pop(0)
+            self._sweep = self.survivors[::-1]
+        return self._sweep.pop()
 
     def _eliminates(self) -> bool:
         # sweep boundary: every survivor has been advanced once
@@ -65,8 +66,8 @@ def run_plan(
     trace=None,
 ) -> RunResult:
     """A run of a fixed plan at captime ``kappa``, the run of both naive and
-    successive halving; its rows go to ``trace``, a new list unless one is
-    given, or none for ``NO_TRACE``, as in ``OupRun``.
+    successive halving; its rows go to the trace sink ``trace``
+    (``records.NO_TRACE``).
 
     Each ``(target, keep)`` stage tops every surviving arm up to ``target``
     runs, in position order, then keeps the ``keep`` best by mean (ties to

@@ -14,11 +14,7 @@ base 2 because captimes live on the doubling grid ``kappa = 2^(l-1)``; the
 union bound behind the width is indexed by ``l = log2(kappa) + 1``.
 Within a run (or a phase) only ``m`` and ``kappa`` vary, so
 ``width_at(ctx, kappa)`` binds the rest and returns the width as a function
-of ``m``.  The round loop reads the width from ``width_table(ctx, kappa)``
-instead: a memo of the widths read so far, keyed by ``m`` and shared by
-every run of the process with the same context, so a width is computed
-once however many arms, rounds and trials read it, and a count no one
-reads is never computed.
+of ``m``, and the round reads it through ``width_table``.
 
 Upper and lower utility bounds for empirical mean utility ``u_hat`` and
 completion fraction ``f_hat`` at captime ``kappa`` are
@@ -69,10 +65,11 @@ def width_at(ctx: BoundContext, kappa: float):
     """The confidence width at captime kappa, as a function of m >= 1.
 
     Checks the captime and binds what no count at it changes: the lead
-    constant times ``n``, ``delta`` and the squared grid level.  Each call
-    computes only the terms in ``m``, in the same order as ``alpha``, which
-    returns ``width_at(ctx, kappa)(m)``; ``width_table`` fills its memo
-    with it.
+    constant times ``n``, ``delta`` and the squared grid level, which it
+    looks up in a table of the doubling grid, so a captime off the grid
+    raises ``ValueError``.  Each call computes only the terms in ``m``.
+    This is the one place the formula is written: ``alpha`` returns
+    ``width_at(ctx, kappa)(m)``, and ``width_table`` reads through it.
     """
     level = _GRID_LEVELS.get(kappa)
     if level is None:
@@ -99,8 +96,7 @@ def width_at(ctx: BoundContext, kappa: float):
 
 
 class WidthTable(dict):
-    """The widths at one captime read so far, by count: ``table[m]`` is
-    ``width(m)``, computed and stored on the first read of ``m``."""
+    """The memo that ``width_table`` returns: ``table[m]`` is ``width(m)``."""
 
     __slots__ = ("width",)
 
@@ -121,13 +117,19 @@ _WIDTH_TABLES = 256
 
 @functools.lru_cache(maxsize=_WIDTH_TABLES)
 def width_table(ctx: BoundContext, kappa: float) -> WidthTable:
-    """The widths at captime kappa, as a ``WidthTable`` over
-    ``width_at(ctx, kappa)``: reading ``table[m]``, for ``m >= 1``, returns
-    ``width_at(ctx, kappa)(m)`` and computes it only on the first read.
-    Tables are cached by value of the context and captime, so every run of
-    a process with the same ones, such as the trials of a validation,
-    shares them; a width is a pure function of the context, captime and
-    count, so sharing changes no result.
+    """The widths at captime kappa, as a memo over ``width_at(ctx, kappa)``.
+
+    Reading ``table[m]``, for ``m >= 1``, returns ``width_at(ctx,
+    kappa)(m)``; the ``WidthTable``'s ``__missing__`` computes and stores
+    it on the first read of ``m``, so a count that no arm reads is never
+    computed.  Tables are cached by value of the context and captime for
+    the whole process, least recently used dropped first, so every arm,
+    run and trial with the same ones, such as the trials of a validation,
+    shares them.  A width is a pure function of the context, captime and
+    count, so sharing changes no result.  A stored width costs a dict
+    entry, several times a slot of a dense table of every count, so a deep
+    run's tables hold more memory than dense ones would for the fewer
+    counts they hold.
     """
     return WidthTable(width_at(ctx, kappa))
 

@@ -20,16 +20,8 @@ probability 1 - delta its true utility is within eps_p of the top
 simultaneously.  State carries across phases; entering a new phase only
 refreshes the bounds of existing arms under the new width, without any runs.
 
-Most of a large pool is never pulled, and a configuration costs nothing
-until its first pull.  The pulled configurations are always a prefix
-[0, k) of the pool, and every other one carries the same fresh bounds (UCB
-1, LCB 0), so they tie, and a tie goes to the lowest position.  So the run
-keeps one fresh arm, the frontier at position k, which stands for the whole
-fresh rest of the pool.  Selecting it draws the configuration of position
-k + 1, the next in the sampler's order, and makes that the frontier.  Draws
-in order are the draws a whole phase would make at once, so every
-configuration, runtime and trace row is the same as if the pool were drawn
-in full.
+A configuration is drawn only when the run reaches it; ``CoupRun``
+describes the frontier arm that stands for the rest of the pool.
 """
 
 from __future__ import annotations
@@ -257,14 +249,26 @@ class PhaseCertificate:
 class CoupRun(OupRun):
     """Phased run over a pool that grows across phases.
 
-    Each round is the greedy engine's round over the whole pool, with no
-    elimination; this class only keeps the phases: it grows the pool, swaps
-    the bound context, and certifies each phase's incumbent.
+    Each round is the greedy engine's round (``OupRun.step``) over the
+    whole pool, with no elimination; this class only keeps the phases: it
+    grows the pool, swaps the bound context, and certifies each phase's
+    incumbent.  So a single phase is the greedy engine without elimination,
+    byte for byte.
 
-    Every position of the pool survives: ``survivors`` is ``range(ctx.n)``.
-    ``arms`` holds the pulled prefix ``[0, k)`` and, while ``k < ctx.n``,
-    the never-pulled frontier arm at ``k``; the positions past it are not
-    drawn yet (see the module docstring).
+    The pool grows by count, and a configuration is drawn only when the run
+    reaches it.  Every position survives (``survivors`` is
+    ``range(ctx.n)``), but ``arms`` holds only the pulled prefix ``[0, k)``
+    and, while ``k < ctx.n``, one never-pulled *frontier* arm at ``k``.
+    Every fresh position has the same bounds (UCB 1, LCB 0) and a tie goes
+    to the lowest position, so the frontier stands for all of them: it is
+    what a scan of the whole pool would select, or name as the incumbent,
+    among them, and the bound index holds only the arms.  Selecting the
+    frontier draws the next configuration and pushes the new frontier's
+    keys before the streak reads its rivals (``select_arm``).  The samplers
+    draw in order, and Philox draws do not depend on how they are chunked,
+    so every configuration, runtime, trace row and certificate is the one a
+    phase start that drew its whole pool would give.  A phase start
+    touches the ``k + 1`` arms, not the pool (``begin_phase``).
     """
 
     procedure = "coup"
@@ -307,10 +311,9 @@ class CoupRun(OupRun):
     def begin_phase(self) -> None:
         """Enter the next phase: grow the pool, refresh bounds, no runs.
 
-        The pool grows by count alone, and a frontier arm is made only if
-        every arm has been pulled, so a phase start touches the pulled arms
-        and the frontier, not the pool.  A without-replacement sampler
-        refuses here a pool larger than its population."""
+        A frontier arm is made only if every arm has been pulled.  A
+        without-replacement sampler refuses here a pool larger than its
+        population."""
         self.p += 1
         self.eps_p, self.gamma_p = self.schedule.at(self.p)
         # the union bound counts the pool searched, which exceeds n_p when
@@ -328,9 +331,8 @@ class CoupRun(OupRun):
         self.eps_min = self.guaranteed_epsilon()
 
     def select_arm(self) -> int:
-        """The greedy selection.  Selecting the frontier arm makes the next
-        position's arm the frontier, whose fresh keys go into the heaps
-        before the streak reads its rivals."""
+        """The greedy selection, which makes a new frontier when it selects
+        the frontier."""
         i = super().select_arm()
         arms = self.arms
         if i == len(arms) - 1 and len(arms) < len(self.survivors):

@@ -12,34 +12,10 @@ which is non-increasing except that a captime doubling can enlarge the
 width's log term; the reported guarantee is therefore also tracked as a
 running minimum.
 
-A round changes the bounds of only the arm it pulled, because the bound
-context is fixed within a run (or a phase).  So the engine keeps an index of
-lazy heaps over the survivors instead of scanning them.  A heap top whose
-arm was eliminated, or whose key the arm has since left, is dropped when it
-surfaces.
-
-The rounds that pull one arm one after another form a streak, and
-``OupRun.step`` makes one streak.  It selects the arm from the index and
-*holds* it out of the heaps while the streak lasts: each round compares
-the arm's bounds with the tops of the other survivors (its rivals), which
-no round of the streak changes and so are read once, at its start, and
-unpacked into float bounds and positions.  The arm's count, captime, sums
-and latest bounds, its runtime table, the width table at its captime, the
-ledger's total, the count of doubling reruns, ``eps_min`` and the limits
-of the run's ``StopRule`` are locals too; a round reads its runtime and
-its width from the two tables, and builds no tuple but its trace row (and
-none in a run that keeps no rows).  A streak ends after a round that
-changes the selection, eliminates or meets a limit, or when the oracle runs
-out of instances; the locals are then written back, the arm's bounds as
-one ``BoundSnapshot``, and the arm's keys are pushed again.  So the heaps
-hold every survivor whenever ``step`` is not running, and a streak touches
-the heaps only at its two ends: select, incumbent and eps cost O(log n)
-amortized per streak rather than O(n) per round.  Called alone, ``step`` makes one round.
-
-Every stop is one ``records.StopRule``, the limits a run stops at.
-``run_until`` hands it to ``step`` and tests it between streaks, and
-``CoupRun.run_phases`` runs each phase through the same loop, with the
-phase's end as the ``epsilon`` limit.
+``OupRun.step`` is the round that ``up`` and ``coup`` share, and the
+streak of rounds it makes; ``OupRun.rebuild_index`` is the bound index the
+round reads the leaders from, and ``records.StopRule`` the limits a run
+stops at.
 """
 
 from __future__ import annotations
@@ -84,9 +60,8 @@ class OupRun:
     Code that changes snapshots or survivors other than through ``step``
     must call ``rebuild_index`` afterwards.
 
-    The run appends one row per round to ``trace``, a new list unless one
-    is given, and counts its rounds in ``rounds`` itself.  Handed
-    ``records.NO_TRACE``, as a validation trial's run is, it builds no rows.
+    ``trace`` is the run's trace sink (``records.NO_TRACE``), and the run
+    counts its rounds in ``rounds`` itself.
     """
 
     procedure = "oup"
@@ -123,13 +98,30 @@ class OupRun:
     def rebuild_index(self) -> None:
         """Rebuild the bound index from the survivors' current snapshots.
 
-        Entries are ``(key, index)`` tuples, so a heap breaks ties toward
-        the lowest index.  Max-heaps on UCB and LCB answer the leaders; a
+        The bound index answers the selection, the incumbent and ``eps =
+        max UCB - max LCB`` without a scan of the pool.  It is three lazy
+        heaps of ``(key, index)`` entries over the survivors, so ties go to
+        the lowest index, as a scan in index order would: max-heaps on UCB
+        and LCB (keys negated, which is exact) answer the leaders, and a
         min-heap on UCB, kept only by an engine that eliminates, finds the
-        arms to eliminate.
+        arms to eliminate.  A round changes the bounds of only the arm it
+        pulled, because the bound context is fixed within a run or a phase.
+        So ``step`` pushes an arm's new keys when its streak ends and
+        leaves the old entries in place, and ``_top`` drops an entry that
+        has gone stale when it reaches a top.  The heaps hold every
+        survivor whenever ``step`` is not running, so ``leaders``,
+        ``incumbent`` and an exhausted run's partial result read them as
+        they are.  The leaders cost O(log n) amortized per streak, not O(n)
+        per round.
+
+        The index is rebuilt at construction, at each ``coup`` phase start
+        (which refreshes the pulled arms' bounds), and when the push at a
+        streak's end makes a heap larger than twice the survivors plus 64,
+        which keeps the stale entries at O(1) amortized per push.
 
         Survivors past the last arm, which only a ``coup`` pool has, are
-        fresh positions not drawn yet; the last arm stands for them.
+        fresh positions not drawn yet; the last arm stands for them
+        (``coup.CoupRun``).
         """
         arms = self.arms
         snapshots = [(i, arms[i].snapshot) for i in self.survivors[: len(arms)]]
@@ -187,40 +179,43 @@ class OupRun:
     def step(self, stop: StopRule | None = None) -> None:
         """Make one round, then go on while the streak lasts.
 
-        A round selects an arm, pulls it (doubling its captime when the
-        rule fires), reads the leaders, eliminates if the engine does, and
-        appends the round's row: a plain tuple laid out as ``TraceRow``,
-        which allocates one object and calls nothing, and the only tuple
-        the round builds.  A run that keeps no rows (``NO_TRACE``) builds
-        none.
+        A round selects an arm, pulls it, reads the leaders off the bound
+        index (``rebuild_index``), eliminates if the engine does, and
+        appends its row to the trace sink (``records.NO_TRACE``).  A pull
+        counts one more run ``m``, tests the doubling rule with the width at
+        that ``m`` and the completion fraction of the arm's last snapshot,
+        and if it fires doubles the captime once (``ArmState.double_captime``,
+        which reruns the capped runs); if more doublings are warranted, the
+        rule fires again on the arm's next pull.  Then the run reads its
+        runtime ``t`` from the configuration's runtime table, observes
+        ``min(t, kappa)``, completed when ``t < kappa``, and leaves the
+        bounds ``ArmState.recompute_snapshot`` would compute.
 
-        A streak is the rounds that pull the same arm one after another.
-        The selected arm is held out of the heaps while it lasts, and the
-        tops of the other survivors' entries are read once, as a float
-        bound (the entry's key negated back) and a position each.  Every
-        leader and elimination test compares the arm's UCB and LCB with them
-        as floats, and breaks an exact tie by position as the ``(key,
-        index)`` entries order it, toward the lowest index; no bound is
-        nan, so the two orders agree.  The loop below keeps in locals
-        everything a round reads or writes: the arm's count, captime, sums and bounds, its runtime
-        table (``oracle.runtime_of``), the width table at its captime
-        (``bounds.width_table``), the rivals' tops, the ledger's total, the
-        count of doubling reruns, ``eps_min`` and the utility's bound
-        ``__call__``.  A round reads its runtime and its width from the
-        tables: it keeps the runtime table's length in a local too and
-        calls ``draw`` only past its end, and the width table is a memo
-        that computes a width only on the first read of its count.  It
-        calls the utility only for a completed run: a capped run's utility
-        is ``u(kappa)``, which the round already holds.  A doubling hands
-        the arm to ``ArmState.double_captime``, which returns ``u(kappa)`` at the new
-        captime, reads the arm back and binds the width table at the new
-        captime.  The streak ends after the round that changes the
-        selection, eliminates, or meets a limit of ``stop`` (without one,
-        one round is made), or when the oracle runs out of instances.  Then
-        the locals are written back: the arm gets one ``BoundSnapshot``, the
-        ledger its total and its run count (one run per round made, plus the
-        reruns), ``eps_min`` its value, and the heaps the arm's keys, unless
-        it was eliminated.
+        A streak is the rounds that pull one arm one after another.  The
+        arm is *held* out of the heaps while it lasts, and the tops of the
+        other survivors, its rivals, are read once, at its start: no round
+        of the streak changes a rival's bounds.  Every leader and
+        elimination test compares the held arm's UCB and LCB with the
+        rivals' tops as floats, and breaks an exact tie toward the lower
+        index, as the ``(key, index)`` entries order it; no bound is nan,
+        so the two orders agree.  Everything else a round reads or writes
+        is a local of the streak: the arm's count, captime, sums and
+        bounds, its runtime table (``oracle.runtime_of``), the width table
+        at its captime (``bounds.width_table``), the ledger's total, the
+        count of reruns, ``eps_min`` and the utility.  A capped run's
+        utility is ``u(kappa)``, which the round already holds.
+
+        The streak ends after the round that changes the selection (for
+        ``up``, every round with more than one survivor), eliminates, or
+        meets a ``rounds``, ``seconds`` or ``epsilon`` limit of ``stop``,
+        or when the oracle runs out of instances, which raises with the
+        run's partial result.  Without ``stop`` it ends after one round,
+        so tests can step round by round.  The locals are then written
+        back: the arm gets one ``BoundSnapshot``, the ledger its total and
+        its run count (one run per round plus the reruns), and the heaps
+        the arm's keys, unless it was eliminated.  The sums are the same
+        float additions in the same order as one round per call, so rows
+        and ledgers do not depend on how rounds fall into streaks.
         """
         rounds = self.rounds
         limits = stop or StopRule(rounds=rounds + 1)

@@ -1,14 +1,10 @@
 """Run records: cost ledger, per-round trace rows, the stop rule, run results.
 
 A round's trace row is its only record: a plain tuple laid out as the
-fields of ``TraceRow``.  Every output value is written as ``format_value``
-gives it: floats with ``repr``, the shortest round-tripping form, so
-engines making the same decisions write byte-identical files.  The trace
-writer unpacks a whole row by position and renders it with one format that
-gives the same text.
-
-Every procedure's stop rule is one ``StopRule``: the limits a run stops
-at, and the reason it reports there.
+fields of ``TraceRow``, which goes to the run's trace sink (``NO_TRACE``).
+Every output value is written as ``format_value`` gives it: floats with
+``repr``, the shortest round-tripping form, so engines making the same
+decisions write byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,10 +21,9 @@ class CostLedger:
     Every run is charged at its observed capped duration, including
     reruns triggered by captime doubling (restarting a capped run costs the
     full rerun, not the difference).  The ledger keeps only the run's total
-    and its run count; an arm's seconds can be read off the trace rows.  An
-    engine that runs one arm many times in a row adds the runs to
-    ``total_seconds`` and ``run_count`` in locals, one run at a time, and
-    writes them back when it moves on, so the sums are the same to the bit.
+    and its run count; an arm's seconds can be read off the trace rows.
+    The round loops add runs in locals, one at a time, and write the sums
+    back, so they are the same to the bit.
     """
 
     def __init__(self):
@@ -62,8 +57,15 @@ class TraceRow(NamedTuple):
     incumbent: int
 
 
-# the trace sink of a run that keeps no rows, as a validation trial's: the
-# engines build no row for it, and its length, 0, counts none
+# The trace sink of a run that keeps no rows.  Every procedure takes a
+# trace sink, and its round loop (``OupRun.step`` or ``baselines.run_plan``)
+# appends one row per round to it: a new list unless one is given, as for
+# ``run`` and ``sweep``, which write it to ``trace.csv``.  A validation trial
+# reads no row, so its run is handed ``NO_TRACE``, and the round loops then
+# build none: ``run_plan`` ranks no other arm for one, and ``naive`` skips
+# the rewrite of its last row.  A run that keeps rows pays one test per
+# round for this.  The engines count their rounds themselves, so a result's
+# ``rounds`` does not depend on its sink; ``len(NO_TRACE)`` is 0.
 NO_TRACE = ()
 
 
@@ -87,10 +89,14 @@ class StopRule(NamedTuple):
     ``seconds`` seconds, its ``eps_min`` is at most ``epsilon``, at most
     ``survivors`` configurations survive, or, for ``coup``, it has finished
     ``phases`` phases.  A limit left at its default is never met, and
-    ``harness.parse_stop`` sets one limit per rule.  ``OupRun.step`` tests
-    the first three after every round.  Only elimination changes the
-    survivors, and it ends a streak, so ``run_until`` tests them between
-    streaks; ``CoupRun.run_phases`` tests the phases between phases.
+    ``harness.parse_stop`` sets one limit per rule, so every procedure's
+    stop goes through the same fields and no engine tests which kind of
+    stop it was given.  ``OupRun.step`` tests the first three after every
+    round.  Only elimination changes the survivors, and it ends a streak,
+    so ``run_until`` tests all four between streaks.
+    ``CoupRun.run_phases`` tests the phases between phases, and runs each
+    phase through the same loop with ``epsilon`` set just below the
+    phase's ``eps_p``: the phase is certified if that limit was met.
     """
 
     rounds: float = math.inf
@@ -110,10 +116,8 @@ class RunResult:
     ``oup`` and ``up``, the target for ``naive``, the last phase's eps for
     ``coup`` (incumbent ``None`` and eps nan before its first certificate),
     and nan for ``sh``, which certifies nothing.  A run makes ``rounds``
-    rounds and appends one row per round to ``trace``, a tuple laid out as
-    ``TraceRow``.  Every procedure takes a trace sink: ``trace`` is the list
-    the rows went to, unless the run was handed another one, or
-    ``NO_TRACE`` when it keeps no rows, as a validation trial's run does.
+    rounds and appends one row per round to ``trace``, its trace sink
+    (``NO_TRACE``), a tuple laid out as ``TraceRow``.
     ``certificates`` is ``None`` unless the run certifies phases, as
     ``coup`` does: then it is the list of its certificates, empty before the
     first.

@@ -119,11 +119,10 @@ def test_alpha_sums_logs_only_when_the_argument_overflows():
 def test_width_at_equals_alpha_bit_for_bit(n, m, level, phase, delta):
     ctx = BoundContext(n=n, delta=delta, phase=phase)
     kappa = 2.0**level
-    got = width_at(ctx, kappa)(m)
-    assert got == alpha(ctx, m, kappa)
-    # the width as one expression, with the logs summed only on overflow
+    # the width as the formula writes it, log2 of the captime included, with
+    # the logs summed only when the argument overflows
     lead = 11.0 if phase is None else 36.0 * phase * phase
-    log_term = (level + 1) ** 2
+    log_term = (math.log2(kappa) + 1) ** 2
     arg = lead * n * m * m * log_term / delta
     if arg == math.inf:
         log_arg = (
@@ -131,7 +130,9 @@ def test_width_at_equals_alpha_bit_for_bit(n, m, level, phase, delta):
         )
     else:
         log_arg = math.log(arg)
-    assert got == math.sqrt(log_arg / (2.0 * m))
+    expected = math.sqrt(log_arg / (2.0 * m))
+    assert width_at(ctx, kappa)(m) == expected
+    assert alpha(ctx, m, kappa) == expected
 
 
 @settings(max_examples=200, deadline=None)

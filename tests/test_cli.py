@@ -740,6 +740,25 @@ def test_curve_of_a_coup_run_exits_two(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_coup_budget_refused_when_its_pool_outgrows_the_population(tmp_path, capsys):
+    # phase 1 needs 9 of the 10 configurations, so the spec passes parse_spec;
+    # the budget reaches phase 2, which needs 14, and the run refuses it there
+    path = tmp_path / "pool.txt"
+    path.write_text("family=exponential\nparams=" + ";".join(map(str, range(1, 11))) + "\n")
+    out = tmp_path / "out"
+    args = ["run", "--procedure", "coup", "--oracle", f"synthetic:{path}",
+            "--stop", "budget:1e6", "--without-replacement", "--seed", "1", "--out", str(out)]
+    with time_limit(10.0):
+        assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "spec error: cannot grow the pool to 14 configurations: "
+        "only 10 are available without replacement\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "body, procedure, stop, expected",
     [

@@ -7,6 +7,11 @@ as ``bounds``) or an attribute of one (a class such as ``OupRun`` or
 that does not resolve fails the test, so a doc that still cites a removed
 or renamed name fails until it follows the code.  ``SKIPPED`` lists the
 cited names that are not package attributes, with the reason.
+
+Every ``BENCH_*.json``, ``tools/*.py`` and ``tests/*.py`` path that README
+cites must exist too, since README points to those files for its numbers.
+A ``*`` in a cited path stands for the files it matches, of which there must
+be at least one.
 """
 
 import importlib
@@ -16,10 +21,14 @@ from pathlib import Path
 
 import utilcap
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # the leading dotted name of a backticked span, up to a call or a space
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+
+# a benchmark result file, or a module of the tools or the tests
+CITED_PATH = re.compile(r"BENCH_[\w*]+\.json|(?:tools|tests)/[\w*]+\.py")
 
 SKIPPED = {
     # files a run or the benchmark writes
@@ -68,3 +77,10 @@ def test_every_name_readme_cites_resolves():
     assert unresolved == []
     # the skip list names only what README still cites
     assert SKIPPED <= names
+
+
+def test_every_file_readme_cites_exists():
+    paths = set(CITED_PATH.findall(README.read_text(encoding="utf-8")))
+    assert paths
+    missing = [path for path in sorted(paths) if not any(ROOT.glob(path))]
+    assert missing == []
