@@ -1,13 +1,14 @@
 """Per-configuration bandit state and the captime doubling.
 
 Every engine that pulls configurations one at a time (greedy selection,
-round-robin, or phased) advances an arm in the round of ``OupRun.step``.
+round-robin, or phased) advances an arm in the round of ``OupRun.step``,
+and recomputes its snapshot under a new bound context in ``OupRun._enter``.
 The fields of an arm are exact whenever ``step`` is not running.
 """
 
 from __future__ import annotations
 
-from .bounds import FRESH, BoundContext, BoundSnapshot, alpha
+from .bounds import FRESH
 from .utility import UtilityFunction
 
 
@@ -18,7 +19,7 @@ class ArmState:
     Run j's capped duration is ``min(times[j], kappa)`` for the oracle's
     runtime table ``times`` of the configuration, since every capped run is
     rerun at each doubling, and it completed exactly when ``times[j] <
-    kappa``.  The running sums used to rebuild snapshots are maintained
+    kappa``.  The running sums that snapshots are computed from are maintained
     append-only, and recomputed left to right from the table after a
     doubling's reruns, so they equal a left-to-right recomputation bit for
     bit (tests compare them against a from-scratch reference).  Every arm
@@ -74,21 +75,3 @@ class ArmState:
                 charged.append(kappa)
         self._utility_sum = usum
         return charged, u_kappa
-
-    def recompute_snapshot(self, a: float, u_k: float) -> None:
-        """Rebuild the snapshot of a pulled arm (``m >= 1``) from the running
-        sums, with ``a = alpha(ctx, m, kappa)`` and ``u_k = u(kappa)`` at the
-        arm's current ``m`` and ``kappa``."""
-        f_hat = self._completed_count / self.m
-        u_hat = self._utility_sum / self.m
-        self.snapshot = BoundSnapshot(
-            f_hat, u_k, u_hat + (1.0 - u_k) * a, u_hat - a - u_k * (1.0 - f_hat)
-        )
-
-
-def refresh_snapshots(arms: list[ArmState], ctx: BoundContext, u: UtilityFunction) -> None:
-    """Rebuild every pulled arm's snapshot under a new ``ctx``; an arm never
-    pulled keeps its fresh snapshot, which no context enters."""
-    for arm in arms:
-        if arm.m:
-            arm.recompute_snapshot(alpha(ctx, arm.m, arm.kappa), u(arm.kappa))

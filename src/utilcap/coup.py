@@ -18,7 +18,8 @@ at which point the incumbent (largest lower bound) is certified: with
 probability 1 - delta its true utility is within eps_p of the top
 (1 - gamma_p)-quantile of the configuration distribution, in every phase
 simultaneously.  State carries across phases; entering a new phase only
-refreshes the bounds of existing arms under the new width, without any runs.
+refreshes the bounds of existing arms under the new width, without any runs
+(``OupRun._enter``).
 
 A configuration is drawn only when the run reaches it; ``CoupRun``
 describes the frontier arm that stands for the rest of the pool.
@@ -31,11 +32,11 @@ import re
 from dataclasses import dataclass
 from heapq import heappush
 
-from .arms import ArmState, refresh_snapshots
-from .bounds import DOUBLING_RULES, FRESH, BoundContext
+from .arms import ArmState
+from .bounds import FRESH, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle
 from .oup import OupRun
-from .records import CostLedger, RunResult, StopRule
+from .records import RunResult, StopRule
 from .rng import SAMPLER_STREAM, stream_generator
 from .utility import UtilityFunction
 
@@ -251,8 +252,10 @@ class CoupRun(OupRun):
 
     Each round is the greedy engine's round (``OupRun.step``) over the
     whole pool, with no elimination; this class only keeps the phases: it
-    grows the pool, swaps the bound context, and certifies each phase's
-    incumbent.  So a single phase is the greedy engine without elimination,
+    grows the pool, enters each phase's bound context (``OupRun._enter``),
+    and certifies each phase's incumbent.  It starts as every engine does
+    (``OupRun._start``), from an empty pool, and sets no engine state of
+    its own.  So a single phase is the greedy engine without elimination,
     byte for byte.
 
     The pool grows by count, and a configuration is drawn only when the run
@@ -287,29 +290,21 @@ class CoupRun(OupRun):
     ):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        # the pool starts empty and grows in begin_phase, so the engine's
-        # state is set here rather than by OupRun.__init__
+        # the pool starts empty and grows in begin_phase, which enters each
+        # phase's bound context
+        self._start(oracle, utility, doubling, [], trace)
         self.sampler = sampler
-        self.oracle = oracle
-        self.utility = utility
         self.delta = delta
         self.schedule = schedule
-        self.doubling_rule = DOUBLING_RULES[doubling]
-        self.arms: list[ArmState] = []
-        self.survivors = range(0)
         self.p = 0
         self.eps_p = math.nan
         self.gamma_p = math.nan
-        self.ctx: BoundContext | None = None
-        self.ledger = CostLedger()
-        self.trace = [] if trace is None else trace
-        self.rounds = 0
         self.certificates: list[PhaseCertificate] = []
-        self.eps_min = math.nan
-        self.rebuild_index()
 
     def begin_phase(self) -> None:
-        """Enter the next phase: grow the pool, refresh bounds, no runs.
+        """Enter the next phase: grow the pool, then enter the phase's bound
+        context (``OupRun._enter``), which refreshes the pulled arms' bounds
+        and restarts ``eps_min``; no runs.
 
         A frontier arm is made only if every arm has been pulled.  A
         without-replacement sampler refuses here a pool larger than its
@@ -324,11 +319,7 @@ class CoupRun(OupRun):
         self.survivors = range(n)
         if len(self.arms) < n and (not self.arms or self.arms[-1].m):
             self.arms.append(ArmState(self.sampler.sample(1)[0]))
-        self.ctx = BoundContext(n=n, delta=self.delta, phase=self.p)
-        refresh_snapshots(self.arms, self.ctx, self.utility)
-        self.rebuild_index()
-        # the per-phase guarantee restarts with the refreshed bounds
-        self.eps_min = self.guaranteed_epsilon()
+        self._enter(BoundContext(n=n, delta=self.delta, phase=self.p))
 
     def select_arm(self) -> int:
         """The greedy selection, which makes a new frontier when it selects

@@ -13,9 +13,10 @@ width's log term; the reported guarantee is therefore also tracked as a
 running minimum.
 
 ``OupRun.step`` is the round that ``up`` and ``coup`` share, and the
-streak of rounds it makes; ``OupRun.rebuild_index`` is the bound index the
-round reads the leaders from, and ``records.StopRule`` the limits a run
-stops at.
+streak of rounds it makes; ``OupRun._start`` and ``OupRun._enter`` are the
+start and the switch of bound context that they share too.
+``OupRun.rebuild_index`` is the bound index the round reads the leaders
+from, and ``records.StopRule`` the limits a run stops at.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from heapq import heapify, heappop, heappush
 
 from .arms import ArmState
-from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, width_table
+from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, alpha, width_table
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import NO_TRACE, CostLedger, RunResult, StopRule
 from .utility import UtilityFunction
@@ -83,16 +84,46 @@ class OupRun:
             pool = list(range(oracle.n_configs))
         if not pool:
             raise ValueError("configuration pool must not be empty")
+        self._start(oracle, utility, doubling, pool, trace)
+        self._enter(BoundContext(n=len(pool), delta=delta))
+
+    def _start(
+        self, oracle: RuntimeOracle, utility: UtilityFunction, doubling: str, pool: list[int], trace
+    ) -> None:
+        """The state every engine starts from: an arm per configuration of
+        ``pool``, every arm a survivor, an empty ledger and no rounds."""
         self.oracle = oracle
         self.utility = utility
-        self.ctx = BoundContext(n=len(pool), delta=delta)
         self.doubling_rule = DOUBLING_RULES[doubling]
         self.arms = [ArmState(config) for config in pool]
         self.survivors = list(range(len(self.arms)))
-        self.rebuild_index()
         self.ledger = CostLedger()
         self.trace = [] if trace is None else trace
         self.rounds = 0
+
+    def _enter(self, ctx: BoundContext) -> None:
+        """Make ``ctx`` the bound context the run reads: at a run's start,
+        and at each ``coup`` phase start.
+
+        Each pulled arm's snapshot is recomputed from its running sums, with
+        ``alpha(ctx, m, kappa)`` and ``u(kappa)`` at its count and captime,
+        as ``step`` computes it at a pull; an arm never pulled keeps
+        ``FRESH``, which no context enters.  Then the bound index is rebuilt
+        and ``eps_min`` restarts at the guarantee the new bounds give.
+        """
+        self.ctx = ctx
+        u = self.utility
+        for arm in self.arms:
+            m = arm.m
+            if m:
+                a = alpha(ctx, m, arm.kappa)
+                u_k = u(arm.kappa)
+                f_hat = arm._completed_count / m
+                u_hat = arm._utility_sum / m
+                arm.snapshot = BoundSnapshot(
+                    f_hat, u_k, u_hat + (1.0 - u_k) * a, u_hat - a - u_k * (1.0 - f_hat)
+                )
+        self.rebuild_index()
         self.eps_min = self.guaranteed_epsilon()
 
     def rebuild_index(self) -> None:
@@ -114,10 +145,11 @@ class OupRun:
         they are.  The leaders cost O(log n) amortized per streak, not O(n)
         per round.
 
-        The index is rebuilt at construction, at each ``coup`` phase start
-        (which refreshes the pulled arms' bounds), and when the push at a
-        streak's end makes a heap larger than twice the survivors plus 64,
-        which keeps the stale entries at O(1) amortized per push.
+        The index is rebuilt when the run enters a bound context
+        (``_enter``: at its start and at each ``coup`` phase start, which
+        refreshes the pulled arms' bounds), and when the push at a streak's
+        end makes a heap larger than twice the survivors plus 64, which
+        keeps the stale entries at O(1) amortized per push.
 
         Survivors past the last arm, which only a ``coup`` pool has, are
         fresh positions not drawn yet; the last arm stands for them
@@ -189,7 +221,7 @@ class OupRun:
         rule fires again on the arm's next pull.  Then the run reads its
         runtime ``t`` from the configuration's runtime table, observes
         ``min(t, kappa)``, completed when ``t < kappa``, and leaves the
-        bounds ``ArmState.recompute_snapshot`` would compute.
+        bounds ``_enter`` would compute from the arm's sums.
 
         A streak is the rounds that pull one arm one after another.  The
         arm is *held* out of the heaps while it lasts, and the tops of the
@@ -292,7 +324,7 @@ class OupRun:
                     else:
                         usum += u_now
                         total += kappa
-                    # the bounds as ArmState.recompute_snapshot computes them
+                    # the bounds as _enter computes them, inline for speed
                     u_k = u_now
                     f_hat = done / m
                     u_hat = usum / m

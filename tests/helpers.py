@@ -194,12 +194,16 @@ def instrumented_oup(
     width_bound_ok = True
     selections: list[int] = []
 
+    # A round changes the state of only the arm it pulls, and the bound
+    # context is fixed, so each check below is made on the one arm whose
+    # state is new: every other arm's result is the one it had when last
+    # pulled.
     while run.eps_min > target_epsilon and len(run.trace) < max_rounds:
         upcoming = len(run.trace) + 1
-        # trigger check at round start, on the state left by the previous round
-        for i, arm in enumerate(run.arms):
-            if arm.m == 0 or i in trigger_round:
-                continue
+        # trigger check at round start, on the arm the previous round pulled
+        if selections and selections[-1] not in trigger_round:
+            i = selections[-1]
+            arm = run.arms[i]
             a = alpha(run.ctx, arm.m, arm.kappa)
             u_k = utility(arm.kappa)
             f_true = truth(i, arm.kappa)[1]
@@ -210,22 +214,20 @@ def instrumented_oup(
         selections.append(selected)
         if selected in trigger_round and upcoming >= trigger_round[selected]:
             stop_selection_ok = False
-        # clean bands and width bound for every arm with observations
-        for i, arm in enumerate(run.arms):
-            if arm.m == 0:
-                continue
-            snap = arm.snapshot
-            # the width and mean utility as the arm's last pull computed them
-            a = alpha(run.ctx, arm.m, arm.kappa)
-            u_hat = arm._utility_sum / arm.m
-            u_true, f_true = truth(i, arm.kappa)
-            if (
-                abs(snap.f_hat - f_true) > a + TOL
-                or abs(u_hat - u_true) > (1.0 - snap.u_at_kappa) * a + TOL
-            ):
-                clean = False
-            if snap.ucb - snap.lcb > 2.0 * a + snap.u_at_kappa * (1.0 - f_true) + TOL:
-                width_bound_ok = False
+        # clean bands and width bound for the arm just pulled
+        arm = run.arms[selected]
+        snap = arm.snapshot
+        # the width and mean utility as the arm's last pull computed them
+        a = alpha(run.ctx, arm.m, arm.kappa)
+        u_hat = arm._utility_sum / arm.m
+        u_true, f_true = truth(selected, arm.kappa)
+        if (
+            abs(snap.f_hat - f_true) > a + TOL
+            or abs(u_hat - u_true) > (1.0 - snap.u_at_kappa) * a + TOL
+        ):
+            clean = False
+        if snap.ucb - snap.lcb > 2.0 * a + snap.u_at_kappa * (1.0 - f_true) + TOL:
+            width_bound_ok = False
         star = run.incumbent()
         if gaps[star] > run.guaranteed_epsilon() + TOL:
             eps_sound = False

@@ -224,8 +224,9 @@ def test_fresh_pool_is_never_done():
 
 def test_rounds_make_no_full_pool_pass(monkeypatch):
     # a round updates the bound index for the pulled arm only; the whole pool
-    # is indexed at construction, at each begin_phase, and otherwise only to
-    # compact a heap whose stale entries outgrew the survivors
+    # is indexed when a bound context is entered (at an oup run's
+    # construction, at each begin_phase), and otherwise only to compact a
+    # heap whose stale entries outgrew the survivors
     compacting = []
     rebuild = uc.OupRun.rebuild_index
 
@@ -240,7 +241,7 @@ def test_rounds_make_no_full_pool_pass(monkeypatch):
     run = make_run(seed=4)
     result = run.run_phases(uc.StopRule(phases=3))
     assert result.trace and len(result.certificates) == 3
-    assert compacting == [False] * (1 + run.p)
+    assert compacting == [False] * run.p
     # a streak pushes the pulled arm's keys once, at its end, so a step call
     # grows each heap by at most one entry however many rounds it makes, and
     # a single-leader run's heaps never need compacting
