@@ -42,6 +42,7 @@ from .oracles import (
     SyntheticOracle,
     TwoPoint,
     load_runtime_matrix,
+    scipy_ndtri,
     true_capped_utility,
 )
 from .oup import OupRun
@@ -410,6 +411,11 @@ def parse_spec(spec: ExperimentSpec):
         schedule = Schedule.from_spec(spec.schedule)
         stop = parse_stop(spec.stop, spec.procedure)
         oracle, make = build_oracle(spec.oracle, spec.seed)
+        # a lognormal pool draws through scipy's ndtri: it is imported here,
+        # before validate or sweep forks the workers that inherit it
+        dists = oracle.dists if isinstance(oracle, SyntheticOracle) else ()
+        if any(isinstance(d, LogNormal) for d in dists):
+            scipy_ndtri()
         if spec.procedure != "coup" and make is not None:
             raise SpecError(
                 "a parametric configuration space needs phased sampling; "

@@ -17,13 +17,17 @@ same instance sequence; its table is the row in that order, and ``draw``
 past it raises ``InstanceExhaustedError``.  ``SyntheticOracle`` draws
 runtimes from closed-form distributions through keyed uniform streams, a
 block at a time, and can report exact capped expected utilities for use as
-ground truth in tests and validators.
+ground truth in tests and validators.  Ground truth is an integral over the
+probability ``p`` of the utility of the distribution's quantile ``Q(p)``,
+by an adaptive Gauss-Kronrod rule in pure Python; only a lognormal's draws
+and quantile need scipy, for its inverse normal CDF ``ndtri``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,19 +70,22 @@ class InstanceExhaustedError(RuntimeError):
 # time in ``math`` would give.  numpy's log1p, exp and log round differently
 # from ``math`` on some inputs, so every such call stays in ``math``, element
 # by element; only IEEE-exact ``+`` and ``*`` run in numpy, on the whole
-# block (the lognormal's ``mu + sigma * z``).
+# block (the lognormal's ``mu + sigma * z``).  ``quantile`` maps one
+# probability in [0, 1] the same way, for ground truth.
 #
-# scipy takes most of the start-up time and only lognormal draws and ground
-# truth use it, so it is imported on first use.  The stand-in below rebinds
-# its global to the scipy ufunc, so later calls go straight to the ufunc,
-# once per block of lognormal draws.
+# scipy takes most of the start-up time and memory, and only a lognormal's
+# draws and quantile use it, through ``scipy_ndtri``.  ``parse_spec`` calls
+# it for a pool with a lognormal configuration, so that the forked workers
+# of ``validate`` and ``sweep`` inherit the module instead of each importing
+# it.
 
 
-def ndtri(p):
-    global ndtri
+@functools.cache
+def scipy_ndtri():
+    """scipy's inverse normal CDF, a ufunc, imported on the first call."""
     from scipy.special import ndtri
 
-    return ndtri(p)
+    return ndtri
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,8 @@ class Exponential:
             return 1.0
         return -math.expm1(-kappa / self.mean)
 
-    def pdf(self, t: float) -> float:
-        return math.exp(-t / self.mean) / self.mean
+    def quantile(self, p: float) -> float:
+        return -self.mean * math.log1p(-p) if p < 1.0 else math.inf
 
     def label(self) -> str:
         return f"exp(mean={self.mean!r})"
@@ -120,7 +127,7 @@ class LogNormal:
 
     def runtimes_from_uniforms(self, vs) -> list[float]:
         # ndtri(0) is -inf, and exp(-inf) is 0.0
-        return list(map(math.exp, (self.mu + self.sigma * ndtri(vs)).tolist()))
+        return list(map(math.exp, (self.mu + self.sigma * scipy_ndtri()(vs)).tolist()))
 
     def completion_probability(self, kappa: float) -> float:
         if math.isinf(kappa):
@@ -130,11 +137,9 @@ class LogNormal:
         # the normal CDF at (ln kappa - mu) / sigma, through erfc for its tail
         return 0.5 * math.erfc((self.mu - math.log(kappa)) / (self.sigma * math.sqrt(2.0)))
 
-    def pdf(self, t: float) -> float:
-        if t <= 0:
-            return 0.0
-        z = (math.log(t) - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (t * self.sigma * math.sqrt(2 * math.pi))
+    def quantile(self, p: float) -> float:
+        # 0.0 at p = 0 and inf at p = 1, as for the draws
+        return math.exp(self.mu + self.sigma * scipy_ndtri()(p))
 
     def label(self) -> str:
         return f"lognormal(mu={self.mu!r},sigma={self.sigma!r})"
@@ -176,11 +181,77 @@ class TwoPoint:
 
 RuntimeDistribution = Exponential | LogNormal | TwoPoint
 
-_QUAD_ABS_TOL = 1e-12  # target for each quadrature piece; well under the 1e-9 contract
+# Gauss-Kronrod G7-K15 on [-1, 1]: the seven Kronrod nodes below 0, mirrored
+# above it, then 0; the Kronrod weights in that order, and the Gauss weights,
+# 0 at the nodes that only Kronrod adds
+_NODES = (
+    -0.991455371120812639, -0.949107912342758525, -0.864864423359769073, -0.741531185599394440,
+    -0.586087235467691130, -0.405845151377397167, -0.207784955007898468,
+)
+_KRONROD = (
+    0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+    0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828,
+)
+_GAUSS = (
+    0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+    0.0, 0.381830050505118945, 0.0, 0.417959183673469388,
+)
+
+# the most by which an accepted interval's K15 and G7 values may differ.
+# |K15 - G7| is about G7's error, far above K15's own, so a truth lands within
+# about 1e-14 of its closed form (tests/test_oracles.py checks 1e-12), well
+# under the 1e-9 contract
+_QUAD_ABS_TOL = 1e-12
+
+
+def _quantile_integral(
+    dist: Exponential | LogNormal, u: UtilityFunction, a: float, b: float
+) -> float:
+    """The integral of ``u(dist.quantile(p))`` over ``p`` in ``[a, b]``.
+
+    The integrand lies in [0, 1] and falls as ``p`` grows.  A narrow spike
+    of density, which a rule over the runtime can miss whole, is here an
+    interval of ``p`` as wide as its mass.  A quantile is singular at
+    ``p = 1``, and a lognormal's also at 0, so the rule runs over ``s`` in
+    [0, 1] with ``p = a + (b - a) s^3 (10 - 15 s + 6 s^2)``, whose
+    derivative ``30 (b - a) s^2 (1 - s)^2`` flattens both ends.
+
+    Adaptive G7-K15: an interval of ``s`` whose two estimates differ by more
+    than ``_QUAD_ABS_TOL`` is halved, else its K15 estimate is kept.  Both
+    estimates of an interval of half-length ``h`` lie in [0, 3.75 h (b - a)],
+    so the halving ends.
+    """
+    width = b - a
+
+    def g(s: float) -> float:
+        # rounding can carry p past b, and past 1 no quantile is a number
+        p = min(b, a + width * s**3 * (10.0 - s * (15.0 - 6.0 * s)))
+        return u(dist.quantile(p)) * 30.0 * width * (s * (1.0 - s)) ** 2
+
+    total = 0.0
+    intervals = [(0.0, 1.0)]
+    while intervals:
+        lo, hi = intervals.pop()
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        values = [g(mid + half * x) + g(mid - half * x) for x in _NODES]
+        values.append(g(mid))
+        kronrod = half * sum(map(operator.mul, _KRONROD, values))
+        gauss = half * sum(map(operator.mul, _GAUSS, values))
+        if abs(kronrod - gauss) <= _QUAD_ABS_TOL:
+            total += kronrod
+        else:
+            intervals += ((lo, mid), (mid, hi))
+    return total
 
 
 def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa: float) -> float:
-    """E[u(min(t, kappa))] by closed form (atoms) or adaptive quadrature."""
+    """E[u(min(t, kappa))], by closed form for the atoms of ``TwoPoint``.
+
+    For a continuous distribution with CDF ``F`` and quantile ``Q`` it is
+    the integral of ``u(Q(p))`` over ``p`` in ``[0, F(kappa)]``, split at
+    ``F(kappa0)`` where ``u`` has its kink, plus ``u(kappa) (1 - F(kappa))``
+    for the runs that ``kappa`` caps.
+    """
     if kappa <= 0:
         raise ValueError(f"captime must be positive, got {kappa}")
     if not isinstance(dist, (Exponential, LogNormal, TwoPoint)):
@@ -192,23 +263,10 @@ def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa
             dist.p_fast * u(min(dist.t_fast, kappa))
             + (1.0 - dist.p_fast) * u(min(dist.t_slow, kappa))
         )
-    from scipy import integrate
-
-    kink = u.kappa0
-
-    def integrand(t: float) -> float:
-        return u(t) * dist.pdf(t)
-
-    if math.isinf(kappa):
-        head, _ = integrate.quad(integrand, 0.0, kink, epsabs=_QUAD_ABS_TOL, limit=200)
-        tail, _ = integrate.quad(integrand, kink, math.inf, epsabs=_QUAD_ABS_TOL, limit=200)
-        return head + tail
-    points = [kink] if kink < kappa else None
-    body, _ = integrate.quad(
-        integrand, 0.0, kappa, points=points, epsabs=_QUAD_ABS_TOL, limit=200
-    )
-    survival = 1.0 - dist.completion_probability(kappa)
-    return body + u(kappa) * survival
+    top = dist.completion_probability(kappa)
+    kink = min(dist.completion_probability(u.kappa0), top)
+    body = _quantile_integral(dist, u, 0.0, kink) + _quantile_integral(dist, u, kink, top)
+    return body + u(kappa) * (1.0 - top)
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,30 +388,31 @@ class SyntheticOracle:
     function of (seed, config, instance): one uniform double drawn from the
     configuration's keyed stream, pushed through the inverse CDF.  New
     configurations may be registered at any time without disturbing the
-    runtimes of existing ones.
+    runtimes of existing ones.  ``dists`` lists the configurations'
+    distributions, in configuration order.
     """
 
     def __init__(self, distributions, seed: int):
         self.seed = int(seed)
-        self._dists: list[RuntimeDistribution] = list(distributions)
+        self.dists: list[RuntimeDistribution] = list(distributions)
         self._tables: dict[int, tuple] = {}
 
     @property
     def n_configs(self) -> int:
-        return len(self._dists)
+        return len(self.dists)
 
     def reseeded(self, seed: int) -> "SyntheticOracle":
         """A fresh oracle over this one's configurations that draws from
         ``seed``'s streams: the oracle that the same pool file gives at
         ``seed``, as long as no configuration was added to this one."""
-        return SyntheticOracle(self._dists, seed)
+        return SyntheticOracle(self.dists, seed)
 
     def add_config(self, dist: RuntimeDistribution) -> int:
-        self._dists.append(dist)
-        return len(self._dists) - 1
+        self.dists.append(dist)
+        return len(self.dists) - 1
 
     def name(self, config: int) -> str:
-        return self._dists[config].label()
+        return self.dists[config].label()
 
     def runtime_of(self, config: int):
         """``(times, draw)`` of ``config``, made on its first request.
@@ -365,7 +424,7 @@ class SyntheticOracle:
         table = self._tables.get(config)
         if table is None:
             generator = stream_generator(self.seed, RUNTIME_STREAM, config)
-            to_runtimes = self._dists[config].runtimes_from_uniforms
+            to_runtimes = self.dists[config].runtimes_from_uniforms
             times = array("d")
 
             def draw(instance: int) -> float:
@@ -380,7 +439,7 @@ class SyntheticOracle:
     def true_capped_utility(
         self, config: int, u: UtilityFunction, kappa: float
     ) -> tuple[float, float]:
-        return true_capped_utility(self._dists[config], u, kappa)
+        return true_capped_utility(self.dists[config], u, kappa)
 
     def true_utility(self, config: int, u: UtilityFunction) -> float:
         return self.true_capped_utility(config, u, math.inf)[0]

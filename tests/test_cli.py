@@ -799,31 +799,61 @@ def test_tiny_delta_run_ends(tmp_path):
     assert row.endswith(",17654,target_epsilon")  # rounds, stop reason
 
 
-# Runs in a fresh interpreter; prints which of scipy and the process-pool
-# modules are loaded after the import, after a coup run on a parametric
-# pool, after a one-trial validate (which runs in this process, with no
-# pool) on a two-point pool and after an oup run on
-# a lognormal pool.
+# Runs the commands of its JSON argument in a fresh interpreter, with
+# harness.usable_cpus giving its second argument if that is not 0.  After
+# the import and after each command it prints which of scipy, its modules
+# and the process-pool modules are loaded, and each scipy module that a
+# process imported during the command, with whether that process was a
+# forked worker: a finder on sys.meta_path, which the workers inherit,
+# logs every scipy import to a file.
 SCIPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+from utilcap import harness
 from utilcap.cli import main
+
+MODULES = ("scipy", "scipy.special", "scipy.integrate", "multiprocessing", "concurrent.futures")
+PARENT = os.getpid()
+
+
+class ScipyImports:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            with open("scipy_imports.txt", "a") as log:
+                log.write(json.dumps([os.getpid() != PARENT, name]) + "\\n")
+        return None
+
+
+sys.meta_path.insert(0, ScipyImports())
+commands, cpus = json.loads(sys.argv[1]), int(sys.argv[2])
+if cpus:
+    harness.usable_cpus = lambda: cpus
+
 
 def loaded_after(*args):
     if args:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*args, "--delta", "0.1"]) == 0
-    return [m for m in ("scipy", "multiprocessing", "concurrent.futures") if m in sys.modules]
+    imported = []
+    if os.path.exists("scipy_imports.txt"):
+        with open("scipy_imports.txt") as log:
+            imported = [json.loads(line) for line in log]
+        os.remove("scipy_imports.txt")
+    return [m for m in MODULES if m in sys.modules], imported
 
-print(json.dumps([
-    loaded_after(),
-    loaded_after("run", "--procedure", "coup", "--oracle", "synthetic:parametric.txt",
-                 "--stop", "phases:3", "--seed", "1", "--out", "coup"),
-    loaded_after("validate", "--procedure", "oup", "--oracle", "synthetic:twopoint.txt",
-                 "--stop", "epsilon:0.4", "--trials", "1"),
-    loaded_after("run", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
-                 "--stop", "rounds:20", "--seed", "1", "--out", "lognormal"),
-]))
+
+print(json.dumps([loaded_after()] + [loaded_after(*args) for args in commands]))
 """
+
+
+def _scipy_probe(tmp_path, commands, cpus=0):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("UTILCAP_OUT", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands), str(cpus)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_scipy_loads_only_for_lognormal_runs(tmp_path):
@@ -831,15 +861,42 @@ def test_scipy_loads_only_for_lognormal_runs(tmp_path):
     (tmp_path / "parametric.txt").write_text("family=parametric_exponential\nparams=0.1,10000\n")
     (tmp_path / "twopoint.txt").write_text("family=twopoint\nparams=1,30,0.9;2,100,0.5\n")
     (tmp_path / "lognormal.txt").write_text("family=lognormal\nparams=0.0,1.0;1.5,0.8\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    env.pop("UTILCAP_OUT", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported, coup, validate, lognormal = json.loads(proc.stdout.splitlines()[-1])
+    (tmp_path / "exponential.txt").write_text("family=exponential\nparams=1.0;5.0;20.0\n")
+    # a coup run on a parametric pool, a one-trial validate (which runs in
+    # this process, with no pool) on a two-point pool, and an oup run on a
+    # lognormal pool
+    after = _scipy_probe(tmp_path, [
+        ["run", "--procedure", "coup", "--oracle", "synthetic:parametric.txt",
+         "--stop", "phases:3", "--seed", "1", "--out", "coup"],
+        ["validate", "--procedure", "oup", "--oracle", "synthetic:twopoint.txt",
+         "--stop", "epsilon:0.4", "--trials", "1"],
+        ["run", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
+         "--stop", "rounds:20", "--seed", "1", "--out", "lognormal"],
+    ])
+    (imported, _), (coup, _), (validate, _), (lognormal, _) = after
     # a one-trial validate starts no pool, and ground truth for a two-point
     # pool is closed-form, so it loads none of them
     assert imported == coup == validate == []
     assert "scipy" in lognormal and "multiprocessing" not in lognormal
+    # with two workers: a validate on an exponential pool, whose ground
+    # truth is a quadrature over the quantile, then a sweep and a validate
+    # on a lognormal pool, whose draws need scipy's ndtri
+    after = _scipy_probe(tmp_path, [
+        ["validate", "--procedure", "oup", "--oracle", "synthetic:exponential.txt",
+         "--stop", "epsilon:0.4", "--trials", "2"],
+        ["sweep", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
+         "--stop", "rounds:20", "--seeds", "0:2", "--out", "sweep"],
+        ["validate", "--procedure", "oup", "--oracle", "synthetic:lognormal.txt",
+         "--stop", "epsilon:0.5", "--trials", "4"],
+    ], cpus=2)
+    _, (exponential, exponential_imports), *lognormal_runs = after
+    # the exponential validate forked its workers, and no process loaded scipy
+    assert "multiprocessing" in exponential and "scipy" not in exponential
+    assert exponential_imports == []
+    for loaded, imports in lognormal_runs:
+        # the parent loads scipy.special before it forks, so no worker
+        # imports any of scipy, and no process loads scipy.integrate
+        assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+        assert not any(in_worker or name == "scipy.integrate" for in_worker, name in imports)
+    # the sweep's parent imported scipy.special itself
+    assert [False, "scipy.special"] in lognormal_runs[0][1]

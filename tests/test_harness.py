@@ -628,8 +628,8 @@ def test_validation_details_are_pinned(tmp_path):
     report = uc.validate_guarantee(spec_for(tmp_path, oracle=close, stop="epsilon:0.3"), trials=3)
     assert report.details == [
         (0, 0.0, 0.29990379899508224, False),
-        (1, 0.0065257836430907545, 0.29987610306366064, False),
-        (2, 0.019255366827409692, 0.29995867971097734, False),
+        (1, 0.0065257836430905325, 0.29987610306366064, False),
+        (2, 0.019255366827407694, 0.29995867971097734, False),
     ]
     assert [tuple(map(type, entry)) for entry in report.details] == [(int, float, float, bool)] * 3
     space = "family=parametric_exponential\nparams=0.1,10000\n"
@@ -637,10 +637,10 @@ def test_validation_details_are_pinned(tmp_path):
     spec = spec_for(tmp_path, procedure="coup", oracle=space, stop="phases:2", delta=0.05)
     report = uc.validate_guarantee(spec, trials=2)
     assert report.details == [
-        (0, 1, 0.9984281821605305, -0.286060884628765, False),
-        (0, 2, 0.9984281821605305, 0.18929152922791848, False),
-        (1, 1, 0.9868378568674758, -0.286060884628765, False),
-        (1, 2, 0.9868378568674758, 0.18929152922791848, False),
+        (0, 1, 0.9984281821605304, -0.286060884628765, False),
+        (0, 2, 0.9984281821605304, 0.18929152922791836, False),
+        (1, 1, 0.9868378568674759, -0.286060884628765, False),
+        (1, 2, 0.9868378568674759, 0.18929152922791836, False),
     ]
     assert [tuple(map(type, entry)) for entry in report.details] == [
         (int, int, float, float, bool)
@@ -651,9 +651,9 @@ def test_validation_details_are_pinned(tmp_path):
     finite = write_pool(tmp_path, finite, name="finite.txt")
     spec = spec_for(tmp_path, procedure="coup", oracle=finite, stop="phases:3", delta=0.05)
     report = uc.validate_guarantee(spec, trials=3)
-    thresholds = [0.045479694393367076, 0.21680921871556502, 0.36846934029187095]
-    truths = [0.7396051030727416, 0.828707386351018, 0.828707386351018]
-    truths += [0.9750000000045044] * 3 + [0.9583333678850998] * 3
+    thresholds = [0.045479694393367076, 0.2168092187155649, 0.3684693402918703]
+    truths = [0.7396051030727439, 0.8287073863510176, 0.8287073863510176]
+    truths += [0.9750000000045037] * 3 + [0.9583333678850995] * 3
     assert report.details == [
         (k // 3, k % 3 + 1, truth, thresholds[k % 3], False) for k, truth in enumerate(truths)
     ]

@@ -169,6 +169,9 @@ def test_runtimes_from_uniforms_equal_the_scalar_formula_bit_for_bit(dist, vs):
     got = dist.runtimes_from_uniforms(np.array(vs))
     assert all(type(t) is float for t in got)
     assert [t.hex() for t in got] == [scalar_runtime(dist, v).hex() for v in vs]
+    # ground truth integrates the same map, one probability at a time
+    if not isinstance(dist, TwoPoint):
+        assert [dist.quantile(v).hex() for v in vs] == [t.hex() for t in got]
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,6 +267,59 @@ def test_cap_near_zero_returns_full_utility():
     for dist in (Exponential(1.0), LogNormal(0.0, 1.0), TwoPoint(0.0, 5.0, 0.3)):
         value, _ = true_capped_utility(dist, u, 1e-9)
         assert value == pytest.approx(1.0, abs=1e-6)
+
+
+def partial_moment(dist, s, lo, hi):
+    """E[T^s; lo <= T < hi] in closed form, at the working precision of mp."""
+    if isinstance(dist, Exponential):
+        m = mp.mpf(dist.mean)
+        return m ** s * mp.gammainc(s + 1, lo / m, hi / m)
+    mu, sigma = mp.mpf(dist.mu), mp.mpf(dist.sigma)
+
+    def z(c):
+        return (mp.log(c) - mu - s * sigma**2) / sigma if c > 0 else -mp.inf
+
+    # P(z(lo) <= Z < z(hi)), taken from the tail where it does not cancel
+    zl, zh = z(lo), z(hi)
+    mass = mp.ncdf(-zl) - mp.ncdf(-zh) if zl > 0 else mp.ncdf(zh) - mp.ncdf(zl)
+    return mp.exp(s * mu + s**2 * sigma**2 / 2) * mass
+
+
+def closed_form_capped_utility(dist, u, kappa):
+    """E[u(min(T, kappa))] from partial moments: u is a polynomial in t
+    below kappa0 and, for log-Laplace, in 1/t above it."""
+    with mp.workdps(30):
+        k0, kappa = mp.mpf(u.kappa0), mp.mpf(kappa)
+        below = min(kappa, k0)
+        capped = u(float(kappa)) * (1 - partial_moment(dist, 0, 0, kappa))
+        if isinstance(u, UniformUtility):
+            value = partial_moment(dist, 0, 0, below) - partial_moment(dist, 1, 0, below) / k0
+        else:
+            a = mp.mpf(u.a)
+            value = partial_moment(dist, 0, 0, below)
+            value -= partial_moment(dist, a, 0, below) / (2 * k0**a)
+            if kappa > k0:
+                value += k0**a / 2 * partial_moment(dist, -a, k0, kappa)
+        return float(value + capped)
+
+
+# the validate_trials pool's shape (mu 1-4, sigma 0.5-1), runtimes far
+# below the utility's pivot, and far above it, where a quadrature over the
+# runtime t misses the mass: at kappa0 = 60, quad over t gave 9.0e-27 for
+# Exponential(0.001) and 0.0 for LogNormal(-5, 0.05)
+TRUTH_DISTRIBUTIONS = [
+    LogNormal(1.0, 0.5), LogNormal(1.2343, 0.7258), LogNormal(2.5, 0.75), LogNormal(4.0, 1.0),
+    Exponential(0.001), LogNormal(-5.0, 0.05), LogNormal(-5.0, 3.0), Exponential(1e4),
+]
+
+
+@pytest.mark.parametrize("dist", TRUTH_DISTRIBUTIONS, ids=repr)
+def test_ground_truth_matches_closed_forms(dist):
+    utilities = [LogLaplaceUtility(60.0, 1.0), LogLaplaceUtility(60.0, 2.5), UniformUtility(60.0)]
+    for u in utilities:
+        for kappa in (1.0, 64.0, 2.0**20, math.inf):
+            exact = closed_form_capped_utility(dist, u, kappa)
+            assert abs(expected_capped_utility(dist, u, kappa) - exact) <= 1e-12, (u, kappa)
 
 
 def test_capped_utility_decreases_with_larger_caps():
