@@ -42,6 +42,6 @@ from .oracles import (
 )
 from .oup import OupRun
 from .records import CostLedger, RunResult, StopRule, TraceRow
-from .utility import LogLaplaceUtility, UniformUtility, parse_utility
+from .utility import LogLaplaceUtility, UniformUtility, UtilityShape, parse_utility
 
 __version__ = "0.1.0"

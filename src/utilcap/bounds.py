@@ -29,6 +29,17 @@ so the width obeys the exact identity
 which holds to floating-point accuracy at every snapshot and serves as a
 test oracle.  Bounds are never clamped to [0, 1]; clamping would break the
 identity, and consumers only ever compare bounds.
+
+A captime-doubling rule is the two terms ``(lead, share)`` of one test,
+which fires while
+
+    lead * alpha <= u(kappa) * (1 - f_hat + share * alpha)
+
+``doubling_old`` gives ``(2, 0)`` and ``doubling_new`` gives
+``(2 (1 - u(kappa)), 1)``.  Both terms depend on ``u(kappa)`` alone, which
+changes only when the captime doubles, so the round of ``OupRun.step``
+binds them at a streak's start and after each doubling and evaluates the
+test inline, with no call per pull.
 """
 
 from __future__ import annotations
@@ -146,18 +157,20 @@ def alpha(ctx: BoundContext, m: int, kappa: float) -> float:
     return width_at(ctx, kappa)(m)
 
 
-def doubling_old(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
-    """Double the captime once sampling error falls below the capping error."""
-    return 2.0 * alpha_value <= u_at_kappa * (1.0 - f_hat)
+def doubling_old(u_at_kappa: float) -> tuple[float, float]:
+    """Double the captime once sampling error falls below the capping error:
+    ``2 alpha <= u(kappa) (1 - f_hat)``."""
+    return 2.0, 0.0
 
-def doubling_new(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
+
+def doubling_new(u_at_kappa: float) -> tuple[float, float]:
     """Balanced rule: compare the two terms of the exact confidence width.
 
     The width splits into ``2 (1 - u(kappa)) alpha`` (uncertainty from runs
     below the captime) plus ``u(kappa) (1 - f_hat + alpha)`` (uncertainty
     from runs above it); doubling fires while the second term dominates.
     """
-    return 2.0 * (1.0 - u_at_kappa) * alpha_value <= u_at_kappa * (1.0 - f_hat + alpha_value)
+    return 2.0 * (1.0 - u_at_kappa), 1.0
 
 
 DOUBLING_RULES = {"old": doubling_old, "new": doubling_new}

@@ -114,6 +114,11 @@ class Exponential:
         return f"exp(mean={self.mean!r})"
 
 
+# ndtri(1 - 2^-53): the largest normal deviate a lognormal draws, at the
+# largest uniform a stream gives (tests/test_oracles.py pins it against scipy)
+_LARGEST_Z = 8.209536151601387
+
+
 @dataclass(frozen=True)
 class LogNormal:
     mu: float
@@ -124,6 +129,15 @@ class LogNormal:
             raise ValueError(f"lognormal mu must be finite, got {self.mu}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"lognormal sigma must be positive and finite, got {self.sigma}")
+        try:
+            largest = math.exp(self.mu + self.sigma * _LARGEST_Z)
+        except OverflowError:
+            largest = math.inf
+        if largest == math.inf:
+            raise ValueError(
+                f"lognormal mu={self.mu!r}, sigma={self.sigma!r} draws runtimes past the "
+                f"largest float: exp(mu + {_LARGEST_Z!r} sigma) overflows"
+            )
 
     def runtimes_from_uniforms(self, vs) -> list[float]:
         # ndtri(0) is -inf, and exp(-inf) is 0.0
@@ -349,6 +363,10 @@ class MatrixOracle:
         names: tuple[str, ...],
         instance_order: tuple[int, ...],
     ):
+        # the one check of every recorded runtime: the round of
+        # ``OupRun.step`` values a run without the utility's
+        if not all(0.0 <= t < math.inf for row in runtimes for t in row):
+            raise ValueError("recorded runtimes must be finite and nonnegative")
         self.times = tuple(tuple(row[k] for k in instance_order) for row in runtimes)
         self.names = names
         self.instance_order = instance_order

@@ -223,6 +223,15 @@ class OupRun:
         ``min(t, kappa)``, completed when ``t < kappa``, and leaves the
         bounds ``_enter`` would compute from the arm's sums.
 
+        A round calls nothing to value a run or to test the rule.  The
+        rule's terms (``bounds`` module) depend on ``u(kappa)`` alone, so
+        they are bound at the streak's start and after each doubling, and
+        the test is evaluated inline.  A completed run is valued by the
+        utility's formula over the shape's constants (``utility`` module),
+        inline too, and a capped run's utility is ``u(kappa)``, which the
+        round already holds.  The utility is called only for ``u(kappa)``:
+        on an arm's first pull and at each doubling.
+
         A streak is the rounds that pull one arm one after another.  The
         arm is *held* out of the heaps while it lasts, and the tops of the
         other survivors, its rivals, are read once, at its start: no round
@@ -234,8 +243,8 @@ class OupRun:
         is a local of the streak: the arm's count, captime, sums and
         bounds, its runtime table (``oracle.runtime_of``), the width table
         at its captime (``bounds.width_table``), the ledger's total, the
-        count of reruns, ``eps_min`` and the utility.  A capped run's
-        utility is ``u(kappa)``, which the round already holds.
+        count of reruns, ``eps_min``, the utility's constants and the rule's
+        terms.
 
         The streak ends after the round that changes the selection (for
         ``up``, every round with more than one survivor), eliminates, or
@@ -265,7 +274,10 @@ class OupRun:
 
         arm = self.arms[i]
         ctx = self.ctx
-        u = self.utility.__call__
+        u = self.utility
+        # the shape's constants, with which the round values a completed run
+        # as u(t) does (utility.UtilityShape)
+        kappa0, near, far, decay = u.kappa0, u.near, u.far, u.a
         rule = self.doubling_rule
         times, draw = self.oracle.runtime_of(arm.config)
         m = arm.m
@@ -279,6 +291,7 @@ class OupRun:
         f_hat, u_k, ucb, lcb = arm.snapshot
         if not m:
             u_k = u(kappa)
+        lead, share = rule(u_k)
         ledger = self.ledger
         total = ledger.total_seconds
         # a round makes one run; a doubling's reruns are counted apart
@@ -297,12 +310,13 @@ class OupRun:
                     # captime doubles
                     u_now = u_k
                     doubled = False
-                    if rule(a, u_k, f_hat):
+                    if lead * a <= u_k * (1.0 - f_hat + share * a):
                         doubled = True
                         # the arm reruns its capped runs; the loop charges them
                         arm.m = m
                         arm._completed_count = done
                         charged, u_now = arm.double_captime(times, u)
+                        lead, share = rule(u_now)
                         for d in charged:
                             total += d
                             reruns += 1
@@ -318,7 +332,11 @@ class OupRun:
                         n_times = len(times)
                     # a capped run's utility is u(kappa), which the round holds
                     if t < kappa:
-                        usum += u(t)
+                        usum += (
+                            1.0 - near * (t / kappa0) ** decay
+                            if t < kappa0
+                            else far * (kappa0 / t) ** decay
+                        )
                         done += 1
                         total += t
                     else:

@@ -1,12 +1,25 @@
 """Utility functions over runtimes.
 
 A utility function maps a runtime in seconds to a value in [0, 1].  It is 1
-at t = 0 and weakly decreasing in t.  Two shapes are provided:
+at t = 0 and weakly decreasing in t.  Every shape is one formula over the
+pivot ``kappa0``, a decay exponent ``a`` and two constants, ``near`` and
+``far``:
 
-* log-Laplace: ``1 - (t/kappa0)^a / 2`` below the pivot ``kappa0`` and
-  ``(kappa0/t)^a / 2`` at or above it.  Both branches meet at 1/2, and the
-  tail decays polynomially but never reaches zero.
-* uniform: ``1 - t/kappa0`` below ``kappa0`` and exactly zero from there on.
+    u(t) = 1 - near * (t / kappa0)^a     for t < kappa0
+    u(t) = far * (kappa0 / t)^a          for t >= kappa0
+
+Two shapes are provided:
+
+* log-Laplace: ``near = far = 1/2``, with the field ``a``.  Both branches
+  meet at 1/2, and the tail decays polynomially but never reaches zero.
+* uniform: ``near = 1``, ``a = 1`` and ``far = 0``, so ``1 - t/kappa0``
+  below ``kappa0`` and exactly zero from there on (``x ** 1.0 == x``).
+
+``near``, ``far`` and the uniform shape's ``a`` are class constants, not
+dataclass fields, so equality, hashing and ``repr`` see only the
+parameters a spec gives.  ``UtilityShape.__call__`` is the one place the
+formula is written in full; the round of ``OupRun.step`` binds a shape's
+constants and values its completed runs with the same expression inline.
 
 The decay exponent of the log-Laplace shape is called ``a`` to keep it
 clearly apart from the confidence width alpha used elsewhere.
@@ -18,10 +31,23 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 
+class UtilityShape:
+    """The valuation every shape shares, over the shape's constants."""
+
+    def __call__(self, t: float) -> float:
+        if t < 0:
+            raise ValueError(f"runtime must be nonnegative, got {t}")
+        kappa0 = self.kappa0
+        if t < kappa0:
+            return 1.0 - self.near * (t / kappa0) ** self.a
+        return self.far * (kappa0 / t) ** self.a
+
+
 @dataclass(frozen=True)
-class LogLaplaceUtility:
+class LogLaplaceUtility(UtilityShape):
     kappa0: float
     a: float = 1.0
+    near = far = 0.5
 
     def __post_init__(self):
         if not 0 < self.kappa0 < math.inf:
@@ -29,29 +55,16 @@ class LogLaplaceUtility:
         if not 0 < self.a < math.inf:
             raise ValueError(f"decay exponent must be positive and finite, got {self.a}")
 
-    def __call__(self, t: float) -> float:
-        # checked inline: a utility is called on every run
-        if t < 0:
-            raise ValueError(f"runtime must be nonnegative, got {t}")
-        if t < self.kappa0:
-            return 1.0 - 0.5 * (t / self.kappa0) ** self.a
-        return 0.5 * (self.kappa0 / t) ** self.a
-
 
 @dataclass(frozen=True)
-class UniformUtility:
+class UniformUtility(UtilityShape):
     kappa0: float
+    near = a = 1.0
+    far = 0.0
 
     def __post_init__(self):
         if not 0 < self.kappa0 < math.inf:
             raise ValueError(f"kappa0 must be positive and finite, got {self.kappa0}")
-
-    def __call__(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"runtime must be nonnegative, got {t}")
-        if t < self.kappa0:
-            return 1.0 - t / self.kappa0
-        return 0.0
 
 
 UtilityFunction = LogLaplaceUtility | UniformUtility

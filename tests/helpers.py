@@ -80,6 +80,35 @@ def capped_run(oracle, config: int, instance: int, captime: float) -> CappedObse
     """The run of (config, instance) at ``captime``, capped as the engines cap it."""
     return CappedObservation.observe(true_runtimes(oracle, config, instance + 1)[instance], captime)
 
+def reference_doubling_old(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
+    """The old doubling rule as first written: sampling error below the
+    capping error."""
+    return 2.0 * alpha_value <= u_at_kappa * (1.0 - f_hat)
+
+
+def reference_doubling_new(alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
+    """The new doubling rule as first written: the capping term of the
+    exact width at least its sampling term."""
+    return 2.0 * (1.0 - u_at_kappa) * alpha_value <= u_at_kappa * (1.0 - f_hat + alpha_value)
+
+
+def rule_fires(rule, alpha_value: float, u_at_kappa: float, f_hat: float) -> bool:
+    """Whether a doubling rule's terms fire, as the round of ``OupRun.step``
+    tests them."""
+    lead, share = rule(u_at_kappa)
+    return lead * alpha_value <= u_at_kappa * (1.0 - f_hat + share * alpha_value)
+
+
+# the terms of rules that never and always fire: a width is finite and
+# positive, and the test's right side finite, so lead * alpha is inf or -inf
+def never_double(u_at_kappa: float) -> tuple[float, float]:
+    return math.inf, 0.0
+
+
+def always_double(u_at_kappa: float) -> tuple[float, float]:
+    return -math.inf, 0.0
+
+
 # 10 arms, two-point and exponential, unique optimum exp(0.5)
 A2_DISTS = (
     uc.TwoPoint(0.2, 150.0, 0.95),

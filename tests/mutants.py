@@ -115,6 +115,39 @@ MUTANTS = (
             "oup_twopoint", "oup_uniform", "up_single_survivor",
         ),
     ),
+    # the uniform shape's tail as the log-Laplace's, kappa0 / t, not zero
+    (
+        "uniform_far_one", "utility.py",
+        "far = 0.0",
+        "far = 1.0",
+        ("coup_uniform", "naive_uniform", "oup_uniform"),
+    ),
+    # the new rule without the capped runs' share of the width
+    (
+        "new_rule_share_zero", "bounds.py",
+        "return 2.0 * (1.0 - u_at_kappa), 1.0",
+        "return 2.0 * (1.0 - u_at_kappa), 0.0",
+        (
+            "coup_a0.5", "coup_a1.7", "coup_budget_at_phase_boundary", "coup_budget_mid_phase2",
+            "coup_budget_uncertified", "coup_custom_schedule", "coup_finite_pool",
+            "coup_finite_slow", "coup_new_seed1", "coup_new_seed2", "coup_uniform",
+            "coup_without_replacement", "oup_a0.5", "oup_a1.7", "oup_budget", "oup_lognormal",
+            "oup_matrix_exhausted", "oup_new_seed1", "oup_new_seed2", "oup_rounds",
+            "oup_twopoint", "oup_uniform", "up_budget", "up_held_arm_kept", "up_new_seed1",
+            "up_new_seed2", "up_rival_eliminated", "up_rounds", "up_single_survivor",
+        ),
+    ),
+    # the round's inline valuation of a completed run past kappa0 inverted
+    (
+        "inline_far_branch_inverted", "oup.py",
+        "else far * (kappa0 / t) ** decay",
+        "else far * (t / kappa0) ** decay",
+        (
+            "coup_a0.5", "coup_a1.7", "coup_finite_slow", "oup_a0.5", "oup_a1.7",
+            "up_held_arm_kept", "up_new_seed1", "up_new_seed2", "up_rival_eliminated", "up_rounds",
+            "up_single_survivor",
+        ),
+    ),
     # the memo stores width(m) under the next count
     (
         "width_stored_under_next_count", "bounds.py",

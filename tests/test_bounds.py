@@ -16,7 +16,15 @@ from utilcap import (
 from utilcap.arms import ArmState
 from utilcap.bounds import width_at, width_table
 
-from helpers import CappedObservation, empirical_cdf_at_cap, empirical_utility, make_snapshot
+from helpers import (
+    CappedObservation,
+    empirical_cdf_at_cap,
+    empirical_utility,
+    make_snapshot,
+    reference_doubling_new,
+    reference_doubling_old,
+    rule_fires,
+)
 
 CTX10 = BoundContext(n=10, delta=0.1)
 
@@ -228,15 +236,15 @@ def test_empirical_summaries_reject_empty():
 
 
 def test_doubling_old_cases():
-    assert doubling_old(0.1, 0.5, 0.2)  # 0.2 <= 0.4
-    assert not doubling_old(0.1, 0.0, 0.2)  # utility floor reached
-    assert not doubling_old(0.1, 0.5, 1.0)  # everything completes
+    assert rule_fires(doubling_old, 0.1, 0.5, 0.2)  # 0.2 <= 0.4
+    assert not rule_fires(doubling_old, 0.1, 0.0, 0.2)  # utility floor reached
+    assert not rule_fires(doubling_old, 0.1, 0.5, 1.0)  # everything completes
 
 
 def test_doubling_new_cases():
-    assert doubling_new(0.1, 0.5, 0.2)  # 0.1 <= 0.45
-    assert doubling_new(0.3, 1.0, 0.9)  # left side is zero
-    assert not doubling_new(0.1, 0.0, 0.2)  # right side is zero
+    assert rule_fires(doubling_new, 0.1, 0.5, 0.2)  # 0.1 <= 0.45
+    assert rule_fires(doubling_new, 0.3, 1.0, 0.9)  # left side is zero
+    assert not rule_fires(doubling_new, 0.1, 0.0, 0.2)  # right side is zero
 
 
 @given(
@@ -246,9 +254,35 @@ def test_doubling_new_cases():
 def test_doubling_new_boundary_behavior(a, uk):
     # with every run completing and no width left, there is nothing to gain
     if uk < 1.0 and a > 0.0:
-        assert doubling_new(a, uk, 1.0) == (2.0 * (1.0 - uk) * a <= uk * a)
+        assert rule_fires(doubling_new, a, uk, 1.0) == (2.0 * (1.0 - uk) * a <= uk * a)
     # with nothing completing, fire as soon as the capping term dominates
-    assert doubling_new(a, uk, 0.0) == (2.0 * (1.0 - uk) * a <= uk * (1.0 + a))
+    assert rule_fires(doubling_new, a, uk, 0.0) == (2.0 * (1.0 - uk) * a <= uk * (1.0 + a))
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example(0.1, 0.5, 0.2)
+@example(1.5, 1.0 - 2.0**-53, 1.0)
+@example(5e-324, 5e-324, 1.0 - 2.0**-53)
+def test_rule_terms_give_the_formulas_bit_for_bit(a, uk, f_hat):
+    # the round tests a rule's terms, lead * a <= u_k (1 - f_hat + share * a);
+    # both sides equal the formula's, so the round doubles exactly when the
+    # formula fires.  Widths are finite and positive, u(kappa) and f_hat lie
+    # in [0, 1], and 1 - f_hat is never -0.0, so adding 0.0 * a keeps its bits
+    for rule, reference, sides in (
+        (doubling_old, reference_doubling_old, (2.0 * a, uk * (1.0 - f_hat))),
+        (
+            doubling_new,
+            reference_doubling_new,
+            (2.0 * (1.0 - uk) * a, uk * (1.0 - f_hat + a)),
+        ),
+    ):
+        lead, share = rule(uk)
+        assert (lead * a, uk * (1.0 - f_hat + share * a)) == sides
+        assert rule_fires(rule, a, uk, f_hat) == reference(a, uk, f_hat)
 
 
 # ---------------------------------------------------------------------------

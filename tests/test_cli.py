@@ -217,6 +217,8 @@ def test_env_var_sets_sweep_base_directory(tmp_path, pool_path, monkeypatch):
         ("family=parametric_exponential\nparams=0.1,nan\n", "coup", "phases:1"),
         # finite, but the largest mean, scale * growth, overflows
         ("family=parametric_exponential\nparams=1e300,1e300\n", "coup", "phases:1"),
+        # finite, but a lognormal's largest draw overflows a float
+        ("family=lognormal\nparams=800,1;1,1\n", "oup", "rounds:10"),
         # a misspelt key, and a key given twice, would be silently ignored
         ("family=exponential\nparams=1.0;2.0\nn_config=7\n", "oup", "epsilon:0.4"),
         ("family=exponential\nparams=1.0;2.0\nparams=3.0\n", "oup", "epsilon:0.4"),

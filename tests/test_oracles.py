@@ -23,11 +23,12 @@ from utilcap import (
     load_runtime_matrix,
     true_capped_utility,
 )
+from utilcap import oracles
 from utilcap.baselines import halving_plan, naive_plan, naive_run, run_plan
 from utilcap.records import StopRule
 from utilcap.rng import RUNTIME_STREAM, stream_generator
 
-from helpers import capped_run, durations, true_runtimes
+from helpers import capped_run, durations, never_double, true_runtimes
 
 
 # ---------------------------------------------------------------------------
@@ -35,10 +36,6 @@ from helpers import capped_run, durations, true_runtimes
 # ---------------------------------------------------------------------------
 
 U60 = UniformUtility(60.0)
-
-
-def never_double(alpha_value, u_at_kappa, f_hat):
-    return False
 
 
 def observe(runtimes, kappa=1.0):
@@ -77,12 +74,12 @@ def test_observe_zero_runtime_allowed():
 
 def test_observe_rejects_bad_inputs():
     # a negative runtime: the distributions and the matrix loader refuse it
-    # (tests below), and past them the utility checks every run it values
+    # (tests below), and so does the matrix oracle, the boundary every
+    # recorded runtime passes before an engine values it
     with pytest.raises(ValueError, match="nonnegative"):
         observe([0.5, -1.0])
-    negative = MatrixOracle(((-1.0,),), ("a",), (0,))
     with pytest.raises(ValueError, match="nonnegative"):
-        run_plan("naive", negative, U60, 1.0, [(1, 1)], math.nan)
+        MatrixOracle(((-1.0,),), ("a",), (0,))
     # a captime: every pull's width looks the arm's up on the doubling grid,
     # naive's is a power of two, and sh's is checked by its plan
     ctx = BoundContext(n=1, delta=0.1)
@@ -402,6 +399,18 @@ def test_load_rejects_non_numeric_and_ragged(tmp_path):
     path.write_text("a,1,2\nb,3\n")
     with pytest.raises(ValueError, match="ragged"):
         load_runtime_matrix(path, seed=0)
+
+
+def test_lognormal_refuses_draws_past_the_largest_float():
+    # the largest uniform a stream draws is 1 - 2^-53; its deviate is the
+    # literal the check uses, so that building a lognormal imports no scipy
+    assert oracles._LARGEST_Z == ndtri(1.0 - 2.0**-53)
+    top = np.array([1.0 - 2.0**-53])
+    for mu, sigma in ((701.0, 1.0), (-800.0, 90.0), (0.0, 86.0)):
+        assert math.isfinite(LogNormal(mu, sigma).runtimes_from_uniforms(top)[0])
+    for mu, sigma in ((702.0, 1.0), (800.0, 1.0), (0.0, 87.0), (0.0, 1e308)):
+        with pytest.raises(ValueError, match="overflows"):
+            LogNormal(mu, sigma)
 
 
 def test_load_rejects_negative_runtime(tmp_path):

@@ -9,10 +9,12 @@ from utilcap.bounds import alpha
 from helpers import (
     UTILITY,
     a2_oracle,
+    always_double,
     a8_oracle,
     durations,
     instrumented_oup,
     make_snapshot,
+    never_double,
     observations,
     trace_lines,
 )
@@ -74,20 +76,18 @@ def one_arm_run(oracle, utility, rule) -> uc.OupRun:
 def test_doubling_refreshes_only_capped_observations():
     # 3 prior observations, 2 capped: a forced doubling reruns 2 and adds 1
     oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=11)
-    never = lambda a, u_k, f: False
-    always = lambda a, u_k, f: True
-    run = one_arm_run(oracle, U60, never)
+    run = one_arm_run(oracle, U60, never_double)
     arm = run.arms[0]
     while arm.m < 3 or sum(d < arm.kappa for d in durations(oracle, arm)) != 1:
         if arm.m >= 3:
             oracle = uc.SyntheticOracle([uc.TwoPoint(0.5, 4.0, 0.4)], seed=oracle.seed + 1)
-            run = one_arm_run(oracle, U60, never)
+            run = one_arm_run(oracle, U60, never_double)
             arm = run.arms[0]
         run.step()
     kappa_before = arm.kappa
     durations_before = durations(oracle, arm)
     runs_before = run.ledger.run_count
-    run.doubling_rule = always
+    run.doubling_rule = always_double
     run.step()
     assert uc.TraceRow(*run.trace[-1]).doubled
     assert arm.kappa == 2 * kappa_before
@@ -104,21 +104,24 @@ def test_doubling_refreshes_only_capped_observations():
 
 def test_doubling_condition_sees_incremented_count():
     # the rule compares against the width at the incremented m but the
-    # completion fraction of the previous snapshot; pick a threshold that
-    # separates alpha(m) from alpha(m+1) to pin the order
-    oracle = uc.SyntheticOracle([uc.TwoPoint(0.25, 0.25, 1.0)], seed=0)
+    # completion fraction of the previous snapshot; pick a lead that
+    # separates alpha(m) from alpha(m+1) to pin the order.  Every run caps
+    # at captime 1, so the test reads lead * alpha <= u(1) (1 - 0) = 1/2
+    oracle = uc.SyntheticOracle([uc.TwoPoint(4.0, 4.0, 1.0)], seed=0)
     utility = uc.UniformUtility(2.0)
-    never = lambda a, u_k, f: False
-    run = one_arm_run(oracle, utility, never)
+    run = one_arm_run(oracle, utility, never_double)
     for _ in range(5):
         run.step()
     ctx = run.ctx
     assert ctx == uc.BoundContext(n=1, delta=0.1)
-    a_now = alpha(ctx, 5, run.arms[0].kappa)
-    a_next = alpha(ctx, 6, run.arms[0].kappa)
+    arm = run.arms[0]
+    assert (arm.kappa, arm.snapshot.f_hat, arm.snapshot.u_at_kappa) == (1.0, 0.0, 0.5)
+    a_now = alpha(ctx, 5, arm.kappa)
+    a_next = alpha(ctx, 6, arm.kappa)
     assert a_next < a_now
-    threshold = (a_next + a_now)  # between 2*alpha(6) and 2*alpha(5)
-    run.doubling_rule = lambda a, u_k, f: 2.0 * a <= threshold
+    lead = 1.0 / (a_next + a_now)  # 2 * alpha(6) < 1 / lead < 2 * alpha(5)
+    assert lead * a_next <= 0.5 < lead * a_now
+    run.doubling_rule = lambda u_k: (lead, 0.0)
     run.step()
     assert uc.TraceRow(*run.trace[-1]).doubled  # fires only because m was incremented first
 
@@ -126,15 +129,16 @@ def test_doubling_condition_sees_incremented_count():
 def test_doubling_condition_sees_previous_completion_fraction():
     # first pull of a fresh arm: the sentinel snapshot reports no completions,
     # so a rule keyed on the completion fraction fires even though the run
-    # about to happen would complete
+    # about to happen would complete.  With terms (1e-9, 0) the test is
+    # 1e-9 * alpha <= u(kappa) (1 - f_hat), and u(kappa) > 0: it fires
+    # exactly while f_hat < 1
     oracle = uc.SyntheticOracle([uc.TwoPoint(0.25, 0.25, 1.0)], seed=0)
-    utility = uc.UniformUtility(2.0)
-    seen = {}
-    rule = lambda a, u_k, f: seen.setdefault("f", f) is None
-    run = one_arm_run(oracle, utility, rule)
+    run = one_arm_run(oracle, U60, lambda u_k: (1e-9, 0.0))
     run.step()
-    assert seen["f"] == 0.0
+    assert uc.TraceRow(*run.trace[-1]).doubled  # read FRESH's f_hat, 0.0
     assert run.arms[0].snapshot.f_hat == 1.0
+    run.step()
+    assert not uc.TraceRow(*run.trace[-1]).doubled  # read the first run's 1.0
 
 
 def test_elimination_removes_provably_bad_arm():
@@ -330,18 +334,20 @@ def test_trials_of_one_context_compute_few_widths(width_count):
 def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
     calls = 0
 
-    def counted(t):
-        nonlocal calls
-        calls += 1
-        return U60(t)
+    class Counted(uc.LogLaplaceUtility):
+        def __call__(self, t):
+            nonlocal calls
+            calls += 1
+            return super().__call__(t)
 
-    # a round values its own run only if it completed: a capped run's
-    # utility is u(kappa), which the round holds.  u(kappa) is computed on
-    # an arm's first pull and once per doubling, which also values every
-    # earlier run of the arm that completes at the new captime.  On this slow
-    # pool both rules double, and runs cap, doubling rounds' runs among them
+    # a round calls the utility for no run of its own: it values a completed
+    # run inline and a capped run at u(kappa), which it holds.  u(kappa) is
+    # computed on an arm's first pull and once per doubling, which also
+    # values every earlier run of the arm that completes at the new captime.
+    # On this slow pool both rules double, and runs cap, doubling rounds'
+    # runs among them
     oracle = uc.SyntheticOracle([uc.Exponential(mean) for mean in (30.0, 45.0, 60.0, 90.0)], 5)
-    result = uc.OupRun(oracle, counted, 0.1, doubling=doubling).run_until(
+    result = uc.OupRun(oracle, Counted(60.0, 1.0), 0.1, doubling=doubling).run_until(
         uc.StopRule(rounds=2000)
     )
     rows = [uc.TraceRow(*row) for row in result.trace]
@@ -358,9 +364,7 @@ def test_u_at_kappa_is_computed_on_first_pulls_and_after_doublings(doubling):
         if row.doubled:
             kappa = kappas[row.selected] = 2.0 * kappa
             expected += 1 + sum(t < kappa for t in times[: m - 1])
-        if times[m - 1] < kappa:
-            expected += 1
-        else:
+        if times[m - 1] >= kappa:
             capped_doublings += row.doubled
     assert capped_doublings > 0
     assert calls == expected

@@ -1,7 +1,12 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from utilcap import LogLaplaceUtility, UniformUtility, parse_utility
+from utilcap import LogLaplaceUtility, MatrixOracle, OupRun, UniformUtility, parse_utility
+
+from helpers import never_double
 
 
 def test_loglaplace_branch_continuity_at_pivot():
@@ -91,3 +96,55 @@ def test_invalid_parameters_rejected():
         LogLaplaceUtility(60.0, 0.0)
     with pytest.raises(ValueError):
         UniformUtility(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# The one formula, and the round's inline copy of it
+# ---------------------------------------------------------------------------
+
+
+def test_shape_constants_are_not_fields():
+    # equality, hashing, repr and parse_utility see only a spec's parameters
+    assert [f.name for f in dataclasses.fields(LogLaplaceUtility)] == ["kappa0", "a"]
+    assert [f.name for f in dataclasses.fields(UniformUtility)] == ["kappa0"]
+    assert repr(UniformUtility(60.0)) == "UniformUtility(kappa0=60.0)"
+    assert repr(LogLaplaceUtility(60.0, 1.7)) == "LogLaplaceUtility(kappa0=60.0, a=1.7)"
+    assert hash(UniformUtility(60.0)) == hash(UniformUtility(60.0))
+    assert parse_utility("uniform:kappa0=60") == UniformUtility(60.0)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+def test_uniform_shape_is_the_plain_formula_bit_for_bit(t, kappa0):
+    # near = a = 1 and far = 0 give 1 - t/kappa0 and 0.0: x ** 1.0 == x
+    expected = 1.0 - t / kappa0 if t < kappa0 else 0.0
+    assert UniformUtility(kappa0)(t).hex() == expected.hex()
+
+
+KAPPA0 = 60.0
+# zero, a subnormal, kappa0 and the floats next to it, and two far tails
+RUNTIMES = (
+    0.0, 5e-324, math.nextafter(KAPPA0, 0.0), KAPPA0, math.nextafter(KAPPA0, math.inf),
+    1e6, 2.0**1000,
+)
+
+
+@pytest.mark.parametrize(
+    "utility",
+    [LogLaplaceUtility(KAPPA0, a) for a in (0.5, 1.0, 1.7, 2.5)] + [UniformUtility(KAPPA0)],
+    ids=repr,
+)
+def test_round_values_a_completed_run_as_the_utility_does(utility):
+    # one arm per runtime, each pulled once at a captime above every runtime,
+    # so its run completes and its utility sum is the round's valuation of it
+    oracle = MatrixOracle(tuple((t,) for t in RUNTIMES), tuple(map(repr, RUNTIMES)), (0,))
+    for config, t in enumerate(RUNTIMES):
+        run = OupRun(oracle, utility, 0.1, pool=[config])
+        run.doubling_rule = never_double
+        arm = run.arms[0]
+        arm.kappa = 2.0**1001
+        run.step()
+        assert (arm.m, arm._completed_count) == (1, 1)
+        assert arm._utility_sum.hex() == utility(t).hex(), t
