@@ -181,7 +181,8 @@ class BoundSnapshot(NamedTuple):
 
     ``f_hat`` is the completion fraction the next pull's doubling rule
     reads, ``u_at_kappa`` the utility at the arm's captime that the next
-    pull reuses, and ``ucb`` and ``lcb`` the keys of the bound index.  The
+    pull reuses (a change of bound context, ``OupRun._enter``, reuses both),
+    and ``ucb`` and ``lcb`` the keys of the bound index.  The
     observation count and captime live on the arm; ``u_hat`` and ``alpha``
     are intermediates that are not kept.  A named tuple because one is
     built at the end of every streak of pulls: a tuple is built without a

@@ -636,7 +636,7 @@ def _trial(template: ExperimentSpec, parsed: tuple, seed: int, truths: tuple | N
         if make is None:
             quantile = finite_population_quantile(truths[1], cert.gamma)
         else:
-            quantile = true_capped_utility(make(cert.gamma), utility, math.inf)[0]
+            quantile = true_capped_utility(make(cert.gamma), utility, math.inf)
         threshold = quantile - cert.epsilon
         truth = oracle.true_utility(cert.incumbent_config, utility)
         evidence.append((cert.phase, truth, threshold, truth < threshold - _TOL))

@@ -180,15 +180,6 @@ class TwoPoint:
         fast, slow, p = self.t_fast, self.t_slow, self.p_fast
         return [fast if v < p else slow for v in vs.tolist()]
 
-    def completion_probability(self, kappa: float) -> float:
-        """P(t < kappa), strict, matching the completion flag of capped runs."""
-        prob = 0.0
-        if self.t_fast < kappa:
-            prob += self.p_fast
-        if self.t_slow < kappa:
-            prob += 1.0 - self.p_fast
-        return prob
-
     def label(self) -> str:
         return f"twopoint(t_fast={self.t_fast!r},t_slow={self.t_slow!r},p={self.p_fast!r})"
 
@@ -233,14 +224,30 @@ def _quantile_integral(
     Adaptive G7-K15: an interval of ``s`` whose two estimates differ by more
     than ``_QUAD_ABS_TOL`` is halved, else its K15 estimate is kept.  Both
     estimates of an interval of half-length ``h`` lie in [0, 3.75 h (b - a)],
-    so the halving ends.
+    so the halving ends.  Both estimates can miss a step of ``u(Q(p))``
+    between the piece's end and an interval's outermost node, where the
+    flattened ends put the nodes far apart in ``p``: a mean-1e12
+    exponential's whole fall from ``u(kappa0)`` lies below the first node.
+    So an interval at an end is kept only when the change of ``u(Q(p))``
+    from the end to that node, times their distance in ``p``, is within
+    ``_QUAD_ABS_TOL`` too.  An end at ``p = 1`` is not checked: the runtime
+    there is infinite, ``u`` is 0, and the rule's weight vanishes.
     """
     width = b - a
 
-    def g(s: float) -> float:
+    def p_at(s: float) -> float:
         # rounding can carry p past b, and past 1 no quantile is a number
-        p = min(b, a + width * s**3 * (10.0 - s * (15.0 - 6.0 * s)))
-        return u(dist.quantile(p)) * 30.0 * width * (s * (1.0 - s)) ** 2
+        return min(b, a + width * s**3 * (10.0 - s * (15.0 - 6.0 * s)))
+
+    def g(s: float) -> float:
+        return u(dist.quantile(p_at(s))) * 30.0 * width * (s * (1.0 - s)) ** 2
+
+    def settled(p_end: float, s_node: float) -> bool:
+        if p_end == 1.0:
+            return True
+        p_node = p_at(s_node)
+        step = u(dist.quantile(p_end)) - u(dist.quantile(p_node))
+        return abs(step) * abs(p_node - p_end) <= _QUAD_ABS_TOL
 
     total = 0.0
     intervals = [(0.0, 1.0)]
@@ -251,7 +258,11 @@ def _quantile_integral(
         values.append(g(mid))
         kronrod = half * sum(map(operator.mul, _KRONROD, values))
         gauss = half * sum(map(operator.mul, _GAUSS, values))
-        if abs(kronrod - gauss) <= _QUAD_ABS_TOL:
+        if (
+            abs(kronrod - gauss) <= _QUAD_ABS_TOL
+            and (lo > 0.0 or settled(a, mid + half * _NODES[0]))
+            and (hi < 1.0 or settled(b, mid - half * _NODES[0]))
+        ):
             total += kronrod
         else:
             intervals += ((lo, mid), (mid, hi))
@@ -284,12 +295,10 @@ def expected_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa
 
 
 @functools.lru_cache(maxsize=None)
-def true_capped_utility(
-    dist: RuntimeDistribution, u: UtilityFunction, kappa: float
-) -> tuple[float, float]:
-    """Exact (capped expected utility, completion probability) at ``kappa``.
+def true_capped_utility(dist: RuntimeDistribution, u: UtilityFunction, kappa: float) -> float:
+    """The exact capped expected utility at ``kappa``; ``kappa = inf`` yields
+    the uncapped expected utility.
 
-    ``kappa = inf`` yields the uncapped expected utility and probability 1.
     Distributions and utilities are frozen dataclasses, so the result is
     cached by value: every trial of a validation asks for the same truths,
     such as a parametric space's quantile at each phase's ``gamma_p``, and a
@@ -297,7 +306,7 @@ def true_capped_utility(
     cache has no bound: it holds one small entry per distribution, utility
     and captime this process has asked about.
     """
-    return expected_capped_utility(dist, u, kappa), dist.completion_probability(kappa)
+    return expected_capped_utility(dist, u, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +463,8 @@ class SyntheticOracle:
             table = self._tables[config] = (times, draw)
         return table
 
-    def true_capped_utility(
-        self, config: int, u: UtilityFunction, kappa: float
-    ) -> tuple[float, float]:
-        return true_capped_utility(self.dists[config], u, kappa)
-
     def true_utility(self, config: int, u: UtilityFunction) -> float:
-        return self.true_capped_utility(config, u, math.inf)[0]
+        return true_capped_utility(self.dists[config], u, math.inf)
 
     def true_utilities(self, u: UtilityFunction) -> list[float]:
         return [self.true_utility(c, u) for c in range(self.n_configs)]

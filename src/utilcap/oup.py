@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from heapq import heapify, heappop, heappush
 
-from .arms import ArmState
+from .arms import ArmState, double_captime
 from .bounds import DOUBLING_RULES, BoundContext, BoundSnapshot, alpha, width_table
 from .oracles import InstanceExhaustedError, RuntimeOracle
 from .records import NO_TRACE, CostLedger, RunResult, StopRule
@@ -105,20 +105,20 @@ class OupRun:
         """Make ``ctx`` the bound context the run reads: at a run's start,
         and at each ``coup`` phase start.
 
-        Each pulled arm's snapshot is recomputed from its running sums, with
-        ``alpha(ctx, m, kappa)`` and ``u(kappa)`` at its count and captime,
-        as ``step`` computes it at a pull; an arm never pulled keeps
-        ``FRESH``, which no context enters.  Then the bound index is rebuilt
-        and ``eps_min`` restarts at the guarantee the new bounds give.
+        Each pulled arm's bounds are recomputed with the width ``alpha(ctx,
+        m, kappa)`` at its count and captime, as ``step`` computes them at a
+        pull.  The completion fraction and ``u(kappa)`` do not depend on the
+        context, so they are the ones the arm's snapshot stores; an arm
+        never pulled keeps ``FRESH``, which no context enters.  Then the
+        bound index is rebuilt and ``eps_min`` restarts at the guarantee the
+        new bounds give.
         """
         self.ctx = ctx
-        u = self.utility
         for arm in self.arms:
             m = arm.m
             if m:
                 a = alpha(ctx, m, arm.kappa)
-                u_k = u(arm.kappa)
-                f_hat = arm._completed_count / m
+                f_hat, u_k, _, _ = arm.snapshot
                 u_hat = arm._utility_sum / m
                 arm.snapshot = BoundSnapshot(
                     f_hat, u_k, u_hat + (1.0 - u_k) * a, u_hat - a - u_k * (1.0 - f_hat)
@@ -216,12 +216,15 @@ class OupRun:
         appends its row to the trace sink (``records.NO_TRACE``).  A pull
         counts one more run ``m``, tests the doubling rule with the width at
         that ``m`` and the completion fraction of the arm's last snapshot,
-        and if it fires doubles the captime once (``ArmState.double_captime``,
-        which reruns the capped runs); if more doublings are warranted, the
-        rule fires again on the arm's next pull.  Then the run reads its
-        runtime ``t`` from the configuration's runtime table, observes
-        ``min(t, kappa)``, completed when ``t < kappa``, and leaves the
-        bounds ``_enter`` would compute from the arm's sums.
+        and if it fires doubles the captime once: ``arms.double_captime``
+        reruns the capped runs among the ``m - 1`` made, and returns the
+        arm's new captime, sums and ``u(kappa)`` and the ledger's total with
+        the reruns charged.  If more doublings are warranted, the rule fires
+        again on the arm's next pull.  Then the run reads its runtime ``t``
+        from the configuration's runtime table, ``times[m - 1]``, and draws
+        it (``draw``) when the table ends before it, observes ``min(t,
+        kappa)``, completed when ``t < kappa``, and leaves the bounds
+        ``_enter`` would compute.
 
         A round calls nothing to value a run or to test the rule.  The
         rule's terms (``bounds`` module) depend on ``u(kappa)`` alone, so
@@ -229,8 +232,9 @@ class OupRun:
         the test is evaluated inline.  A completed run is valued by the
         utility's formula over the shape's constants (``utility`` module),
         inline too, and a capped run's utility is ``u(kappa)``, which the
-        round already holds.  The utility is called only for ``u(kappa)``:
-        on an arm's first pull and at each doubling.
+        round already holds.  The round calls the utility only for
+        ``u(kappa)`` on an arm's first pull; a doubling's reruns value the
+        earlier runs through it.
 
         A streak is the rounds that pull one arm one after another.  The
         arm is *held* out of the heaps while it lasts, and the tops of the
@@ -252,8 +256,9 @@ class OupRun:
         or when the oracle runs out of instances, which raises with the
         run's partial result.  Without ``stop`` it ends after one round,
         so tests can step round by round.  The locals are then written
-        back: the arm gets one ``BoundSnapshot``, the ledger its total and
-        its run count (one run per round plus the reruns), and the heaps
+        back, and no field of the arm is written before: the arm gets its
+        count, captime, sums and one ``BoundSnapshot``, the ledger its total
+        and its run count (one run per round plus the reruns), and the heaps
         the arm's keys, unless it was eliminated.  The sums are the same
         float additions in the same order as one round per call, so rows
         and ledgers do not depend on how rounds fall into streaks.
@@ -285,8 +290,6 @@ class OupRun:
         widths = width_table(ctx, kappa)
         usum = arm._utility_sum
         done = arm._completed_count
-        # the runtime table's length, read again only when the table grows
-        n_times = len(times)
         # the bounds of the arm's latest pull, which the next pull reads
         f_hat, u_k, ucb, lcb = arm.snapshot
         if not m:
@@ -312,24 +315,17 @@ class OupRun:
                     doubled = False
                     if lead * a <= u_k * (1.0 - f_hat + share * a):
                         doubled = True
-                        # the arm reruns its capped runs; the loop charges them
-                        arm.m = m
-                        arm._completed_count = done
-                        charged, u_now = arm.double_captime(times, u)
+                        kappa, usum, done, u_now, total, rerun = double_captime(
+                            times, m - 1, kappa, u, total
+                        )
+                        reruns += rerun
                         lead, share = rule(u_now)
-                        for d in charged:
-                            total += d
-                            reruns += 1
-                        kappa = arm.kappa
-                        usum = arm._utility_sum
-                        done = arm._completed_count
                         widths = width_table(ctx, kappa)
                         a = widths[m]
-                    if m <= n_times:
+                    try:
                         t = times[m - 1]
-                    else:
+                    except IndexError:
                         t = draw(m - 1)
-                        n_times = len(times)
                     # a capped run's utility is u(kappa), which the round holds
                     if t < kappa:
                         usum += (
@@ -377,6 +373,7 @@ class OupRun:
                         break
             finally:
                 arm.m = m
+                arm.kappa = kappa
                 arm._utility_sum = usum
                 arm._completed_count = done
                 if rounds > rounds_before:

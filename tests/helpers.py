@@ -191,6 +191,15 @@ class InstrumentedRun:
     selections: list[int] = field(default_factory=list)
 
 
+def completion_probability(dist, kappa: float) -> float:
+    """P(t < kappa), strict, as a capped run's completion flag reads it.  The
+    package computes it only for the continuous distributions, whose ground
+    truth needs it; a ``TwoPoint``'s is the mass of the atoms below kappa."""
+    if isinstance(dist, uc.TwoPoint):
+        return dist.p_fast * (dist.t_fast < kappa) + (1.0 - dist.p_fast) * (dist.t_slow < kappa)
+    return dist.completion_probability(kappa)
+
+
 def instrumented_oup(
     oracle: uc.SyntheticOracle,
     utility,
@@ -209,11 +218,15 @@ def instrumented_oup(
     truth_at: dict[tuple[int, float], tuple[float, float]] = {}
 
     def truth(arm_index: int, kappa: float) -> tuple[float, float]:
+        """(capped expected utility, completion probability) at ``kappa``."""
         key = (arm_index, kappa)
         got = truth_at.get(key)
         if got is None:
-            got = oracle.true_capped_utility(run.arms[arm_index].config, utility, kappa)
-            truth_at[key] = got
+            dist = oracle.dists[run.arms[arm_index].config]
+            got = truth_at[key] = (
+                uc.true_capped_utility(dist, utility, kappa),
+                completion_probability(dist, kappa),
+            )
         return got
 
     trigger_round: dict[int, int] = {}

@@ -148,6 +148,45 @@ MUTANTS = (
             "up_single_survivor",
         ),
     ),
+    # a doubling's rerun that caps again charged at the old captime
+    (
+        "rerun_charged_old_captime", "arms.py",
+        "total += kappa",
+        "total += capped",
+        (
+            "coup_a0.5", "coup_a1.7", "coup_finite_pool", "coup_finite_slow", "coup_new_seed2",
+            "coup_uniform", "oup_a0.5", "oup_a1.7", "oup_old_seed1", "oup_old_seed2",
+            "oup_uniform", "up_budget", "up_held_arm_kept", "up_new_seed1", "up_new_seed2",
+            "up_old_seed1", "up_old_seed2", "up_rival_eliminated", "up_rounds",
+            "up_single_survivor",
+        ),
+    ),
+    # a phase start that reads the stored completion fraction and u(kappa)
+    # in each other's places
+    (
+        "enter_swaps_stored_values", "oup.py",
+        "f_hat, u_k, _, _ = arm.snapshot",
+        "u_k, f_hat, _, _ = arm.snapshot",
+        tuple(
+            c for c in COUP_ALL
+            if c not in ("coup_budget_at_phase_boundary", "coup_budget_uncertified")
+        ),
+    ),
+    # the runtime table's fallback draws the next instance, not the missing one
+    (
+        "table_fallback_draws_next", "oup.py",
+        "t = draw(m - 1)",
+        "t = draw(m)",
+        (
+            "coup_a0.5", "coup_a1.7", "coup_budget_at_phase_boundary", "coup_budget_mid_phase2",
+            "coup_budget_uncertified", "coup_custom_schedule", "coup_gamma_then_epsilon",
+            "coup_new_seed1", "coup_old_seed1", "coup_old_seed2", "coup_uniform", "oup_a0.5",
+            "oup_a1.7", "oup_budget", "oup_lognormal", "oup_new_seed1", "oup_new_seed2",
+            "oup_old_seed1", "oup_old_seed2", "oup_one_config", "oup_rounds", "oup_uniform",
+            "up_budget", "up_held_arm_kept", "up_new_seed1", "up_new_seed2", "up_old_seed1",
+            "up_old_seed2", "up_rival_eliminated", "up_rounds", "up_single_survivor",
+        ),
+    ),
     # the memo stores width(m) under the next count
     (
         "width_stored_under_next_count", "bounds.py",

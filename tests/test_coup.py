@@ -180,6 +180,31 @@ def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
         assert arm.snapshot == reference.engine()
 
 
+def test_phase_start_makes_no_utility_call():
+    # a pulled arm's snapshot holds its completion fraction and u(kappa),
+    # which no bound context changes, so a phase start reuses them
+    calls = 0
+
+    class Counted(uc.LogLaplaceUtility):
+        def __call__(self, t):
+            nonlocal calls
+            calls += 1
+            return super().__call__(t)
+
+    oracle, sampler = finite_setup(seed=0)
+    schedule = uc.Schedule.from_spec("default")
+    run = uc.CoupRun(sampler, oracle, Counted(60.0, 1.0), 0.05, schedule, doubling="new")
+    run.run_phases(uc.StopRule(phases=2))
+    # four pulled arms, each past its first captime
+    assert sum(arm.m > 0 and arm.kappa > 1.0 for arm in run.arms) == 4
+    calls = 0
+    run.begin_phase()
+    assert calls == 0
+    for arm in run.arms:
+        reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(run.oracle, arm), UTILITY)
+        assert arm.snapshot == reference.engine()
+
+
 def test_shrinking_requirement_keeps_pool():
     # second phase needs fewer configurations than already exist
     oracle, sampler = parametric_setup(3)
@@ -466,7 +491,7 @@ def test_opt_gamma_parametric_matches_direct_quantile(tmp_path):
     assert [phase for phase, *_ in rows] == [1, 2, 3]
     for phase, _, threshold, _ in rows:
         eps, gamma = schedule.at(phase)
-        quantile = uc.true_capped_utility(make(gamma), UTILITY, math.inf)[0]
+        quantile = uc.true_capped_utility(make(gamma), UTILITY, math.inf)
         assert threshold == quantile - eps
         # the map is strictly decreasing, so exactly the thetas below gamma beat it
         assert [oracle.true_utility(c, UTILITY) > quantile for c in range(40)] == [

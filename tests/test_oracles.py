@@ -28,7 +28,7 @@ from utilcap.baselines import halving_plan, naive_plan, naive_run, run_plan
 from utilcap.records import StopRule
 from utilcap.rng import RUNTIME_STREAM, stream_generator
 
-from helpers import capped_run, durations, never_double, true_runtimes
+from helpers import capped_run, completion_probability, durations, never_double, true_runtimes
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +238,13 @@ def test_two_point_mass_closed_form():
     u = UniformUtility(60.0)
     dist = TwoPoint(0.0, 1e9, 0.5)
     for kappa in (64.0, 128.0, math.inf):
-        value, _ = true_capped_utility(dist, u, kappa)
+        value = true_capped_utility(dist, u, kappa)
         assert value == pytest.approx(0.5, abs=1e-15)
 
 
 def test_exponential_cdf_value():
     dist = Exponential(1.0)
-    _, f = true_capped_utility(dist, LogLaplaceUtility(60.0), 1.0)
+    f = dist.completion_probability(1.0)
     assert f == pytest.approx(0.6321205588285577, abs=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_lognormal_cdf_matches_mpmath():
 def test_cap_near_zero_returns_full_utility():
     u = LogLaplaceUtility(60.0)
     for dist in (Exponential(1.0), LogNormal(0.0, 1.0), TwoPoint(0.0, 5.0, 0.3)):
-        value, _ = true_capped_utility(dist, u, 1e-9)
+        value = true_capped_utility(dist, u, 1e-9)
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -303,10 +303,14 @@ def closed_form_capped_utility(dist, u, kappa):
 # the validate_trials pool's shape (mu 1-4, sigma 0.5-1), runtimes far
 # below the utility's pivot, and far above it, where a quadrature over the
 # runtime t misses the mass: at kappa0 = 60, quad over t gave 9.0e-27 for
-# Exponential(0.001) and 0.0 for LogNormal(-5, 0.05)
+# Exponential(0.001) and 0.0 for LogNormal(-5, 0.05); and a mean so far
+# above it that u(Q(p)) falls from u(kappa0) to nearly 0 between the piece's
+# end and its first node, which a check of interval estimates alone missed
+# by 2.0e-11 under a = 2.5 at kappa = inf
 TRUTH_DISTRIBUTIONS = [
     LogNormal(1.0, 0.5), LogNormal(1.2343, 0.7258), LogNormal(2.5, 0.75), LogNormal(4.0, 1.0),
     Exponential(0.001), LogNormal(-5.0, 0.05), LogNormal(-5.0, 3.0), Exponential(1e4),
+    Exponential(1e12),
 ]
 
 
@@ -344,7 +348,8 @@ def test_monte_carlo_consistency(dist):
     values = np.array([u(t) for t in capped.tolist()])
     estimate = float(np.mean(values))
     spread = float(np.std(values))
-    truth, f_truth = true_capped_utility(dist, u, kappa)
+    truth = true_capped_utility(dist, u, kappa)
+    f_truth = completion_probability(dist, kappa)
     assert abs(estimate - truth) <= 3.0 * spread / 1e3 + 1e-9
     completed = float(np.mean(runtimes < kappa))
     assert abs(completed - f_truth) <= 3.0 * 0.5 / 1e3 + 1e-9

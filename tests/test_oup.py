@@ -3,7 +3,7 @@ import math
 import pytest
 
 import utilcap as uc
-from utilcap.arms import ArmState
+from utilcap.arms import double_captime
 from utilcap.bounds import alpha
 
 from helpers import (
@@ -381,15 +381,21 @@ def test_a_doubling_computes_u_at_kappa_once():
     # the pull under way is the seventh; of the six earlier runs at captime
     # 2, the second and fifth complete at 4, the fourth and sixth cap again
     times = [0.5, 3.0, 1.5, 5.0, 2.5, 7.0, 9.0]
-    arm = ArmState(0)
-    arm.m, arm.kappa, arm._completed_count = 7, 2.0, 2
-    charged, u_kappa = arm.double_captime(times, counted)
-    assert arm.kappa == 4.0 and arm._completed_count == 4
-    assert charged == [3.0, 4.0, 2.5, 4.0] and u_kappa == U60(4.0)
-    usum = 0.0
+    # a total at which the order of the charges shows: adding them in the
+    # order 4, 4, 3, 2.5 rounds to a different float
+    start = 1.0 / 3.0
+    kappa, usum, done, u_kappa, total, reruns = double_captime(times, 6, 2.0, counted, start)
+    assert kappa == 4.0 and done == 4 and reruns == 4
+    assert u_kappa == U60(4.0)
+    expected = 0.0
     for t in times[:6]:
-        usum += U60(min(t, 4.0))
-    assert arm._utility_sum == usum
+        expected += U60(min(t, 4.0))
+    assert usum == expected
+    # the four reruns charged in run order: two completed, two capped at 4
+    charged = start
+    for d in (3.0, 4.0, 2.5, 4.0):
+        charged += d
+    assert total == charged != start + 4.0 + 4.0 + 3.0 + 2.5
     # u(4) once for both runs that cap again, and one call per completed run
     assert calls == 1 + 4
 
