@@ -36,7 +36,7 @@ from .arms import ArmState
 from .bounds import FRESH, BoundContext
 from .oracles import Exponential, RuntimeOracle, SyntheticOracle
 from .oup import OupRun
-from .records import RunResult, StopRule
+from .records import RunResult, StopRule, spec_items
 from .rng import SAMPLER_STREAM, stream_generator
 from .utility import UtilityFunction
 
@@ -44,19 +44,20 @@ from .utility import UtilityFunction
 # Schedules
 # ---------------------------------------------------------------------------
 
+# each preset, as the custom spec it abbreviates
 _PRESETS = {
-    "default": lambda p: (math.exp(-p / 6.0), math.exp(-p / 3.0)),
-    "gamma_focus": lambda p: (math.exp(-p / 30.0), math.exp(-p / 3.0)),
-    "epsilon_focus": lambda p: (math.exp(-p / 3.0), math.exp(-p / 30.0)),
-    "balanced": lambda p: (math.exp(-p / 5.0), math.exp(-p / 5.0)),
-    "gamma_then_epsilon": lambda p: (math.exp(-(p ** 3) / 300.0), math.exp(-(p ** 2) / 30.0)),
+    "default": "custom:eps=e^-p/6,gamma=e^-p/3",
+    "gamma_focus": "custom:eps=e^-p/30,gamma=e^-p/3",
+    "epsilon_focus": "custom:eps=e^-p/3,gamma=e^-p/30",
+    "balanced": "custom:eps=e^-p/5,gamma=e^-p/5",
+    "gamma_then_epsilon": "custom:eps=e^-p^3/300,gamma=e^-p^2/30",
 }
 
 _CUSTOM_TERM = re.compile(r"^e\^-p(?:\^([123]))?/([0-9]+(?:\.[0-9]+)?)$")
 
 
 def _parse_custom_term(text: str):
-    match = _CUSTOM_TERM.match(text.strip())
+    match = _CUSTOM_TERM.match(text)
     if match is None:
         raise ValueError(
             f"bad schedule term {text!r}; expected the form e^-p/D, e^-p^2/D or e^-p^3/D"
@@ -89,34 +90,20 @@ class Schedule:
     @classmethod
     def from_spec(cls, spec: str) -> "Schedule":
         """Build from a preset name or ``custom:eps=e^-p/6,gamma=e^-p/3``."""
-        if spec in _PRESETS:
-            return cls(_PRESETS[spec], spec)
-        if spec.startswith("custom:"):
-            parts = {}
-            for item in filter(None, spec[len("custom:"):].split(",")):
-                name, sep, term = item.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"bad custom schedule item {item!r} in {spec!r}; expected name=term"
-                    )
-                if name not in ("eps", "gamma"):
-                    raise ValueError(
-                        f"unknown custom schedule name {name!r} in {spec!r}; "
-                        f"expected eps and gamma"
-                    )
-                if name in parts:
-                    raise ValueError(f"custom schedule name {name!r} given twice in {spec!r}")
-                parts[name] = term
-            missing = {"eps", "gamma"} - parts.keys()
-            if missing:
-                raise ValueError(f"custom schedule is missing {sorted(missing)}: {spec!r}")
-            eps_fn = _parse_custom_term(parts["eps"])
-            gamma_fn = _parse_custom_term(parts["gamma"])
-            return cls(lambda p: (eps_fn(p), gamma_fn(p)), spec)
-        raise ValueError(
-            f"unknown schedule {spec!r}; presets are {sorted(_PRESETS)} "
-            f"and custom specs look like custom:eps=e^-p/6,gamma=e^-p/3"
-        )
+        custom = _PRESETS.get(spec, spec)
+        if not custom.startswith("custom:"):
+            raise ValueError(
+                f"unknown schedule {spec!r}; presets are {sorted(_PRESETS)} "
+                f"and custom specs look like custom:eps=e^-p/6,gamma=e^-p/3"
+            )
+        items = [(repr(spec), item) for item in custom[len("custom:"):].split(",")]
+        terms = spec_items(items, ("eps", "gamma"), "schedule name")
+        missing = {"eps", "gamma"} - terms.keys()
+        if missing:
+            raise ValueError(f"custom schedule is missing {sorted(missing)}: {spec!r}")
+        eps_fn = _parse_custom_term(terms["eps"])
+        gamma_fn = _parse_custom_term(terms["gamma"])
+        return cls(lambda p: (eps_fn(p), gamma_fn(p)), spec)
 
 
 def phase_size(p: int, gamma_p: float, delta: float) -> int | float:

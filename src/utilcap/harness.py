@@ -46,7 +46,7 @@ from .oracles import (
     true_capped_utility,
 )
 from .oup import OupRun
-from .records import NO_TRACE, StopRule, TraceRow, format_value
+from .records import NO_TRACE, StopRule, TraceRow, format_value, spec_items
 from .utility import parse_utility
 
 OUTPUT_DIR_ENV = "UTILCAP_OUT"
@@ -194,27 +194,21 @@ def load_synthetic_spec(path: str | Path):
     Keys: ``family`` (a key of ``_FAMILIES``), ``params`` (semicolon-separated
     entries; comma-separated fields within an entry), ``n_configs`` and
     ``seed``.  The seed must be an integer but is never used: the run's
-    ``--seed`` decides.  Any other key, or a key given twice, is refused.
+    ``--seed`` decides.  Blank lines and ``#`` lines are skipped; the others
+    go through ``records.spec_items``, which refuses a line without ``=``,
+    any other key and a key given twice.
     """
     path = Path(path)
-    fields: dict[str, str] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = enumerate(map(str.strip, path.read_text(encoding="utf-8").splitlines()), 1)
+        fields = spec_items(
+            ((f"{path}:{n}", line) for n, line in lines if line and not line.startswith("#")),
+            _POOL_KEYS, "key",
+        )
     except OSError as err:
         raise SpecError(f"cannot read synthetic pool file {path}: {err}") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise SpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key = key.strip()
-        if key not in _POOL_KEYS:
-            raise SpecError(f"{path}:{lineno}: unknown key {key!r}; expected one of {_POOL_KEYS}")
-        if key in fields:
-            raise SpecError(f"{path}:{lineno}: key {key!r} given twice")
-        fields[key] = value.strip()
+    except ValueError as err:
+        raise SpecError(str(err)) from None
     family = fields.get("family")
     if family is None:
         raise SpecError(f"{path}: missing required key 'family'")

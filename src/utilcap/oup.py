@@ -214,17 +214,19 @@ class OupRun:
         A round selects an arm, pulls it, reads the leaders off the bound
         index (``rebuild_index``), eliminates if the engine does, and
         appends its row to the trace sink (``records.NO_TRACE``).  A pull
-        counts one more run ``m``, tests the doubling rule with the width at
-        that ``m`` and the completion fraction of the arm's last snapshot,
-        and if it fires doubles the captime once: ``arms.double_captime``
-        reruns the capped runs among the ``m - 1`` made, and returns the
-        arm's new captime, sums and ``u(kappa)`` and the ledger's total with
-        the reruns charged.  If more doublings are warranted, the rule fires
-        again on the arm's next pull.  Then the run reads its runtime ``t``
-        from the configuration's runtime table, ``times[m - 1]``, and draws
-        it (``draw``) when the table ends before it, observes ``min(t,
-        kappa)``, completed when ``t < kappa``, and leaves the bounds
-        ``_enter`` would compute.
+        first reads its run's runtime ``t`` from the configuration's runtime
+        table, ``times[m]``, and draws it (``draw``) when the table ends
+        before it, so a pull past the oracle's last instance raises before
+        it counts or charges anything.  Then it counts one more run ``m``,
+        tests the doubling rule with the width at that ``m`` and the
+        completion fraction of the arm's last snapshot, and if it fires
+        doubles the captime once: ``arms.double_captime`` reruns the capped
+        runs among the ``m - 1`` made before, and returns the arm's new
+        captime, sums and ``u(kappa)`` and the ledger's total with the
+        reruns charged.  If more doublings are warranted, the rule fires
+        again on the arm's next pull.  The run observes ``min(t, kappa)``,
+        completed when ``t < kappa``, and leaves the bounds ``_enter`` would
+        compute.
 
         A round calls nothing to value a run or to test the rule.  The
         rule's terms (``bounds`` module) depend on ``u(kappa)`` alone, so
@@ -307,6 +309,12 @@ class OupRun:
         try:
             try:
                 while True:
+                    # the runtime is read first, so a draw past the oracle's
+                    # instances raises before the round changes anything
+                    try:
+                        t = times[m]
+                    except IndexError:
+                        t = draw(m)
                     m += 1
                     a = widths[m]
                     # u(kappa) of this pull: the last snapshot's, unless the
@@ -322,10 +330,6 @@ class OupRun:
                         lead, share = rule(u_now)
                         widths = width_table(ctx, kappa)
                         a = widths[m]
-                    try:
-                        t = times[m - 1]
-                    except IndexError:
-                        t = draw(m - 1)
                     # a capped run's utility is u(kappa), which the round holds
                     if t < kappa:
                         usum += (

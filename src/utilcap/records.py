@@ -1,4 +1,5 @@
-"""Run records: cost ledger, per-round trace rows, the stop rule, run results.
+"""Run records: cost ledger, per-round trace rows, the stop rule, run results,
+and the one reader of the ``key=value`` items of a spec (``spec_items``).
 
 A round's trace row is its only record: a plain tuple laid out as the
 fields of ``TraceRow``, which goes to the run's trace sink (``NO_TRACE``).
@@ -75,6 +76,29 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def spec_items(items, names: tuple[str, ...], noun: str) -> dict[str, str]:
+    """Read ``key=value`` items into a dict of their stripped keys and values.
+
+    ``items`` yields ``(where, item)`` pairs, and ``where`` starts the
+    message of a refusal: ``path:line`` for a line of a pool file, the
+    quoted spec text for an item of a utility or a custom schedule.  An
+    item without ``=`` (an empty one too), a key outside ``names`` or a
+    key given twice raises ``ValueError``; ``noun`` names what a key is.
+    """
+    found = {}
+    for where, item in items:
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"{where}: expected key=value, got {item!r}")
+        if key not in names:
+            raise ValueError(f"{where}: unknown {noun} {key!r}; expected one of {names}")
+        if key in found:
+            raise ValueError(f"{where}: {noun} {key!r} given twice")
+        found[key] = value.strip()
+    return found
 
 
 # ---------------------------------------------------------------------------

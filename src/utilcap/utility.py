@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
+from .records import spec_items
+
 
 class UtilityShape:
     """The valuation every shape shares, over the shape's constants."""
@@ -73,28 +75,19 @@ UtilityFunction = LogLaplaceUtility | UniformUtility
 def parse_utility(text: str) -> UtilityFunction:
     """Parse a utility spec like ``loglaplace:kappa0=60,a=1`` or ``uniform:kappa0=60``."""
     name, _, rest = text.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"bad utility parameter {item!r} in {text!r}")
-            key = key.strip()
-            if key in params:
-                raise ValueError(f"utility parameter {key!r} given twice in {text!r}")
-            try:
-                params[key] = float(value)
-            except ValueError:
-                raise ValueError(f"bad utility parameter value {value!r} in {text!r}") from None
     name = name.strip().lower()
     shape = {"loglaplace": LogLaplaceUtility, "uniform": UniformUtility}.get(name)
     if shape is None:
         raise ValueError(f"unknown utility shape {name!r} (expected loglaplace or uniform)")
     defaults = {f.name: f.default for f in fields(shape)}
-    unknown = sorted(params.keys() - defaults.keys())
-    if unknown:
-        raise ValueError(f"unknown parameters for utility {name!r}: {unknown}")
+    items = [(repr(text), item) for item in rest.split(",")] if rest else []
+    params = spec_items(items, tuple(defaults), "utility parameter")
     missing = [k for k, default in defaults.items() if default is MISSING and k not in params]
     if missing:
         raise ValueError(f"missing parameters for utility {name!r}: {missing}")
+    for key, value in params.items():
+        try:
+            params[key] = float(value)
+        except ValueError:
+            raise ValueError(f"bad utility parameter value {value!r} in {text!r}") from None
     return shape(**params)

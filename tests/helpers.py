@@ -55,12 +55,11 @@ def true_runtimes(oracle, config: int, count: int) -> list[float]:
 def durations(oracle, arm) -> list[float]:
     """The capped duration of each run an arm made, ``min(times[j], kappa)``:
     every run that capped was rerun at each doubling, so each run was last
-    made at the arm's captime.  The arm made ``arm.m`` runs, less a pull
-    that an exhausted oracle failed: that pull counts in ``m``, but its
-    instance is past the end of the table, which holds every run made."""
+    made at the arm's captime.  The arm made ``arm.m`` runs, the first
+    ``arm.m`` of its runtime table: a pull that an exhausted oracle failed
+    counts in neither."""
     times, _ = oracle.runtime_of(arm.config)
-    runs = min(arm.m, len(times))
-    return [min(t, arm.kappa) for t in times[:runs]]
+    return [min(t, arm.kappa) for t in times[:arm.m]]
 
 
 def seconds_by_arm(rows) -> dict[int, float]:

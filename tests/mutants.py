@@ -41,6 +41,32 @@ COUP_ALL = (
     "coup_old_seed2", "coup_uniform", "coup_without_replacement",
 )
 
+# oup.py's round reads a run's runtime, then counts the run and tests the
+# doubling rule
+_READ = """\
+                    try:
+                        t = times[m]
+                    except IndexError:
+                        t = draw(m)
+"""
+_COUNT_AND_DOUBLE = """\
+                    m += 1
+                    a = widths[m]
+                    # u(kappa) of this pull: the last snapshot's, unless the
+                    # captime doubles
+                    u_now = u_k
+                    doubled = False
+                    if lead * a <= u_k * (1.0 - f_hat + share * a):
+                        doubled = True
+                        kappa, usum, done, u_now, total, rerun = double_captime(
+                            times, m - 1, kappa, u, total
+                        )
+                        reruns += rerun
+                        lead, share = rule(u_now)
+                        widths = width_table(ctx, kappa)
+                        a = widths[m]
+"""
+
 MUTANTS = (
     # the without-replacement queue in the opposite shuffle order
     (
@@ -49,11 +75,12 @@ MUTANTS = (
         "key=lambda c: (-keys[c], c))",
         ("coup_without_replacement",),
     ),
-    # Recorded as each phase's with-replacement draws reversed.  The
-    # frontier has drawn one configuration per call since, so reversing a
-    # call's draws changes nothing; this mutant reverses each draw's place
-    # in the population instead, and its cells are those it changed when
-    # it was adapted (the reversal's, and coup_finite_pool)
+    # Recorded, twice, as each phase's with-replacement draws reversed: the
+    # second time with coup_finite_slow, whose phases pull every arm they
+    # draw.  The frontier has drawn one configuration per call since, so
+    # reversing a call's draws changes nothing; this mutant reverses each
+    # draw's place in the population instead, and its cells are those it
+    # changed when it was adapted (the reversal's, and coup_finite_pool)
     (
         "with_replacement_draws_mirrored", "coup.py",
         "return [int(v * n) for v in",
@@ -111,8 +138,9 @@ MUTANTS = (
         "@functools.lru_cache(maxsize=_WIDTH_TABLES)",
         "@lambda table: lambda ctx, kappa, _seen={}: _seen.setdefault(kappa, table(ctx, kappa))",
         COUP_ALL + (
-            "oup_a0.5", "oup_a1.7", "oup_lognormal", "oup_matrix_exhausted", "oup_one_config",
-            "oup_twopoint", "oup_uniform", "up_single_survivor",
+            "oup_a0.5", "oup_a1.7", "oup_exhausted_at_doubling", "oup_lognormal",
+            "oup_matrix_exhausted", "oup_one_config", "oup_twopoint", "oup_uniform",
+            "up_single_survivor",
         ),
     ),
     # the uniform shape's tail as the log-Laplace's, kappa0 / t, not zero
@@ -175,8 +203,8 @@ MUTANTS = (
     # the runtime table's fallback draws the next instance, not the missing one
     (
         "table_fallback_draws_next", "oup.py",
-        "t = draw(m - 1)",
         "t = draw(m)",
+        "t = draw(m + 1)",
         (
             "coup_a0.5", "coup_a1.7", "coup_budget_at_phase_boundary", "coup_budget_mid_phase2",
             "coup_budget_uncertified", "coup_custom_schedule", "coup_gamma_then_epsilon",
@@ -187,17 +215,44 @@ MUTANTS = (
             "up_old_seed2", "up_rival_eliminated", "up_rounds", "up_single_survivor",
         ),
     ),
+    # the round reads its runtime after it counts the run and tests the
+    # doubling rule, as it once did: a pull past the last instance then
+    # charges a doubling's reruns before it raises
+    (
+        "runtime_read_after_doubling", "oup.py",
+        _READ + _COUNT_AND_DOUBLE,
+        _COUNT_AND_DOUBLE + _READ.replace("[m]", "[m - 1]").replace("(m)", "(m - 1)"),
+        ("oup_exhausted_at_doubling",),
+    ),
+    # the frontier drawn one position late: each new frontier skips a draw
+    (
+        "frontier_drawn_one_late", "coup.py",
+        "sample(1)[0]))\n            heappush",
+        "sample(2)[1]))\n            heappush",
+        (
+            "coup_a0.5", "coup_a1.7", "coup_finite_slow", "coup_gamma_then_epsilon",
+            "coup_old_seed1", "coup_old_seed2", "coup_uniform",
+        ),
+    ),
+    # the new frontier's keys not pushed: the index never offers it
+    (
+        "frontier_keys_not_pushed", "coup.py",
+        "heappush(self._by_ucb, (-FRESH.ucb, i + 1))\n"
+        "            heappush(self._by_lcb, (-FRESH.lcb, i + 1))",
+        "pass",
+        COUP_ALL,
+    ),
     # the memo stores width(m) under the next count
     (
         "width_stored_under_next_count", "bounds.py",
         "value = self[m] = self.width(m)",
         "value = self[m + 1] = self.width(m)",
         tuple(c for c in COUP_ALL if c != "coup_budget_uncertified") + (
-            "oup_a0.5", "oup_a1.7", "oup_budget", "oup_lognormal", "oup_new_seed1",
-            "oup_new_seed2", "oup_old_seed1", "oup_old_seed2", "oup_one_config", "oup_rounds",
-            "oup_twopoint", "oup_uniform", "up_budget", "up_held_arm_kept", "up_new_seed1",
-            "up_new_seed2", "up_old_seed1", "up_old_seed2", "up_rival_eliminated", "up_rounds",
-            "up_single_survivor",
+            "oup_a0.5", "oup_a1.7", "oup_budget", "oup_exhausted_at_doubling", "oup_lognormal",
+            "oup_new_seed1", "oup_new_seed2", "oup_old_seed1", "oup_old_seed2", "oup_one_config",
+            "oup_rounds", "oup_twopoint", "oup_uniform", "up_budget", "up_held_arm_kept",
+            "up_new_seed1", "up_new_seed2", "up_old_seed1", "up_old_seed2", "up_rival_eliminated",
+            "up_rounds", "up_single_survivor",
         ),
     ),
 )

@@ -236,6 +236,41 @@ def test_malformed_pool_file_exits_two(tmp_path, body, procedure, stop, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, body, named",
+    [
+        (("--utility", "loglaplace:kappa0=60,a"), POOL,
+         "'loglaplace:kappa0=60,a': expected key=value, got 'a'"),
+        (("--utility", "loglaplace:kappa0=60,b=1"), POOL, "unknown utility parameter 'b'"),
+        (("--utility", "loglaplace:kappa0=60,a=1, a=2"), POOL,
+         "utility parameter 'a' given twice"),
+        (("--schedule", "custom:eps=e^-p/6,gamma"), POOL,
+         "'custom:eps=e^-p/6,gamma': expected key=value, got 'gamma'"),
+        (("--schedule", "custom:eps=e^-p/6,gama=e^-p/3"), POOL, "unknown schedule name 'gama'"),
+        (("--schedule", "custom:eps=e^-p/6,gamma=e^-p/3, eps=e^-p/5"), POOL,
+         "schedule name 'eps' given twice"),
+        ((), POOL + "n_configs\n", "bad.txt:5: expected key=value, got 'n_configs'"),
+        ((), POOL + "n_config=3\n", "bad.txt:5: unknown key 'n_config'"),
+        ((), POOL + " seed = 1\n", "bad.txt:5: key 'seed' given twice"),
+    ],
+    ids=[
+        f"{form}_{fault}"
+        for form in ("utility", "schedule", "pool_file")
+        for fault in ("without_equals", "unknown_key", "repeated_key")
+    ],
+)
+def test_every_key_value_form_refuses_a_malformed_item(tmp_path, extra, body, named, capsys):
+    # utility items, custom-schedule items and pool-file lines go through
+    # one reader: each fault exits 2 with one line that names the item or key
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    assert main(run_args(path, tmp_path / "out", extra)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
 def validate_output(monkeypatch, capsys, args, cpus):
     """(exit code, stdout, stderr, report) of one validate command on a
     machine with ``cpus`` usable CPUs."""

@@ -95,6 +95,9 @@ def test_custom_schedule_parsing():
         assert schedule.at(p) == default.at(p)
     powered = uc.Schedule.from_spec("custom:eps=e^-p^3/300,gamma=e^-p^2/30")
     assert powered.at(2) == (math.exp(-8 / 300), math.exp(-4 / 30))
+    # keys and terms are stripped, as in a utility spec
+    padded = uc.Schedule.from_spec("custom:eps=e^-p/6, gamma = e^-p/3 ")
+    assert [padded.at(p) for p in range(1, 6)] == [default.at(p) for p in range(1, 6)]
 
 
 def test_bad_schedules_rejected():
@@ -102,12 +105,15 @@ def test_bad_schedules_rejected():
                 "custom:eps=e^-p/0,gamma=e^-p/3"):
         with pytest.raises(ValueError):
             uc.Schedule.from_spec(bad)
-    with pytest.raises(ValueError, match="bad custom schedule item 'eps' in 'custom:eps'"):
+    with pytest.raises(ValueError, match="^'custom:eps': expected key=value, got 'eps'$"):
         uc.Schedule.from_spec("custom:eps")
-    with pytest.raises(ValueError, match="unknown custom schedule name 'gama'"):
+    with pytest.raises(ValueError, match="unknown schedule name 'gama'"):
         uc.Schedule.from_spec("custom:eps=e^-p/6,gamma=e^-p/3,gama=e^-p/100")
-    with pytest.raises(ValueError, match="custom schedule name 'eps' given twice"):
+    with pytest.raises(ValueError, match="schedule name 'eps' given twice"):
         uc.Schedule.from_spec("custom:eps=e^-p/6,gamma=e^-p/3,eps=e^-p/5")
+    # an empty item, as a trailing comma leaves, is an item without '='
+    with pytest.raises(ValueError, match="expected key=value, got ''"):
+        uc.Schedule.from_spec("custom:eps=e^-p/6,gamma=e^-p/3,")
 
 
 def test_explicit_schedule_values_validated():
@@ -167,14 +173,15 @@ def test_carryover_keeps_observations_and_widens_bounds():
 
 
 def test_phase_start_rebuilds_pulled_arms_under_the_new_context():
-    run = make_run(seed=2)
+    # the finite pool's two phases pull four arms, each past its first
+    # captime, and leave a fresh frontier
+    run = make_run(seed=0, parametric=False)
+    run.run_phases(uc.StopRule(phases=2))
     run.begin_phase()
-    for _ in range(40):
-        run.phase_step()
-    run.begin_phase()
-    assert run.ctx.phase == 2
+    assert run.ctx.phase == 3
     pulled = [arm for arm in run.arms if arm.m > 0]
-    assert pulled and len(pulled) < len(run.arms)
+    assert len(pulled) >= 2 and any(arm.kappa > 1.0 for arm in pulled)
+    assert len(pulled) < len(run.arms)
     for arm in run.arms:
         reference = make_snapshot(run.ctx, arm.m, arm.kappa, observations(run.oracle, arm), UTILITY)
         assert arm.snapshot == reference.engine()

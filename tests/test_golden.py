@@ -24,9 +24,10 @@ run on the two-point family, a coup run over a finite pool sampled
 without replacement, coup runs whose budget runs out exactly where phase
 1 ends and inside phase 2, an oup run over one configuration, whose heaps
 hold no rival while it is held, an up run whose held arm ranks below
-the best rival on the low-UCB heap yet is not eliminated, and a coup run
+the best rival on the low-UCB heap yet is not eliminated, a coup run
 over a finite pool, sampled with replacement, whose phases pull every arm
-they sample, so each phase's draws are pinned in order.
+they sample, so each phase's draws are pinned in order, and an oup run
+whose instances run out on a pull whose doubling test fires.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ SLOW = "family=exponential\nparams=30.0;45.0;60.0;90.0\n"
 SPREAD = "family=exponential\nparams=0.5;30.0;100.0;400.0\n"
 # one configuration: with it held, the heaps hold no rival
 ONE = "family=exponential\nparams=3.0\n"
+# one configuration of 18 equal runtimes: at delta 0.5 the pull past the
+# last of them is one whose doubling test fires
+EIGHTEEN = "a," + ",".join(["5.0"] * 18) + "\n"
 # at seed 40, up's held arm ranks below the best rival on the low-UCB heap
 # yet stays at or above the incumbent's LCB
 CLOSE = "family=exponential\nparams=3.09;11.56;72.19;154.72;179.79\n"
@@ -204,6 +208,15 @@ def grid() -> list[tuple[str, uc.ExperimentSpec]]:
             stop="phases:3", seed=2, delta=0.1, doubling="new",
         ),
     ))
+    # the round that runs out of instances would double the captime: it
+    # neither counts its run nor charges the doubling's reruns
+    cells.append((
+        "oup_exhausted_at_doubling",
+        uc.ExperimentSpec(
+            procedure="oup", oracle="matrix:eighteen.csv", utility="loglaplace:kappa0=60,a=1",
+            stop="rounds:1000", seed=1, delta=0.5,
+        ),
+    ))
     return cells
 
 
@@ -219,6 +232,7 @@ def digests(workdir: Path) -> dict[str, dict[str, str]]:
     (workdir / "twopoint.txt").write_text(TWOPOINT)
     (workdir / "one.txt").write_text(ONE)
     (workdir / "close.txt").write_text(CLOSE)
+    (workdir / "eighteen.csv").write_text(EIGHTEEN)
     out = {}
     for name, spec in grid():
         outdir = Path(name)
@@ -447,6 +461,11 @@ EXPECTED: dict[str, dict[str, str]] = {
         'summary.csv': '2477b346e08d692eea53120bbd2f01cb8574d3fc0bc6d7980fc3819ce0aefbea',
         'trace.csv': '93b6cf40559b441e0cd2338053a8ab6385e8a0dd52294d349b0a45ef43821160',
     },
+    # cells added after the first 48
+    'oup_exhausted_at_doubling': {
+        'summary.csv': '7283a9a187d28ee17e501674194ef5c51dd3f0a5e60b03ebdb6d6eb16f42dced',
+        'trace.csv': '23748e0ba52707e25bc1b2481c9eabe03c621b90d11e4bb676c95f991bc5189d',
+    },
 }
 
 
@@ -463,6 +482,10 @@ def test_golden_digests(tmp_path, monkeypatch):
     with open("coup_budget_uncertified/summary.csv", newline="") as handle:
         row = dict(zip(*csv.reader(handle)))
     assert (row["incumbent"], row["final_epsilon"]) == ("-1", "nan")
+    # the pull that ran out of instances counted no run and charged no rerun
+    with open("oup_exhausted_at_doubling/summary.csv", newline="") as handle:
+        row = dict(zip(*csv.reader(handle)))
+    assert (row["total_seconds"], row["run_count"], row["rounds"]) == ("18.0", "18", "18")
     # the boundary cell's budget is spent by the round that certifies phase 1
     with open("coup_budget_at_phase_boundary/certificates.csv", newline="") as handle:
         (certificate,) = csv.DictReader(handle)

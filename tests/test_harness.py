@@ -205,23 +205,45 @@ TERMS = st.builds(
     st.sampled_from(["", "^2", "^3", "^4"]),
     st.sampled_from(["6", "3", "0.0014", "0.0000001", "0", "1" + "0" * 400, "1000000000000000"]),
 )
+# malformed items, for every key=value form: no '=', an empty item, an
+# unknown key, and (with a list's repeats) a key given twice
+BAD_ITEMS = ["", " ", "=", "==", "kappa", "k=1"]
+SCHEDULE_ITEMS = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["eps", "gamma", " eps ", "gamma  ", "gama"]), TERMS),
+    st.sampled_from(BAD_ITEMS + ["eps", "gamma"]),
+)
 SCHEDULES = st.one_of(
     st.sampled_from(["default", "gamma_focus", "epsilon_focus", "balanced", "gamma_then_epsilon",
                      "custom:eps", "custom:", "bogus", ""]),
     st.builds("custom:eps={},gamma={}".format, TERMS, TERMS),
+    st.lists(SCHEDULE_ITEMS, max_size=4).map(lambda items: "custom:" + ",".join(items)),
     st.text(max_size=20),
+)
+UTILITY_ITEMS = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["kappa0", "a", " kappa0 ", "a ", "b"]), NUMBERS),
+    st.sampled_from(BAD_ITEMS + ["kappa0", "a"]),
 )
 UTILITIES = st.one_of(
     st.sampled_from(["loglaplace:kappa0=60,a=1", "uniform:kappa0=60", "step:k=1", "uniform", ""]),
     st.builds("loglaplace:kappa0={},a={}".format, NUMBERS, NUMBERS),
     st.builds("uniform:kappa0={}".format, NUMBERS),
+    st.builds(
+        "{}:{}".format,
+        st.sampled_from(["loglaplace", "uniform", " uniform"]),
+        st.lists(UTILITY_ITEMS, max_size=4).map(",".join),
+    ),
 )
 ENTRIES = st.lists(NUMBERS, min_size=0, max_size=4).map(",".join)
+POOL_LINES = st.sampled_from(
+    BAD_ITEMS + ["family", "n_config=2", "family=exponential", " params = 1.0;2.0 ",
+                 " seed = 7", "# seed=x", "params=1.0"]
+)
 POOLS = st.builds(
-    "family={}\nparams={}\n{}".format,
+    "family={}\nparams={}\n{}{}".format,
     st.sampled_from(["exponential", "lognormal", "twopoint", "parametric_exponential", "bogus"]),
     st.lists(ENTRIES, min_size=0, max_size=4).map(";".join),
     st.sampled_from(["", "n_configs=2\n", "n_configs=x\n", "seed=7\n", "seed=-1\n", "seed=x\n"]),
+    st.lists(POOL_LINES, max_size=3).map(lambda lines: "".join(f"{line}\n" for line in lines)),
 )
 
 

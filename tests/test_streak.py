@@ -203,17 +203,17 @@ def test_exhaustion_in_the_middle_of_a_streak():
     _, want = exhausted(twin, lambda run: stepped_until(run, uc.StopRule(epsilon=0.01)))
     assert got == want
     assert state(run) == state(twin)
-    # the failed pull counted the observation, and made no run
+    # the failed pull counted nothing: the arm's count is the 12 runs it made
     arm = run.arms[0]
-    assert arm.m == len(durations(run.oracle, arm)) + 1 == 13
+    assert arm.m == len(durations(run.oracle, arm)) == 12
 
 
 def test_a_first_run_that_fails_charges_nothing():
     # an oracle without instances fails the first pull of the first arm: the
-    # arm counts the observation, and the ledger holds no run and no seconds
+    # arm counts no run, and the ledger holds no run and no seconds
     oracle = uc.MatrixOracle(((), ()), ("a", "b"), ())
     run = uc.OupRun(oracle, UTILITY, 0.1)
     err, _ = exhausted(run, lambda run: run.run_until(uc.StopRule(rounds=5)))
     assert (err.config, err.instance, err.partial.trace) == (0, 0, [])
-    assert run.arms[0].m == 1 and run.arms[0].snapshot is uc.FRESH
+    assert run.arms[0].m == 0 and run.arms[0].snapshot is uc.FRESH
     assert (run.ledger.run_count, run.ledger.total_seconds) == (0, 0.0)

@@ -64,6 +64,8 @@ def test_parse_utility_round_trip():
     assert u == LogLaplaceUtility(60.0, 1.0)
     v = parse_utility("uniform:kappa0=7.5")
     assert v == UniformUtility(7.5)
+    # keys and values are stripped
+    assert parse_utility("loglaplace: kappa0 = 60 ,a=1") == u
 
 
 def test_parse_utility_rejects_garbage():
@@ -80,7 +82,12 @@ def test_parse_utility_rejects_garbage():
     "text, message",
     [
         ("loglaplace:a=2", "missing parameters for utility 'loglaplace': ['kappa0']"),
-        ("loglaplace:kappa0=60,b=1", "unknown parameters for utility 'loglaplace': ['b']"),
+        ("loglaplace:kappa0=60,b=1",
+         "'loglaplace:kappa0=60,b=1': unknown utility parameter 'b'; "
+         "expected one of ('kappa0', 'a')"),
+        # an empty item, as a trailing comma leaves, is an item without '='
+        ("uniform:kappa0=60,", "'uniform:kappa0=60,': expected key=value, got ''"),
+        ("uniform:kappa0=x", "bad utility parameter value 'x' in 'uniform:kappa0=x'"),
     ],
 )
 def test_parse_utility_names_the_wrong_parameter(text, message):
